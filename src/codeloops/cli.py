@@ -15,13 +15,7 @@ from .catalog import all_loop_ids, parse_loop_id
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, parse_code
 from .equivalence import cycle_notation, code_isomorphism, distinguishing_invariant
 from .loops import build_loop, classify, AssociativeLoopError
-from .search import (
-    MAX_DEGREE_RANK3,
-    MAX_DEGREE_RANK4,
-    Representation,
-    enumerate_reduced,
-    minimal_representation,
-)
+from .search import Representation, enumerate_reduced, minimal_representation
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,6 +29,8 @@ def _read_code(path: str) -> BinaryCode:
             text = fh.read()
     except OSError as exc:
         raise InvalidCodeError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidCodeError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from exc
     return parse_code(text)
 
 
@@ -151,13 +147,8 @@ def cmd_iso(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if args.rank == 3:
-        default_cap, limit = 20, MAX_DEGREE_RANK3
-    else:
-        default_cap, limit = 19, MAX_DEGREE_RANK4
+    default_cap = 20 if args.rank == 3 else 19
     max_degree = args.max_degree if args.max_degree is not None else default_cap
-    if not 1 <= max_degree <= limit:
-        raise InvalidCodeError(f"max degree {max_degree} out of range 1..{limit}")
 
     groups: dict[tuple[int, int, tuple[int, ...]], list[Representation]] = {}
     total = 0

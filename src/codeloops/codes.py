@@ -256,7 +256,7 @@ def parse_code(text: str) -> BinaryCode:
             continue
         if degree is None and not gens and line.startswith("degree="):
             value = line[len("degree="):]
-            if not value.isdigit():
+            if not _is_number(value):
                 raise InvalidCodeError(f"line {lineno}, col 8: bad degree {value!r}")
             degree = int(value)
             continue
@@ -277,6 +277,11 @@ def parse_code(text: str) -> BinaryCode:
     return BinaryCode(degree, words)
 
 
+def _is_number(text: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts digits int() rejects, like "²"."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_support_line(line: str, raw: str, lineno: int) -> frozenset[int]:
     support: set[int] = set()
     col = raw.index(line) + 1
@@ -288,13 +293,15 @@ def _parse_support_line(line: str, raw: str, lineno: int) -> frozenset[int]:
             raise InvalidCodeError(f"{loc}: empty entry")
         if "-" in tok:
             lo_s, _, hi_s = tok.partition("-")
-            if not (lo_s.strip().isdigit() and hi_s.strip().isdigit()):
+            if not (_is_number(lo_s.strip()) and _is_number(hi_s.strip())):
                 raise InvalidCodeError(f"{loc}: bad range {tok!r}")
             lo, hi = int(lo_s), int(hi_s)
             if lo > hi:
                 raise InvalidCodeError(f"{loc}: empty range {tok!r}")
+            if hi > MAX_DEGREE:  # refuse before building the range
+                raise InvalidCodeError(f"{loc}: coordinate {hi} out of range 1..{MAX_DEGREE}")
             entries = range(lo, hi + 1)
-        elif tok.isdigit():
+        elif _is_number(tok):
             entries = [int(tok)]
         else:
             raise InvalidCodeError(f"{loc}: bad coordinate {tok!r}")

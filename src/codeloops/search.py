@@ -1,14 +1,24 @@
 """Reduced representations of the catalog loops by constrained search.
 
 A representation of a loop class is a doubly even code whose loop
-classifies to that class.  Fixing a basis pins the full vector t of
-intersection cardinalities (singles, pairs, triples, and at rank 4 the
-quadruple); the characteristic vector constrains every t entry to a residue
-class, and the coordinate-class sizes x solve a triangular linear system in
-t.  A representation is reduced when every class has fewer than 8
-coordinates, so the whole reduced space is a finite box: enumeration walks
-the admissible t vectors in lexicographic order, solves for x, and lays the
-classes out as consecutive intervals.
+classifies to that class.  Everything here is indexed by the nonempty
+subsets S of the k generators (k = 3 or 4), ordered by decreasing size and
+then lexicographically: 123, 12, 13, 23, 1, 2, 3 at rank 3 and 1234, 123,
+124, ..., 34, 1, ..., 4 at rank 4.  Fixing a basis pins the meet sizes t_S,
+the number of coordinates lying in every generator of S.  The coordinate
+class x_S holds the coordinates lying in exactly the generators of S, so
+t_S is the sum of x_T over the supersets T of S, and Moebius inversion
+gives x_S as t_S minus the class sizes of the strict supersets of S.
+
+The characteristic vector puts each t_S in a residue class that depends
+only on |S|: weights mod 8 (the squares), pair meets mod 4 (the
+commutators), the meet of 123 odd and the other triple meets even (the
+associators), and the quadruple meet free.  A representation is reduced
+when every class has fewer than 8 coordinates, so the reduced space is a
+finite box.  The scan walks it one class size at a time in subset order,
+which is lexicographic order in t: each size steps through the residue
+class its meet needs, and the singles come out forced mod 8.  The classes
+are then laid out as consecutive coordinate intervals.
 
 Minimality searches the same box with branch and bound: partial class-size
 sums bound the degree from below, so a subtree is cut as soon as the
@@ -17,132 +27,107 @@ partial sum reaches the incumbent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
+from itertools import combinations
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
-from .codes import BinaryCode, Codeword, InternalInvariantError, InvalidCodeError, RepType, meet_weight
+from .codes import BinaryCode, Codeword, InternalInvariantError, InvalidCodeError, RepType
 from .loops import CharVector, LoopClass, build_loop, canonical_catalog, classify
 
-MAX_DEGREE_RANK3 = 49   # 7 classes of at most 7 coordinates
-MAX_DEGREE_RANK4 = 105  # 15 classes of at most 7 coordinates
+
+def _screen(s: tuple[int, ...]) -> tuple[int, int]:
+    """(modulus, residue) of t_S in every representation of a catalog class.
+
+    Weights are 0 mod 4 and pair meets even in any doubly even code; the
+    first three basis words associate to -1 (odd triple meet) and the
+    fourth is nuclear (even triple meets through it).
+    """
+    return {1: (4, 0), 2: (2, 0), 3: (2, int(s == (0, 1, 2))), 4: (1, 0)}[len(s)]
 
 
-@dataclass(frozen=True)
-class ParamVector3:
-    """Intersection cardinalities of a rank 3 basis."""
+class _Subsets:
+    """The nonempty generator subsets of one rank, in scan order."""
 
-    t123: int
-    t12: int
-    t13: int
-    t23: int
-    t1: int
-    t2: int
-    t3: int
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.sets = tuple(
+            s for size in range(rank, 0, -1) for s in combinations(range(rank), size)
+        )
+        self.labels = tuple("".join(str(i + 1) for i in s) for s in self.sets)
+        self.screens = tuple(map(_screen, self.sets))
+        self.meets = tuple(itemgetter(*s) for s in self.sets if len(s) > 1)
+        # positions of the strict supersets and strict subsets of each subset
+        self.above = tuple(
+            tuple(j for j, u in enumerate(self.sets) if set(s) < set(u)) for s in self.sets
+        )
+        self.below = tuple(
+            tuple(j for j, u in enumerate(self.sets) if set(u) < set(s)) for s in self.sets
+        )
+
+
+_SUBSETS = {rank: _Subsets(rank) for rank in (3, 4)}
+
+
+class _SubsetVector:
+    """One integer per generator subset, exposed as named dataclass fields."""
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (self.t123, self.t12, self.t13, self.t23, self.t1, self.t2, self.t3)
+        return self._values(self)
 
+
+class _ParamVector(_SubsetVector):
     @classmethod
-    def from_words(cls, v1: Codeword, v2: Codeword, v3: Codeword) -> "ParamVector3":
-        return cls(
-            t123=meet_weight([v1, v2, v3]),
-            t12=meet_weight([v1, v2]),
-            t13=meet_weight([v1, v3]),
-            t23=meet_weight([v2, v3]),
-            t1=v1.weight,
-            t2=v2.weight,
-            t3=v3.weight,
-        )
+    def from_words(cls, *words: Codeword):
+        """The meet sizes of a basis, one word per generator."""
+        return cls(*_meet_sizes(cls._rank, words))
 
 
-@dataclass(frozen=True)
-class Solution3:
-    """Class sizes solving the rank 3 system (the triple class size is t123)."""
-
-    x12: int
-    x13: int
-    x23: int
-    x1: int
-    x2: int
-    x3: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.x12, self.x13, self.x23, self.x1, self.x2, self.x3)
-
-
-@dataclass(frozen=True)
-class ParamVector4:
-    """Intersection cardinalities of a rank 4 basis."""
-
-    t1234: int
-    t123: int
-    t124: int
-    t134: int
-    t234: int
-    t12: int
-    t13: int
-    t14: int
-    t23: int
-    t24: int
-    t34: int
-    t1: int
-    t2: int
-    t3: int
-    t4: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.t1234, self.t123, self.t124, self.t134, self.t234,
-            self.t12, self.t13, self.t14, self.t23, self.t24, self.t34,
-            self.t1, self.t2, self.t3, self.t4,
-        )
-
-    @classmethod
-    def from_words(cls, v1, v2, v3, v4) -> "ParamVector4":
-        return cls(
-            t1234=meet_weight([v1, v2, v3, v4]),
-            t123=meet_weight([v1, v2, v3]),
-            t124=meet_weight([v1, v2, v4]),
-            t134=meet_weight([v1, v3, v4]),
-            t234=meet_weight([v2, v3, v4]),
-            t12=meet_weight([v1, v2]),
-            t13=meet_weight([v1, v3]),
-            t14=meet_weight([v1, v4]),
-            t23=meet_weight([v2, v3]),
-            t24=meet_weight([v2, v4]),
-            t34=meet_weight([v3, v4]),
-            t1=v1.weight,
-            t2=v2.weight,
-            t3=v3.weight,
-            t4=v4.weight,
-        )
+def _meet_sizes(rank: int, words: tuple[Codeword, ...]) -> tuple[int, ...]:
+    """Meet sizes of the words over every nonempty subset of them, in subset order."""
+    if len(words) != rank:
+        raise TypeError(f"expected {rank} words, got {len(words)}")
+    if any(word.degree != words[0].degree for word in words):
+        raise InvalidCodeError("meet sizes of words of different degrees")
+    supports = [word.support for word in words]
+    # the singles come last, in generator order
+    return (
+        *[len(frozenset.intersection(*get(supports))) for get in _SUBSETS[rank].meets],
+        *map(len, supports),
+    )
 
 
-@dataclass(frozen=True)
-class Solution4:
-    """Class sizes solving the rank 4 system (the quadruple class size is t1234)."""
+def _vector_class(name: str, base: type, prefix: str, labels, rank: int, doc: str):
+    fields = [prefix + label for label in labels]
+    namespace = {
+        "__doc__": doc,
+        "__module__": __name__,
+        "_values": attrgetter(*fields),
+        "_rank": rank,
+    }
+    return make_dataclass(
+        name, [(f, int) for f in fields], bases=(base,), namespace=namespace, frozen=True
+    )
 
-    x123: int
-    x124: int
-    x134: int
-    x234: int
-    x12: int
-    x13: int
-    x14: int
-    x23: int
-    x24: int
-    x34: int
-    x1: int
-    x2: int
-    x3: int
-    x4: int
 
-    def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.x123, self.x124, self.x134, self.x234,
-            self.x12, self.x13, self.x14, self.x23, self.x24, self.x34,
-            self.x1, self.x2, self.x3, self.x4,
-        )
+ParamVector3 = _vector_class(
+    "ParamVector3", _ParamVector, "t", _SUBSETS[3].labels, 3,
+    "Intersection cardinalities of a rank 3 basis.",
+)
+ParamVector4 = _vector_class(
+    "ParamVector4", _ParamVector, "t", _SUBSETS[4].labels, 4,
+    "Intersection cardinalities of a rank 4 basis.",
+)
+Solution3 = _vector_class(
+    "Solution3", _SubsetVector, "x", _SUBSETS[3].labels[1:], 3,
+    "Class sizes solving the rank 3 system (the triple class size is t123).",
+)
+Solution4 = _vector_class(
+    "Solution4", _SubsetVector, "x", _SUBSETS[4].labels[1:], 4,
+    "Class sizes solving the rank 4 system (the quadruple class size is t1234).",
+)
+_PARAMS = {3: ParamVector3, 4: ParamVector4}
+_SOLUTIONS = {3: Solution3, 4: Solution4}
 
 
 def congruence_targets(cv: CharVector) -> dict[str, tuple[int, int]]:
@@ -153,35 +138,17 @@ def congruence_targets(cv: CharVector) -> dict[str, tuple[int, int]]:
     first triple meet is odd; at rank 4 the triples through the nuclear
     word are even and the quadruple meet is free.
     """
-    sq = cv.squares
-    cm = cv.commutators
-    if cv.rank == 3:
-        return {
-            "t123": (2, 1),
-            "t12": (4, 2 * cm[0]),
-            "t13": (4, 2 * cm[1]),
-            "t23": (4, 2 * cm[2]),
-            "t1": (8, 4 * sq[0]),
-            "t2": (8, 4 * sq[1]),
-            "t3": (8, 4 * sq[2]),
-        }
-    return {
-        "t1234": (1, 0),
-        "t123": (2, 1),
-        "t124": (2, 0),
-        "t134": (2, 0),
-        "t234": (2, 0),
-        "t12": (4, 2 * cm[0]),
-        "t13": (4, 2 * cm[1]),
-        "t14": (4, 2 * cm[2]),
-        "t23": (4, 2 * cm[3]),
-        "t24": (4, 2 * cm[4]),
-        "t34": (4, 2 * cm[5]),
-        "t1": (8, 4 * sq[0]),
-        "t2": (8, 4 * sq[1]),
-        "t3": (8, 4 * sq[2]),
-        "t4": (8, 4 * sq[3]),
-    }
+    subsets = _SUBSETS[cv.rank]
+    commutators = dict(zip(combinations(range(cv.rank), 2), cv.commutators))
+    targets = {}
+    for s, label in zip(subsets.sets, subsets.labels):
+        if len(s) == 1:
+            targets["t" + label] = (8, 4 * cv.squares[s[0]])
+        elif len(s) == 2:
+            targets["t" + label] = (4, 2 * commutators[s])
+        else:
+            targets["t" + label] = _screen(s)
+    return targets
 
 
 def _meets_targets(t, targets: dict[str, tuple[int, int]]) -> bool:
@@ -191,75 +158,31 @@ def _meets_targets(t, targets: dict[str, tuple[int, int]]) -> bool:
     return True
 
 
-def solve_system3(
-    t: ParamVector3, targets: dict[str, tuple[int, int]] | None = None
-) -> Solution3 | None:
-    """Class sizes for a rank 3 parameter vector, or None when infeasible.
+def solve_system(t, targets: dict[str, tuple[int, int]] | None = None):
+    """Class sizes for a parameter vector, or None when infeasible.
 
-    Feasibility is every class size in 0..7.  The pair classes are
-    automatically nonempty: pair meets are even and the triple meet odd, so
-    their differences cannot vanish.
+    Each class size is its meet minus the class sizes of its strict
+    supersets.  Feasibility is every class size in 0..7 and every generator
+    of weight at least 4, on top of the residues every catalog class shares
+    (and the target residues when given).
     """
     if targets is not None and not _meets_targets(t, targets):
         return None
-    if t.t123 % 2 == 0 or any(v % 2 for v in (t.t12, t.t13, t.t23)):
+    subsets = _SUBSETS[t._rank]
+    values = t.as_tuple()
+    if any(v % mod != res for v, (mod, res) in zip(values, subsets.screens)):
         return None
-    if any(v % 4 for v in (t.t1, t.t2, t.t3)):
+    if min(values[-subsets.rank:]) < 4:
         return None
-    if not 1 <= t.t123 <= 7:
+    x: list[int] = []
+    for v, above in zip(values, subsets.above):
+        x.append(v - sum(x[j] for j in above))
+    if any(not 0 <= size <= 7 for size in x):
         return None
-    x12 = t.t12 - t.t123
-    x13 = t.t13 - t.t123
-    x23 = t.t23 - t.t123
-    x1 = t.t1 - t.t123 - x12 - x13
-    x2 = t.t2 - t.t123 - x12 - x23
-    x3 = t.t3 - t.t123 - x13 - x23
-    xs = (x12, x13, x23, x1, x2, x3)
-    if any(not 0 <= x <= 7 for x in xs):
-        return None
-    return Solution3(*xs)
+    return _SOLUTIONS[t._rank](*x[1:])
 
 
-def solve_system4(
-    t: ParamVector4, targets: dict[str, tuple[int, int]] | None = None
-) -> Solution4 | None:
-    """Class sizes for a rank 4 parameter vector, or None when infeasible.
-
-    The system is triangular: triple classes come from the triples and the
-    quadruple, pair classes subtract the triple classes, and the single
-    classes subtract everything else inside each generator.
-    """
-    if targets is not None and not _meets_targets(t, targets):
-        return None
-    if t.t123 % 2 == 0 or any(v % 2 for v in (t.t124, t.t134, t.t234)):
-        return None
-    if any(v % 2 for v in (t.t12, t.t13, t.t14, t.t23, t.t24, t.t34)):
-        return None
-    if any(v % 4 for v in (t.t1, t.t2, t.t3, t.t4)):
-        return None
-    if not 0 <= t.t1234 <= 7:
-        return None
-    if min(t.t1, t.t2, t.t3, t.t4) < 4:
-        return None
-    q = t.t1234
-    x123 = t.t123 - q
-    x124 = t.t124 - q
-    x134 = t.t134 - q
-    x234 = t.t234 - q
-    x12 = t.t12 - q - x123 - x124
-    x13 = t.t13 - q - x123 - x134
-    x14 = t.t14 - q - x124 - x134
-    x23 = t.t23 - q - x123 - x234
-    x24 = t.t24 - q - x124 - x234
-    x34 = t.t34 - q - x134 - x234
-    x1 = t.t1 - q - x123 - x124 - x134 - x12 - x13 - x14
-    x2 = t.t2 - q - x123 - x124 - x234 - x12 - x23 - x24
-    x3 = t.t3 - q - x123 - x134 - x234 - x13 - x23 - x34
-    x4 = t.t4 - q - x124 - x134 - x234 - x14 - x24 - x34
-    xs = (x123, x124, x134, x234, x12, x13, x14, x23, x24, x34, x1, x2, x3, x4)
-    if any(not 0 <= x <= 7 for x in xs):
-        return None
-    return Solution4(*xs)
+solve_system3 = solve_system4 = solve_system
 
 
 # class layout: consecutive 1-based intervals in a fixed label order; a
@@ -291,22 +214,6 @@ class Representation:
         return RepType(tuple(sorted(len(c) for _, c in self.classes)))
 
 
-def _class_sizes(t, x) -> dict[str, int]:
-    if isinstance(t, ParamVector3):
-        return {
-            "123": t.t123,
-            "12": x.x12, "13": x.x13, "23": x.x23,
-            "1": x.x1, "2": x.x2, "3": x.x3,
-        }
-    return {
-        "1234": t.t1234,
-        "123": x.x123, "124": x.x124, "134": x.x134, "234": x.x234,
-        "12": x.x12, "13": x.x13, "14": x.x14,
-        "23": x.x23, "24": x.x24, "34": x.x34,
-        "1": x.x1, "2": x.x2, "3": x.x3, "4": x.x4,
-    }
-
-
 def assemble_generators(t, x, target: LoopClass) -> Representation:
     """Materialize the canonical code for a solved parameter vector.
 
@@ -318,7 +225,9 @@ def assemble_generators(t, x, target: LoopClass) -> Representation:
     """
     rank = target.rank
     layout = _LAYOUT3 if rank == 3 else _LAYOUT4
-    sizes = _class_sizes(t, x)
+    t_values = t.as_tuple()
+    # the top class lies in every generator, so its size is its meet
+    sizes = dict(zip(_SUBSETS[rank].labels, t_values[:1] + x.as_tuple()))
     classes: list[tuple[str, tuple[int, ...]]] = []
     supports: dict[str, set[int]] = {str(i): set() for i in range(1, rank + 1)}
     cursor = 1
@@ -344,12 +253,7 @@ def assemble_generators(t, x, target: LoopClass) -> Representation:
         degree=degree,
     )
     rep.code()  # raises InvalidCodeError if dependent
-    recomputed = (
-        ParamVector3.from_words(*generators)
-        if rank == 3
-        else ParamVector4.from_words(*generators)
-    )
-    if recomputed != t:
+    if _meet_sizes(rank, generators) != t_values:
         raise InternalInvariantError("assembled generators do not reproduce t")
     return rep
 
@@ -374,167 +278,85 @@ class SearchStats:
     degenerate: int = 0  # leaves dropped for linearly dependent generators
 
 
-def _scan3(targets, cap, stats: SearchStats) -> Iterator[tuple[ParamVector3, Solution3, int]]:
-    """Walk rank 3 parameter vectors in lexicographic t order below cap()."""
-    r = targets
-    for t123 in range(1, 8, 2):
-        stats.visited += 1
-        if t123 >= cap():
-            stats.pruned += 1
-            break
-        for x12 in range((r["t12"][1] - t123) % 4, 8, 4):
-            stats.visited += 1
-            if t123 + x12 >= cap():
-                stats.pruned += 1
-                break
-            for x13 in range((r["t13"][1] - t123) % 4, 8, 4):
-                stats.visited += 1
-                base = t123 + x12 + x13
-                if base >= cap():
-                    stats.pruned += 1
-                    break
-                for x23 in range((r["t23"][1] - t123) % 4, 8, 4):
-                    stats.visited += 1
-                    partial = base + x23
-                    if partial >= cap():
-                        stats.pruned += 1
-                        break
-                    x1 = (r["t1"][1] - t123 - x12 - x13) % 8
-                    x2 = (r["t2"][1] - t123 - x12 - x23) % 8
-                    x3 = (r["t3"][1] - t123 - x13 - x23) % 8
-                    stats.visited += 3
-                    degree = partial + x1 + x2 + x3
-                    if degree >= cap():
-                        stats.pruned += 1
-                        continue
-                    t = ParamVector3(
-                        t123=t123,
-                        t12=t123 + x12,
-                        t13=t123 + x13,
-                        t23=t123 + x23,
-                        t1=t123 + x12 + x13 + x1,
-                        t2=t123 + x12 + x23 + x2,
-                        t3=t123 + x13 + x23 + x3,
-                    )
-                    x = solve_system3(t, targets)
-                    if x is None:
-                        raise InternalInvariantError("scan produced an infeasible t")
-                    yield t, x, degree
-
-
-def _scan4(targets, cap, stats: SearchStats) -> Iterator[tuple[ParamVector4, Solution4, int]]:
-    """Walk rank 4 parameter vectors in lexicographic t order below cap().
-
-    The t order is (t1234, triples, pairs, singles).  Every prefix fixes
-    the residue of the next class size, so each level ranges over at most
-    four values; the singles are forced outright mod 8.
-    """
-    r = targets
-
-    def sizes(start: int, step: int):
-        return range(start, 8, step)
-
-    for q in range(0, 8):
-        stats.visited += 1
-        if q >= cap():
-            stats.pruned += 1
-            break
-        for x123 in sizes((1 - q) % 2, 2):
-            stats.visited += 1
-            if q + x123 >= cap():
-                stats.pruned += 1
-                break
-            for x124 in sizes(q % 2, 2):
-                stats.visited += 1
-                if q + x123 + x124 >= cap():
-                    stats.pruned += 1
-                    break
-                for x134 in sizes(q % 2, 2):
-                    stats.visited += 1
-                    s_triple = q + x123 + x124 + x134
-                    if s_triple >= cap():
-                        stats.pruned += 1
-                        break
-                    for x234 in sizes(q % 2, 2):
-                        stats.visited += 1
-                        s0 = s_triple + x234
-                        if s0 >= cap():
-                            stats.pruned += 1
-                            break
-                        for x12 in sizes((r["t12"][1] - q - x123 - x124) % 4, 4):
-                            stats.visited += 1
-                            s1 = s0 + x12
-                            if s1 >= cap():
-                                stats.pruned += 1
-                                break
-                            for x13 in sizes((r["t13"][1] - q - x123 - x134) % 4, 4):
-                                stats.visited += 1
-                                s2 = s1 + x13
-                                if s2 >= cap():
-                                    stats.pruned += 1
-                                    break
-                                for x14 in sizes((r["t14"][1] - q - x124 - x134) % 4, 4):
-                                    stats.visited += 1
-                                    s3 = s2 + x14
-                                    if s3 >= cap():
-                                        stats.pruned += 1
-                                        break
-                                    for x23 in sizes((r["t23"][1] - q - x123 - x234) % 4, 4):
-                                        stats.visited += 1
-                                        s4 = s3 + x23
-                                        if s4 >= cap():
-                                            stats.pruned += 1
-                                            break
-                                        for x24 in sizes((r["t24"][1] - q - x124 - x234) % 4, 4):
-                                            stats.visited += 1
-                                            s5 = s4 + x24
-                                            if s5 >= cap():
-                                                stats.pruned += 1
-                                                break
-                                            for x34 in sizes((r["t34"][1] - q - x134 - x234) % 4, 4):
-                                                stats.visited += 1
-                                                s6 = s5 + x34
-                                                if s6 >= cap():
-                                                    stats.pruned += 1
-                                                    break
-                                                x1 = (r["t1"][1] - q - x123 - x124 - x134 - x12 - x13 - x14) % 8
-                                                x2 = (r["t2"][1] - q - x123 - x124 - x234 - x12 - x23 - x24) % 8
-                                                x3 = (r["t3"][1] - q - x123 - x134 - x234 - x13 - x23 - x34) % 8
-                                                x4 = (r["t4"][1] - q - x124 - x134 - x234 - x14 - x24 - x34) % 8
-                                                stats.visited += 4
-                                                degree = s6 + x1 + x2 + x3 + x4
-                                                if degree >= cap():
-                                                    stats.pruned += 1
-                                                    continue
-                                                t = ParamVector4(
-                                                    t1234=q,
-                                                    t123=q + x123,
-                                                    t124=q + x124,
-                                                    t134=q + x134,
-                                                    t234=q + x234,
-                                                    t12=q + x123 + x124 + x12,
-                                                    t13=q + x123 + x134 + x13,
-                                                    t14=q + x124 + x134 + x14,
-                                                    t23=q + x123 + x234 + x23,
-                                                    t24=q + x124 + x234 + x24,
-                                                    t34=q + x134 + x234 + x34,
-                                                    t1=q + x123 + x124 + x134 + x12 + x13 + x14 + x1,
-                                                    t2=q + x123 + x124 + x234 + x12 + x23 + x24 + x2,
-                                                    t3=q + x123 + x134 + x234 + x13 + x23 + x34 + x3,
-                                                    t4=q + x124 + x134 + x234 + x14 + x24 + x34 + x4,
-                                                )
-                                                x = solve_system4(t, targets)
-                                                if x is None:
-                                                    # the zero-generator screen (t >= 4) can reject here
-                                                    continue
-                                                yield t, x, degree
-
-
 def _scan(target: LoopClass, cap, stats: SearchStats):
+    """Walk the reduced box of a class in lexicographic t order below cap().
+
+    Level j assigns the class size x[j] of subset j, in subset order.  The
+    meet of subset j is x[j] plus the sizes already assigned to its strict
+    supersets, so the target residue of the meet fixes x[j] modulo the
+    target modulus: a level steps through at most eight values, and the
+    singles, last, are forced mod 8.  Every value tried counts as visited;
+    a partial degree reaching cap() cuts the rest of its level and counts
+    as pruned.  Leaves with a generator of weight 0 are skipped uncounted.
+
+    The superset sums are kept in one int, a byte per subset: byte j holds
+    128 + residue_j minus the sizes assigned to strict supersets of j (at
+    most seven of them, of at most 7 each, so every byte stays in 79..135).
+    Assigning a size subtracts it from the bytes of all strict subsets in
+    one step, and since every modulus is a power of 2 dividing 128, the low
+    bits of byte j are the least admissible x[j].  The counters are kept in
+    locals and added to stats when the walk ends or is closed.
+    """
+    subsets = _SUBSETS[target.rank]
+    params, solution = _PARAMS[target.rank], _SOLUTIONS[target.rank]
     targets = congruence_targets(target.vector)
-    if target.rank == 3:
-        return _scan3(targets, cap, stats)
-    return _scan4(targets, cap, stats)
+    moduli, residues = zip(*(targets["t" + label] for label in subsets.labels))
+    n = len(moduli)
+    last = n - subsets.rank - 1  # the last level before the singles
+    shifts = [8 * j for j in range(n)]
+    below = [sum(1 << shifts[j] for j in js) for js in subsets.below]
+    low = [mod - 1 for mod in moduli]
+    singles = range(last + 1, n)
+    packed = sum((128 + r) << sh for r, sh in zip(residues, shifts))
+    x = [0] * n
+    total = 0  # sum of the sizes assigned above this level
+    level = 0
+    size = packed & low[0]  # the next value to try at this level
+    visited = pruned = 0
+    try:
+        while True:
+            if size < 8:
+                visited += 1
+                s = total + size
+                if s < cap():
+                    x[level] = size
+                    if level < last:
+                        packed -= size * below[level]
+                        total = s
+                        level += 1
+                        size = packed >> shifts[level] & low[level]
+                        continue
+                    p = packed - size * below[level]
+                    degree = s
+                    for j in singles:
+                        x[j] = v = p >> shifts[j] & 7
+                        degree += v
+                    visited += subsets.rank
+                    if degree >= cap():
+                        pruned += 1
+                    else:
+                        t = [v + 128 + r - (p >> sh & 255) for v, r, sh in zip(x, residues, shifts)]
+                        if min(t[last + 1:]) >= 4:
+                            yield params(*t), solution(*x[1:]), degree
+                    size += moduli[level]
+                    continue
+                pruned += 1
+            # the level is exhausted or cut: resume the level above
+            if level == 0:
+                break
+            level -= 1
+            size = x[level]
+            packed += size * below[level]
+            total -= size
+            size += moduli[level]
+    finally:
+        stats.visited += visited
+        stats.pruned += pruned
+
+
+def _max_degree(rank: int) -> int:
+    """Degree of the largest reduced representation: 7 per class."""
+    return 7 * (2**rank - 1)
 
 
 def enumerate_reduced(
@@ -547,7 +369,7 @@ def enumerate_reduced(
     degenerate vectors (dependent generators) are dropped.
     """
     loop_class = _as_loop_class(target)
-    limit = MAX_DEGREE_RANK3 if loop_class.rank == 3 else MAX_DEGREE_RANK4
+    limit = _max_degree(loop_class.rank)
     if not 1 <= max_degree <= limit:
         raise InvalidCodeError(f"max degree {max_degree} out of range 1..{limit}")
     return _enumerate(loop_class, max_degree)
@@ -584,10 +406,9 @@ def minimal_representation(
     degree resolve to the lexicographically least t.
     """
     loop_class = _as_loop_class(target)
-    limit = MAX_DEGREE_RANK3 if loop_class.rank == 3 else MAX_DEGREE_RANK4
     stats = SearchStats()
     best: Representation | None = None
-    bound = limit + 1
+    bound = _max_degree(loop_class.rank) + 1
     for t, x, degree in _scan(loop_class, lambda: bound, stats):
         try:
             rep = assemble_generators(t, x, loop_class)

@@ -1,9 +1,12 @@
 """Command line behavior: output fields, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
 
 import pytest
+
+import codeloops
 
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, catalog_entry
 from codeloops.cli import main
@@ -146,6 +149,31 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path):
     rc, _, err = run(capsys, "enumerate", "--loop", "C3_1", "--max-degree", "999")
     assert rc == 1
 
+    rc, out, err = run(capsys, "conjecture", "--rank", "4", "--max-degree", "106")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: max degree 106 out of range 1..105\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"degree=8\n\xff\xfe\n",  # not UTF-8
+        "degree=\u00b2\n1-4\n".encode(),  # a superscript digit passes str.isdigit
+        "degree=8\n1,\u00b2\n".encode(),
+        b"degree=8\n1-99999999999\n",  # a range far past any degree
+    ],
+    ids=["non-utf8", "superscript-degree", "superscript-coordinate", "huge-range"],
+)
+def test_malformed_code_file_exits_1_without_traceback(capsys, tmp_path, content):
+    f = tmp_path / "bad.code"
+    f.write_bytes(content)
+    rc, out, err = run(capsys, "construct", f)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
 
 def test_enumerate_tiny_bound_is_valid_and_empty(capsys):
     rc, out, _ = run(capsys, "enumerate", "--loop", "C3_1", "--max-degree", "3")
@@ -177,10 +205,14 @@ def test_argparse_errors_map_to_exit_1(capsys):
 
 def test_console_script_entry_point(sample_files):
     a, _ = sample_files
+    # run the package the tests import, installed or not
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "codeloops.cli", "construct", str(a)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "class: C4_16" in proc.stdout

@@ -5,7 +5,12 @@ t = [0,1,0,2,0,2,6,2,6,0,4,8,8,16,4] solving to
 x = (1,0,2,0,1,3,0,5,0,2,1,1,3,0) at degree 19, type 111122335.
 """
 
+import hashlib
+from itertools import combinations
+
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from codeloops import (
     InvalidCodeError,
@@ -23,7 +28,8 @@ from codeloops import (
     solve_system4,
     verify_representation,
 )
-from codeloops.catalog import SAMPLE_C4_16_A, catalog_entry
+from codeloops.catalog import SAMPLE_C4_16_A, all_loop_ids, catalog_entry
+from codeloops.cli import main
 from codeloops.search import assemble_generators
 
 WALKTHROUGH_T = (0, 1, 0, 2, 0, 2, 6, 2, 6, 0, 4, 8, 8, 16, 4)
@@ -220,3 +226,112 @@ def test_verify_representation_rejects_wrong_loop():
         degree=rep.degree,
     )
     assert not verify_representation(forged)
+
+
+# (degree, type, visited, pruned) of every minimal representation and its
+# exhaustion certificate
+MINIMAL_CERTIFICATES = {
+    "C3_1": (7, "1111111", 20, 8),
+    "C3_2": (13, "1111333", 57, 18),
+    "C3_3": (11, "1111115", 65, 16),
+    "C3_4": (17, "1111337", 104, 25),
+    "C3_5": (17, "1113335", 101, 26),
+    "C4_1": (8, "11111111", 4668, 1699),
+    "C4_2": (14, "11111111222", 6527, 2377),
+    "C4_3": (12, "111111114", 3550, 1465),
+    "C4_4": (18, "11111111226", 12449, 5065),
+    "C4_5": (18, "111111112224", 13382, 5190),
+    "C4_6": (11, "11111114", 1342, 625),
+    "C4_7": (17, "11113334", 8653, 3679),
+    "C4_8": (17, "11111122223", 16814, 6178),
+    "C4_9": (19, "11111222233", 15580, 6143),
+    "C4_10": (19, "111223333", 14813, 6005),
+    "C4_11": (17, "111122333", 10999, 4299),
+    "C4_12": (17, "1111112234", 12573, 4862),
+    "C4_13": (17, "111111236", 8715, 3701),
+    "C4_14": (13, "111111223", 4217, 1738),
+    "C4_15": (17, "111111227", 12283, 4805),
+    "C4_16": (17, "111112235", 8715, 3700),
+}
+
+
+def test_minimal_certificates_are_pinned():
+    got = {}
+    for name in all_loop_ids(3) + all_loop_ids(4):
+        rep, cert = minimal_representation(parse_loop_id(name))
+        got[name] = (rep.degree, str(rep.rep_type()), cert.visited, cert.pruned)
+    assert got == MINIMAL_CERTIFICATES
+    assert sum(v[2] for v in got.values()) == 155627
+    assert sum(v[3] for v in got.values()) == 61624
+
+
+# sha256 of the --out file and the stdout (with {out} for the file path)
+PINNED_RUNS = [
+    (
+        ["enumerate", "--loop", "C3_2", "--max-degree", "49"],
+        "349d1391e7ebeb9db16d3ddd0c772f59b3334287e3d1470299722cc3905808a9",
+        "representations: 32\nwritten: {out}\n",
+    ),
+    (
+        ["enumerate", "--loop", "C4_16", "--max-degree", "31"],
+        "bfe4b0ca0d8231c1b05f22e58d32137642aec80928e0ef8344641cf37531936a",
+        "representations: 1008\nwritten: {out}\n",
+    ),
+    (
+        ["conjecture", "--rank", "4", "--max-degree", "21"],
+        "66b0d9853064a499432d6dd9f3c2592d74812431e4dfd195262e1ee730c74406",
+        "groups: 100\ncounterexamples: 1\nwritten: {out}\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest, stdout", PINNED_RUNS, ids=["enumerate-C3_2", "enumerate-C4_16", "conjecture-4"]
+)
+def test_pinned_output_digests(tmp_path, capsys, argv, digest, stdout):
+    out = tmp_path / "report.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == stdout.format(out=out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _subsets(rank):
+    return [s for size in range(rank, 0, -1) for s in combinations(range(rank), size)]
+
+
+@st.composite
+def _class_sizes(draw, rank):
+    """Class sizes x_S in 0..7 whose meets t_S pass the structural screens.
+
+    Singles meet to 0 mod 4, pairs to 0 mod 2, the triple {1,2,3} to an odd
+    number and the other triples to an even one; the quadruple is free.
+    """
+    x = {}
+    for s in _subsets(rank):
+        above = sum(v for u, v in x.items() if set(s) < set(u))
+        mod, res = {1: (4, 0), 2: (2, 0), 3: (2, int(s == (0, 1, 2))), 4: (1, 0)}[len(s)]
+        x[s] = (res - above) % mod + mod * draw(st.integers(0, 8 // mod - 1))
+    return x
+
+
+@pytest.mark.parametrize(
+    "rank, params, solve",
+    [(3, ParamVector3, solve_system3), (4, ParamVector4, solve_system4)],
+    ids=["rank3", "rank4"],
+)
+@settings(deadline=None)
+@given(data=st.data())
+def test_solve_and_assemble_invert_the_meet_sums(rank, params, solve, data):
+    x = data.draw(_class_sizes(rank))
+    subsets = _subsets(rank)
+    t = tuple(sum(x[u] for u in subsets if set(s) <= set(u)) for s in subsets)
+    if min(t[-rank:]) < 4:
+        reject()  # a generator of weight 0 leaves the box
+    sol = solve(params(*t))
+    assert sol is not None
+    assert sol.as_tuple() == tuple(x[s] for s in subsets[1:])
+    try:
+        rep = assemble_generators(params(*t), sol, LoopClass(rank, 1))
+    except InvalidCodeError:
+        reject()  # dependent generators
+    assert params.from_words(*rep.generators) == params(*t)
