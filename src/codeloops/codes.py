@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_DEGREE = 128
+MAX_SPAN_DIMENSION = 16  # a 2^16 span holds about 270 MB of Codewords; 2^20 would need ~4 GB
 
 
 class InvalidCodeError(ValueError):
@@ -141,9 +142,17 @@ class BinaryCode:
         return f"BinaryCode(degree={self.degree}, <{gens}>)"
 
     def span(self) -> tuple[Codeword, ...]:
-        """All 2^k codewords; entry i is the sum of generators j with bit j set in i."""
+        """All 2^k codewords; entry i is the sum of generators j with bit j set in i.
+
+        Codes of dimension above MAX_SPAN_DIMENSION raise InvalidCodeError
+        before anything is allocated.
+        """
         if self._span is None:
             k = self.dimension
+            if k > MAX_SPAN_DIMENSION:
+                raise InvalidCodeError(
+                    f"dimension {k} exceeds span cap {MAX_SPAN_DIMENSION} (2^{k} codewords)"
+                )
             words = []
             for combo in range(1 << k):
                 s: frozenset[int] = frozenset()

@@ -8,19 +8,30 @@ codewords, subject to:
     phi(0, v)    = phi(v, 0) = +1
     phi(v+w, u)  = phi(v, w+u) * phi(v, w) * phi(w, u) * (-1)^(|v & w & u|)
 
-Tables are stored as 0/1 exponents indexed by span position.  The builder
-treats the axioms as one linear system over GF(2) in the 4^k table entries
-and eliminates globally, then reads off the lexicographically least
-solution in row-major table order (free entries fall to 0 greedily).
+Tables are stored as 0/1 exponents indexed by span position: index x is the
+sum of the generators b_j with bit j set in x, written w_x.  Of all tables
+that satisfy the axioms, the builder returns the lexicographically least one
+in row-major order.  That table is linear in its second argument over the
+generator basis, phi(x, y) = xor of r(x, j) over the bits j of y, and r
+follows from the weights in closed form (after Griess, "Code loops", 1986):
+
+    r(0, j)   = 0
+    r(e_i, j) = |b_i|/4 if i = j,  |b_i & b_j|/2 if i > j,  0 if i < j
+    r(x, j)   = r(e_i, j) + r(x', j) + |b_i & w_x' & b_j|
+
+all mod 2, where i is the lowest set bit of x and x' = x with bit i
+cleared.  The tests keep the general routine as the oracle: they solve the
+axioms as one linear system over GF(2) by elimination, pin free entries to
+0 in table order, and compare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, NotDoublyEvenError
+from .codes import BinaryCode, InvalidCodeError, NotDoublyEvenError
 
-MAX_DIMENSION = 6  # table has 4^k entries; the solver is meant for small k
+MAX_DIMENSION = 6  # the table has 4^k entries
 
 
 @dataclass(frozen=True)
@@ -57,69 +68,40 @@ class FactorSet:
         )
 
 
-def _reduce(mask: int, rhs: int, basis: dict[int, tuple[int, int]]) -> tuple[int, int]:
-    while mask:
-        lead = mask.bit_length() - 1
-        row = basis.get(lead)
-        if row is None:
-            break
-        mask ^= row[0]
-        rhs ^= row[1]
-    return mask, rhs
-
-
-def _insert(mask: int, rhs: int, basis: dict[int, tuple[int, int]]) -> bool:
-    """Add one equation; False means the system became inconsistent."""
-    mask, rhs = _reduce(mask, rhs, basis)
-    if mask == 0:
-        return rhs == 0
-    basis[mask.bit_length() - 1] = (mask, rhs)
-    return True
-
-
 def build_factor_set(code: BinaryCode) -> FactorSet:
-    """Solve the factor set axioms over the span of a doubly even code."""
+    """The lexicographically least factor set of a doubly even code.
+
+    Row x of the table is phi(x, y) = xor of r(x, j) over the generators j
+    in y, and r follows the recursion in the module docstring.
+    """
     if not code.is_doubly_even():
         raise NotDoublyEvenError(code.first_odd_span_element())
     k = code.dimension
     if k > MAX_DIMENSION:
         raise InvalidCodeError(f"dimension {k} exceeds solver cap {MAX_DIMENSION}")
     n = 1 << k
-    masks = [w.mask() for w in code.span()]
-    var = lambda i, j: i * n + j
+    gens = [g.mask() for g in code.generators]
 
-    basis: dict[int, tuple[int, int]] = {}
-    ok = True
-    for j in range(n):
-        ok &= _insert(1 << var(0, j), 0, basis)
-        ok &= _insert(1 << var(j, 0), 0, basis)
-    for i in range(n):
-        ok &= _insert(1 << var(i, i), (masks[i].bit_count() // 4) & 1, basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rhs = ((masks[i] & masks[j]).bit_count() // 2) & 1
-            ok &= _insert((1 << var(i, j)) | (1 << var(j, i)), rhs, basis)
-    for i in range(n):
-        mi = masks[i]
-        for j in range(n):
-            mij = mi & masks[j]
-            left = 1 << var(i, j)
-            for u in range(n):
-                mask = (1 << var(i ^ j, u)) ^ (1 << var(i, j ^ u)) ^ left ^ (1 << var(j, u))
-                ok &= _insert(mask, (mij & masks[u]).bit_count() & 1, basis)
-    if not ok:
-        raise InternalInvariantError("factor set axioms inconsistent on a doubly even code")
+    # r(e_i, .) as a bitmask over j: square bit at i, commutator bits below i
+    base = []
+    for i, bi in enumerate(gens):
+        r = ((bi.bit_count() >> 2) & 1) << i
+        for j in range(i):
+            r |= (((bi & gens[j]).bit_count() >> 1) & 1) << j
+        base.append(r)
 
-    # lexicographically least solution: fix entries to 0 in table order
-    # whenever the pinned system stays consistent
-    values = [0] * (n * n)
-    for v in range(n * n):
-        mask, rhs = _reduce(1 << v, 0, basis)
-        if mask == 0:
-            values[v] = rhs
-        else:
-            basis[mask.bit_length() - 1] = (mask, rhs)
-    table = [[values[var(i, j)] for j in range(n)] for i in range(n)]
+    words = [0] * n  # span word masks, built alongside
+    rows = [0] * n  # rows[x] bit j = r(x, j); r(0, .) = 0
+    for x in range(1, n):
+        i = (x & -x).bit_length() - 1
+        rest = x ^ (1 << i)
+        words[x] = words[rest] ^ gens[i]
+        meet = gens[i] & words[rest]
+        r = base[i] ^ rows[rest]
+        for j, bj in enumerate(gens):
+            r ^= ((meet & bj).bit_count() & 1) << j
+        rows[x] = r
+    table = [[(r & y).bit_count() & 1 for y in range(n)] for r in rows]
     return FactorSet(code, table)
 
 

@@ -7,12 +7,18 @@ the product twists the GF(2) sum by a factor set:
 
 Internally an element is the integer 2*word_index + sign_bit, so the
 identity is 0 and negation is xor with 1.  The Cayley table is a numpy
-array, which keeps the exhaustive Moufang and agreement checks cheap.
+array, built by broadcasting over the factor set, which keeps the
+exhaustive Moufang and agreement checks cheap.  The sign methods of
+CodeLoop read squares, commutators and associators off the table.
 
 For a nonassociative loop of rank 3 or 4 the characteristic vector collects
 the basis squares and commutators into a bit vector; the catalog below
 lists one vector per isomorphism class, and classification searches the
-bases of a loop for a catalog match.
+bases of a loop for a catalog match.  Characteristic vectors and
+classification take their signs from the code's weights instead: v squared
+is (-1)^(|v|/4), the commutator of u and v is (-1)^(|u & v|/2), and the
+associator of u, v, w is (-1)^|u & v & w|.  Acceptance criterion 7 checks
+these formulas against the table on every catalog loop.
 """
 
 from __future__ import annotations
@@ -72,18 +78,13 @@ class CodeLoop:
                 raise InternalInvariantError("element 0 is not a two-sided identity")
 
     def _build_table(self) -> np.ndarray:
-        n = self.words
-        t = np.zeros((self.order, self.order), dtype=np.int32)
-        phi = self.factor_set.table
-        for v in range(n):
-            row = phi[v]
-            for w in range(n):
-                word = (v ^ w) << 1
-                f = row[w]
-                for s in (0, 1):
-                    for u in (0, 1):
-                        t[(v << 1) | s, (w << 1) | u] = word | (s ^ u ^ f)
-        return t
+        # element e = 2*word + sign: the product word is the xor of the
+        # words, and its sign bit is s ^ u ^ phi(v, w)
+        e = np.arange(self.order, dtype=np.int32)
+        v, s = e >> 1, e & 1
+        phi = np.array(self.factor_set.table, dtype=np.int32)
+        vv, ww = v[:, None], v[None, :]
+        return ((vv ^ ww) << 1) | (s[:, None] ^ s[None, :] ^ phi[vv, ww])
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -303,42 +304,43 @@ def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
         raise InvalidCodeError("basis word index outside the span")
     if len(words) != rank or not _independent(words, rank):
         raise InvalidCodeError("basis does not span the code")
-    if loop.associator_sign(words[0], words[1], words[2]) != -1:
+    sq, cm, asc = _sign_tables(loop)
+    if not asc[words[0]][words[1]][words[2]]:
         raise InvalidCodeError("first three basis words associate; not an admissible basis")
-    if rank == 4:
-        d = words[3]
-        for u in range(loop.words):
-            for v in range(loop.words):
-                if (
-                    loop.associator_sign(u, v, d) != 1
-                    or loop.associator_sign(u, d, v) != 1
-                    or loop.associator_sign(d, u, v) != 1
-                ):
-                    raise InvalidCodeError("fourth basis word is not nuclear")
-    squares = tuple(0 if loop.square_sign(w) == 1 else 1 for w in words)
+    if rank == 4 and not _nuclear(asc, words[3]):
+        raise InvalidCodeError("fourth basis word is not nuclear")
+    squares = tuple(sq[w] for w in words)
     commutators = tuple(
-        0 if loop.commutator_sign(words[i], words[j]) == 1 else 1
-        for i in range(rank)
-        for j in range(i + 1, rank)
+        cm[words[i]][words[j]] for i in range(rank) for j in range(i + 1, rank)
     )
     return CharVector(rank, squares, commutators)
 
 
 def _sign_tables(loop: CodeLoop):
-    """Square, commutator, and associator bits for all span words."""
-    n = loop.words
-    sq = [0 if loop.square_sign(w) == 1 else 1 for w in range(n)]
-    cm = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            bit = 0 if loop.commutator_sign(u, v) == 1 else 1
-            cm[u][v] = cm[v][u] = bit
-    asc = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                asc[u][v][w] = 0 if loop.associator_sign(u, v, w) == 1 else 1
-    return sq, cm, asc
+    """Square, commutator, and associator bits for all span words.
+
+    A bit is 1 when the sign is -1.  The bits come from the code's weights,
+    not from the Cayley table: sq[u] = |u|/4, cm[u][v] = |u & v|/2 and
+    asc[u][v][w] = |u & v & w|, all mod 2.  Acceptance criterion 7 checks
+    these formulas against the signs read off the table.
+    """
+    code = loop.code
+    k = code.dimension
+    gens = np.zeros((k, code.degree), dtype=np.int64)
+    for j, g in enumerate(code.generators):
+        gens[j, [c - 1 for c in g.support]] = 1
+    bits = (np.arange(loop.words)[:, None] >> np.arange(k)) & 1
+    words = (bits @ gens) & 1  # row x is the 0/1 vector of span word x
+    meet2 = words @ words.T
+    meet3 = (words[:, None, :] * words[None, :, :]) @ words.T
+    sq = (meet2.diagonal() >> 2) & 1
+    return sq.tolist(), ((meet2 >> 1) & 1).tolist(), (meet3 & 1).tolist()
+
+
+def _nuclear(asc, d: int) -> bool:
+    # |u & v & w| is symmetric in its arguments, so d associates trivially
+    # in every position iff it does in the first
+    return not any(map(any, asc[d]))
 
 
 def classify(loop: CodeLoop) -> LoopClass:
@@ -347,7 +349,8 @@ def classify(loop: CodeLoop) -> LoopClass:
     Bases are scanned in ascending span-index order; the first admissible
     basis whose characteristic vector is canonical decides the class (only
     one class can ever match, since the catalog classes are pairwise
-    non-isomorphic).
+    non-isomorphic).  The signs come from the weight formulas of
+    _sign_tables, which criterion 7 checks against the Cayley table.
     """
     if loop.is_associative():
         raise AssociativeLoopError("loop is associative; not a nonassociative code loop")
@@ -357,15 +360,7 @@ def classify(loop: CodeLoop) -> LoopClass:
     sq, cm, asc = _sign_tables(loop)
     n = loop.words
     canonical = {cv.bits: i for i, cv in enumerate(canonical_catalog(rank), start=1)}
-    if rank == 4:
-        nuclear = [
-            all(
-                asc[u][v][d] == 0 and asc[u][d][v] == 0 and asc[d][u][v] == 0
-                for u in range(n)
-                for v in range(n)
-            )
-            for d in range(n)
-        ]
+    nuclear = [_nuclear(asc, d) for d in range(n)]
     for a in range(1, n):
         for b in range(1, n):
             if not _independent([a, b], 2):

@@ -1,0 +1,37 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from hypothesis import strategies as st
+
+from codeloops import BinaryCode, Codeword
+
+
+@st.composite
+def doubly_even_codes(draw, min_dimension=0, max_dimension=5):
+    """Random doubly even codes, drawn as coordinate columns.
+
+    A code of dimension k is fixed, up to coordinate order, by how many
+    coordinates carry each column pattern v in GF(2)^k (bit i of v: the
+    coordinate lies in generator i).  The counts are drawn freely, then the
+    pair patterns fix odd generator meets and the single patterns fix
+    generator weights to 0 mod 4, which makes the code doubly even; a
+    nonzero count on every single pattern keeps the generators independent.
+    Up to three zero coordinates are added and all coordinates shuffled.
+    """
+    k = draw(st.integers(min_dimension, max_dimension))
+    counts = [draw(st.integers(0, 2)) if v else 0 for v in range(1 << k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            meet = sum(c for v, c in enumerate(counts) if v >> i & 1 and v >> j & 1)
+            counts[(1 << i) | (1 << j)] += meet % 2
+    for i in range(k):
+        weight = sum(c for v, c in enumerate(counts) if v >> i & 1)
+        counts[1 << i] += -weight % 4 or (0 if counts[1 << i] else 4)
+    pad = draw(st.integers(0 if k else 1, 3))
+    columns = [v for v, c in enumerate(counts) for _ in range(c)] + [0] * pad
+    columns = draw(st.permutations(columns))
+    degree = len(columns)
+    generators = [
+        Codeword(degree, frozenset(p + 1 for p, v in enumerate(columns) if v >> i & 1))
+        for i in range(k)
+    ]
+    return BinaryCode(degree, generators)

@@ -175,6 +175,25 @@ def test_malformed_code_file_exits_1_without_traceback(capsys, tmp_path, content
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, odd",
+    [("construct", False), ("construct", True), ("classify", True), ("iso", False)],
+    ids=["construct", "construct-odd", "classify-odd", "iso"],
+)
+def test_dimension_above_span_cap_exits_1_without_traceback(capsys, tmp_path, command, odd):
+    # dimension 17 on 4-blocks; the odd variant shortens the first block to
+    # a weight-2 word, which sends construct and classify to the span for
+    # a witness
+    lines = [f"{4 * i + 1}-{4 * i + 4}" for i in range(17)]
+    if odd:
+        lines[0] = "1,2"
+    f = tmp_path / "big.code"
+    f.write_text("degree=68\n" + "\n".join(lines) + "\n")
+    rc, _, err = run(capsys, command, *([f, f] if command == "iso" else [f]))
+    assert rc == 1
+    assert err == "error: dimension 17 exceeds span cap 16 (2^17 codewords)\n"
+
+
 def test_enumerate_tiny_bound_is_valid_and_empty(capsys):
     rc, out, _ = run(capsys, "enumerate", "--loop", "C3_1", "--max-degree", "3")
     assert rc == 0

@@ -83,6 +83,16 @@ def test_dependent_generators_rejected():
         BinaryCode(4, [word(4, 1, 2), word(4, 1, 2)])
 
 
+def test_span_refuses_dimension_above_cap():
+    # 17 disjoint 4-blocks: 2^17 codewords, one past the cap
+    code = parse_code("".join(f"{4 * i + 1}-{4 * i + 4}\n" for i in range(17)))
+    assert code.dimension == 17 and code.is_doubly_even()
+    with pytest.raises(InvalidCodeError, match="span cap 16"):
+        code.span()
+    with pytest.raises(InvalidCodeError, match="span cap 16"):
+        code.weight_enumerator()
+
+
 def test_doubly_even_pairwise_overlap_case():
     # every generator has weight 4 but the span must be checked as a whole;
     # here the third span element 1,2,5,6 still has weight 4

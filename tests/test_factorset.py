@@ -4,21 +4,29 @@ The verifier is the oracle here: a freshly built table must satisfy all four
 axiom families, any single flipped entry must break at least one of them, and
 a gauge shift g applied as f'(v,w) = f(v,w) + g(v) + g(w) + g(v+w) with
 g(0) = 0 must leave the verifier silent while changing the table.
+
+A second oracle pins the table itself: _eliminate solves the axioms as one
+linear system over GF(2) and reads off the lexicographically least solution,
+which the closed-form builder must reproduce bit for bit.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from codeloops import (
     FactorSet,
     InvalidCodeError,
+    LoopClass,
     NotDoublyEvenError,
     build_factor_set,
+    enumerate_reduced,
     parse_code,
     verify_factor_set,
 )
-from codeloops.catalog import SAMPLE_C4_16_A, catalog_entry
+from codeloops.catalog import SAMPLE_C4_16_A, all_loop_ids, catalog_entry
+from strategies import doubly_even_codes
 
 
 def test_zero_dimensional_code():
@@ -117,3 +125,123 @@ def test_table_shape_validated():
     code = parse_code("degree=4\n1,2,3,4\n")
     with pytest.raises(InvalidCodeError):
         FactorSet(code, [[0, 0]])
+
+
+# ---------------------------------------------------------------------------
+# elimination oracle
+
+
+def _reduce(mask, rhs, basis):
+    while mask:
+        lead = mask.bit_length() - 1
+        row = basis.get(lead)
+        if row is None:
+            break
+        mask ^= row[0]
+        rhs ^= row[1]
+    return mask, rhs
+
+
+def _insert(mask, rhs, basis):
+    mask, rhs = _reduce(mask, rhs, basis)
+    if mask == 0:
+        return rhs == 0
+    basis[mask.bit_length() - 1] = (mask, rhs)
+    return True
+
+
+def _eliminate(code):
+    """Lexicographically least factor set table, by GF(2) elimination.
+
+    Every axiom instance is one equation over the 4^k table entries (bit
+    i*n + j is entry (i, j)); after global elimination the entries are fixed
+    in row-major order, each to 0 whenever the system stays consistent.
+    """
+    n = 1 << code.dimension
+    masks = [w.mask() for w in code.span()]
+    var = lambda i, j: i * n + j
+    basis = {}
+    ok = True
+    for j in range(n):
+        ok &= _insert(1 << var(0, j), 0, basis)
+        ok &= _insert(1 << var(j, 0), 0, basis)
+    for i in range(n):
+        ok &= _insert(1 << var(i, i), (masks[i].bit_count() // 4) & 1, basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rhs = ((masks[i] & masks[j]).bit_count() // 2) & 1
+            ok &= _insert((1 << var(i, j)) | (1 << var(j, i)), rhs, basis)
+    for i in range(n):
+        for j in range(n):
+            mij = masks[i] & masks[j]
+            left = 1 << var(i, j)
+            for u in range(n):
+                mask = (1 << var(i ^ j, u)) ^ (1 << var(i, j ^ u)) ^ left ^ (1 << var(j, u))
+                ok &= _insert(mask, (mij & masks[u]).bit_count() & 1, basis)
+    assert ok, "factor set axioms inconsistent on a doubly even code"
+    values = [0] * (n * n)
+    for v in range(n * n):
+        mask, rhs = _reduce(1 << v, 0, basis)
+        if mask == 0:
+            values[v] = rhs
+        else:
+            basis[mask.bit_length() - 1] = (mask, rhs)
+    return [[values[var(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _catalog_codes():
+    return [catalog_entry(name).code() for name in all_loop_ids()]
+
+
+def _rank3_box():
+    # every reduced representation of rank 3: the box ends at degree 49
+    return [
+        rep.code()
+        for index in range(1, 6)
+        for rep in enumerate_reduced(LoopClass(3, index), 49)
+    ]
+
+
+def _rank4_sample():
+    # every seventh reduced representation of each rank 4 class to degree 23
+    return [
+        rep.code()
+        for index in range(1, 17)
+        for rep in list(enumerate_reduced(LoopClass(4, index), 23))[::7]
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, count",
+    [(_catalog_codes, 21), (_rank3_box, 160), (_rank4_sample, 142)],
+    ids=["catalog", "rank3-box", "rank4-sample"],
+)
+def test_closed_form_equals_elimination(source, count):
+    codes = source()
+    assert len(codes) == count
+    for code in codes:
+        assert build_factor_set(code).table == _eliminate(code), code
+
+
+@settings(max_examples=50, deadline=None)
+@given(doubly_even_codes(0, 5))
+def test_closed_form_equals_elimination_on_random_codes(code):
+    assert build_factor_set(code).table == _eliminate(code)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # C4_16 plus two generators on new coordinates, one of them mixed
+        # with a catalog generator by a change of basis
+        "degree=25\n1-8\n1,2,9-14\n1,3,9-13,15\n4,5,16,17\n1-8,18-21\n18-25\n",
+        # C3_1 plus three generators on overlapping 4-blocks, one of them
+        # mixed with a catalog generator
+        "degree=19\n1-4\n1,2,5,6\n1,3,5,7\n8-11\n1-4,8-15\n12-19\n",
+    ],
+    ids=["C4_16+2", "C3_1+3"],
+)
+def test_closed_form_equals_elimination_at_dimension_6(text):
+    code = parse_code(text)
+    assert code.dimension == 6 and code.is_doubly_even()
+    assert build_factor_set(code).table == _eliminate(code)

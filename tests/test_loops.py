@@ -6,27 +6,35 @@ formula set: v squared is (-1)^(|v|/4), the commutator of u and v is
 (-1)^(|u meet v|/2), and the associator of u, v, w is (-1)^|u meet v meet w|.
 """
 
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeloops import (
     AssociativeLoopError,
+    BinaryCode,
     CharVector,
+    Codeword,
     InvalidCodeError,
     LoopClass,
     build_loop,
     canonical_catalog,
     characteristic_vector,
     classify,
+    enumerate_reduced,
     loops_isomorphic,
     meet_weight,
     parse_code,
+    parse_loop_id,
 )
-from codeloops.catalog import SAMPLE_C4_16_A, catalog_entry
-from codeloops.loops import is_latin, is_moufang
+from codeloops.catalog import SAMPLE_C4_16_A, all_loop_ids, catalog_entry
+from codeloops.loops import _sign_tables, is_latin, is_moufang
+from strategies import doubly_even_codes
 
 
 def test_single_generator_loop_is_z4():
@@ -58,6 +66,25 @@ def test_identity_and_negation_encoding():
         # -e is e ^ 1 and multiplying by the bare sign flips the low bit
         assert loop.mul(1, e) == e ^ 1
         assert loop.mul(e, 1) == e ^ 1
+
+
+def _reference_table(loop):
+    """Cayley table entry by entry from (s, v) * (t, w) = (s t phi(v, w), v + w)."""
+    phi = loop.factor_set
+    t = np.zeros((loop.order, loop.order), dtype=loop.table.dtype)
+    for a in range(loop.order):
+        for b in range(loop.order):
+            v, w = a >> 1, b >> 1
+            t[a, b] = ((v ^ w) << 1) | (((a ^ b) & 1) ^ phi.bit(v, w))
+    return t
+
+
+def test_cayley_table_matches_factor_set():
+    codes = [catalog_entry(name).code() for name in all_loop_ids()]
+    codes.append(parse_code("degree=19\n1-4\n1,2,5,6\n1,3,5,7\n8-11\n1-4,8-15\n12-19\n"))
+    for code in codes:
+        loop = build_loop(code)
+        assert (loop.table == _reference_table(loop)).all(), code
 
 
 def test_latin_property_and_inverses():
@@ -167,6 +194,11 @@ def test_characteristic_vector_rejects_bad_basis():
         characteristic_vector(loop, (1, 2, 3))  # dependent: 3 = 1 ^ 2
     with pytest.raises(InvalidCodeError):
         characteristic_vector(loop, (1, 2, 99))
+    loop = build_loop(catalog_entry("C4_16").code())
+    with pytest.raises(InvalidCodeError, match="associate"):
+        characteristic_vector(loop, (1, 10, 2, 12))
+    with pytest.raises(InvalidCodeError, match="not nuclear"):
+        characteristic_vector(loop, (1, 10, 12, 2))
 
 
 def test_classify_whole_catalog():
@@ -192,3 +224,56 @@ def test_dimension_cap_enforced():
     lines = ["degree=28"] + [f"{4 * i + 1}-{4 * i + 4}" for i in range(7)]
     with pytest.raises(InvalidCodeError):
         build_loop(parse_code("\n".join(lines) + "\n"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(doubly_even_codes(3, 5))
+def test_weight_sign_tables_equal_table_signs(code):
+    loop = build_loop(code)
+    sq, cm, asc = _sign_tables(loop)
+    words = range(loop.words)
+    bit = lambda sign: int(sign == -1)
+    assert sq == [bit(loop.square_sign(u)) for u in words]
+    assert cm == [[bit(loop.commutator_sign(u, v)) for v in words] for u in words]
+    assert asc == [
+        [[bit(loop.associator_sign(u, v, w)) for w in words] for v in words]
+        for u in words
+    ]
+
+
+@functools.cache
+def _reduced_reps(name):
+    return tuple(enumerate_reduced(parse_loop_id(name), 23))
+
+
+@st.composite
+def _relabeled_reps(draw):
+    """An enumerated reduced representation and a relabeled copy of its code.
+
+    The copy changes basis (random generator sums, then a generator
+    shuffle), pads with up to three zero coordinates and permutes all
+    coordinates.
+    """
+    rep = draw(st.sampled_from(_reduced_reps(draw(st.sampled_from(all_loop_ids())))))
+    code = rep.code()
+    k = code.dimension
+    masks = [g.mask() for g in code.generators]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=8)):
+        if i != j:
+            masks[i] ^= masks[j]
+    masks = draw(st.permutations(masks))
+    degree = code.degree + draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(1, degree + 1)))
+    generators = [
+        Codeword(degree, frozenset(perm[p] for p in range(code.degree) if m >> p & 1))
+        for m in masks
+    ]
+    return rep, BinaryCode(degree, generators)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_relabeled_reps())
+def test_classify_survives_relabeling(pair):
+    rep, relabeled = pair
+    assert classify(build_loop(rep.code())) == rep.target
+    assert classify(build_loop(relabeled)) == rep.target
