@@ -61,18 +61,20 @@ def _classification_lines(code: BinaryCode) -> list[str]:
 
 
 def cmd_construct(args) -> int:
+    # lines are collected and printed together, so a code refused part way
+    # (a dimension past a cap) leaves no partial report on stdout
     code = _read_code(args.file)
-    print(f"degree: {code.degree}")
+    lines = [f"degree: {code.degree}"]
     if not code.is_doubly_even():
         witness = code.first_odd_span_element()
-        print(f"not doubly even (weight {witness.weight})")
-        return 0
-    print("doubly even: yes")
-    print(f"dimension: {code.dimension}")
-    print(f"weight enumerator: {_weight_enumerator_str(code)}")
-    print(f"type: {code.rep_type()}")
-    for line in _classification_lines(code):
-        print(line)
+        lines.append(f"not doubly even (weight {witness.weight})")
+    else:
+        lines.append("doubly even: yes")
+        lines.append(f"dimension: {code.dimension}")
+        lines.append(f"weight enumerator: {_weight_enumerator_str(code)}")
+        lines.append(f"type: {code.rep_type()}")
+        lines.extend(_classification_lines(code))
+    print("\n".join(lines))
     return 0
 
 
@@ -80,11 +82,10 @@ def cmd_classify(args) -> int:
     code = _read_code(args.file)
     if not code.is_doubly_even():
         witness = code.first_odd_span_element()
-        print(f"not doubly even (weight {witness.weight})")
-        return 0
-    for line in _classification_lines(code):
-        if not line.startswith("moufang"):
-            print(line)
+        lines = [f"not doubly even (weight {witness.weight})"]
+    else:
+        lines = [line for line in _classification_lines(code) if not line.startswith("moufang")]
+    print("\n".join(lines))
     return 0
 
 

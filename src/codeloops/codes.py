@@ -121,7 +121,11 @@ class BinaryCode:
             raise InvalidCodeError("generators are linearly dependent")
         self.degree = degree
         self.generators = gens
+        # derived data, computed on first use: the generators never change
         self._span: tuple[Codeword, ...] | None = None
+        self._classes: ClassPartition | None = None
+        self._weights: tuple[int, ...] | None = None
+        self._class_data = None  # equivalence._class_data of this code
 
     @property
     def dimension(self) -> int:
@@ -180,10 +184,20 @@ class BinaryCode:
         return True
 
     def first_odd_span_element(self) -> Codeword | None:
-        """A span element of weight not divisible by 4, in span order, if any."""
-        for w in self.span():
-            if w.weight % 4:
-                return w
+        """A span element of weight not divisible by 4, in span order, if any.
+
+        Only span indices with at most two generator bits are tried, so no
+        span is built: the first odd element in span order has at most two.
+        If x had three or more, every index made of one or two of its bits is
+        smaller than x and so doubly even, which makes the subcode spanned
+        by x's generators doubly even (see is_doubly_even), w_x included.
+        """
+        gens = self.generators
+        indices = sorted((1 << i | 1 << j, i, j) for i in range(len(gens)) for j in range(i + 1))
+        for _, i, j in indices:
+            support = gens[i].support if i == j else gens[i].support ^ gens[j].support
+            if len(support) % 4:
+                return Codeword(self.degree, support)
         return None
 
     def coordinate_classes(self) -> "ClassPartition":
@@ -193,17 +207,19 @@ class BinaryCode:
         every span element) contains both or neither.  Coordinates missed by
         all generators go to the residue.
         """
-        buckets: dict[tuple[bool, ...], list[int]] = {}
-        for i in range(1, self.degree + 1):
-            sig = tuple(i in g.support for g in self.generators)
-            buckets.setdefault(sig, []).append(i)
-        residue = frozenset(buckets.pop((False,) * self.dimension, []))
-        classes = sorted(buckets.values(), key=lambda c: c[0])
-        return ClassPartition(
-            degree=self.degree,
-            classes=tuple(frozenset(c) for c in classes),
-            residue=residue,
-        )
+        if self._classes is None:
+            buckets: dict[tuple[bool, ...], list[int]] = {}
+            for i in range(1, self.degree + 1):
+                sig = tuple(i in g.support for g in self.generators)
+                buckets.setdefault(sig, []).append(i)
+            residue = frozenset(buckets.pop((False,) * self.dimension, []))
+            classes = sorted(buckets.values(), key=lambda c: c[0])
+            self._classes = ClassPartition(
+                degree=self.degree,
+                classes=tuple(frozenset(c) for c in classes),
+                residue=residue,
+            )
+        return self._classes
 
     def rep_type(self) -> "RepType":
         part = self.coordinate_classes()
@@ -211,7 +227,9 @@ class BinaryCode:
 
     def weight_enumerator(self) -> tuple[int, ...]:
         """Sorted multiset of the 2^k span weights."""
-        return tuple(sorted(w.weight for w in self.span()))
+        if self._weights is None:
+            self._weights = tuple(sorted(w.weight for w in self.span()))
+        return self._weights
 
 
 @dataclass(frozen=True)

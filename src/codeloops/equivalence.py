@@ -7,11 +7,19 @@ class-to-class bijections instead of raw coordinate permutations: each span
 element is a union of classes, so a permutation exists iff some
 size-preserving class bijection maps the class patterns of one span onto
 the other's.
+
+Invariants screen a pair first.  The search then runs depth first over
+class bijections, cut by a class-profile screen and an incrementally kept
+projection of the patterns (see _match_classes); both cuts are necessary
+conditions, so the witness is the first valid bijection in depth-first
+order, the same as an unscreened search finds.  The per-code search data
+is computed once and kept on the BinaryCode, like its span, so a code
+tested against many others pays for it once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from typing import NamedTuple
 
 from .codes import BinaryCode, Codeword, InternalInvariantError
 
@@ -32,91 +40,125 @@ def distinguishing_invariant(a: BinaryCode, b: BinaryCode) -> str | None:
     return None
 
 
-def _class_data(code: BinaryCode):
-    """Classes in a search-friendly canonical order, plus span patterns.
+class _ClassData(NamedTuple):
+    """Classes of one code in search order, with their span incidence."""
 
-    Returns (classes, patterns) where classes is a list of sorted coordinate
-    tuples ordered by (size, span-incidence vector) and patterns is the set
-    of span elements, each encoded as a bitmask over class indices.
+    classes: tuple[tuple[int, ...], ...]  # sorted coordinates of each class
+    patterns: tuple[int, ...]  # span element x as a bitmask over class indices
+    profiles: tuple[tuple[int, ...], ...]  # size, then sorted weights of the words holding the class
+    residue: tuple[int, ...]  # coordinates outside every class
+
+
+def _class_data(code: BinaryCode) -> _ClassData:
+    """The search data of a code, computed once and kept on the code.
+
+    Classes are ordered by (size, span-incidence vector), the order in which
+    the search assigns them.  Each span element becomes the bitmask of the
+    classes it contains; a class's profile is its size followed by the
+    sorted weights of the span elements that contain it.
     """
-    part = code.coordinate_classes()
-    classes = [tuple(sorted(c)) for c in part.classes]
-    span = code.span()
-    incidence = [
-        tuple(cls[0] in w.support for w in span)
-        for cls in classes
-    ]
-    order = sorted(range(len(classes)), key=lambda i: (len(classes[i]), incidence[i]))
-    classes = [classes[i] for i in order]
-    patterns = set()
-    for w in span:
-        pat = 0
-        for ci, cls in enumerate(classes):
-            if cls[0] in w.support:
-                pat |= 1 << ci
-        patterns.add(pat)
-    return classes, patterns, sorted(part.residue)
+    if code._class_data is None:
+        part = code.coordinate_classes()
+        span = code.span()
+        weights = [w.weight for w in span]
+        incidence = {}
+        for c in part.classes:
+            first = min(c)
+            incidence[c] = [first in w.support for w in span]
+        order = sorted(part.classes, key=lambda c: (len(c), incidence[c]))
+        rows = [incidence[c] for c in order]
+        code._class_data = _ClassData(
+            classes=tuple(tuple(sorted(c)) for c in order),
+            patterns=tuple(
+                sum(1 << ci for ci, row in enumerate(rows) if row[x]) for x in range(len(weights))
+            ),
+            profiles=tuple(
+                (len(c), *sorted(weight for weight, hit in zip(weights, row) if hit))
+                for c, row in zip(order, rows)
+            ),
+            residue=tuple(sorted(part.residue)),
+        )
+    return code._class_data
 
 
 def code_isomorphism(a: BinaryCode, b: BinaryCode) -> tuple[int, ...] | None:
     """A permutation of 1..m carrying span(a) onto span(b), or None.
 
-    The result p is 1-based: coordinate i of a maps to p[i-1] in b.
+    The result p is 1-based: coordinate i of a maps to p[i-1] in b.  It is
+    built from the first valid class bijection in the depth-first order of
+    _match_classes, class by class in sorted coordinate order, with the
+    residues matched in sorted order.
     """
     if distinguishing_invariant(a, b) is not None:
         return None
-    ca, pa, ra = _class_data(a)
-    cb, pb, rb = _class_data(b)
-    sigma = _match_classes(ca, pa, cb, pb)
+    da = _class_data(a)
+    db = _class_data(b)
+    sigma = _match_classes(da, db)
     if sigma is None:
         return None
     perm = [0] * a.degree
     for ai, bi in enumerate(sigma):
-        for src, dst in zip(ca[ai], cb[bi]):
+        for src, dst in zip(da.classes[ai], db.classes[bi]):
             perm[src - 1] = dst
-    for src, dst in zip(ra, rb):
+    for src, dst in zip(da.residue, db.residue):
         perm[src - 1] = dst
     _check_permutation(a, b, perm)
     return tuple(perm)
 
 
-def _match_classes(ca, pa, cb, pb) -> list[int] | None:
-    """Backtracking search for a pattern-preserving class bijection."""
-    n = len(ca)
+def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
+    """The first pattern-preserving class bijection in depth-first order.
+
+    Classes of a are assigned in index order; class ai is tried against the
+    unused classes of b in index order, and entry ai of the result is its
+    image.  Two screens cut the tree, and both are necessary conditions,
+    so the first valid bijection found is the same as with no screen:
+
+    - profile: a candidate class must have the profile of class ai, since
+      a span-preserving permutation maps the words holding a class onto
+      the words holding its image, weight for weight;
+    - projection: the patterns of a, mapped through the classes assigned so
+      far, must agree as a multiset with the patterns of b restricted to
+      their images, or no extension can map one pattern set onto the other.
+
+    A pair whose profile multisets differ is rejected before the search.
+    The projection is kept incrementally: one image int per pattern on each
+    side, updated when a class is assigned and undone on backtrack.
+    """
+    if sorted(a.profiles) != sorted(b.profiles):
+        return None
+    n = len(a.classes)
+    candidates = [[bi for bi in range(n) if b.profiles[bi] == p] for p in a.profiles]
+    holders_a = [[x for x, pat in enumerate(a.patterns) if pat >> ci & 1] for ci in range(n)]
+    holders_b = [[x for x, pat in enumerate(b.patterns) if pat >> ci & 1] for ci in range(n)]
+    image_a = [0] * len(a.patterns)  # pattern of a, mapped through the assigned classes
+    image_b = [0] * len(b.patterns)  # pattern of b, restricted to the assigned images
     assigned: list[int] = []
     used = [False] * n
-
-    def consistent() -> bool:
-        # project every pattern onto the classes assigned so far; the
-        # projected multisets must agree or no extension can work
-        k = len(assigned)
-        proj_a: Counter = Counter()
-        for pat in pa:
-            img = 0
-            for ai in range(k):
-                if pat >> ai & 1:
-                    img |= 1 << assigned[ai]
-            proj_a[img] += 1
-        img_mask = 0
-        for bi in assigned:
-            img_mask |= 1 << bi
-        proj_b = Counter(pat & img_mask for pat in pb)
-        return proj_a == proj_b
 
     def extend() -> bool:
         ai = len(assigned)
         if ai == n:
             return True
-        size = len(ca[ai])
-        for bi in range(n):
-            if used[bi] or len(cb[bi]) != size:
+        for bi in candidates[ai]:
+            if used[bi]:
                 continue
-            assigned.append(bi)
-            used[bi] = True
-            if consistent() and extend():
-                return True
-            used[bi] = False
-            assigned.pop()
+            bit = 1 << bi
+            for x in holders_a[ai]:
+                image_a[x] |= bit
+            for x in holders_b[bi]:
+                image_b[x] |= bit
+            if sorted(image_a) == sorted(image_b):
+                assigned.append(bi)
+                used[bi] = True
+                if extend():
+                    return True
+                used[bi] = False
+                assigned.pop()
+            for x in holders_a[ai]:
+                image_a[x] ^= bit
+            for x in holders_b[bi]:
+                image_b[x] ^= bit
         return False
 
     return assigned if extend() else None

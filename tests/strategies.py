@@ -35,3 +35,26 @@ def doubly_even_codes(draw, min_dimension=0, max_dimension=5):
         for i in range(k)
     ]
     return BinaryCode(degree, generators)
+
+
+@st.composite
+def relabeled_codes(draw, code, max_pad=3):
+    """A copy of code under a change of basis, zero padding and a coordinate permutation.
+
+    The basis changes by random generator sums and a generator shuffle, up
+    to max_pad zero coordinates are appended, and then all coordinates are
+    permuted.
+    """
+    k = code.dimension
+    masks = [g.mask() for g in code.generators]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=8)):
+        if i != j:
+            masks[i] ^= masks[j]
+    masks = draw(st.permutations(masks))
+    degree = code.degree + draw(st.integers(0, max_pad))
+    perm = draw(st.permutations(range(1, degree + 1)))
+    generators = [
+        Codeword(degree, frozenset(perm[p] for p in range(code.degree) if m >> p & 1))
+        for m in masks
+    ]
+    return BinaryCode(degree, generators)

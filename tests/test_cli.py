@@ -1,5 +1,6 @@
 """Command line behavior: output fields, exit codes, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import codeloops
 
-from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, catalog_entry
+from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
 from codeloops.cli import main
 
 
@@ -176,22 +177,60 @@ def test_malformed_code_file_exits_1_without_traceback(capsys, tmp_path, content
 
 
 @pytest.mark.parametrize(
-    "command, odd",
-    [("construct", False), ("construct", True), ("classify", True), ("iso", False)],
+    "command, odd, expected",
+    [
+        ("construct", False, (1, "", "error: dimension 17 exceeds span cap 16 (2^17 codewords)\n")),
+        ("construct", True, (0, "degree: 68\nnot doubly even (weight 2)\n", "")),
+        ("classify", True, (0, "not doubly even (weight 2)\n", "")),
+        ("iso", False, (1, "", "error: dimension 17 exceeds span cap 16 (2^17 codewords)\n")),
+    ],
     ids=["construct", "construct-odd", "classify-odd", "iso"],
 )
-def test_dimension_above_span_cap_exits_1_without_traceback(capsys, tmp_path, command, odd):
-    # dimension 17 on 4-blocks; the odd variant shortens the first block to
-    # a weight-2 word, which sends construct and classify to the span for
-    # a witness
+def test_dimension_above_span_cap_exits_1_without_traceback(capsys, tmp_path, command, odd, expected):
+    # dimension 17 on 4-blocks is refused where the span is needed; the odd
+    # variant shortens the first block to a weight-2 word, whose witness is
+    # found without the span, so construct and classify report it
     lines = [f"{4 * i + 1}-{4 * i + 4}" for i in range(17)]
     if odd:
         lines[0] = "1,2"
     f = tmp_path / "big.code"
     f.write_text("degree=68\n" + "\n".join(lines) + "\n")
-    rc, _, err = run(capsys, command, *([f, f] if command == "iso" else [f]))
-    assert rc == 1
-    assert err == "error: dimension 17 exceeds span cap 16 (2^17 codewords)\n"
+    assert run(capsys, command, *([f, f] if command == "iso" else [f])) == expected
+
+
+@pytest.mark.parametrize("command", ["construct", "classify"])
+def test_refused_code_leaves_no_partial_stdout(capsys, tmp_path, command):
+    # doubly even, within the span cap, past the factor-set cap
+    f = tmp_path / "dim7.code"
+    f.write_text("".join(f"{4 * i + 1}-{4 * i + 4}\n" for i in range(7)))
+    assert run(capsys, command, f) == (1, "", "error: dimension 7 exceeds solver cap 6\n")
+
+
+def test_accepted_code_stdout_pinned(capsys, tmp_path):
+    # construct then classify on every catalog code, the two samples, two
+    # codes that are not doubly even, an associative and a dimension-6 code
+    texts = [
+        f"degree={catalog_entry(name).degree}\n" + "\n".join(catalog_entry(name).generator_lines) + "\n"
+        for name in all_loop_ids()
+    ]
+    texts += [
+        SAMPLE_C4_16_A,
+        SAMPLE_C4_16_B,
+        "degree=8\n1-4\n4,5,6,7\n",
+        "1,2,3\n",
+        "degree=8\n1-4\n5-8\n",
+        "degree=27\n1-8\n1,4,9-14\n1,2,3,5,6,7,9-13,15-19\n2,3,15,16\n20-23\n24-27\n",
+    ]
+    out = []
+    for i, text in enumerate(texts):
+        f = tmp_path / f"{i}.code"
+        f.write_text(text)
+        for command in ("construct", "classify"):
+            rc, stdout, _ = run(capsys, command, f)
+            assert rc == 0
+            out.append(stdout)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "e9033f3680e7386c825366be20b30c48968d13b1c44257c85a7355617fc6aa1e"
 
 
 def test_enumerate_tiny_bound_is_valid_and_empty(capsys):

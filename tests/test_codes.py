@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from codeloops import (
     BinaryCode,
@@ -14,6 +16,7 @@ from codeloops import (
     meet_weight,
     parse_code,
 )
+from strategies import doubly_even_codes
 
 
 def word(degree, *coords):
@@ -108,6 +111,37 @@ def test_not_doubly_even_detected_with_witness():
     witness = code.first_odd_span_element()
     assert witness.weight % 4 != 0
     assert witness.support == frozenset({1, 2, 3, 5, 6, 7})
+
+
+@st.composite
+def _codes_with_odd_words(draw):
+    """Random codes of dimension 1..7, most of them not doubly even.
+
+    Half are free random generators; the other half are a doubly even code
+    with one random generator appended, so the first odd element often
+    sits at a pair with the new generator.
+    """
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 20))
+        word = st.integers(1, (1 << degree) - 1)
+        masks = draw(st.lists(word, min_size=1, max_size=7))
+    else:
+        base = draw(doubly_even_codes(0, 5))
+        degree = base.degree
+        masks = [g.mask() for g in base.generators]
+        masks.append(draw(st.integers(1, (1 << degree) - 1)))
+    try:
+        return BinaryCode(degree, [Codeword.from_mask(degree, m) for m in masks])
+    except InvalidCodeError:
+        reject()  # dependent generators
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codes_with_odd_words())
+def test_first_odd_span_element_equals_span_walk(code):
+    walk = next((w for w in code.span() if w.weight % 4), None)
+    assert code.first_odd_span_element() == walk
+    assert (walk is None) == code.is_doubly_even()
 
 
 def test_doubly_even_matches_span_oracle_random():

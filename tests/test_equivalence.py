@@ -1,7 +1,13 @@
-"""Coordinate isomorphism of codes against a brute-force permutation oracle."""
+"""Coordinate isomorphism of codes against a brute-force permutation oracle
+and against the unscreened class matcher it replaced."""
 
+import functools
 import itertools
 import random
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codeloops import (
     BinaryCode,
@@ -9,10 +15,14 @@ from codeloops import (
     code_isomorphism,
     cycle_notation,
     distinguishing_invariant,
+    enumerate_reduced,
     parse_code,
+    parse_loop_id,
 )
-from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B
+from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids
+from codeloops.cli import main
 from codeloops.equivalence import permute_code, permute_word
+from strategies import doubly_even_codes, relabeled_codes
 
 
 def brute_isomorphic(a, b):
@@ -124,3 +134,158 @@ def test_cycle_notation():
     assert cycle_notation((1, 2, 3)) == "()"
     assert cycle_notation((2, 1, 3)) == "(1 2)"
     assert cycle_notation((2, 3, 1, 5, 4)) == "(1 2 3)(4 5)"
+
+
+# -- the class matcher without screens, kept as the witness oracle --------
+#
+# It orders the classes from the span, and at every node re-projects every
+# span pattern onto the classes assigned so far.  code_isomorphism must
+# return exactly its witness: the profile screen and the incremental
+# projection only skip branches that hold no valid bijection.
+
+
+def _oracle_class_data(code):
+    part = code.coordinate_classes()
+    classes = [tuple(sorted(c)) for c in part.classes]
+    span = code.span()
+    incidence = [tuple(cls[0] in w.support for w in span) for cls in classes]
+    order = sorted(range(len(classes)), key=lambda i: (len(classes[i]), incidence[i]))
+    classes = [classes[i] for i in order]
+    patterns = set()
+    for w in span:
+        pat = 0
+        for ci, cls in enumerate(classes):
+            if cls[0] in w.support:
+                pat |= 1 << ci
+        patterns.add(pat)
+    return classes, patterns, sorted(part.residue)
+
+
+def _oracle_match_classes(ca, pa, cb, pb):
+    n = len(ca)
+    assigned = []
+    used = [False] * n
+
+    def consistent():
+        k = len(assigned)
+        proj_a = Counter()
+        for pat in pa:
+            img = 0
+            for ai in range(k):
+                if pat >> ai & 1:
+                    img |= 1 << assigned[ai]
+            proj_a[img] += 1
+        img_mask = 0
+        for bi in assigned:
+            img_mask |= 1 << bi
+        proj_b = Counter(pat & img_mask for pat in pb)
+        return proj_a == proj_b
+
+    def extend():
+        ai = len(assigned)
+        if ai == n:
+            return True
+        size = len(ca[ai])
+        for bi in range(n):
+            if used[bi] or len(cb[bi]) != size:
+                continue
+            assigned.append(bi)
+            used[bi] = True
+            if consistent() and extend():
+                return True
+            used[bi] = False
+            assigned.pop()
+        return False
+
+    return assigned if extend() else None
+
+
+def oracle_isomorphism(a, b):
+    if distinguishing_invariant(a, b) is not None:
+        return None
+    ca, pa, ra = _oracle_class_data(a)
+    cb, pb, rb = _oracle_class_data(b)
+    sigma = _oracle_match_classes(ca, pa, cb, pb)
+    if sigma is None:
+        return None
+    perm = [0] * a.degree
+    for ai, bi in enumerate(sigma):
+        for src, dst in zip(ca[ai], cb[bi]):
+            perm[src - 1] = dst
+    for src, dst in zip(ra, rb):
+        perm[src - 1] = dst
+    return tuple(perm)
+
+
+@functools.cache
+def _scan_groups(rank, max_degree):
+    """Codes of the reduced scan grouped as conjecture groups them."""
+    groups = {}
+    for name in all_loop_ids(rank):
+        target = parse_loop_id(name)
+        for rep in enumerate_reduced(target, max_degree):
+            key = (target.index, rep.degree, rep.rep_type().sizes)
+            groups.setdefault(key, []).append(rep.code())
+    return [groups[key] for key in sorted(groups)]
+
+
+def test_witness_equals_oracle_on_scan_groups():
+    # each member against the first of its group, both ways: the pairs the
+    # conjecture transversal starts from
+    non_isomorphic = 0
+    for rank, max_degree in ((4, 23), (3, 49)):
+        for first, *rest in _scan_groups(rank, max_degree):
+            for code in rest:
+                for a, b in ((first, code), (code, first)):
+                    got = code_isomorphism(a, b)
+                    assert got == oracle_isomorphism(a, b)
+                    non_isomorphic += got is None
+    assert non_isomorphic > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_witness_equals_oracle_on_relabelings(data):
+    code = data.draw(doubly_even_codes(1, 4))
+    other = data.draw(relabeled_codes(code))
+    padded = BinaryCode(other.degree, [Codeword(other.degree, g.support) for g in code.generators])
+    got = code_isomorphism(padded, other)
+    assert got is not None
+    assert got == oracle_isomorphism(padded, other)
+
+
+@functools.cache
+def _non_isomorphic_pairs():
+    """Members of scan groups that share every invariant but are not isomorphic."""
+    return [
+        (first, code)
+        for first, *rest in _scan_groups(4, 23)
+        for code in rest
+        if distinguishing_invariant(first, code) is None and code_isomorphism(first, code) is None
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_relabeled_non_isomorphic_pairs_give_none(data):
+    first, second = data.draw(st.sampled_from(_non_isomorphic_pairs()))
+    a = data.draw(relabeled_codes(first, max_pad=0))
+    b = data.draw(relabeled_codes(second, max_pad=0))
+    assert distinguishing_invariant(a, b) is None
+    assert code_isomorphism(a, b) is None
+    assert oracle_isomorphism(a, b) is None
+
+
+RELABELED_C4_16_A = "degree=19\n1-3,5-13,15-17,19\n1,3,4,6-10,14,15,17,19\n3,4,7,8,12,17-19\n1-3,6,9,10,12,14-16,18,19\n"
+
+
+def test_iso_stdout_pinned_on_relabeled_sample(tmp_path, capsys):
+    # SAMPLE_C4_16_A under a fixed coordinate permutation and basis change
+    a = tmp_path / "a.code"
+    b = tmp_path / "b.code"
+    a.write_text(SAMPLE_C4_16_A)
+    b.write_text(RELABELED_C4_16_A)
+    assert main(["iso", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == (
+        "isomorphic\npermutation: (1 12 10 6 11 9)(2 3 19 17 7 13 15)(4 14 18 8)\n"
+    )

@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 
 from codeloops import (
     AssociativeLoopError,
-    BinaryCode,
     CharVector,
-    Codeword,
     InvalidCodeError,
     LoopClass,
     build_loop,
@@ -34,7 +32,7 @@ from codeloops import (
 )
 from codeloops.catalog import SAMPLE_C4_16_A, all_loop_ids, catalog_entry
 from codeloops.loops import _sign_tables, is_latin, is_moufang
-from strategies import doubly_even_codes
+from strategies import doubly_even_codes, relabeled_codes
 
 
 def test_single_generator_loop_is_z4():
@@ -248,27 +246,9 @@ def _reduced_reps(name):
 
 @st.composite
 def _relabeled_reps(draw):
-    """An enumerated reduced representation and a relabeled copy of its code.
-
-    The copy changes basis (random generator sums, then a generator
-    shuffle), pads with up to three zero coordinates and permutes all
-    coordinates.
-    """
+    """An enumerated reduced representation and a relabeled copy of its code."""
     rep = draw(st.sampled_from(_reduced_reps(draw(st.sampled_from(all_loop_ids())))))
-    code = rep.code()
-    k = code.dimension
-    masks = [g.mask() for g in code.generators]
-    for i, j in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=8)):
-        if i != j:
-            masks[i] ^= masks[j]
-    masks = draw(st.permutations(masks))
-    degree = code.degree + draw(st.integers(0, 3))
-    perm = draw(st.permutations(range(1, degree + 1)))
-    generators = [
-        Codeword(degree, frozenset(perm[p] for p in range(code.degree) if m >> p & 1))
-        for m in masks
-    ]
-    return rep, BinaryCode(degree, generators)
+    return rep, draw(relabeled_codes(rep.code()))
 
 
 @settings(max_examples=40, deadline=None)

@@ -282,11 +282,18 @@ PINNED_RUNS = [
         "66b0d9853064a499432d6dd9f3c2592d74812431e4dfd195262e1ee730c74406",
         "groups: 100\ncounterexamples: 1\nwritten: {out}\n",
     ),
+    (
+        ["conjecture", "--rank", "4", "--max-degree", "25"],
+        "596a02647e66719675d0a85f6aae2ea6f2a4ec09582b8fc8800c32a58855e47b",
+        "groups: 324\ncounterexamples: 42\nwritten: {out}\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, digest, stdout", PINNED_RUNS, ids=["enumerate-C3_2", "enumerate-C4_16", "conjecture-4"]
+    "argv, digest, stdout",
+    PINNED_RUNS,
+    ids=["enumerate-C3_2", "enumerate-C4_16", "conjecture-4", "conjecture-4-25"],
 )
 def test_pinned_output_digests(tmp_path, capsys, argv, digest, stdout):
     out = tmp_path / "report.txt"
