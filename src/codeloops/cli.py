@@ -94,8 +94,8 @@ def _record_lines(rep: Representation) -> list[str]:
         f"target: {rep.target.name}",
         f"degree: {rep.degree}",
         f"type: {rep.rep_type()}",
-        "t: " + ",".join(str(v) for v in rep.params.as_tuple()),
-        "x: " + ",".join(str(v) for v in rep.solution.as_tuple()),
+        "t: " + ",".join(map(str, rep.params.as_tuple())),
+        "x: " + ",".join(map(str, rep.solution.as_tuple())),
         "generators:",
         f"degree={rep.degree}",
     ]
@@ -112,11 +112,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    # each record is formatted as the scan yields it and only its text is
+    # kept; the output is still written once, after the scan
     target = parse_loop_id(args.loop)
-    reps = list(enumerate_reduced(target, args.max_degree))
+    reps = enumerate_reduced(target, args.max_degree)
     chunks = ["\n".join(_record_lines(rep)) + "\n" for rep in reps]
     _emit("\n".join(chunks), args.out)
-    print(f"representations: {len(reps)}")
+    print(f"representations: {len(chunks)}")
     if args.out:
         print(f"written: {args.out}")
     return 0

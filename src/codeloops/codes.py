@@ -5,15 +5,21 @@ symmetric difference.  A code is the span of a list of linearly independent
 generators.  Everything downstream (sign tables, loops, representation
 search) sits on top of the handful of operations here: weights, meet
 weights, spans, coordinate classes, and the doubly even test.
+
+Words are int bitmasks, coordinate i at bit i-1: a weight is a popcount,
+a sum is an xor and a meet is an and.  A Codeword keeps its degree and
+its mask and builds the support frozenset only when .support is read; the
+span, the weights, the classes and the doubly even test read the masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator
 
 MAX_DEGREE = 128
-MAX_SPAN_DIMENSION = 16  # a 2^16 span holds about 270 MB of Codewords; 2^20 would need ~4 GB
+# a 2^16 span of degree-128 Codewords takes about 10 MB; each further generator doubles it
+MAX_SPAN_DIMENSION = 16
 
 
 class InvalidCodeError(ValueError):
@@ -34,44 +40,119 @@ class InternalInvariantError(RuntimeError):
     """A structural invariant failed; indicates a defect, not bad input."""
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """A subset of {1..degree}, the support of a GF(2) vector."""
+_new = object.__new__
+_set = object.__setattr__  # Codeword refuses plain assignment
 
-    degree: int
-    support: frozenset[int]
+
+class Codeword:
+    """A subset of {1..degree}, the support of a GF(2) vector.
+
+    Stored as the degree and one int bitmask, bit i-1 set iff coordinate i
+    is in the support, so weight, addition, equality and hashing are int
+    operations.  The support frozenset is a view, built on first read.
+    Codeword(degree, support) validates every coordinate; from_mask takes
+    the bits 1..degree of any int.  Instances are immutable.
+    """
+
+    __slots__ = ("degree", "_mask", "_support")
+
+    def __init__(self, degree: int, support: Iterable[int]):
+        _set(self, "degree", degree)
+        _set(self, "_support", support if isinstance(support, frozenset) else frozenset(support))
+        _set(self, "_mask", None)
+        self.__post_init__()
 
     def __post_init__(self):
-        if not isinstance(self.support, frozenset):
-            object.__setattr__(self, "support", frozenset(self.support))
-        if not 1 <= self.degree <= MAX_DEGREE:
-            raise InvalidCodeError(f"degree {self.degree} out of range 1..{MAX_DEGREE}")
-        for i in self.support:
-            if not (isinstance(i, int) and 1 <= i <= self.degree):
-                raise InvalidCodeError(f"coordinate {i!r} outside 1..{self.degree}")
-
-    @property
-    def weight(self) -> int:
-        return len(self.support)
-
-    def mask(self) -> int:
-        # bit i-1 set iff coordinate i is in the support
-        m = 0
-        for i in self.support:
-            m |= 1 << (i - 1)
-        return m
+        # runs on every construction, from __init__ and from from_mask
+        degree = self.degree
+        if not 1 <= degree <= MAX_DEGREE:
+            raise InvalidCodeError(f"degree {degree} out of range 1..{MAX_DEGREE}")
+        if self._mask is None:
+            mask = 0
+            for i in self._support:
+                if not (isinstance(i, int) and 1 <= i <= degree):
+                    raise InvalidCodeError(f"coordinate {i!r} outside 1..{degree}")
+                mask |= 1 << (i - 1)
+            _set(self, "_mask", mask)
+        elif self._support is None:
+            _set(self, "_mask", self._mask & ((1 << degree) - 1))
 
     @classmethod
     def from_mask(cls, degree: int, mask: int) -> "Codeword":
-        return cls(degree, frozenset(i + 1 for i in range(degree) if mask >> i & 1))
+        """The word whose support is the set bits 1..degree of mask; higher bits are dropped."""
+        word = _new(cls)
+        _set(word, "degree", degree)
+        _set(word, "_mask", mask)
+        _set(word, "_support", None)
+        word.__post_init__()
+        return word
+
+    @property
+    def support(self) -> frozenset[int]:
+        if self._support is None:
+            _set(self, "_support", frozenset(_coordinates(self._mask)))
+        return self._support
+
+    @property
+    def weight(self) -> int:
+        return self._mask.bit_count()
+
+    def mask(self) -> int:
+        # bit i-1 set iff coordinate i is in the support
+        return self._mask
 
     def __xor__(self, other: "Codeword") -> "Codeword":
         if self.degree != other.degree:
             raise InvalidCodeError("cannot add codewords of different degree")
-        return Codeword(self.degree, self.support ^ other.support)
+        return Codeword.from_mask(self.degree, self._mask ^ other._mask)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Codeword):
+            return NotImplemented
+        return self.degree == other.degree and self._mask == other._mask
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self._mask))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through from_mask; the default for a
+        # slotted class would assign the slots, which __setattr__ refuses
+        return Codeword.from_mask, (self.degree, self._mask)
+
+    def __repr__(self) -> str:
+        return f"Codeword(degree={self.degree!r}, support={self.support!r})"
 
     def __str__(self) -> str:
-        return format_support(self.support)
+        """The support in ascending order, runs of three or more written a-b."""
+        m = self._mask
+        parts: list[str] = []
+        while m:
+            low = m & -m
+            lo = low.bit_length()  # first coordinate of the lowest run
+            run = m >> (lo - 1)
+            length = (run ^ (run + 1)).bit_length() - 1  # trailing ones of run
+            if length >= 3:
+                parts.append(f"{lo}-{lo + length - 1}")
+            elif length == 2:
+                parts.append(f"{lo},{lo + 1}")
+            else:
+                parts.append(str(lo))
+            m &= m + low  # the carry clears the run
+        return ",".join(parts)
+
+
+def _coordinates(mask: int) -> Iterator[int]:
+    """The 1-based positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
 
 def meet_weight(words: Iterable[Codeword]) -> int:
@@ -80,13 +161,12 @@ def meet_weight(words: Iterable[Codeword]) -> int:
     if not 2 <= len(ws) <= 4:
         raise InvalidCodeError(f"meet_weight takes 2..4 words, got {len(ws)}")
     degree = ws[0].degree
-    for w in ws[1:]:
+    common = -1
+    for w in ws:
         if w.degree != degree:
             raise InvalidCodeError("meet_weight: degree mismatch")
-    common = ws[0].support
-    for w in ws[1:]:
-        common = common & w.support
-    return len(common)
+        common &= w.mask()
+    return common.bit_count()
 
 
 def _mask_rank(masks: list[int]) -> int:
@@ -122,6 +202,7 @@ class BinaryCode:
         self.degree = degree
         self.generators = gens
         # derived data, computed on first use: the generators never change
+        self._span_masks: tuple[int, ...] | None = None
         self._span: tuple[Codeword, ...] | None = None
         self._classes: ClassPartition | None = None
         self._weights: tuple[int, ...] | None = None
@@ -145,26 +226,31 @@ class BinaryCode:
         gens = "; ".join(str(g) for g in self.generators)
         return f"BinaryCode(degree={self.degree}, <{gens}>)"
 
-    def span(self) -> tuple[Codeword, ...]:
-        """All 2^k codewords; entry i is the sum of generators j with bit j set in i.
+    def span_masks(self) -> tuple[int, ...]:
+        """The masks of the 2^k span words, in the order of span().
 
+        Built by doubling: after generator j the list holds every sum of
+        generators 0..j, and the new half is the old half plus generator j.
         Codes of dimension above MAX_SPAN_DIMENSION raise InvalidCodeError
         before anything is allocated.
         """
-        if self._span is None:
+        if self._span_masks is None:
             k = self.dimension
             if k > MAX_SPAN_DIMENSION:
                 raise InvalidCodeError(
                     f"dimension {k} exceeds span cap {MAX_SPAN_DIMENSION} (2^{k} codewords)"
                 )
-            words = []
-            for combo in range(1 << k):
-                s: frozenset[int] = frozenset()
-                for j in range(k):
-                    if combo >> j & 1:
-                        s = s ^ self.generators[j].support
-                words.append(Codeword(self.degree, s))
-            self._span = tuple(words)
+            masks = [0]
+            for g in self.generators:
+                gm = g.mask()
+                masks += [m ^ gm for m in masks]
+            self._span_masks = tuple(masks)
+        return self._span_masks
+
+    def span(self) -> tuple[Codeword, ...]:
+        """All 2^k codewords; entry i is the sum of generators j with bit j set in i."""
+        if self._span is None:
+            self._span = tuple(Codeword.from_mask(self.degree, m) for m in self.span_masks())
         return self._span
 
     def is_doubly_even(self) -> bool:
@@ -174,12 +260,12 @@ class BinaryCode:
         pairwise generator intersection is even (|u+v| = |u|+|v|-2|u&v|,
         and evenness of intersections is preserved under sums).
         """
-        for g in self.generators:
-            if g.weight % 4:
+        masks = [g.mask() for g in self.generators]
+        for i, a in enumerate(masks):
+            if a.bit_count() % 4:
                 return False
-        for i in range(self.dimension):
-            for j in range(i + 1, self.dimension):
-                if meet_weight([self.generators[i], self.generators[j]]) % 2:
+            for b in masks[:i]:
+                if (a & b).bit_count() % 2:
                     return False
         return True
 
@@ -192,12 +278,12 @@ class BinaryCode:
         smaller than x and so doubly even, which makes the subcode spanned
         by x's generators doubly even (see is_doubly_even), w_x included.
         """
-        gens = self.generators
-        indices = sorted((1 << i | 1 << j, i, j) for i in range(len(gens)) for j in range(i + 1))
+        masks = [g.mask() for g in self.generators]
+        indices = sorted((1 << i | 1 << j, i, j) for i in range(len(masks)) for j in range(i + 1))
         for _, i, j in indices:
-            support = gens[i].support if i == j else gens[i].support ^ gens[j].support
-            if len(support) % 4:
-                return Codeword(self.degree, support)
+            word = masks[i] if i == j else masks[i] ^ masks[j]
+            if word.bit_count() % 4:
+                return Codeword.from_mask(self.degree, word)
         return None
 
     def coordinate_classes(self) -> "ClassPartition":
@@ -208,11 +294,14 @@ class BinaryCode:
         all generators go to the residue.
         """
         if self._classes is None:
-            buckets: dict[tuple[bool, ...], list[int]] = {}
-            for i in range(1, self.degree + 1):
-                sig = tuple(i in g.support for g in self.generators)
-                buckets.setdefault(sig, []).append(i)
-            residue = frozenset(buckets.pop((False,) * self.dimension, []))
+            masks = [g.mask() for g in self.generators]
+            buckets: dict[int, list[int]] = {}  # generator incidence bits -> coordinates
+            for i in range(self.degree):
+                sig = 0
+                for j, m in enumerate(masks):
+                    sig |= (m >> i & 1) << j
+                buckets.setdefault(sig, []).append(i + 1)
+            residue = frozenset(buckets.pop(0, []))
             classes = sorted(buckets.values(), key=lambda c: c[0])
             self._classes = ClassPartition(
                 degree=self.degree,
@@ -228,7 +317,7 @@ class BinaryCode:
     def weight_enumerator(self) -> tuple[int, ...]:
         """Sorted multiset of the 2^k span weights."""
         if self._weights is None:
-            self._weights = tuple(sorted(w.weight for w in self.span()))
+            self._weights = tuple(sorted(m.bit_count() for m in self.span_masks()))
         return self._weights
 
 
@@ -251,7 +340,7 @@ class RepType:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if any(s < 1 for s in self.sizes):
+        if min(self.sizes, default=1) < 1:
             raise InvalidCodeError("class sizes must be positive")
         if tuple(sorted(self.sizes)) != self.sizes:
             raise InvalidCodeError("type sizes must be ascending")
@@ -262,8 +351,8 @@ class RepType:
 
     def __str__(self) -> str:
         if self.sizes and max(self.sizes) > 9:
-            return "(" + ",".join(str(s) for s in self.sizes) + ")"
-        return "".join(str(s) for s in self.sizes)
+            return "(" + ",".join(map(str, self.sizes)) + ")"
+        return "".join(map(str, self.sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -339,31 +428,7 @@ def _parse_support_line(line: str, raw: str, lineno: int) -> frozenset[int]:
     return frozenset(support)
 
 
-def format_support(support: Iterable[int]) -> str:
-    """Render a support with runs of three or more compressed to a-b."""
-    coords = sorted(support)
-    if not coords:
-        return ""
-    parts: list[str] = []
-    for lo, hi in _runs(coords):
-        if hi - lo >= 2:
-            parts.append(f"{lo}-{hi}")
-        else:
-            parts.extend(str(i) for i in range(lo, hi + 1))
-    return ",".join(parts)
-
-
-def _runs(coords: list[int]) -> Iterator[tuple[int, int]]:
-    start = prev = coords[0]
-    for i in coords[1:]:
-        if i != prev + 1:
-            yield start, prev
-            start = i
-        prev = i
-    yield start, prev
-
-
 def format_code(code: BinaryCode) -> str:
     lines = [f"degree={code.degree}"]
-    lines.extend(format_support(g.support) for g in code.generators)
+    lines.extend(str(g) for g in code.generators)
     return "\n".join(lines) + "\n"

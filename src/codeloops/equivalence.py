@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .codes import BinaryCode, Codeword, InternalInvariantError
+from .codes import BinaryCode, Codeword, InternalInvariantError, _coordinates
 
 # invariant checks tried before any search, cheapest first; the name is the
 # reported reason when codes are told apart
@@ -59,12 +59,12 @@ def _class_data(code: BinaryCode) -> _ClassData:
     """
     if code._class_data is None:
         part = code.coordinate_classes()
-        span = code.span()
-        weights = [w.weight for w in span]
+        span = code.span_masks()
+        weights = [m.bit_count() for m in span]
         incidence = {}
         for c in part.classes:
-            first = min(c)
-            incidence[c] = [first in w.support for w in span]
+            bit = min(c) - 1
+            incidence[c] = [m >> bit & 1 for m in span]
         order = sorted(part.classes, key=lambda c: (len(c), incidence[c]))
         rows = [incidence[c] for c in order]
         code._class_data = _ClassData(
@@ -167,15 +167,16 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
 def _check_permutation(a: BinaryCode, b: BinaryCode, perm: list[int]) -> None:
     if sorted(perm) != list(range(1, a.degree + 1)):
         raise InternalInvariantError("isomorphism witness is not a permutation")
-    span_b = {w.support for w in b.span()}
-    for w in a.span():
-        image = frozenset(perm[i - 1] for i in w.support)
-        if image not in span_b:
-            raise InternalInvariantError("isomorphism witness does not map span to span")
+    # a coordinate permutation commutes with xor, so it maps span(a) onto
+    # the span of the images of a's generators
+    image = permute_code(a, tuple(perm))
+    if not set(b.span_masks()).issuperset(image.span_masks()):
+        raise InternalInvariantError("isomorphism witness does not map span to span")
 
 
 def permute_word(w: Codeword, perm: tuple[int, ...]) -> Codeword:
-    return Codeword(w.degree, frozenset(perm[i - 1] for i in w.support))
+    # the constructor checks every image coordinate against the degree
+    return Codeword(w.degree, [perm[i - 1] for i in _coordinates(w.mask())])
 
 
 def permute_code(code: BinaryCode, perm: tuple[int, ...]) -> BinaryCode:

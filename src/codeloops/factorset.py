@@ -109,7 +109,7 @@ def verify_factor_set(phi: FactorSet) -> list[Violation]:
     """Recheck every axiom instance; empty list means the table is valid."""
     n = phi.size
     t = phi.table
-    masks = [w.mask() for w in phi.code.span()]
+    masks = phi.code.span_masks()
     out: list[Violation] = []
     for j in range(n):
         if t[0][j]:

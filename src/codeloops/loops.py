@@ -326,9 +326,10 @@ def _sign_tables(loop: CodeLoop):
     """
     code = loop.code
     k = code.dimension
-    gens = np.zeros((k, code.degree), dtype=np.int64)
-    for j, g in enumerate(code.generators):
-        gens[j, [c - 1 for c in g.support]] = 1
+    gens = np.array(
+        [[g.mask() >> i & 1 for i in range(code.degree)] for g in code.generators],
+        dtype=np.int64,
+    ).reshape(k, code.degree)
     bits = (np.arange(loop.words)[:, None] >> np.arange(k)) & 1
     words = (bits @ gens) & 1  # row x is the 0/1 vector of span word x
     meet2 = words @ words.T
@@ -350,14 +351,16 @@ def classify(loop: CodeLoop) -> LoopClass:
     basis whose characteristic vector is canonical decides the class (only
     one class can ever match, since the catalog classes are pairwise
     non-isomorphic).  The signs come from the weight formulas of
-    _sign_tables, which criterion 7 checks against the Cayley table.
+    _sign_tables, which criterion 7 checks against the Cayley table.  The
+    loop associates iff every associator is trivial, so the associator
+    table decides that too.
     """
-    if loop.is_associative():
+    sq, cm, asc = _sign_tables(loop)
+    if not any(any(map(any, plane)) for plane in asc):
         raise AssociativeLoopError("loop is associative; not a nonassociative code loop")
     rank = loop.rank
     if rank not in (3, 4):
         raise InvalidCodeError(f"classification needs rank 3 or 4, got {rank}")
-    sq, cm, asc = _sign_tables(loop)
     n = loop.words
     canonical = {cv.bits: i for i, cv in enumerate(canonical_catalog(rank), start=1)}
     nuclear = [_nuclear(asc, d) for d in range(n)]

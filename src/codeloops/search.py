@@ -28,11 +28,19 @@ partial sum reaches the incumbent.
 from __future__ import annotations
 
 from dataclasses import dataclass, make_dataclass
+from functools import reduce
 from itertools import combinations
-from operator import attrgetter, itemgetter
+from operator import and_, attrgetter, itemgetter
 from typing import Iterator
 
-from .codes import BinaryCode, Codeword, InternalInvariantError, InvalidCodeError, RepType
+from .codes import (
+    BinaryCode,
+    Codeword,
+    InternalInvariantError,
+    InvalidCodeError,
+    RepType,
+    _mask_rank,
+)
 from .loops import CharVector, LoopClass, build_loop, canonical_catalog, classify
 
 
@@ -89,11 +97,15 @@ def _meet_sizes(rank: int, words: tuple[Codeword, ...]) -> tuple[int, ...]:
         raise TypeError(f"expected {rank} words, got {len(words)}")
     if any(word.degree != words[0].degree for word in words):
         raise InvalidCodeError("meet sizes of words of different degrees")
-    supports = [word.support for word in words]
+    return _mask_meets(rank, [word.mask() for word in words])
+
+
+def _mask_meets(rank: int, masks: list[int]) -> tuple[int, ...]:
+    """Popcounts of the ANDs of the masks over every nonempty subset, in subset order."""
     # the singles come last, in generator order
     return (
-        *[len(frozenset.intersection(*get(supports))) for get in _SUBSETS[rank].meets],
-        *map(len, supports),
+        *[reduce(and_, get(masks)).bit_count() for get in _SUBSETS[rank].meets],
+        *[m.bit_count() for m in masks],
     )
 
 
@@ -194,6 +206,15 @@ _LAYOUT4 = (
     "234", "23", "24", "2",
     "34", "3", "4",
 )
+# per rank, the layout as (label, position of its size in (t_top, *x),
+# generators containing the class)
+_BLOCKS = {
+    rank: tuple(
+        (label, _SUBSETS[rank].labels.index(label), tuple(int(ch) - 1 for ch in label))
+        for label in layout
+    )
+    for rank, layout in ((3, _LAYOUT3), (4, _LAYOUT4))
+}
 
 
 @dataclass(frozen=True)
@@ -211,7 +232,7 @@ class Representation:
         return BinaryCode(self.degree, self.generators)
 
     def rep_type(self) -> RepType:
-        return RepType(tuple(sorted(len(c) for _, c in self.classes)))
+        return RepType(tuple(sorted([len(c) for _, c in self.classes])))
 
 
 def assemble_generators(t, x, target: LoopClass) -> Representation:
@@ -224,38 +245,33 @@ def assemble_generators(t, x, target: LoopClass) -> Representation:
     vectors that do not describe a code of full rank.
     """
     rank = target.rank
-    layout = _LAYOUT3 if rank == 3 else _LAYOUT4
     t_values = t.as_tuple()
     # the top class lies in every generator, so its size is its meet
-    sizes = dict(zip(_SUBSETS[rank].labels, t_values[:1] + x.as_tuple()))
+    sizes = t_values[:1] + x.as_tuple()
     classes: list[tuple[str, tuple[int, ...]]] = []
-    supports: dict[str, set[int]] = {str(i): set() for i in range(1, rank + 1)}
-    cursor = 1
-    for label in layout:
-        size = sizes[label]
+    masks = [0] * rank
+    degree = 0  # coordinates laid out so far
+    for label, position, members in _BLOCKS[rank]:
+        size = sizes[position]
         if size == 0:
             continue
-        coords = tuple(range(cursor, cursor + size))
-        cursor += size
-        classes.append((label, coords))
-        for ch in label:
-            supports[ch].update(coords)
-    degree = cursor - 1
-    generators = tuple(
-        Codeword(degree, frozenset(supports[str(i)])) for i in range(1, rank + 1)
-    )
-    rep = Representation(
+        classes.append((label, tuple(range(degree + 1, degree + size + 1))))
+        block = ((1 << size) - 1) << degree
+        for i in members:
+            masks[i] |= block
+        degree += size
+    if _mask_rank(masks) != rank:
+        raise InvalidCodeError("generators are linearly dependent")
+    if _mask_meets(rank, masks) != t_values:
+        raise InternalInvariantError("assembled generators do not reproduce t")
+    return Representation(
         target=target,
         params=t,
         solution=x,
         classes=tuple(classes),
-        generators=generators,
+        generators=tuple(Codeword.from_mask(degree, m) for m in masks),
         degree=degree,
     )
-    rep.code()  # raises InvalidCodeError if dependent
-    if _meet_sizes(rank, generators) != t_values:
-        raise InternalInvariantError("assembled generators do not reproduce t")
-    return rep
 
 
 def _as_loop_class(target: LoopClass | CharVector | str) -> LoopClass:
@@ -278,16 +294,17 @@ class SearchStats:
     degenerate: int = 0  # leaves dropped for linearly dependent generators
 
 
-def _scan(target: LoopClass, cap, stats: SearchStats):
-    """Walk the reduced box of a class in lexicographic t order below cap().
+def _scan(target: LoopClass, cap: int, stats: SearchStats):
+    """Walk the reduced box of a class in lexicographic t order below cap.
 
     Level j assigns the class size x[j] of subset j, in subset order.  The
     meet of subset j is x[j] plus the sizes already assigned to its strict
     supersets, so the target residue of the meet fixes x[j] modulo the
     target modulus: a level steps through at most eight values, and the
     singles, last, are forced mod 8.  Every value tried counts as visited;
-    a partial degree reaching cap() cuts the rest of its level and counts
+    a partial degree reaching cap cuts the rest of its level and counts
     as pruned.  Leaves with a generator of weight 0 are skipped uncounted.
+    A caller may lower cap by sending the new value in reply to a yield.
 
     The superset sums are kept in one int, a byte per subset: byte j holds
     128 + residue_j minus the sizes assigned to strict supersets of j (at
@@ -318,7 +335,7 @@ def _scan(target: LoopClass, cap, stats: SearchStats):
             if size < 8:
                 visited += 1
                 s = total + size
-                if s < cap():
+                if s < cap:
                     x[level] = size
                     if level < last:
                         packed -= size * below[level]
@@ -332,12 +349,14 @@ def _scan(target: LoopClass, cap, stats: SearchStats):
                         x[j] = v = p >> shifts[j] & 7
                         degree += v
                     visited += subsets.rank
-                    if degree >= cap():
+                    if degree >= cap:
                         pruned += 1
                     else:
                         t = [v + 128 + r - (p >> sh & 255) for v, r, sh in zip(x, residues, shifts)]
                         if min(t[last + 1:]) >= 4:
-                            yield params(*t), solution(*x[1:]), degree
+                            sent = yield params(*t), solution(*x[1:]), degree
+                            if sent is not None:
+                                cap = sent
                     size += moduli[level]
                     continue
                 pruned += 1
@@ -377,7 +396,7 @@ def enumerate_reduced(
 
 def _enumerate(loop_class: LoopClass, max_degree: int) -> Iterator[Representation]:
     stats = SearchStats()
-    for t, x, _degree in _scan(loop_class, lambda: max_degree + 1, stats):
+    for t, x, _degree in _scan(loop_class, max_degree + 1, stats):
         try:
             yield assemble_generators(t, x, loop_class)
         except InvalidCodeError:
@@ -408,8 +427,13 @@ def minimal_representation(
     loop_class = _as_loop_class(target)
     stats = SearchStats()
     best: Representation | None = None
-    bound = _max_degree(loop_class.rank) + 1
-    for t, x, degree in _scan(loop_class, lambda: bound, stats):
+    scan = _scan(loop_class, _max_degree(loop_class.rank) + 1, stats)
+    # each step resumes the scan with send(bound): None after a degenerate
+    # leaf, the new incumbent's degree (the lowered cap) after a found one;
+    # the StopIteration that ends the scan ends the loop
+    bound = None
+    for t, x, degree in iter(lambda: scan.send(bound), None):
+        bound = None
         try:
             rep = assemble_generators(t, x, loop_class)
         except InvalidCodeError:

@@ -49,6 +49,95 @@ def test_xor_is_symmetric_difference():
     assert (a ^ a).support == frozenset()
 
 
+def format_support(support):
+    """Render a support with runs of three or more compressed to a-b.
+
+    The sorted-runs rendering from before codewords were bitmasks, kept as
+    the oracle of Codeword.__str__.
+    """
+    coords = sorted(support)
+    if not coords:
+        return ""
+    parts = []
+    for lo, hi in _runs(coords):
+        if hi - lo >= 2:
+            parts.append(f"{lo}-{hi}")
+        else:
+            parts.extend(str(i) for i in range(lo, hi + 1))
+    return ",".join(parts)
+
+
+def _runs(coords):
+    start = prev = coords[0]
+    for i in coords[1:]:
+        if i != prev + 1:
+            yield start, prev
+            start = i
+        prev = i
+    yield start, prev
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mask_codeword_equals_frozenset_model(data):
+    degree = data.draw(st.integers(1, 128))
+    s = data.draw(st.frozensets(st.integers(1, degree)))
+    t = data.draw(st.frozensets(st.integers(1, degree)))
+    a, b = Codeword(degree, s), Codeword(degree, t)
+    assert a.support == s and isinstance(a.support, frozenset)
+    assert a.weight == len(s)
+    assert a.mask() == sum(1 << (i - 1) for i in s)
+    assert str(a) == format_support(s)
+    assert (a ^ b).support == s ^ t
+    assert (a ^ b).weight == len(s ^ t)
+    assert (a == b) == (s == t)
+    assert a == Codeword(degree, list(s)) and hash(a) == hash(Codeword(degree, list(s)))
+    if degree < 128:
+        assert a != Codeword(degree + 1, s)
+    # from_mask keeps bits 1..degree and drops every higher bit
+    high = data.draw(st.integers(0, (1 << 140) - 1)) << degree
+    w = Codeword.from_mask(degree, a.mask() | high)
+    assert w == a and hash(w) == hash(a)
+    assert w.support == s and w.weight == len(s) and str(w) == str(a)
+
+
+def test_codeword_is_immutable():
+    w = word(8, 1, 2)
+    with pytest.raises(AttributeError):
+        w.degree = 9
+    with pytest.raises(AttributeError):
+        w.support = frozenset()
+    assert w == word(8, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "degree, support, message",
+    [
+        (0, [], "degree 0 out of range 1..128"),
+        (129, [], "degree 129 out of range 1..128"),
+        (-3, [1], "degree -3 out of range 1..128"),
+        (0, [7], "degree 0 out of range 1..128"),
+        (5, [6], "coordinate 6 outside 1..5"),
+        (5, [0], "coordinate 0 outside 1..5"),
+        (5, [-1], "coordinate -1 outside 1..5"),
+        (128, [129], "coordinate 129 outside 1..128"),
+        (5, ["a"], "coordinate 'a' outside 1..5"),
+        (5, [2.0], "coordinate 2.0 outside 1..5"),
+        (5, [None], "coordinate None outside 1..5"),
+    ],
+)
+def test_codeword_rejection_messages(degree, support, message):
+    with pytest.raises(InvalidCodeError) as info:
+        Codeword(degree, support)
+    assert str(info.value) == message
+
+
+def test_from_mask_rejects_bad_degree():
+    for degree in (0, 129):
+        with pytest.raises(InvalidCodeError, match=f"degree {degree} out of range 1..128"):
+            Codeword.from_mask(degree, 1)
+
+
 def test_meet_weight_pairs_and_triples():
     a = word(8, 1, 2, 3, 4)
     b = word(8, 3, 4, 5, 6)
@@ -222,6 +311,29 @@ def test_classes_from_generators_equal_classes_from_span():
         by_span.setdefault(sig, set()).add(c)
     expect = {frozenset(v) for sig, v in by_span.items() if any(sig)}
     assert set(code.coordinate_classes().classes) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(doubly_even_codes(0, 6))
+def test_span_masks_and_classes_equal_support_model(code):
+    gens = [g.support for g in code.generators]
+    span = []
+    for x in range(1 << code.dimension):
+        acc = frozenset()
+        for j, g in enumerate(gens):
+            if x >> j & 1:
+                acc = acc ^ g
+        span.append(acc)
+    assert [w.support for w in code.span()] == span
+    assert list(code.span_masks()) == [w.mask() for w in code.span()]
+    assert code.weight_enumerator() == tuple(sorted(map(len, span)))
+    buckets = {}
+    for i in range(1, code.degree + 1):
+        buckets.setdefault(tuple(i in g for g in gens), set()).add(i)
+    residue = buckets.pop((False,) * code.dimension, set())
+    part = code.coordinate_classes()
+    assert part.classes == tuple(sorted(map(frozenset, buckets.values()), key=min))
+    assert part.residue == frozenset(residue)
 
 
 def test_rep_type_validation_and_str():

@@ -6,12 +6,14 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeloops import (
     BinaryCode,
     Codeword,
+    InternalInvariantError,
     code_isomorphism,
     cycle_notation,
     distinguishing_invariant,
@@ -21,7 +23,7 @@ from codeloops import (
 )
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids
 from codeloops.cli import main
-from codeloops.equivalence import permute_code, permute_word
+from codeloops.equivalence import _check_permutation, permute_code, permute_word
 from strategies import doubly_even_codes, relabeled_codes
 
 
@@ -117,6 +119,23 @@ def test_witness_inverts():
     span_a = {w.support for w in code.span()}
     assert {permute_word(w, tuple(inverse)).support for w in other.span()} == span_a
     assert code_isomorphism(other, code) is not None
+
+
+def test_check_permutation_rejects_bad_witnesses():
+    a = parse_code(SAMPLE_C4_16_A)
+    b = parse_code(SAMPLE_C4_16_B)
+    identity = list(range(1, a.degree + 1))
+    _check_permutation(a, a, identity)
+    with pytest.raises(InternalInvariantError, match="does not map span to span"):
+        _check_permutation(a, b, identity)
+    with pytest.raises(InternalInvariantError, match="not a permutation"):
+        _check_permutation(a, a, [1] * a.degree)
+    # coordinates 1 and 9 lie in different sets of generators: the swap
+    # moves the first generator, 1-8, off the span
+    swapped = identity[:]
+    swapped[0], swapped[8] = swapped[8], swapped[0]
+    with pytest.raises(InternalInvariantError, match="does not map span to span"):
+        _check_permutation(a, a, swapped)
 
 
 def test_isomorphism_invariant_under_relabelling_both_sides():

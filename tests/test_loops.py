@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from codeloops import (
     AssociativeLoopError,
+    BinaryCode,
     CharVector,
     InvalidCodeError,
     LoopClass,
@@ -30,7 +31,7 @@ from codeloops import (
     parse_code,
     parse_loop_id,
 )
-from codeloops.catalog import SAMPLE_C4_16_A, all_loop_ids, catalog_entry
+from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
 from codeloops.loops import _sign_tables, is_latin, is_moufang
 from strategies import doubly_even_codes, relabeled_codes
 
@@ -143,6 +144,44 @@ def test_associative_code_raises_on_classify():
     assert loop.is_associative()
     with pytest.raises(AssociativeLoopError):
         classify(loop)
+
+
+def _subcodes(code):
+    """The codes spanned by the nonempty subsets of the generators."""
+    for size in range(1, code.dimension + 1):
+        for gens in itertools.combinations(code.generators, size):
+            yield BinaryCode(code.degree, gens)
+
+
+def test_associative_subcodes_of_catalog_and_samples_raise():
+    # classify decides associativity from the associator table; the Cayley
+    # table product of is_associative is the oracle
+    codes = [catalog_entry(name).code() for name in all_loop_ids()]
+    codes += [parse_code(SAMPLE_C4_16_A), parse_code(SAMPLE_C4_16_B)]
+    associative = nonassociative = 0
+    for code in codes:
+        for sub in _subcodes(code):
+            loop = build_loop(sub)
+            if loop.is_associative():
+                associative += 1
+                with pytest.raises(AssociativeLoopError):
+                    classify(loop)
+            else:
+                nonassociative += 1
+                classify(loop)  # every nonassociative subcode has rank 3 or 4
+    assert associative == 264 and nonassociative == 41
+
+
+@settings(max_examples=60, deadline=None)
+@given(doubly_even_codes(0, 5))
+def test_classify_raises_associative_iff_the_table_associates(code):
+    loop = build_loop(code)
+    try:
+        classify(loop)
+        raised = None
+    except InvalidCodeError as exc:
+        raised = type(exc)
+    assert (raised is AssociativeLoopError) == loop.is_associative()
 
 
 def test_char_vector_round_trip_and_str():

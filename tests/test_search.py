@@ -13,10 +13,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from codeloops import (
+    InternalInvariantError,
     InvalidCodeError,
     LoopClass,
     ParamVector3,
     ParamVector4,
+    Solution3,
     build_loop,
     classify,
     congruence_targets,
@@ -133,6 +135,21 @@ def test_assemble_rank3_minimal():
         frozenset({1, 3, 4, 7}),
     ]
     assert rep.degree == 7
+
+
+def test_assemble_rejects_degenerate_vector():
+    # x13 = x23 = x1 = x2 = 0 puts generators 1 and 2 on the same classes
+    t = ParamVector3(t123=1, t12=4, t13=1, t23=1, t1=4, t2=4, t3=5)
+    x = Solution3(x12=3, x13=0, x23=0, x1=0, x2=0, x3=4)
+    with pytest.raises(InvalidCodeError, match="generators are linearly dependent"):
+        assemble_generators(t, x, parse_loop_id("C3_1"))
+
+
+def test_assemble_checks_the_meets_against_t():
+    t = ParamVector3(1, 2, 2, 2, 4, 4, 4)
+    x = Solution3(1, 1, 1, 1, 1, 2)  # x3 = 2 makes t3 = 5, not 4
+    with pytest.raises(InternalInvariantError, match="do not reproduce t"):
+        assemble_generators(t, x, parse_loop_id("C3_1"))
 
 
 def test_enumerate_c3_1_to_degree_7():
