@@ -11,11 +11,21 @@ import argparse
 import sys
 from collections import Counter
 
+import numpy as np
+
 from .catalog import all_loop_ids, parse_loop_id
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, parse_code
 from .equivalence import cycle_notation, code_isomorphism, distinguishing_invariant
-from .loops import build_loop, classify, AssociativeLoopError
-from .search import Representation, enumerate_reduced, minimal_representation
+from .loops import LoopClass, build_loop, classify, AssociativeLoopError
+from .search import (
+    Box,
+    Representation,
+    block_offsets,
+    enumerate_reduced,
+    generator_runs,
+    minimal_representation,
+    reduced_box,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,22 +113,142 @@ def _record_lines(rep: Representation) -> list[str]:
     return lines
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: list[str], out: str | None) -> None:
+    """Write the text chunks, in order, to stdout or to the file out.
+
+    The chunks are written one by one, so the text is never held a second
+    time, joined or encoded as a whole.
+    """
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise InvalidCodeError(f"cannot write {out}: {exc.strerror}") from exc
+
+
+# the decimal digits of 0..255 right-aligned in three ASCII bytes, leading
+# zeros as NUL bytes, which _text drops
+_DIGITS = np.array(
+    [[0 if ch == " " else ord(ch) for ch in f"{v:3d}"] for v in range(256)], dtype=np.uint8
+)
+
+
+def _digit_fields(values: np.ndarray, width: int) -> np.ndarray:
+    """Each row of values (all below 10**width) as comma-separated fields of width bytes."""
+    digits = _DIGITS[values][:, :, 3 - width:]
+    commas = np.full(values.shape + (1,), ord(","), dtype=np.uint8)
+    return np.concatenate([digits, commas], axis=2).reshape(len(values), -1)[:, :-1]
+
+
+def _run_table(top: int) -> np.ndarray:
+    """run[a, b]: coordinates a+1..b as Codeword.__str__ writes them, in 7 bytes.
+
+    That is "b", "a,b" or "a-b" by the length of the run, each number in
+    three bytes; an empty run (b <= a) is all NUL.
+    """
+    a, b = np.indices((top + 1, top + 1))
+    length = (b - a)[:, :, None]
+    mid = np.where(length == 2, np.uint8(ord(",")), np.uint8(ord("-")))
+    return np.concatenate(
+        [
+            np.where(length > 1, _DIGITS[a + 1], np.uint8(0)),
+            np.where(length > 1, mid, np.uint8(0)),
+            np.where(length > 0, _DIGITS[b], np.uint8(0)),
+        ],
+        axis=2,
+    )
+
+
+def _run_slots(rank: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the generator lines of each row of block offsets take their runs from.
+
+    Generator i gets one slot per run it can have: its runs when every
+    block is nonempty, since emptying blocks only merges runs.  The runs
+    depend only on which blocks are nonempty, so generator_runs is called
+    once per pattern.  Returns the lead byte of each slot (a comma between
+    the runs of a line, a newline before each line but the first), the
+    (p, q) block pair of each slot for each pattern (unused slots get the
+    empty run (0, 0)), and the pattern of each row.
+    """
+    blocks = offsets.shape[1] - 1
+    slots = [len(runs) for runs in generator_runs(rank, (1 << blocks) - 1)]
+    firsts = np.cumsum([0] + slots[:-1])
+    lead = np.full(sum(slots), ord(","), dtype=np.uint8)
+    lead[firsts] = ord("\n")
+    lead[0] = 0
+    nonempty = (np.diff(offsets, axis=1) > 0) @ (1 << np.arange(blocks))
+    patterns, row_pattern = np.unique(nonempty, return_inverse=True)
+    plans = np.zeros((len(patterns), sum(slots), 2), dtype=np.intp)
+    for k, pattern in enumerate(patterns.tolist()):
+        for first, runs in zip(firsts, generator_runs(rank, pattern)):
+            plans[k, first:first + len(runs)] = runs
+    return lead, plans, row_pattern
+
+
+def _text(pieces: list) -> str:
+    """The rows of pieces, str constants or ASCII byte columns, one after another.
+
+    The byte columns of all rows are laid side by side in one array, and
+    NUL bytes (padding) are dropped.
+    """
+    rows = next(len(p) for p in pieces if not isinstance(p, str))
+    data = np.concatenate(
+        [
+            np.broadcast_to(np.frombuffer(p.encode(), dtype=np.uint8), (rows, len(p)))
+            if isinstance(p, str) else p
+            for p in pieces
+        ],
+        axis=1,
+    )
+    return data[data != 0].tobytes().decode("ascii")
+
+
+# records formatted together; bounds the byte arrays of _text
+_CHUNK_ROWS = 1024
+
+
+def _box_text(target: LoopClass, box: Box) -> list[str]:
+    """The enumerate output for a box, in chunks: each row's _record_lines, a blank line between.
+
+    Every line is a row of fixed-width byte fields, NUL-padded, so a chunk
+    of records is formatted by a few array operations.
+    """
+    offsets = block_offsets(target.rank, box.x)
+    lead, plans, row_pattern = _run_slots(target.rank, offsets)
+    runs = _run_table(int(offsets.max(initial=0)))
+    chunks = []
+    for start in range(0, len(box.degree), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        part = Box(*(field[rows] for field in box))
+        degree = _digit_fields(part.degree[:, None], 3)
+        ascending = np.sort(part.x, axis=1)
+        slots = plans[row_pattern[rows]].reshape(len(part.x), -1)
+        ends = np.take_along_axis(offsets[rows], slots, axis=1)
+        a, b = ends[:, 0::2], ends[:, 1::2]  # the run of a slot covers a+1..b
+        leads = np.where(b > a, lead, np.uint8(0))[:, :, None]
+        generators = np.concatenate([leads, runs[a, b]], axis=2)
+        chunks.append(_text([
+            f"target: {target.name}\ndegree: ", degree,
+            "\ntype: ", np.where(ascending > 0, ascending + 48, 0).astype(np.uint8),
+            "\nt: ", _digit_fields(part.t, 2),
+            "\nx: ", _digit_fields(part.x[:, 1:], 1),
+            "\ngenerators:\ndegree=", degree, "\n",
+            generators.reshape(len(part.x), -1), "\n\n",
+        ]))
+    if chunks:
+        chunks[-1] = chunks[-1][:-1]  # no blank line after the last record
+    return chunks
 
 
 def cmd_enumerate(args) -> int:
-    # each record is formatted as the scan yields it and only its text is
-    # kept; the output is still written once, after the scan
+    # the output is written once, so an error leaves no partial --out file
     target = parse_loop_id(args.loop)
-    reps = enumerate_reduced(target, args.max_degree)
-    chunks = ["\n".join(_record_lines(rep)) + "\n" for rep in reps]
-    _emit("\n".join(chunks), args.out)
-    print(f"representations: {len(chunks)}")
+    box = reduced_box(target, args.max_degree)
+    _emit(_box_text(target, box), args.out)
+    print(f"representations: {len(box.degree)}")
     if args.out:
         print(f"written: {args.out}")
     return 0
@@ -187,8 +317,7 @@ def cmd_conjecture(args) -> int:
         lines.extend(_record_lines(first))
         lines.append("second:")
         lines.extend(_record_lines(second))
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     if args.out:
         print(f"groups: {len(groups)}")
         print(f"counterexamples: {len(failures)}")

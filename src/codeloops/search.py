@@ -15,14 +15,23 @@ only on |S|: weights mod 8 (the squares), pair meets mod 4 (the
 commutators), the meet of 123 odd and the other triple meets even (the
 associators), and the quadruple meet free.  A representation is reduced
 when every class has fewer than 8 coordinates, so the reduced space is a
-finite box.  The scan walks it one class size at a time in subset order,
+finite box.  It is searched one class size at a time in subset order,
 which is lexicographic order in t: each size steps through the residue
 class its meet needs, and the singles come out forced mod 8.  The classes
 are then laid out as consecutive coordinate intervals.
 
-Minimality searches the same box with branch and bound: partial class-size
-sums bound the degree from below, so a subtree is cut as soon as the
-partial sum reaches the incumbent.
+Listing the box below a degree cap (enumerate_reduced, reduced_box) is one
+numpy walk that expands all partial rows a level at a time and returns the
+class sizes, meets and degrees of every leaf as small integer arrays; the
+command line formats enumerate records from those rows in bulk, through
+block_offsets and generator_runs, without building a Representation per
+leaf.  The full box of a rank 4 class is about 131000 rows.
+
+Minimality searches the same box leaf by leaf with branch and bound
+(_scan): partial class-size sums bound the degree from below, so a subtree
+is cut as soon as the partial sum reaches the incumbent, and the nodes
+visited and pruned form its certificate.  _scan is also the order oracle
+of the walk in the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +40,9 @@ from dataclasses import dataclass, make_dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, attrgetter, itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .codes import (
     BinaryCode,
@@ -71,6 +82,18 @@ class _Subsets:
         )
         self.below = tuple(
             tuple(j for j, u in enumerate(self.sets) if set(u) < set(s)) for s in self.sets
+        )
+        # 0/1 matrices for the walk's products, in float32 so that numpy
+        # multiplies through BLAS (integer matmul is much slower); the
+        # products are small integers, exact in float32
+        # t = x @ supersets: row u, column s is 1 when s is a subset of u
+        self.supersets = np.array(
+            [[set(s) <= set(u) for s in self.sets] for u in self.sets], dtype=np.float32
+        )
+        # row s, column f - 1: the functional f (a bit per generator) is odd on s
+        self.odd = np.array(
+            [[sum(f >> i & 1 for i in s) % 2 for f in range(1, 1 << rank)] for s in self.sets],
+            dtype=np.float32,
         )
 
 
@@ -214,6 +237,18 @@ _BLOCKS = {
         for label in layout
     )
     for rank, layout in ((3, _LAYOUT3), (4, _LAYOUT4))
+}
+# per rank, the positions of the layout's blocks in (t_top, *x) and which
+# subsets' meets each block counts toward
+_LAYOUT_MEETS = {
+    rank: (
+        [position for _, position, _ in blocks],
+        np.array(
+            [[set(s) <= set(members) for s in _SUBSETS[rank].sets] for _, _, members in blocks],
+            dtype=np.float32,  # as _Subsets.supersets
+        ),
+    )
+    for rank, blocks in _BLOCKS.items()
 }
 
 
@@ -373,9 +408,103 @@ def _scan(target: LoopClass, cap: int, stats: SearchStats):
         stats.pruned += pruned
 
 
+class Box(NamedTuple):
+    """The non-degenerate leaves of a reduced box, one row each, in _scan's order."""
+
+    x: np.ndarray  # class sizes in subset order (x[:, 0] is the top meet), uint8
+    t: np.ndarray  # meet sizes in subset order, uint8
+    degree: np.ndarray  # uint8
+
+
+def _independent(rank: int, x: np.ndarray) -> np.ndarray:
+    """Whether the generators laid out from each row of class sizes are independent.
+
+    Generator rank is the rank of the class vectors, the generator sets S
+    of the nonempty classes as vectors of GF(2)^k, and they span exactly
+    when every nonzero functional is odd on one of them.
+    """
+    return ((x > 0) @ _SUBSETS[rank].odd > 0).all(axis=1)
+
+
+# partial rows expanded together; more are split into batches of this size,
+# which bounds the walk's arrays without slowing the walk of a small box
+_MAX_ROWS = 4096
+
+
+def _expand(x: np.ndarray, total: np.ndarray, levels, cap: int):
+    """Every admissible completion of the partial rows over levels.
+
+    x holds the class sizes assigned so far and total their sum.  A level
+    is (j, positions of the strict supersets of j, modulus, residue).  The
+    candidates of a row are least, least + m, ... up to 7, those that keep
+    the degree below cap; taking them row by row keeps the rows in
+    depth-first order.
+    """
+    for k, (j, above, mod, residue) in enumerate(levels):
+        if len(x) > _MAX_ROWS:
+            parts = [
+                _expand(x[i:i + _MAX_ROWS], total[i:i + _MAX_ROWS], levels[k:], cap)
+                for i in range(0, len(x), _MAX_ROWS)
+            ]
+            return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        least = (residue - x[:, above].sum(axis=1, dtype=np.int16)) % mod
+        sizes = least[:, None] + np.arange(0, 8, mod, dtype=np.int16)  # all below 8
+        rows, nth = np.nonzero(sizes < cap - total[:, None])
+        chosen = sizes[rows, nth]
+        x, total = x[rows], total[rows] + chosen
+        x[:, j] = chosen
+    return x, total
+
+
+def _walk(target: LoopClass, cap: int) -> Box:
+    """Every leaf _scan yields below cap, minus the degenerate ones, as arrays.
+
+    The box is expanded one level at a time instead of one leaf at a time.
+    At level j each row's least admissible size is (r_j - superset sum)
+    mod m_j, and its candidates step by m_j while they stay below 8 and
+    keep the partial degree below cap; taking each row's candidates in
+    turn keeps the rows in depth-first order, which is lexicographic order
+    in t.  The singles come out forced.  Rows whose generators are
+    dependent are dropped; they include the leaves _scan skips, those with
+    a generator of weight 0 (every weight is 0 mod 4, so that is weight
+    below 4).  The meets are checked against the coordinate layout, as
+    assemble_generators checks them per leaf.
+    """
+    rank = target.rank
+    subsets = _SUBSETS[rank]
+    targets = congruence_targets(target.vector)
+    levels = [
+        (j, list(subsets.above[j]), *targets["t" + label])
+        for j, label in enumerate(subsets.labels)
+    ]
+    n = len(levels)
+    x, total = _expand(np.zeros((1, n), dtype=np.uint8), np.zeros(1, dtype=np.int16), levels, cap)
+    keep = _independent(rank, x)
+    x, total = x[keep], total[keep]
+    t = (x @ subsets.supersets).astype(np.uint8)  # t_S <= 56
+    # t_S again, as the sum of the blocks whose generators include S
+    positions, contains = _LAYOUT_MEETS[rank]
+    if not np.array_equal(x[:, positions] @ contains, t):
+        raise InternalInvariantError("walked meets do not match the class layout")
+    return Box(x, t, total.astype(np.uint8))
+
+
 def _max_degree(rank: int) -> int:
     """Degree of the largest reduced representation: 7 per class."""
     return 7 * (2**rank - 1)
+
+
+def reduced_box(target: LoopClass | CharVector | str, max_degree: int) -> Box:
+    """Every reduced representation of a class up to max_degree, as the rows of a Box.
+
+    The rows are the representations enumerate_reduced yields, in the same
+    order; the whole box of a rank 4 class is 131072 rows at most.
+    """
+    loop_class = _as_loop_class(target)
+    limit = _max_degree(loop_class.rank)
+    if not 1 <= max_degree <= limit:
+        raise InvalidCodeError(f"max degree {max_degree} out of range 1..{limit}")
+    return _walk(loop_class, max_degree + 1)
 
 
 def enumerate_reduced(
@@ -388,19 +517,50 @@ def enumerate_reduced(
     degenerate vectors (dependent generators) are dropped.
     """
     loop_class = _as_loop_class(target)
-    limit = _max_degree(loop_class.rank)
-    if not 1 <= max_degree <= limit:
-        raise InvalidCodeError(f"max degree {max_degree} out of range 1..{limit}")
-    return _enumerate(loop_class, max_degree)
+    return _representations(loop_class, reduced_box(loop_class, max_degree))
 
 
-def _enumerate(loop_class: LoopClass, max_degree: int) -> Iterator[Representation]:
-    stats = SearchStats()
-    for t, x, _degree in _scan(loop_class, max_degree + 1, stats):
-        try:
-            yield assemble_generators(t, x, loop_class)
-        except InvalidCodeError:
-            stats.degenerate += 1
+def _representations(loop_class: LoopClass, box: Box) -> Iterator[Representation]:
+    params, solution = _PARAMS[loop_class.rank], _SOLUTIONS[loop_class.rank]
+    for t, x in zip(box.t.tolist(), box.x.tolist()):
+        yield assemble_generators(params(*t), solution(*x[1:]), loop_class)
+
+
+def block_offsets(rank: int, x: np.ndarray) -> np.ndarray:
+    """Coordinate offset of each class block of the layout, then the degree.
+
+    x holds class sizes in subset order, one row per representation; row r
+    of the result has the 0-based first coordinate of each block of the
+    layout and the degree last, so block p covers coordinates
+    offsets[r, p] + 1 .. offsets[r, p + 1].
+    """
+    sizes = x[:, [position for _, position, _ in _BLOCKS[rank]]]
+    offsets = np.zeros((len(x), len(_BLOCKS[rank]) + 1), dtype=np.int16)
+    np.cumsum(sizes, axis=1, out=offsets[:, 1:])
+    return offsets
+
+
+def generator_runs(rank: int, nonempty: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The coordinate runs of each generator in the interval layout.
+
+    nonempty has bit p set when block p of the layout holds coordinates.
+    A run is a (p, q) pair of block positions: the run covers blocks p to
+    q - 1, that is coordinates offsets[p] + 1 .. offsets[q] of
+    block_offsets.  Consecutive nonempty blocks of one generator form one
+    run, so the runs depend only on which blocks are nonempty.
+    """
+    runs: list[list[tuple[int, int]]] = [[] for _ in range(rank)]
+    previous: tuple[int, ...] = ()  # generators of the last nonempty block
+    for p, (_, _, members) in enumerate(_BLOCKS[rank]):
+        if not nonempty >> p & 1:
+            continue
+        for i in members:
+            if i in previous:
+                runs[i][-1] = (runs[i][-1][0], p + 1)
+            else:
+                runs[i].append((p, p + 1))
+        previous = members
+    return tuple(map(tuple, runs))
 
 
 @dataclass(frozen=True)

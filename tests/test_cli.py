@@ -1,16 +1,22 @@
 """Command line behavior: output fields, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import codeloops
 
+from codeloops import format_code
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
 from codeloops.cli import main
+from strategies import doubly_even_codes
 
 
 @pytest.fixture
@@ -274,3 +280,72 @@ def test_console_script_entry_point(sample_files):
     )
     assert proc.returncode == 0
     assert "class: C4_16" in proc.stdout
+
+
+def test_unwritable_out_exits_1_without_traceback(capsys, tmp_path):
+    for argv in (["enumerate", "--loop", "C3_1", "--max-degree", "7"],
+                 ["conjecture", "--rank", "3", "--max-degree", "7"]):
+        rc, out, err = run(capsys, *argv, "--out", tmp_path)  # a directory
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+# loop ids, degree caps and code files for the fuzz test; caps stay where
+# a command finishes in well under a second, or out of range
+_LOOP_IDS = st.one_of(
+    st.sampled_from(all_loop_ids()),
+    st.text(alphabet="C345_0-9x ", max_size=6).filter(lambda s: not s.startswith("-")),
+)
+_CAPS = st.one_of(
+    st.integers(-2, 21).map(str),
+    st.sampled_from(["49", "50", "105", "106", "1e3", "x", "", "99999999999999999999"]),
+)
+_CODE_TEXTS = st.one_of(
+    doubly_even_codes(max_dimension=5).map(format_code).map(str.encode),
+    st.lists(
+        st.lists(st.integers(0, 20), max_size=6).map(lambda cs: ",".join(map(str, cs))),
+        max_size=8,
+    ).map(lambda lines: "\n".join(lines).encode()),
+    st.text(alphabet="degr=0123456789,- \n\u00b2", max_size=30).map(str.encode),
+    st.binary(max_size=20),
+)
+
+
+@st.composite
+def _argv(draw, files, out):
+    command = draw(st.sampled_from(["construct", "classify", "iso", "enumerate", "minimal",
+                                    "conjecture", "nonsense"]))
+    if command in ("construct", "classify", "iso"):
+        names = files[: 2 if command == "iso" else 1]
+        for name in names:
+            name.write_bytes(draw(_CODE_TEXTS))
+        argv = [command, *map(str, names)]
+    elif command == "enumerate":
+        argv = [command, "--loop", draw(_LOOP_IDS), "--max-degree", draw(_CAPS)]
+    elif command == "minimal":
+        argv = [command, "--loop", draw(_LOOP_IDS)]
+    elif command == "conjecture":
+        rank = draw(st.sampled_from(["3", "4", "5", "x"]))
+        cap = draw(st.integers(-2, 17 if rank == "4" else 49).map(str)
+                   | st.sampled_from(["106", "1e3", "x", ""]))
+        argv = [command, "--rank", rank, "--max-degree", cap]
+    else:
+        argv = [command]
+    if command in ("enumerate", "conjecture") and draw(st.booleans()):
+        argv += ["--out", str(draw(st.sampled_from([out, out, out.parent, out / "missing"])))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_main_keeps_the_exit_code_contract(tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = data.draw(_argv([work / "a.code", work / "b.code"], work / "out.txt"))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(argv)
+    err = stderr.getvalue()
+    expected = {0: "", 1: "error: ", 2: "internal error: "}[rc]
+    assert err.startswith(expected) and (rc or err == "")
+    assert err.count("\n") <= 1

@@ -225,6 +225,12 @@ def _codes_with_odd_words(draw):
         reject()  # dependent generators
 
 
+@settings(deadline=None)
+@given(st.one_of(doubly_even_codes(), _codes_with_odd_words()))
+def test_parse_code_inverts_format_code(code):
+    assert parse_code(format_code(code)) == code
+
+
 @settings(max_examples=200, deadline=None)
 @given(_codes_with_odd_words())
 def test_first_odd_span_element_equals_span_walk(code):

@@ -8,6 +8,7 @@ x = (1,0,2,0,1,3,0,5,0,2,1,1,3,0) at degree 19, type 111122335.
 import hashlib
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from codeloops import (
     ParamVector3,
     ParamVector4,
     Solution3,
+    Solution4,
     build_loop,
     classify,
     congruence_targets,
@@ -31,8 +33,16 @@ from codeloops import (
     verify_representation,
 )
 from codeloops.catalog import SAMPLE_C4_16_A, all_loop_ids, catalog_entry
+from codeloops import cli
 from codeloops.cli import main
-from codeloops.search import assemble_generators
+from codeloops.codes import _mask_rank
+from codeloops.search import (
+    SearchStats,
+    _independent,
+    _scan,
+    assemble_generators,
+    reduced_box,
+)
 
 WALKTHROUGH_T = (0, 1, 0, 2, 0, 2, 6, 2, 6, 0, 4, 8, 8, 16, 4)
 WALKTHROUGH_X = (1, 0, 2, 0, 1, 3, 0, 5, 0, 2, 1, 1, 3, 0)
@@ -295,6 +305,11 @@ PINNED_RUNS = [
         "representations: 1008\nwritten: {out}\n",
     ),
     (
+        ["enumerate", "--loop", "C4_16", "--max-degree", "105"],
+        "794a365a538645e0df38f509f5a17fcb6257e4dfa60624b4913d709551364e24",
+        "representations: 131072\nwritten: {out}\n",
+    ),
+    (
         ["conjecture", "--rank", "4", "--max-degree", "21"],
         "66b0d9853064a499432d6dd9f3c2592d74812431e4dfd195262e1ee730c74406",
         "groups: 100\ncounterexamples: 1\nwritten: {out}\n",
@@ -310,13 +325,91 @@ PINNED_RUNS = [
 @pytest.mark.parametrize(
     "argv, digest, stdout",
     PINNED_RUNS,
-    ids=["enumerate-C3_2", "enumerate-C4_16", "conjecture-4", "conjecture-4-25"],
+    ids=[
+        "enumerate-C3_2", "enumerate-C4_16", "enumerate-C4_16-full",
+        "conjecture-4", "conjecture-4-25",
+    ],
 )
 def test_pinned_output_digests(tmp_path, capsys, argv, digest, stdout):
     out = tmp_path / "report.txt"
     assert main(argv + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == stdout.format(out=out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _scan_rows(loop_class, max_degree):
+    """(t, x, degree) of every _scan leaf with independent generators, x led by the top meet."""
+    vectors = [sum(1 << i for i in s) for s in _subsets(loop_class.rank)]
+    rows = []
+    for t, x, degree in _scan(loop_class, max_degree + 1, SearchStats()):
+        x = t.as_tuple()[:1] + x.as_tuple()
+        if _mask_rank([v for v, size in zip(vectors, x) if size]) == loop_class.rank:
+            rows.append((t.as_tuple(), x, degree))
+    return rows
+
+
+def _box_rows(box):
+    return list(zip(map(tuple, box.t.tolist()), map(tuple, box.x.tolist()), box.degree.tolist()))
+
+
+ORACLE_CAPS = {3: (14, 20, 49), 4: (20, 25, 31, 37)}
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_walk_yields_the_scan_order(name):
+    loop_class = parse_loop_id(name)
+    for max_degree in ORACLE_CAPS[loop_class.rank]:
+        box = reduced_box(loop_class, max_degree)
+        assert _box_rows(box) == _scan_rows(loop_class, max_degree), max_degree
+
+
+@pytest.mark.parametrize("name", ["C4_1", "C4_16"])
+def test_walk_yields_the_scan_order_on_the_full_box(name):
+    loop_class = parse_loop_id(name)
+    box = reduced_box(loop_class, 105)
+    assert len(box.degree) == {"C4_1": 131040, "C4_16": 131072}[name]
+    assert _box_rows(box) == _scan_rows(loop_class, 105)
+
+
+def test_walk_rejects_meets_off_the_layout(monkeypatch):
+    import codeloops.search as search
+
+    # a layout whose top block (class 123) counted toward the meets of 12
+    # but not of 123 would miss x123 in t123
+    positions, contains = search._LAYOUT_MEETS[3]
+    wrong = contains.copy()
+    wrong[0, 0] = 0
+    monkeypatch.setitem(search._LAYOUT_MEETS, 3, (positions, wrong))
+    with pytest.raises(InternalInvariantError, match="do not match the class layout"):
+        reduced_box("C3_1", 7)
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_box_text_joins_the_record_lines(name, monkeypatch):
+    loop_class = parse_loop_id(name)
+    box = reduced_box(loop_class, 49 if loop_class.rank == 3 else 31)
+    params, solution = (
+        (ParamVector3, Solution3) if loop_class.rank == 3 else (ParamVector4, Solution4)
+    )
+    records = [
+        "\n".join(cli._record_lines(assemble_generators(params(*t), solution(*x[1:]), loop_class)))
+        + "\n"
+        for t, x, _ in _box_rows(box)
+    ]
+    assert records
+    assert "".join(cli._box_text(loop_class, box)) == "\n".join(records)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)  # records across chunk boundaries
+    assert "".join(cli._box_text(loop_class, box)) == "\n".join(records)
+
+
+@pytest.mark.parametrize("argv", [["C4_16", "16"], ["C3_2", "12"], ["C3_1", "3"], ["C4_1", "3"]])
+def test_enumerate_below_the_minimum_writes_an_empty_file(tmp_path, capsys, argv):
+    loop, max_degree = argv
+    assert cli._box_text(parse_loop_id(loop), reduced_box(loop, int(max_degree))) == []
+    out = tmp_path / "empty.txt"
+    assert main(["enumerate", "--loop", loop, "--max-degree", max_degree, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"representations: 0\nwritten: {out}\n"
+    assert out.read_bytes() == b""
 
 
 def _subsets(rank):
@@ -359,3 +452,21 @@ def test_solve_and_assemble_invert_the_meet_sums(rank, params, solve, data):
     except InvalidCodeError:
         reject()  # dependent generators
     assert params.from_words(*rep.generators) == params(*t)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_independent_rows_have_generators_of_full_rank(rank):
+    # every pattern of nonempty classes, with class j on coordinate j
+    subsets = _subsets(rank)
+    n = len(subsets)
+    x = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
+    full_rank = [
+        _mask_rank([sum(1 << j for j, s in enumerate(subsets) if i in s and row[j])
+                    for i in range(rank)]) == rank
+        for row in x.tolist()
+    ]
+    assert _independent(rank, x).tolist() == full_rank
+    # the sets of nonzero vectors of GF(2)^k that span it, by Moebius
+    # inversion over subspaces: 128 - 7*8 + 2*7*2 - 8 and
+    # 2^15 - 15*2^7 + 2*35*2^3 - 8*15*2 + 64
+    assert full_rank.count(True) == {3: 92, 4: 31232}[rank]
