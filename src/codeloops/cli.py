@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import all_loop_ids, parse_loop_id
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, parse_code
-from .equivalence import cycle_notation, code_isomorphism, distinguishing_invariant
+from .equivalence import box_stabilizer, cycle_notation, code_isomorphism, distinguishing_invariant
 from .loops import LoopClass, build_loop, classify, AssociativeLoopError
 from .search import (
     Box,
@@ -303,6 +303,7 @@ def cmd_conjecture(args) -> int:
         members = groups[(index, degree, sizes)]
         rep_type = members[0].rep_type()
         witness = _isomorphism_gap(members)
+        _cross_check(members, witness)
         verdict = "yes" if witness is None else "no"
         lines.append(
             f"group: loop=C{args.rank}_{index} degree={degree}"
@@ -326,18 +327,42 @@ def cmd_conjecture(args) -> int:
 
 
 def _isomorphism_gap(members: list[Representation]):
-    """First pair of non-isomorphic members, via a transversal, or None."""
-    transversal: list[tuple[Representation, BinaryCode]] = []
-    for rep in members:
-        code = rep.code()
-        for seen_rep, seen_code in transversal:
-            if code_isomorphism(seen_code, code) is not None:
-                break
-        else:
-            if transversal:
-                return transversal[0][0], rep
-            transversal.append((rep, code))
+    """First pair of non-isomorphic members, or None.
+
+    The members are box points of one class, so a member is isomorphic to
+    the first exactly when its class sizes are an image of the first's
+    under box_stabilizer.  Class sizes are compared packed in base 8 into
+    one int, each size being below 8.
+    """
+    sizes = np.array(
+        [rep.params.as_tuple()[:1] + rep.solution.as_tuple() for rep in members], dtype=np.int64
+    )
+    places = 8 ** np.arange(sizes.shape[1], dtype=np.int64)
+    images = set((sizes[0][box_stabilizer(members[0].target)] @ places).tolist())
+    for rep, key in zip(members, (sizes @ places).tolist()):
+        if key not in images:
+            return members[0], rep
     return None
+
+
+def _cross_check(members: list[Representation], gap) -> None:
+    """Confirm the verdict of _isomorphism_gap on a group with code_isomorphism.
+
+    A reported pair must not be isomorphic, and in a group found
+    isomorphic the first and last members must be.
+    """
+    if gap is not None:
+        pair, found = gap, False
+    elif len(members) > 1:
+        pair, found = (members[0], members[-1]), True
+    else:
+        return
+    first, second = pair
+    if (code_isomorphism(first.code(), second.code()) is not None) != found:
+        raise InternalInvariantError(
+            f"orbit key and code_isomorphism disagree on {first.target.name}"
+            f" degree {first.degree} type {first.rep_type()}"
+        )
 
 
 def _build_parser() -> _Parser:

@@ -1,27 +1,46 @@
 """Coordinate-permutation isomorphism of binary codes.
 
 Two codes of equal degree are isomorphic when some permutation of the
-coordinates carries the span of one onto the span of the other.  Since
-coordinates in one class are interchangeable, the search runs over
-class-to-class bijections instead of raw coordinate permutations: each span
-element is a union of classes, so a permutation exists iff some
-size-preserving class bijection maps the class patterns of one span onto
-the other's.
+coordinates carries the span of one onto the span of the other.
 
-Invariants screen a pair first.  The search then runs depth first over
-class bijections, cut by a class-profile screen and an incrementally kept
-projection of the patterns (see _match_classes); both cuts are necessary
-conditions, so the witness is the first valid bijection in depth-first
-order, the same as an unscreened search finds.  The per-code search data
-is computed once and kept on the BinaryCode, like its span, so a code
-tested against many others pays for it once.
+Reduced representations of one loop class L (the rows of
+search.reduced_box) are told apart by an orbit key instead of a search.
+Give each coordinate the set S of generators that contain it; the class
+sizes x_S then fix the code up to coordinate permutation.  A change of
+basis B moves the class of S to the class of B.S, and the box point of
+the new basis is the same code.  When the new basis is admissible with
+vector L it is again a point of L's box, and two box points are isomorphic
+codes exactly when one is the other composed with such a B.  Those B form
+a group H_L that depends on L alone (box_stabilizer), so the isomorphism
+class of a box point is its H_L-orbit, and a code is isomorphic to another
+iff its packed class sizes are among the packed images of the other's.
+
+code_isomorphism decides isomorphism of arbitrary codes: it is the engine
+of the iso command and the independent cross-check of the orbit key.
+Since coordinates in one class are interchangeable, it searches over
+class-to-class bijections instead of raw coordinate permutations: each
+span element is a union of classes, so a permutation exists iff some
+size-preserving class bijection maps the class patterns of one span onto
+the other's.  Invariants screen a pair first.  The search then runs depth
+first over class bijections, cut by a class-profile screen and an
+incrementally kept projection of the patterns (see _match_classes); both
+cuts are necessary conditions, so the witness is the first valid bijection
+in depth-first order, the same as an unscreened search finds.  The
+per-code search data is computed once and kept on the BinaryCode, like its
+span, so a code tested against many others pays for it once.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import combinations
 from typing import NamedTuple
 
+import numpy as np
+
 from .codes import BinaryCode, Codeword, InternalInvariantError, _coordinates
+from .loops import CharVector, LoopClass
+from .search import _SUBSETS
 
 # invariant checks tried before any search, cheapest first; the name is the
 # reported reason when codes are told apart
@@ -121,9 +140,16 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
       far, must agree as a multiset with the patterns of b restricted to
       their images, or no extension can map one pattern set onto the other.
 
-    A pair whose profile multisets differ is rejected before the search.
-    The projection is kept incrementally: one image int per pattern on each
-    side, updated when a class is assigned and undone on backtrack.
+    a and b come from codes of one dimension, and a pair whose profile
+    multisets differ is rejected before the search.  The projection is kept
+    incrementally, one image int per pattern on each side, and checked
+    through the patterns a step moves.  Before class ai goes to bi the
+    projections agree (at the root every image is 0), and no image holds
+    bit bi yet; the step sets that bit in the images of the patterns
+    holding ai (on a's side) and bi (on b's side) and leaves the others
+    alone.  So the projections agree after the step exactly when the moved
+    images agree as multisets before it, and a candidate is compared on
+    those alone.
     """
     if sorted(a.profiles) != sorted(b.profiles):
         return None
@@ -140,21 +166,21 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
         ai = len(assigned)
         if ai == n:
             return True
+        moved_a = sorted([image_a[x] for x in holders_a[ai]])
         for bi in candidates[ai]:
-            if used[bi]:
+            if used[bi] or sorted([image_b[x] for x in holders_b[bi]]) != moved_a:
                 continue
             bit = 1 << bi
             for x in holders_a[ai]:
                 image_a[x] |= bit
             for x in holders_b[bi]:
                 image_b[x] |= bit
-            if sorted(image_a) == sorted(image_b):
-                assigned.append(bi)
-                used[bi] = True
-                if extend():
-                    return True
-                used[bi] = False
-                assigned.pop()
+            assigned.append(bi)
+            used[bi] = True
+            if extend():
+                return True
+            used[bi] = False
+            assigned.pop()
             for x in holders_a[ai]:
                 image_a[x] ^= bit
             for x in holders_b[bi]:
@@ -200,3 +226,113 @@ def cycle_notation(perm: tuple[int, ...]) -> str:
         if len(cycle) > 1:
             out.append("(" + " ".join(str(i) for i in cycle) + ")")
     return "".join(out) if out else "()"
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer of a reduced box
+
+
+def _asc(u: int, v: int, w: int) -> int:
+    """Associator bit of three span words of a basis with a catalog vector.
+
+    The first three basis words associate to -1 and any associator through
+    the fourth is trivial.  The associator bit |u & v & w| mod 2 is
+    trilinear and vanishes on a repeated word, so it is the determinant of
+    u, v, w on the first three coordinates, here expanded along u.
+    """
+    return (
+        u & (v >> 1 & w >> 2 ^ v >> 2 & w >> 1)
+        ^ u >> 1 & (v >> 2 & w ^ v & w >> 2)
+        ^ u >> 2 & (v & w >> 1 ^ v >> 1 & w)
+    ) & 1
+
+
+def _word_signs(cv: CharVector) -> tuple[list[int], list[list[int]]]:
+    """Square and commutator bits of every span word of a basis with vector cv.
+
+    Span word u has bit i set when it holds basis word i.  The bits follow
+    from the basis bits by splitting off one basis word e at a time:
+    cm(u + e, w) = cm(u, w) + cm(e, w) + asc(u, e, w) and
+    sq(u + e) = sq(u) + sq(e) + cm(u, e), with cm(e, e) = 0.
+    """
+    k = cv.rank
+    n = 1 << k
+    cm = [[0] * n for _ in range(n)]
+    for (i, j), bit in zip(combinations(range(k), 2), cv.commutators):
+        cm[1 << i][1 << j] = cm[1 << j][1 << i] = bit
+    for i in range(k):
+        e = 1 << i
+        for w in range(1, n):
+            rest = w & (w - 1)
+            if rest:
+                cm[e][w] = cm[e][rest] ^ cm[e][w ^ rest] ^ _asc(rest, w ^ rest, e)
+    sq = [0] * n
+    for u in range(1, n):
+        rest = u & (u - 1)
+        e = u ^ rest
+        sq[u] = sq[rest] ^ cv.squares[e.bit_length() - 1] ^ cm[rest][e]
+        if rest:
+            cm[u] = [cm[rest][w] ^ cm[e][w] ^ _asc(rest, e, w) for w in range(n)]
+    return sq, cm
+
+
+@functools.lru_cache(maxsize=None)
+def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
+    """H_L: the changes of basis that keep a class's vector, as maps on its box.
+
+    The rows v_1..v_k of a B in GL(k, 2), read as span words of a box point
+    of class L, form an admissible basis with vector L when each v_j has
+    L's square bit, each pair L's commutator bit, v_1, v_2, v_3 associate
+    to -1 and, at rank 4, v_4 is nuclear.  Those conditions read only sign
+    bits of span words, which L fixes (_word_signs), so the B are found
+    once per class by backtracking over the rows, in ascending order of
+    (v_1, ..., v_k); the identity comes first.
+
+    Row h of the result is B as a map on the subset positions of
+    search._SUBSETS: if x holds the class sizes of a box point, x[h] holds
+    those of the same code in basis B, which is again a box point of L.
+    The x[h] over all rows h are the box points isomorphic to x.  The array
+    is uint8, read-only, and built on first use for each class.
+    """
+    k = loop_class.rank
+    cv = loop_class.vector
+    sq, cm = _word_signs(cv)
+    commutators = dict(zip(combinations(range(k), 2), cv.commutators))
+    # per row: the words with its square bit (at rank 4 the fourth row must
+    # be nuclear: asc(v, u, w) is the determinant with v as a row, so v
+    # associates with every pair iff its first three bits are 0), and the
+    # commutator bits it needs with the rows before it
+    candidates = [[v for v in range(1, 1 << k) if sq[v] == cv.squares[j]] for j in range(k)]
+    if k == 4:
+        candidates[3] = [v for v in candidates[3] if not v & 7]
+    needs = [[commutators[i, j] for i in range(j)] for j in range(k)]
+    bases: list[tuple[int, ...]] = []
+    rows: list[int] = []
+
+    def extend(span: set[int]) -> None:
+        j = len(rows)
+        if j == k:
+            bases.append(tuple(rows))
+            return
+        for v in candidates[j]:
+            if v in span or [cm[u][v] for u in rows] != needs[j]:
+                continue
+            if j == 2 and not _asc(*rows, v):
+                continue
+            rows.append(v)
+            extend(span | {s ^ v for s in span})
+            rows.pop()
+
+    extend({0})
+    # all values below 16, so uint8 keeps the arrays for 1344 bases small
+    vectors = np.array([sum(1 << i for i in s) for s in _SUBSETS[k].sets], dtype=np.uint8)
+    position = np.zeros(1 << k, dtype=np.uint8)
+    position[vectors] = np.arange(len(vectors))
+    # class S of the old basis lies in new generator j iff v_j meets S oddly
+    meets = np.array(bases, dtype=np.uint8)[:, :, None] & vectors
+    odd = np.array([v.bit_count() & 1 for v in range(1 << k)], dtype=np.uint8)[meets]
+    images = position[np.bitwise_or.reduce(odd << np.arange(k, dtype=np.uint8)[:, None], axis=1)]
+    # h[images[i]] = i: the inverse permutation
+    maps = np.argsort(images, axis=1).astype(np.uint8)
+    maps.setflags(write=False)
+    return maps

@@ -260,6 +260,22 @@ def test_exit_code_2_on_internal_failure(capsys, sample_files, monkeypatch):
     assert "internal error:" in err
 
 
+def test_conjecture_cross_checks_the_orbit_key(capsys, monkeypatch):
+    import numpy as np
+    import codeloops.cli as cli_mod
+
+    # with only the identity, every box point is its own orbit, so a group
+    # of isomorphic codes is reported split and code_isomorphism objects
+    monkeypatch.setattr(
+        cli_mod, "box_stabilizer", lambda loop_class: np.arange(2**loop_class.rank - 1)[None]
+    )
+    rc, out, err = run(capsys, "conjecture", "--rank", "4", "--max-degree", "21")
+    assert rc == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("internal error: ")]
+    assert "Traceback" not in err
+
+
 def test_argparse_errors_map_to_exit_1(capsys):
     rc, _, err = run(capsys, "enumerate", "--loop", "C3_1")
     assert rc == 1

@@ -1,19 +1,29 @@
 """Coordinate isomorphism of codes against a brute-force permutation oracle
-and against the unscreened class matcher it replaced."""
+and against the unscreened class matcher it replaced; the box stabilizers
+against the brute-force set of admissible bases, and the orbit-key grouping
+of conjecture against the pairwise search it replaced."""
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codeloops
 from codeloops import (
     BinaryCode,
     Codeword,
     InternalInvariantError,
+    InvalidCodeError,
+    build_loop,
+    characteristic_vector,
     code_isomorphism,
     cycle_notation,
     distinguishing_invariant,
@@ -21,9 +31,17 @@ from codeloops import (
     parse_code,
     parse_loop_id,
 )
-from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids
-from codeloops.cli import main
-from codeloops.equivalence import _check_permutation, permute_code, permute_word
+from codeloops import loops
+from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
+from codeloops.cli import _isomorphism_gap, main
+from codeloops.equivalence import (
+    _check_permutation,
+    _word_signs,
+    box_stabilizer,
+    permute_code,
+    permute_word,
+)
+from codeloops.search import _SUBSETS, reduced_box
 from strategies import doubly_even_codes, relabeled_codes
 
 
@@ -237,15 +255,21 @@ def oracle_isomorphism(a, b):
 
 
 @functools.cache
-def _scan_groups(rank, max_degree):
-    """Codes of the reduced scan grouped as conjecture groups them."""
+def _scan_rep_groups(rank, max_degree):
+    """Representations of the reduced scan grouped as conjecture groups them."""
     groups = {}
     for name in all_loop_ids(rank):
         target = parse_loop_id(name)
         for rep in enumerate_reduced(target, max_degree):
             key = (target.index, rep.degree, rep.rep_type().sizes)
-            groups.setdefault(key, []).append(rep.code())
+            groups.setdefault(key, []).append(rep)
     return [groups[key] for key in sorted(groups)]
+
+
+@functools.cache
+def _scan_groups(rank, max_degree):
+    """The codes of _scan_rep_groups, built once so their search data is shared."""
+    return [[rep.code() for rep in members] for members in _scan_rep_groups(rank, max_degree)]
 
 
 def test_witness_equals_oracle_on_scan_groups():
@@ -308,3 +332,167 @@ def test_iso_stdout_pinned_on_relabeled_sample(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "isomorphic\npermutation: (1 12 10 6 11 9)(2 3 19 17 7 13 15)(4 14 18 8)\n"
     )
+
+
+# -- box stabilizers against brute force ------------------------------------
+
+STABILIZER_ORDERS = {
+    **dict(zip(all_loop_ids(3), (168, 24, 24, 8, 6))),
+    **dict(zip(all_loop_ids(4), (
+        1344, 192, 192, 64, 48, 168, 24, 24, 8, 12, 12, 8, 24, 48, 48, 8,
+    ))),
+}
+
+
+def _first_box_point(name):
+    """The first reduced representation of a class: its own basis has the class vector."""
+    return next(iter(enumerate_reduced(name, catalog_entry(name).degree)))
+
+
+def _index_map(rank, basis):
+    """A change of basis as a map h on subset positions: x[h] is the new class sizes.
+
+    The coordinates of the class of generator set S lie in new generator j
+    exactly when row j of the basis holds an odd number of the generators
+    of S.
+    """
+    vectors = [sum(1 << i for i in s) for s in _SUBSETS[rank].sets]
+    h = [0] * len(vectors)
+    for i, p in enumerate(vectors):
+        image = sum(((v & p).bit_count() % 2) << j for j, v in enumerate(basis))
+        h[vectors.index(image)] = i
+    return tuple(h)
+
+
+def _class_sizes_in_basis(rep, basis):
+    """Class sizes of the code of rep in another basis, counted over its coordinates."""
+    rank = rep.target.rank
+    masks = [g.mask() for g in rep.generators]
+    new = [functools.reduce(lambda m, i: m ^ masks[i], (i for i in range(rank) if v >> i & 1), 0)
+           for v in basis]
+    columns = Counter(
+        sum((m >> c & 1) << j for j, m in enumerate(new)) for c in range(rep.degree)
+    )
+    return tuple(columns[sum(1 << i for i in s)] for s in _SUBSETS[rank].sets)
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_word_signs_equal_the_weight_formulas(name):
+    # the signs the class vector alone gives every span word are those the
+    # weights of a representation give
+    rep = _first_box_point(name)
+    sq, cm, _ = loops._sign_tables(build_loop(rep.code()))
+    assert _word_signs(parse_loop_id(name).vector) == (sq, cm)
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_box_stabilizer_equals_admissible_bases(name, monkeypatch):
+    loop_class = parse_loop_id(name)
+    rank = loop_class.rank
+    rep = _first_box_point(name)
+    loop = build_loop(rep.code())
+    # the weight-formula sign tables of this one loop, computed once
+    tables = loops._sign_tables(loop)
+    monkeypatch.setattr(loops, "_sign_tables", lambda _: tables)
+    # a basis with the class vector has its square bits, so each row is
+    # drawn from the span words (weights read off the code) with that bit
+    squares = tables[0]
+    rows = [[v for v in range(1, 1 << rank) if squares[v] == bit] for bit in loop_class.vector.squares]
+    brute = set()
+    for basis in itertools.product(*rows):
+        try:
+            vector = characteristic_vector(loop, basis)
+        except InvalidCodeError:
+            continue
+        if vector == loop_class.vector:
+            brute.add(basis)
+    maps = box_stabilizer(loop_class)
+    assert len(maps) == len(brute) == STABILIZER_ORDERS[name]
+    assert set(map(tuple, maps.tolist())) == {_index_map(rank, basis) for basis in brute}
+    # x[h] is the code of rep read in the basis of h, coordinate by coordinate
+    x = np.array(rep.params.as_tuple()[:1] + rep.solution.as_tuple())
+    for basis in brute:
+        assert tuple(x[list(_index_map(rank, basis))]) == _class_sizes_in_basis(rep, basis)
+
+
+def test_box_stabilizer_is_cached_read_only_and_starts_at_the_identity():
+    loop_class = parse_loop_id("C4_9")
+    maps = box_stabilizer(loop_class)
+    assert box_stabilizer(loop_class) is maps
+    assert not maps.flags.writeable
+    assert maps[0].tolist() == list(range(15))
+
+
+def test_box_stabilizer_is_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import codeloops.cli as c; print(c.box_stabilizer.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "0\n", proc.stderr
+
+
+def _box_rows(box):
+    """The class sizes of each box row -> its (degree, type)."""
+    rows = {}
+    for x, degree in zip(box.x.tolist(), box.degree.tolist()):
+        rows[tuple(x)] = (degree, tuple(sorted(v for v in x if v)))
+    return rows
+
+
+def _assert_images_in_box(loop_class, rows, x):
+    degree, rep_type = rows[tuple(x)]
+    for image in np.array(x)[box_stabilizer(loop_class)].tolist():
+        assert rows.get(tuple(image)) == (degree, rep_type), (loop_class, x, image)
+
+
+@pytest.mark.parametrize("name", all_loop_ids(3))
+def test_box_stabilizer_maps_the_full_rank3_box_onto_itself(name):
+    loop_class = parse_loop_id(name)
+    rows = _box_rows(reduced_box(loop_class, 49))
+    for x in rows:
+        _assert_images_in_box(loop_class, rows, x)
+
+
+@functools.cache
+def _rank4_rows(name):
+    return _box_rows(reduced_box(name, 33))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(all_loop_ids(4)), data=st.data())
+def test_box_stabilizer_maps_rank4_rows_into_the_box(name, data):
+    rows = _rank4_rows(name)
+    x = data.draw(st.sampled_from(sorted(rows)))
+    _assert_images_in_box(parse_loop_id(name), rows, x)
+
+
+# -- the pairwise grouping conjecture used before the orbit key -------------
+
+
+def _pairwise_gap(codes):
+    """Positions of the first pair of non-isomorphic codes, via a transversal, or None."""
+    transversal = []
+    for i, code in enumerate(codes):
+        for j in transversal:
+            if code_isomorphism(codes[j], code) is not None:
+                break
+        else:
+            if transversal:
+                return transversal[0], i
+            transversal.append(i)
+    return None
+
+
+@pytest.mark.parametrize("rank, max_degree", [(3, 49), (4, 23)])
+def test_orbit_key_gap_equals_pairwise_oracle(rank, max_degree):
+    gaps = 0
+    for members, codes in zip(_scan_rep_groups(rank, max_degree), _scan_groups(rank, max_degree)):
+        gap = _isomorphism_gap(members)
+        got = None if gap is None else tuple(members.index(rep) for rep in gap)
+        assert got == _pairwise_gap(codes), members[0]
+        gaps += got is not None
+    assert gaps > 0 if rank == 4 else gaps == 0

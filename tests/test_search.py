@@ -319,6 +319,16 @@ PINNED_RUNS = [
         "596a02647e66719675d0a85f6aae2ea6f2a4ec09582b8fc8800c32a58855e47b",
         "groups: 324\ncounterexamples: 42\nwritten: {out}\n",
     ),
+    (
+        ["conjecture", "--rank", "3", "--max-degree", "49"],
+        "fbfb672816b19b45445c69ad21f7c3551cbb7a12b5add21098878ad86cb6ebc8",
+        "groups: 64\ncounterexamples: 0\nwritten: {out}\n",
+    ),
+    (
+        ["conjecture", "--rank", "4", "--max-degree", "31"],
+        "464156201f79a7577e3ea3a1ec9c7b0846f156674c4c76494ebd59ebf0575205",
+        "groups: 1375\ncounterexamples: 400\nwritten: {out}\n",
+    ),
 ]
 
 
@@ -327,7 +337,7 @@ PINNED_RUNS = [
     PINNED_RUNS,
     ids=[
         "enumerate-C3_2", "enumerate-C4_16", "enumerate-C4_16-full",
-        "conjecture-4", "conjecture-4-25",
+        "conjecture-4", "conjecture-4-25", "conjecture-3-49", "conjecture-4-31",
     ],
 )
 def test_pinned_output_digests(tmp_path, capsys, argv, digest, stdout):
