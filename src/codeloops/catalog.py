@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .codes import BinaryCode, InvalidCodeError, RepType, parse_code
+from .codes import BinaryCode, InvalidCodeError, RepType, _is_number, parse_code
 from .loops import CodeLoop, LoopClass, build_loop
 
 # class index -> (minimal degree, type, generator lines)
@@ -83,7 +83,7 @@ def all_loop_ids(rank: int | None = None) -> tuple[str, ...]:
 
 def parse_loop_id(name: str) -> LoopClass:
     parts = name.split("_")
-    if len(parts) == 2 and parts[0] in ("C3", "C4") and parts[1].isdigit():
+    if len(parts) == 2 and parts[0] in ("C3", "C4") and _is_number(parts[1]):
         rank = int(parts[0][1])
         index = int(parts[1])
         table = _RANK3 if rank == 3 else _RANK4

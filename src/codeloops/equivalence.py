@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import BinaryCode, Codeword, InternalInvariantError, _coordinates
-from .loops import CharVector, LoopClass
+from .loops import CharVector, LoopClass, admissible_bases
 from .search import _SUBSETS
 
 # invariant checks tried before any search, cheapest first; the name is the
@@ -238,7 +238,8 @@ def _asc(u: int, v: int, w: int) -> int:
     The first three basis words associate to -1 and any associator through
     the fourth is trivial.  The associator bit |u & v & w| mod 2 is
     trilinear and vanishes on a repeated word, so it is the determinant of
-    u, v, w on the first three coordinates, here expanded along u.
+    u, v, w on the first three coordinates, here expanded along u.  The
+    arguments may be numpy arrays, which broadcast.
     """
     return (
         u & (v >> 1 & w >> 2 ^ v >> 2 & w >> 1)
@@ -247,16 +248,19 @@ def _asc(u: int, v: int, w: int) -> int:
     ) & 1
 
 
-def _word_signs(cv: CharVector) -> tuple[list[int], list[list[int]]]:
-    """Square and commutator bits of every span word of a basis with vector cv.
+def _word_signs(cv: CharVector) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
+    """Square, commutator and associator bits of every span word of a basis with vector cv.
 
-    Span word u has bit i set when it holds basis word i.  The bits follow
-    from the basis bits by splitting off one basis word e at a time:
+    Span word u has bit i set when it holds basis word i.  The associator
+    bits are _asc over all triples.  The others follow from the basis bits
+    by splitting off one basis word e at a time:
     cm(u + e, w) = cm(u, w) + cm(e, w) + asc(u, e, w) and
     sq(u + e) = sq(u) + sq(e) + cm(u, e), with cm(e, e) = 0.
     """
     k = cv.rank
     n = 1 << k
+    x = np.arange(n)
+    asc = _asc(x[:, None, None], x[None, :, None], x[None, None, :]).tolist()
     cm = [[0] * n for _ in range(n)]
     for (i, j), bit in zip(combinations(range(k), 2), cv.commutators):
         cm[1 << i][1 << j] = cm[1 << j][1 << i] = bit
@@ -265,15 +269,15 @@ def _word_signs(cv: CharVector) -> tuple[list[int], list[list[int]]]:
         for w in range(1, n):
             rest = w & (w - 1)
             if rest:
-                cm[e][w] = cm[e][rest] ^ cm[e][w ^ rest] ^ _asc(rest, w ^ rest, e)
+                cm[e][w] = cm[e][rest] ^ cm[e][w ^ rest] ^ asc[rest][w ^ rest][e]
     sq = [0] * n
     for u in range(1, n):
         rest = u & (u - 1)
         e = u ^ rest
         sq[u] = sq[rest] ^ cv.squares[e.bit_length() - 1] ^ cm[rest][e]
         if rest:
-            cm[u] = [cm[rest][w] ^ cm[e][w] ^ _asc(rest, e, w) for w in range(n)]
-    return sq, cm
+            cm[u] = [cm[rest][w] ^ cm[e][w] ^ asc[rest][e][w] for w in range(n)]
+    return sq, cm, asc
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,12 +285,11 @@ def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
     """H_L: the changes of basis that keep a class's vector, as maps on its box.
 
     The rows v_1..v_k of a B in GL(k, 2), read as span words of a box point
-    of class L, form an admissible basis with vector L when each v_j has
-    L's square bit, each pair L's commutator bit, v_1, v_2, v_3 associate
-    to -1 and, at rank 4, v_4 is nuclear.  Those conditions read only sign
-    bits of span words, which L fixes (_word_signs), so the B are found
-    once per class by backtracking over the rows, in ascending order of
-    (v_1, ..., v_k); the identity comes first.
+    of class L, form an admissible basis with vector L.  Admissibility and
+    the vector read only sign bits of span words, which L fixes
+    (_word_signs), so the B are found once per class by
+    loops.admissible_bases, in ascending order of (v_1, ..., v_k); the
+    identity comes first.
 
     Row h of the result is B as a map on the subset positions of
     search._SUBSETS: if x holds the class sizes of a box point, x[h] holds
@@ -296,34 +299,7 @@ def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
     """
     k = loop_class.rank
     cv = loop_class.vector
-    sq, cm = _word_signs(cv)
-    commutators = dict(zip(combinations(range(k), 2), cv.commutators))
-    # per row: the words with its square bit (at rank 4 the fourth row must
-    # be nuclear: asc(v, u, w) is the determinant with v as a row, so v
-    # associates with every pair iff its first three bits are 0), and the
-    # commutator bits it needs with the rows before it
-    candidates = [[v for v in range(1, 1 << k) if sq[v] == cv.squares[j]] for j in range(k)]
-    if k == 4:
-        candidates[3] = [v for v in candidates[3] if not v & 7]
-    needs = [[commutators[i, j] for i in range(j)] for j in range(k)]
-    bases: list[tuple[int, ...]] = []
-    rows: list[int] = []
-
-    def extend(span: set[int]) -> None:
-        j = len(rows)
-        if j == k:
-            bases.append(tuple(rows))
-            return
-        for v in candidates[j]:
-            if v in span or [cm[u][v] for u in rows] != needs[j]:
-                continue
-            if j == 2 and not _asc(*rows, v):
-                continue
-            rows.append(v)
-            extend(span | {s ^ v for s in span})
-            rows.pop()
-
-    extend({0})
+    bases = [basis for basis, _ in admissible_bases(*_word_signs(cv), [cv])]
     # all values below 16, so uint8 keeps the arrays for 1344 bases small
     vectors = np.array([sum(1 << i for i in s) for s in _SUBSETS[k].sets], dtype=np.uint8)
     position = np.zeros(1 << k, dtype=np.uint8)

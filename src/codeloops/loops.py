@@ -11,24 +11,30 @@ array, built by broadcasting over the factor set, which keeps the
 exhaustive Moufang and agreement checks cheap.  The sign methods of
 CodeLoop read squares, commutators and associators off the table.
 
-For a nonassociative loop of rank 3 or 4 the characteristic vector collects
-the basis squares and commutators into a bit vector; the catalog below
-lists one vector per isomorphism class, and classification searches the
-bases of a loop for a catalog match.  Characteristic vectors and
-classification take their signs from the code's weights instead: v squared
-is (-1)^(|v|/4), the commutator of u and v is (-1)^(|u & v|/2), and the
-associator of u, v, w is (-1)^|u & v & w|.  Acceptance criterion 7 checks
-these formulas against the table on every catalog loop.
+For a nonassociative loop of rank 3 or 4 the characteristic vector of an
+admissible basis (the first three words associate to -1 and, at rank 4,
+the fourth is nuclear) collects the basis squares and commutators into a
+bit vector; the catalog below lists one vector per isomorphism class.  One
+search, admissible_bases, finds the admissible bases whose vector is in a
+given set: classify takes its first basis over the catalog, and
+equivalence.box_stabilizer every basis with one class's vector.
+Characteristic vectors and classification take their signs from the
+code's weights instead of the table: v squared is (-1)^(|v|/4), the
+commutator of u and v is (-1)^(|u & v|/2), and the associator of u, v, w
+is (-1)^|u & v & w|.  Acceptance criterion 7 checks these formulas
+against the table on every catalog loop.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codes import BinaryCode, InternalInvariantError, InvalidCodeError
+from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, _mask_rank
 from .factorset import FactorSet, build_factor_set
 
 MAX_LOOP_DIMENSION = 6
@@ -244,6 +250,14 @@ class LoopClass:
         if not 1 <= self.index <= count:
             raise InvalidCodeError(f"no catalog entry {self.index} at rank {self.rank}")
 
+    @classmethod
+    def of_vector(cls, cv: CharVector) -> "LoopClass":
+        """The class whose canonical characteristic vector is cv."""
+        catalog = canonical_catalog(cv.rank)
+        if cv not in catalog:
+            raise InvalidCodeError(f"characteristic vector {cv} is not canonical")
+        return cls(cv.rank, catalog.index(cv) + 1)
+
     @property
     def name(self) -> str:
         return f"C{self.rank}_{self.index}"
@@ -256,8 +270,9 @@ class LoopClass:
         return self.name
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_catalog(rank: int) -> tuple[CharVector, ...]:
-    """The canonical characteristic vectors, one per isomorphism class."""
+    """The canonical characteristic vectors, one per isomorphism class (built once per rank)."""
     if rank == 3:
         raw = _CANONICAL_RANK3
     elif rank == 4:
@@ -265,28 +280,6 @@ def canonical_catalog(rank: int) -> tuple[CharVector, ...]:
     else:
         raise InvalidCodeError(f"rank {rank} not in (3, 4)")
     return tuple(CharVector.from_bits(rank, bits) for bits in raw)
-
-
-def _canonical_index(cv: CharVector) -> int | None:
-    table = canonical_catalog(cv.rank)
-    for i, entry in enumerate(table, start=1):
-        if entry == cv:
-            return i
-    return None
-
-
-def _independent(words: Sequence[int], rank: int) -> bool:
-    basis: dict[int, int] = {}
-    for w in words:
-        while w:
-            lead = w.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = w
-                break
-            w ^= basis[lead]
-        if not w:
-            return False
-    return len(basis) == rank
 
 
 def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
@@ -302,7 +295,7 @@ def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
     words = list(basis)
     if any(not 0 <= w < loop.words for w in words):
         raise InvalidCodeError("basis word index outside the span")
-    if len(words) != rank or not _independent(words, rank):
+    if len(words) != rank or _mask_rank(words) != rank:
         raise InvalidCodeError("basis does not span the code")
     sq, cm, asc = _sign_tables(loop)
     if not asc[words[0]][words[1]][words[2]]:
@@ -344,12 +337,50 @@ def _nuclear(asc, d: int) -> bool:
     return not any(map(any, asc[d]))
 
 
+def admissible_bases(
+    sq, cm, asc, vectors: Iterable[CharVector]
+) -> Iterator[tuple[tuple[int, ...], CharVector]]:
+    """Each admissible basis whose characteristic vector is in vectors, with that vector.
+
+    sq, cm and asc are the square, commutator and associator bits of every
+    span word, as _sign_tables gives them, and the vectors have the rank of
+    the span.  A basis is a tuple of span indices whose first three words
+    associate to -1 and, at rank 4, whose fourth word is nuclear.  Rows are
+    chosen in ascending order, so the bases come in ascending order of
+    (v_1, ..., v_k).  A row v_j is dropped at once when it lies in the span
+    of the rows before it, or when the bits read so far, row by row
+    (sq(v_j), then cm(v_i, v_j) for i < j), are no prefix of any vector's.
+    """
+    rank = len(sq).bit_length() - 1
+    wanted: dict[tuple, CharVector] = {}
+    for cv in vectors:
+        pairs = dict(zip(combinations(range(rank), 2), cv.commutators))
+        rows = tuple((cv.squares[j], *(pairs[i, j] for i in range(j))) for j in range(rank))
+        wanted[rows] = cv
+    prefixes = {rows[:j] for rows in wanted for j in range(1, rank + 1)}
+    nuclear = [_nuclear(asc, d) for d in range(len(sq))]
+
+    def extend(basis: tuple[int, ...], span: set[int], bits: tuple):
+        j = len(basis)
+        if j == rank:
+            yield basis, wanted[bits]
+            return
+        for v in range(1, len(sq)):
+            if v in span or j == 2 and not asc[basis[0]][basis[1]][v] or j == 3 and not nuclear[v]:
+                continue
+            row_bits = bits + ((sq[v], *(cm[u][v] for u in basis)),)
+            if row_bits in prefixes:
+                yield from extend(basis + (v,), span | {s ^ v for s in span}, row_bits)
+
+    return extend((), {0}, ())
+
+
 def classify(loop: CodeLoop) -> LoopClass:
     """Match a nonassociative rank 3 or 4 code loop against the catalog.
 
-    Bases are scanned in ascending span-index order; the first admissible
-    basis whose characteristic vector is canonical decides the class (only
-    one class can ever match, since the catalog classes are pairwise
+    The first admissible basis with a canonical characteristic vector, in
+    the ascending order of admissible_bases, decides the class (only one
+    class can ever match, since the catalog classes are pairwise
     non-isomorphic).  The signs come from the weight formulas of
     _sign_tables, which criterion 7 checks against the Cayley table.  The
     loop associates iff every associator is trivial, so the associator
@@ -361,35 +392,8 @@ def classify(loop: CodeLoop) -> LoopClass:
     rank = loop.rank
     if rank not in (3, 4):
         raise InvalidCodeError(f"classification needs rank 3 or 4, got {rank}")
-    n = loop.words
-    canonical = {cv.bits: i for i, cv in enumerate(canonical_catalog(rank), start=1)}
-    nuclear = [_nuclear(asc, d) for d in range(n)]
-    for a in range(1, n):
-        for b in range(1, n):
-            if not _independent([a, b], 2):
-                continue
-            for c in range(1, n):
-                if not _independent([a, b, c], 3):
-                    continue
-                if asc[a][b][c] == 0:
-                    continue
-                if rank == 3:
-                    bits = (sq[a], sq[b], sq[c], cm[a][b], cm[a][c], cm[b][c])
-                    idx = canonical.get(bits)
-                    if idx is not None:
-                        return LoopClass(3, idx)
-                    continue
-                for d in range(1, n):
-                    if not nuclear[d] or not _independent([a, b, c, d], 4):
-                        continue
-                    bits = (
-                        sq[a], sq[b], sq[c], sq[d],
-                        cm[a][b], cm[a][c], cm[a][d],
-                        cm[b][c], cm[b][d], cm[c][d],
-                    )
-                    idx = canonical.get(bits)
-                    if idx is not None:
-                        return LoopClass(4, idx)
+    for _, cv in admissible_bases(sq, cm, asc, canonical_catalog(rank)):
+        return LoopClass.of_vector(cv)
     raise InternalInvariantError("no admissible basis matched the canonical catalog")
 
 

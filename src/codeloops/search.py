@@ -52,7 +52,7 @@ from .codes import (
     RepType,
     _mask_rank,
 )
-from .loops import CharVector, LoopClass, build_loop, canonical_catalog, classify
+from .loops import CharVector, LoopClass, build_loop, classify
 
 
 def _screen(s: tuple[int, ...]) -> tuple[int, int]:
@@ -316,10 +316,7 @@ def _as_loop_class(target: LoopClass | CharVector | str) -> LoopClass:
         return parse_loop_id(target)
     if isinstance(target, LoopClass):
         return target
-    for i, cv in enumerate(canonical_catalog(target.rank), start=1):
-        if cv == target:
-            return LoopClass(target.rank, i)
-    raise InvalidCodeError(f"characteristic vector {target} is not canonical")
+    return LoopClass.of_vector(target)
 
 
 @dataclass

@@ -140,9 +140,10 @@ def test_out_files_are_byte_deterministic(tmp_path, capsys):
 
 
 def test_exit_code_1_on_bad_input(capsys, tmp_path):
-    rc, _, err = run(capsys, "minimal", "--loop", "C9_1")
-    assert rc == 1
-    assert "error:" in err
+    for loop_id in ("C9_1", "C3_\u00b2", "C4_\u0661\u0666"):  # superscript two, Arabic-Indic 16
+        rc, _, err = run(capsys, "minimal", "--loop", loop_id)
+        assert rc == 1
+        assert err == f"error: unknown loop id {loop_id!r}\n"
 
     rc, _, err = run(capsys, "construct", tmp_path / "missing.code")
     assert rc == 1
@@ -311,7 +312,7 @@ def test_unwritable_out_exits_1_without_traceback(capsys, tmp_path):
 # a command finishes in well under a second, or out of range
 _LOOP_IDS = st.one_of(
     st.sampled_from(all_loop_ids()),
-    st.text(alphabet="C345_0-9x ", max_size=6).filter(lambda s: not s.startswith("-")),
+    st.text(alphabet="C345_0-9x \u00b2\u0661", max_size=6).filter(lambda s: not s.startswith("-")),
 )
 _CAPS = st.one_of(
     st.integers(-2, 21).map(str),

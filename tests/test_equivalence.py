@@ -381,8 +381,7 @@ def test_word_signs_equal_the_weight_formulas(name):
     # the signs the class vector alone gives every span word are those the
     # weights of a representation give
     rep = _first_box_point(name)
-    sq, cm, _ = loops._sign_tables(build_loop(rep.code()))
-    assert _word_signs(parse_loop_id(name).vector) == (sq, cm)
+    assert _word_signs(parse_loop_id(name).vector) == loops._sign_tables(build_loop(rep.code()))
 
 
 @pytest.mark.parametrize("name", all_loop_ids())

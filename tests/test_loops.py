@@ -32,7 +32,8 @@ from codeloops import (
     parse_loop_id,
 )
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
-from codeloops.loops import _sign_tables, is_latin, is_moufang
+from codeloops.codes import _mask_rank
+from codeloops.loops import _sign_tables, admissible_bases, is_latin, is_moufang
 from strategies import doubly_even_codes, relabeled_codes
 
 
@@ -214,6 +215,11 @@ def test_loop_class_names():
     assert str(LoopClass(4, 16).vector) == "0001111100"
     with pytest.raises(InvalidCodeError):
         LoopClass(3, 6)
+    for rank in (3, 4):
+        for index, cv in enumerate(canonical_catalog(rank), start=1):
+            assert LoopClass.of_vector(cv) == LoopClass(rank, index)
+    with pytest.raises(InvalidCodeError, match="not canonical"):
+        LoopClass.of_vector(CharVector.from_bits(3, "111110"))
 
 
 def test_characteristic_vector_of_generator_basis():
@@ -296,3 +302,44 @@ def test_classify_survives_relabeling(pair):
     rep, relabeled = pair
     assert classify(build_loop(rep.code())) == rep.target
     assert classify(build_loop(relabeled)) == rep.target
+
+
+def _first_canonical_basis(loop):
+    """Oracle: the first basis with a canonical vector, by a plain nested scan.
+
+    Every row runs over all nonzero span indices, in the lexicographic
+    order of the whole basis; independence is checked by elimination and
+    the vector is compared only once a whole admissible basis is chosen.
+    """
+    sq, cm, asc = _sign_tables(loop)
+    rank = loop.rank
+    canonical = {cv.bits for cv in canonical_catalog(rank)}
+    nuclear = [not any(map(any, plane)) for plane in asc]
+    for basis in itertools.product(range(1, loop.words), repeat=rank):
+        if _mask_rank(list(basis)) != rank or not asc[basis[0]][basis[1]][basis[2]]:
+            continue
+        if rank == 4 and not nuclear[basis[3]]:
+            continue
+        pairs = itertools.combinations(basis, 2)
+        if tuple(sq[u] for u in basis) + tuple(cm[u][v] for u, v in pairs) in canonical:
+            return basis
+    return None
+
+
+def _first_admissible_basis(loop):
+    basis, vector = next(admissible_bases(*_sign_tables(loop), canonical_catalog(loop.rank)))
+    assert characteristic_vector(loop, basis) == vector
+    return basis
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_first_admissible_basis_equals_the_nested_scan_on_the_catalog(name):
+    loop = build_loop(catalog_entry(name).code())
+    assert _first_admissible_basis(loop) == _first_canonical_basis(loop)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_relabeled_reps())
+def test_first_admissible_basis_equals_the_nested_scan_on_relabeled_codes(pair):
+    loop = build_loop(pair[1])
+    assert _first_admissible_basis(loop) == _first_canonical_basis(loop)
