@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -283,15 +284,7 @@ def cmd_conjecture(args) -> int:
     default_cap = 20 if args.rank == 3 else 19
     max_degree = args.max_degree if args.max_degree is not None else default_cap
 
-    groups: dict[tuple[int, int, tuple[int, ...]], list[Representation]] = {}
-    total = 0
-    for name in all_loop_ids(args.rank):
-        target = parse_loop_id(name)
-        for rep in enumerate_reduced(target, max_degree):
-            total += 1
-            key = (target.index, rep.degree, rep.rep_type().sizes)
-            groups.setdefault(key, []).append(rep)
-
+    groups, total = _conjecture_groups(args.rank, max_degree)
     lines = [
         f"rank: {args.rank}",
         f"max degree: {max_degree}",
@@ -300,17 +293,16 @@ def cmd_conjecture(args) -> int:
     ]
     failures = []
     for (index, degree, sizes) in sorted(groups):
-        members = groups[(index, degree, sizes)]
-        rep_type = members[0].rep_type()
-        witness = _isomorphism_gap(members)
-        _cross_check(members, witness)
-        verdict = "yes" if witness is None else "no"
+        group = groups[(index, degree, sizes)]
+        rep_type = group.first.rep_type()
+        _cross_check(group)
+        verdict = "yes" if group.gap is None else "no"
         lines.append(
             f"group: loop=C{args.rank}_{index} degree={degree}"
-            f" type={rep_type} count={len(members)} isomorphic={verdict}"
+            f" type={rep_type} count={group.count} isomorphic={verdict}"
         )
-        if witness is not None:
-            failures.append((index, degree, rep_type, witness))
+        if group.gap is not None:
+            failures.append((index, degree, rep_type, group.gap))
     lines.append(f"counterexamples: {len(failures)}")
     for index, degree, rep_type, (first, second) in failures:
         lines.append(f"counterexample: loop=C{args.rank}_{index} degree={degree} type={rep_type}")
@@ -326,35 +318,63 @@ def cmd_conjecture(args) -> int:
     return 0
 
 
-def _isomorphism_gap(members: list[Representation]):
-    """First pair of non-isomorphic members, or None.
+@dataclass(slots=True)
+class _Group:
+    """What the conjecture report needs of one (loop, degree, type) group.
 
-    The members are box points of one class, so a member is isomorphic to
-    the first exactly when its class sizes are an image of the first's
-    under box_stabilizer.  Class sizes are compared packed in base 8 into
-    one int, each size being below 8.
+    gap is the first member and the first member that is not isomorphic to
+    it, or None while every member so far is.
     """
-    sizes = np.array(
-        [rep.params.as_tuple()[:1] + rep.solution.as_tuple() for rep in members], dtype=np.int64
-    )
-    places = 8 ** np.arange(sizes.shape[1], dtype=np.int64)
-    images = set((sizes[0][box_stabilizer(members[0].target)] @ places).tolist())
-    for rep, key in zip(members, (sizes @ places).tolist()):
-        if key not in images:
-            return members[0], rep
-    return None
+
+    first: Representation
+    last: Representation
+    count: int = 1
+    gap: tuple[Representation, Representation] | None = None
 
 
-def _cross_check(members: list[Representation], gap) -> None:
-    """Confirm the verdict of _isomorphism_gap on a group with code_isomorphism.
+def _conjecture_groups(rank: int, max_degree: int):
+    """The groups of conjecture by (loop index, degree, type sizes), and the member total.
+
+    The members stream by and are not kept: a group holds its first, its
+    last and its gap member only, so memory grows with the number of
+    groups.  The members of a group are box points of one class, so a
+    member is isomorphic to the first exactly when its class sizes are an
+    image of the first's under box_stabilizer.  The packed images of each
+    group's first member are kept until a gap is found or the loop ends.
+    """
+    groups: dict[tuple[int, int, tuple[int, ...]], _Group] = {}
+    total = 0
+    for name in all_loop_ids(rank):
+        target = parse_loop_id(name)
+        images: dict[tuple[int, int, tuple[int, ...]], set[bytes]] = {}
+        for rep in enumerate_reduced(target, max_degree):
+            total += 1
+            key = (target.index, rep.degree, rep.rep_type().sizes)
+            sizes = rep.params.as_tuple()[:1] + rep.solution.as_tuple()
+            group = groups.get(key)
+            if group is None:
+                groups[key] = _Group(rep, rep)
+                packed = np.array(sizes, dtype=np.uint8)[box_stabilizer(target)].tobytes()
+                images[key] = {packed[i:i + len(sizes)] for i in range(0, len(packed), len(sizes))}
+                continue
+            group.last = rep
+            group.count += 1
+            if key in images and bytes(sizes) not in images[key]:
+                group.gap = (group.first, rep)
+                del images[key]
+    return groups, total
+
+
+def _cross_check(group: _Group) -> None:
+    """Confirm the orbit-key verdict on a group with code_isomorphism.
 
     A reported pair must not be isomorphic, and in a group found
     isomorphic the first and last members must be.
     """
-    if gap is not None:
-        pair, found = gap, False
-    elif len(members) > 1:
-        pair, found = (members[0], members[-1]), True
+    if group.gap is not None:
+        pair, found = group.gap, False
+    elif group.count > 1:
+        pair, found = (group.first, group.last), True
     else:
         return
     first, second = pair

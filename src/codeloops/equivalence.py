@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import BinaryCode, Codeword, InternalInvariantError, _coordinates
+from .factorset import basis_table, sign_tables
 from .loops import CharVector, LoopClass, admissible_bases
 from .search import _SUBSETS
 
@@ -232,52 +233,23 @@ def cycle_notation(perm: tuple[int, ...]) -> str:
 # the stabilizer of a reduced box
 
 
-def _asc(u: int, v: int, w: int) -> int:
-    """Associator bit of three span words of a basis with a catalog vector.
-
-    The first three basis words associate to -1 and any associator through
-    the fourth is trivial.  The associator bit |u & v & w| mod 2 is
-    trilinear and vanishes on a repeated word, so it is the determinant of
-    u, v, w on the first three coordinates, here expanded along u.  The
-    arguments may be numpy arrays, which broadcast.
-    """
-    return (
-        u & (v >> 1 & w >> 2 ^ v >> 2 & w >> 1)
-        ^ u >> 1 & (v >> 2 & w ^ v & w >> 2)
-        ^ u >> 2 & (v & w >> 1 ^ v >> 1 & w)
-    ) & 1
-
-
 def _word_signs(cv: CharVector) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
     """Square, commutator and associator bits of every span word of a basis with vector cv.
 
-    Span word u has bit i set when it holds basis word i.  The associator
-    bits are _asc over all triples.  The others follow from the basis bits
-    by splitting off one basis word e at a time:
-    cm(u + e, w) = cm(u, w) + cm(e, w) + asc(u, e, w) and
-    sq(u + e) = sq(u) + sq(e) + cm(u, e), with cm(e, e) = 0.
+    Span word u has bit i set when it holds basis word i.  The vector gives
+    the basis square and commutator bits.  The triple-meet parity of basis
+    words i, l, j is 1 exactly when they are the words 0, 1 and 2: those
+    associate to -1, the fourth word is nuclear, and a repeated word gives
+    an even pair meet.  The factor-set recursion turns these bits into a
+    table, and the signs are read off it.
     """
     k = cv.rank
-    n = 1 << k
-    x = np.arange(n)
-    asc = _asc(x[:, None, None], x[None, :, None], x[None, None, :]).tolist()
-    cm = [[0] * n for _ in range(n)]
+    commutators = [[0] * k for _ in range(k)]
     for (i, j), bit in zip(combinations(range(k), 2), cv.commutators):
-        cm[1 << i][1 << j] = cm[1 << j][1 << i] = bit
-    for i in range(k):
-        e = 1 << i
-        for w in range(1, n):
-            rest = w & (w - 1)
-            if rest:
-                cm[e][w] = cm[e][rest] ^ cm[e][w ^ rest] ^ asc[rest][w ^ rest][e]
-    sq = [0] * n
-    for u in range(1, n):
-        rest = u & (u - 1)
-        e = u ^ rest
-        sq[u] = sq[rest] ^ cv.squares[e.bit_length() - 1] ^ cm[rest][e]
-        if rest:
-            cm[u] = [cm[rest][w] ^ cm[e][w] ^ asc[rest][e][w] for w in range(n)]
-    return sq, cm, asc
+        commutators[i][j] = commutators[j][i] = bit
+    words = range(k)
+    triples = [[[int({i, l, j} == {0, 1, 2}) for j in words] for l in words] for i in words]
+    return sign_tables(basis_table(cv.squares, commutators, triples))
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,10 +258,10 @@ def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
 
     The rows v_1..v_k of a B in GL(k, 2), read as span words of a box point
     of class L, form an admissible basis with vector L.  Admissibility and
-    the vector read only sign bits of span words, which L fixes
-    (_word_signs), so the B are found once per class by
-    loops.admissible_bases, in ascending order of (v_1, ..., v_k); the
-    identity comes first.
+    the vector read only sign bits of span words, which L fixes through
+    the factor-set recursion (_word_signs), so the B are found once per
+    class by loops.admissible_bases, in ascending order of (v_1, ..., v_k);
+    the identity comes first.
 
     Row h of the result is B as a map on the subset positions of
     search._SUBSETS: if x holds the class sizes of a box point, x[h] holds

@@ -20,7 +20,14 @@ follows from the weights in closed form (after Griess, "Code loops", 1986):
     r(x, j)   = r(e_i, j) + r(x', j) + |b_i & w_x' & b_j|
 
 all mod 2, where i is the lowest set bit of x and x' = x with bit i
-cleared.  The tests keep the general routine as the oracle: they solve the
+cleared.  |b_i & w_x' & b_j| is the xor of |b_i & b_l & b_j| over the bits
+l of x', so basis_table needs only the basis square, commutator and
+triple-meet bits: build_factor_set reads them off a code, and equivalence
+off a class vector.  sign_tables reads every span word's square,
+commutator and associator back off a table, so loops and equivalence
+derive all span-word signs from this one recursion.
+
+The tests keep the general routine as the oracle: they solve the
 axioms as one linear system over GF(2) by elimination, pin free entries to
 0 in table order, and compare.
 """
@@ -28,6 +35,8 @@ axioms as one linear system over GF(2) by elimination, pin free entries to
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .codes import BinaryCode, InvalidCodeError, NotDoublyEvenError
 
@@ -71,38 +80,60 @@ class FactorSet:
 def build_factor_set(code: BinaryCode) -> FactorSet:
     """The lexicographically least factor set of a doubly even code.
 
-    Row x of the table is phi(x, y) = xor of r(x, j) over the generators j
-    in y, and r follows the recursion in the module docstring.
+    Reads the basis data off the generators and runs basis_table on it.
     """
     if not code.is_doubly_even():
         raise NotDoublyEvenError(code.first_odd_span_element())
     k = code.dimension
     if k > MAX_DIMENSION:
         raise InvalidCodeError(f"dimension {k} exceeds solver cap {MAX_DIMENSION}")
-    n = 1 << k
     gens = [g.mask() for g in code.generators]
+    squares = [(b.bit_count() >> 2) & 1 for b in gens]
+    commutators = [[((bi & bj).bit_count() >> 1) & 1 for bj in gens] for bi in gens]
+    triples = [[[(bi & bl & bj).bit_count() & 1 for bj in gens] for bl in gens] for bi in gens]
+    return FactorSet(code, basis_table(squares, commutators, triples))
 
+
+def basis_table(squares, commutators, triples) -> list[list[int]]:
+    """The least factor set table of a basis, from its bits alone.
+
+    squares[i] = |b_i|/4, commutators[i][j] = |b_i & b_j|/2 and
+    triples[i][l][j] = |b_i & b_l & b_j|, all mod 2.  Row x is phi(x, y) =
+    xor of r(x, j) over the generators j in y, and r follows the recursion
+    in the module docstring, with |b_i & w_x' & b_j| the xor of the
+    triples[i][l][j] over the bits l of x'.
+    """
+    k = len(squares)
+    n = 1 << k
+    bits = lambda row: sum(b << j for j, b in enumerate(row))
     # r(e_i, .) as a bitmask over j: square bit at i, commutator bits below i
-    base = []
-    for i, bi in enumerate(gens):
-        r = ((bi.bit_count() >> 2) & 1) << i
-        for j in range(i):
-            r |= (((bi & gens[j]).bit_count() >> 1) & 1) << j
-        base.append(r)
-
-    words = [0] * n  # span word masks, built alongside
+    base = [squares[i] << i | bits(commutators[i][:i]) for i in range(k)]
+    meets = [[bits(row) for row in plane] for plane in triples]  # over j, per (i, l)
     rows = [0] * n  # rows[x] bit j = r(x, j); r(0, .) = 0
     for x in range(1, n):
         i = (x & -x).bit_length() - 1
         rest = x ^ (1 << i)
-        words[x] = words[rest] ^ gens[i]
-        meet = gens[i] & words[rest]
         r = base[i] ^ rows[rest]
-        for j, bj in enumerate(gens):
-            r ^= ((meet & bj).bit_count() & 1) << j
+        for l, meet in enumerate(meets[i]):
+            r ^= meet if rest >> l & 1 else 0
         rows[x] = r
-    table = [[(r & y).bit_count() & 1 for y in range(n)] for r in rows]
-    return FactorSet(code, table)
+    return [[(r & y).bit_count() & 1 for y in range(n)] for r in rows]
+
+
+def sign_tables(table: list[list[int]]):
+    """Square, commutator and associator bits of every span word, read off a table.
+
+    A bit is 1 when the sign is -1.  These are the square, commutator and
+    cocycle axioms solved for their weight terms: sq[x] = phi(x, x),
+    cm[x][y] = phi(x, y) + phi(y, x) and asc[x][y][z] = phi(x+y, z) +
+    phi(x, y+z) + phi(x, y) + phi(y, z), all mod 2, so they equal |x|/4,
+    |x & y|/2 and |x & y & z| mod 2.
+    """
+    phi = np.array(table, dtype=np.uint8)
+    x = np.arange(len(phi))
+    xx, yy, zz = x[:, None, None], x[None, :, None], x[None, None, :]
+    asc = phi[xx ^ yy, zz] ^ phi[xx, yy ^ zz] ^ phi[xx, yy] ^ phi[yy, zz]
+    return phi.diagonal().tolist(), (phi ^ phi.T).tolist(), asc.tolist()
 
 
 def verify_factor_set(phi: FactorSet) -> list[Violation]:

@@ -18,11 +18,11 @@ bit vector; the catalog below lists one vector per isomorphism class.  One
 search, admissible_bases, finds the admissible bases whose vector is in a
 given set: classify takes its first basis over the catalog, and
 equivalence.box_stabilizer every basis with one class's vector.
-Characteristic vectors and classification take their signs from the
-code's weights instead of the table: v squared is (-1)^(|v|/4), the
-commutator of u and v is (-1)^(|u & v|/2), and the associator of u, v, w
-is (-1)^|u & v & w|.  Acceptance criterion 7 checks these formulas
-against the table on every catalog loop.
+Characteristic vectors and classification read their signs off the
+factor set (factorset.sign_tables) instead of the Cayley table: v squared
+is (-1)^(|v|/4), the commutator of u and v is (-1)^(|u & v|/2), and the
+associator of u, v, w is (-1)^|u & v & w|.  Acceptance criterion 7 checks
+these signs against the Cayley table on every catalog loop.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, _mask_rank
-from .factorset import FactorSet, build_factor_set
+from .factorset import FactorSet, build_factor_set, sign_tables
 
 MAX_LOOP_DIMENSION = 6
 
@@ -312,23 +312,12 @@ def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
 def _sign_tables(loop: CodeLoop):
     """Square, commutator, and associator bits for all span words.
 
-    A bit is 1 when the sign is -1.  The bits come from the code's weights,
-    not from the Cayley table: sq[u] = |u|/4, cm[u][v] = |u & v|/2 and
-    asc[u][v][w] = |u & v & w|, all mod 2.  Acceptance criterion 7 checks
-    these formulas against the signs read off the table.
+    A bit is 1 when the sign is -1.  The bits are read off the loop's
+    factor set by factorset.sign_tables, so sq[u] = |u|/4, cm[u][v] =
+    |u & v|/2 and asc[u][v][w] = |u & v & w|, all mod 2.  Acceptance
+    criterion 7 checks them against the signs read off the Cayley table.
     """
-    code = loop.code
-    k = code.dimension
-    gens = np.array(
-        [[g.mask() >> i & 1 for i in range(code.degree)] for g in code.generators],
-        dtype=np.int64,
-    ).reshape(k, code.degree)
-    bits = (np.arange(loop.words)[:, None] >> np.arange(k)) & 1
-    words = (bits @ gens) & 1  # row x is the 0/1 vector of span word x
-    meet2 = words @ words.T
-    meet3 = (words[:, None, :] * words[None, :, :]) @ words.T
-    sq = (meet2.diagonal() >> 2) & 1
-    return sq.tolist(), ((meet2 >> 1) & 1).tolist(), (meet3 & 1).tolist()
+    return sign_tables(loop.factor_set.table)
 
 
 def _nuclear(asc, d: int) -> bool:
@@ -381,7 +370,7 @@ def classify(loop: CodeLoop) -> LoopClass:
     The first admissible basis with a canonical characteristic vector, in
     the ascending order of admissible_bases, decides the class (only one
     class can ever match, since the catalog classes are pairwise
-    non-isomorphic).  The signs come from the weight formulas of
+    non-isomorphic).  The signs are read off the factor set by
     _sign_tables, which criterion 7 checks against the Cayley table.  The
     loop associates iff every associator is trivial, so the associator
     table decides that too.

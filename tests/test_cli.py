@@ -1,11 +1,14 @@
 """Command line behavior: output fields, exit codes, determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ import codeloops
 from codeloops import format_code
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
 from codeloops.cli import main
+from codeloops.search import enumerate_reduced
 from strategies import doubly_even_codes
 
 
@@ -275,6 +279,36 @@ def test_conjecture_cross_checks_the_orbit_key(capsys, monkeypatch):
     assert out == ""
     assert [line for line in err.splitlines() if line.startswith("internal error: ")]
     assert "Traceback" not in err
+
+
+def test_conjecture_keeps_at_most_three_representations_per_group(capsys, monkeypatch):
+    import codeloops.cli as cli_mod
+
+    # every representation the scan yields, by group, through a weak reference
+    refs = []
+
+    def tracked(target, max_degree):
+        for rep in enumerate_reduced(target, max_degree):
+            refs.append(((rep.target.index, rep.degree, rep.rep_type().sizes), weakref.ref(rep)))
+            yield rep
+
+    alive = []
+    cli_emit = cli_mod._emit
+
+    def emit(chunks, out):
+        gc.collect()
+        alive.append(Counter(key for key, ref in refs if ref() is not None))
+        cli_emit(chunks, out)
+
+    monkeypatch.setattr(cli_mod, "enumerate_reduced", tracked)
+    monkeypatch.setattr(cli_mod, "_emit", emit)
+    rc, out, _ = run(capsys, "conjecture", "--rank", "4", "--max-degree", "25")
+    assert rc == 0
+    assert "counterexamples: 42" in out
+    # the report keeps a group's first, last and gap members only
+    assert max(Counter(key for key, _ in refs).values()) > 3
+    [kept] = alive
+    assert max(kept.values()) <= 3
 
 
 def test_argparse_errors_map_to_exit_1(capsys):

@@ -31,9 +31,9 @@ from codeloops import (
     parse_code,
     parse_loop_id,
 )
-from codeloops import loops
+from codeloops import equivalence, loops
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
-from codeloops.cli import _isomorphism_gap, main
+from codeloops.cli import _conjecture_groups, main
 from codeloops.equivalence import (
     _check_permutation,
     _word_signs,
@@ -41,6 +41,7 @@ from codeloops.equivalence import (
     permute_code,
     permute_word,
 )
+from codeloops.factorset import build_factor_set, sign_tables
 from codeloops.search import _SUBSETS, reduced_box
 from strategies import doubly_even_codes, relabeled_codes
 
@@ -377,11 +378,18 @@ def _class_sizes_in_basis(rep, basis):
 
 
 @pytest.mark.parametrize("name", all_loop_ids())
-def test_word_signs_equal_the_weight_formulas(name):
+def test_word_signs_equal_the_weight_formulas(name, monkeypatch):
     # the signs the class vector alone gives every span word are those the
     # weights of a representation give
     rep = _first_box_point(name)
+    tables = []
+    monkeypatch.setattr(
+        equivalence, "sign_tables", lambda table: tables.append(table) or sign_tables(table)
+    )
     assert _word_signs(parse_loop_id(name).vector) == loops._sign_tables(build_loop(rep.code()))
+    # the standard basis of a box point is admissible with the class vector,
+    # so the recursion builds the factor set of the box point from either
+    assert tables == [build_factor_set(rep.code()).table]
 
 
 @pytest.mark.parametrize("name", all_loop_ids())
@@ -488,10 +496,15 @@ def _pairwise_gap(codes):
 
 @pytest.mark.parametrize("rank, max_degree", [(3, 49), (4, 23)])
 def test_orbit_key_gap_equals_pairwise_oracle(rank, max_degree):
+    groups, total = _conjecture_groups(rank, max_degree)
+    rep_groups = _scan_rep_groups(rank, max_degree)
+    assert len(groups) == len(rep_groups)
+    assert total == sum(map(len, rep_groups))
     gaps = 0
-    for members, codes in zip(_scan_rep_groups(rank, max_degree), _scan_groups(rank, max_degree)):
-        gap = _isomorphism_gap(members)
-        got = None if gap is None else tuple(members.index(rep) for rep in gap)
+    for key, members, codes in zip(sorted(groups), rep_groups, _scan_groups(rank, max_degree)):
+        group = groups[key]
+        assert (group.first, group.last, group.count) == (members[0], members[-1], len(members))
+        got = None if group.gap is None else tuple(members.index(rep) for rep in group.gap)
         assert got == _pairwise_gap(codes), members[0]
         gaps += got is not None
     assert gaps > 0 if rank == 4 else gaps == 0
