@@ -8,6 +8,7 @@ Commands take code literal files (one generator per line, optional
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -385,7 +386,13 @@ def _cross_check(group: _Group) -> None:
         )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser, built on first use and kept for the process.
+
+    parse_args keeps no state between calls: each call fills a new
+    namespace, so one parser serves any number of main() calls.
+    """
     parser = _Parser(prog="codeloops", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,7 +25,8 @@ l of x', so basis_table needs only the basis square, commutator and
 triple-meet bits: build_factor_set reads them off a code, and equivalence
 off a class vector.  sign_tables reads every span word's square,
 commutator and associator back off a table, so loops and equivalence
-derive all span-word signs from this one recursion.
+derive all span-word signs from this one recursion.  The associators come
+from associator_bits, which CodeLoop.is_associative reads as well.
 
 The tests keep the general routine as the oracle: they solve the
 axioms as one linear system over GF(2) by elimination, pin free entries to
@@ -130,10 +131,21 @@ def sign_tables(table: list[list[int]]):
     |x & y|/2 and |x & y & z| mod 2.
     """
     phi = np.array(table, dtype=np.uint8)
+    return phi.diagonal().tolist(), (phi ^ phi.T).tolist(), associator_bits(phi).tolist()
+
+
+def associator_bits(phi: np.ndarray) -> np.ndarray:
+    """asc[x, y, z] = phi(x+y, z) + phi(x, y+z) + phi(x, y) + phi(y, z) mod 2, as a uint8 array.
+
+    phi is a 2^k x 2^k uint8 array of sign exponents.  For any such table
+    this is the sign exponent of the associator of the positive lifts of
+    x, y, z in the twisted loop: ((x y) z) takes phi(x, y) + phi(x+y, z)
+    and (x (y z)) takes phi(y, z) + phi(x, y+z).  On a factor set it is
+    the cocycle axiom's weight term |x & y & z| mod 2.
+    """
     x = np.arange(len(phi))
     xx, yy, zz = x[:, None, None], x[None, :, None], x[None, None, :]
-    asc = phi[xx ^ yy, zz] ^ phi[xx, yy ^ zz] ^ phi[xx, yy] ^ phi[yy, zz]
-    return phi.diagonal().tolist(), (phi ^ phi.T).tolist(), asc.tolist()
+    return phi[xx ^ yy, zz] ^ phi[xx, yy ^ zz] ^ phi[xx, yy] ^ phi[yy, zz]
 
 
 def verify_factor_set(phi: FactorSet) -> list[Violation]:

@@ -7,9 +7,20 @@ the product twists the GF(2) sum by a factor set:
 
 Internally an element is the integer 2*word_index + sign_bit, so the
 identity is 0 and negation is xor with 1.  The Cayley table is a numpy
-array, built by broadcasting over the factor set, which keeps the
-exhaustive Moufang and agreement checks cheap.  The sign methods of
-CodeLoop read squares, commutators and associators off the table.
+array, built by broadcasting over the factor set and checked to be a
+Latin square with identity 0.  The sign methods of CodeLoop read
+squares, commutators and associators off the table.
+
+The Moufang identities and associativity are checked on the 2^k words of
+the factor set, not on the 2^(k+1) elements of the table.  The signs are
+central, so the sign exponent of a product of signed elements is the sum
+of the factors' sign exponents plus one phi term per multiplication, and
+its word is the sum of the factors' words.  Each Moufang identity, like
+the associative law, has every variable the same number of times on both
+sides, so the factors' signs cancel and the words agree; an identity
+holds on all signed triples exactly when the phi terms of its two sides
+agree on the positive lifts.  The tests keep the element-level checks on
+the table as the oracle.
 
 For a nonassociative loop of rank 3 or 4 the characteristic vector of an
 admissible basis (the first three words associate to -1 and, at rank 4,
@@ -35,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, _mask_rank
-from .factorset import FactorSet, build_factor_set, sign_tables
+from .factorset import FactorSet, associator_bits, build_factor_set, sign_tables
 
 MAX_LOOP_DIMENSION = 6
 
@@ -55,13 +66,7 @@ def _word(x: int) -> int:
 class CodeLoop:
     """Cayley table of the signed span of a doubly even code."""
 
-    def __init__(
-        self,
-        code: BinaryCode,
-        factor_set: FactorSet,
-        table: np.ndarray | None = None,
-        validate: bool = True,
-    ):
+    def __init__(self, code: BinaryCode, factor_set: FactorSet):
         if code.dimension > MAX_LOOP_DIMENSION:
             raise InvalidCodeError(
                 f"dimension {code.dimension} exceeds loop cap {MAX_LOOP_DIMENSION}"
@@ -71,17 +76,15 @@ class CodeLoop:
         self.rank = code.dimension
         self.words = 1 << self.rank
         self.order = self.words << 1
-        if table is None:
-            table = self._build_table()
-        self.table = table
+        # always built from the factor set, which the word-level checks read
+        self.table = self._build_table()
         self._inverses: np.ndarray | None = None
-        if validate:
-            if not is_latin(self.table):
-                raise InternalInvariantError("Cayley table is not a Latin square")
-            if (self.table[0] != np.arange(self.order)).any() or (
-                self.table[:, 0] != np.arange(self.order)
-            ).any():
-                raise InternalInvariantError("element 0 is not a two-sided identity")
+        if not is_latin(self.table):
+            raise InternalInvariantError("Cayley table is not a Latin square")
+        if (self.table[0] != np.arange(self.order)).any() or (
+            self.table[:, 0] != np.arange(self.order)
+        ).any():
+            raise InternalInvariantError("element 0 is not a two-sided identity")
 
     def _build_table(self) -> np.ndarray:
         # element e = 2*word + sign: the product word is the xor of the
@@ -131,15 +134,12 @@ class CodeLoop:
         return -1 if _sign_bit(r) else 1
 
     def is_moufang(self) -> bool:
-        return is_moufang(self.table)
+        return is_moufang(self.factor_set.table)
 
     def is_associative(self) -> bool:
-        t = self.table
-        n = self.order
-        x = np.arange(n)[:, None, None]
-        y = np.arange(n)[None, :, None]
-        z = np.arange(n)[None, None, :]
-        return bool((t[t[x, y], z] == t[x, t[y, z]]).all())
+        """True when every associator of span words is trivial (see the module docstring)."""
+        phi = np.array(self.factor_set.table, dtype=np.uint8)
+        return not associator_bits(phi).any()
 
 
 def is_latin(table: np.ndarray) -> bool:
@@ -152,20 +152,29 @@ def is_latin(table: np.ndarray) -> bool:
     )
 
 
-def is_moufang(table: np.ndarray) -> bool:
-    """Exhaustively check three equivalent Moufang identities."""
-    t = table
-    n = len(t)
-    z = np.arange(n)[:, None, None]
-    x = np.arange(n)[None, :, None]
-    y = np.arange(n)[None, None, :]
-    if (t[z, t[x, t[z, y]]] != t[t[t[z, x], z], y]).any():
-        return False
-    if (t[x, t[z, t[y, z]]] != t[t[t[x, z], y], z]).any():
-        return False
-    if (t[t[z, x], t[y, z]] != t[t[z, t[x, y]], z]).any():
-        return False
-    return True
+def is_moufang(phi) -> bool:
+    """Check three equivalent Moufang identities on the loop twisted by a factor-set table.
+
+    phi is the 2^k x 2^k table of sign exponents.  Each identity is checked
+    on all 2^(3k) triples of words (z, x, y) as the xor of its phi terms on
+    either side, which decides it on all signed triples (see the module
+    docstring).  For z(x(zy)) = ((zx)z)y that is phi(z, y) + phi(x, z+y) +
+    phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y), mod 2.
+    """
+    phi = np.asarray(phi, dtype=np.uint8)
+    w = np.arange(len(phi))
+    z, x, y = w[:, None, None], w[None, :, None], w[None, None, :]
+    xyz = x ^ y ^ z
+    # the phi terms of the left and right side of each identity
+    sides = (
+        # z(x(zy)) = ((zx)z)y
+        (phi[z, y] ^ phi[x, z ^ y] ^ phi[z, xyz], phi[z, x] ^ phi[z ^ x, z] ^ phi[x, y]),
+        # x(z(yz)) = ((xz)y)z
+        (phi[y, z] ^ phi[z, y ^ z] ^ phi[x, y], phi[x, z] ^ phi[x ^ z, y] ^ phi[xyz, z]),
+        # (zx)(yz) = (z(xy))z
+        (phi[z, x] ^ phi[y, z] ^ phi[z ^ x, y ^ z], phi[x, y] ^ phi[z, x ^ y] ^ phi[xyz, z]),
+    )
+    return all((left == right).all() for left, right in sides)
 
 
 def build_loop(code: BinaryCode) -> CodeLoop:

@@ -318,6 +318,31 @@ def test_argparse_errors_map_to_exit_1(capsys):
     assert rc == 1
 
 
+def test_main_calls_in_one_process_match_calls_on_their_own(capsys, tmp_path):
+    import codeloops.cli as cli_mod
+
+    # main() builds its parser once per process; each call must exit and
+    # print as it does with a parser built for it alone
+    out = tmp_path / "report.txt"
+    calls = [
+        ["enumerate", "--loop", "C3_1"],  # --max-degree missing
+        ["conjecture", "--rank", "3", "--max-degree", "13", "--out", out],
+        ["conjecture", "--rank", "3", "--max-degree", "13"],
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    report = out.read_text()
+    alone = []
+    for argv in calls:
+        cli_mod._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert shared == alone
+    assert out.read_text() == report
+    assert [rc for rc, _, _ in shared] == [1, 0, 0]
+    assert shared[0][2].startswith("error: ")
+    assert shared[1][1].endswith(f"written: {out}\n")
+    assert shared[2][1] == report
+
+
 def test_console_script_entry_point(sample_files):
     a, _ = sample_files
     # run the package the tests import, installed or not

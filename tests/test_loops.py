@@ -4,6 +4,8 @@ Element encoding: element = 2 * span_index + sign_bit, so 0 is the identity
 and e ^ 1 negates e.  The independent oracle throughout is the weight
 formula set: v squared is (-1)^(|v|/4), the commutator of u and v is
 (-1)^(|u meet v|/2), and the associator of u, v, w is (-1)^|u meet v meet w|.
+The Moufang and associativity checks read the factor set's words; their
+oracles are the element-level checks on the Cayley table in oracles.py.
 """
 
 import functools
@@ -33,7 +35,9 @@ from codeloops import (
 )
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
 from codeloops.codes import _mask_rank
-from codeloops.loops import _sign_tables, admissible_bases, is_latin, is_moufang
+from codeloops.factorset import FactorSet
+from codeloops.loops import CodeLoop, _sign_tables, admissible_bases, is_latin, is_moufang
+from oracles import _table_is_associative, _table_is_moufang
 from strategies import doubly_even_codes, relabeled_codes
 
 
@@ -130,11 +134,16 @@ def test_sign_identities_match_weight_formulas_rank4_sample():
 def test_moufang_holds_and_breaks():
     loop = build_loop(catalog_entry("C3_1").code())
     assert loop.is_moufang()
-    assert is_moufang(loop.table)
+    assert _table_is_moufang(loop.table)
 
     broken = loop.table.copy()
     broken[2, 3], broken[2, 5] = broken[2, 5], broken[2, 3]
-    assert not is_moufang(broken)
+    assert not _table_is_moufang(broken)
+
+    flipped = [row[:] for row in loop.factor_set.table]
+    flipped[3][5] ^= 1
+    assert not is_moufang(flipped)
+    assert not _table_is_moufang(_twisted_loop(loop.code, flipped).table)
 
     not_square = np.zeros((4, 3), dtype=loop.table.dtype)
     assert not is_latin(not_square)
@@ -156,14 +165,14 @@ def _subcodes(code):
 
 def test_associative_subcodes_of_catalog_and_samples_raise():
     # classify decides associativity from the associator table; the Cayley
-    # table product of is_associative is the oracle
+    # table product of _table_is_associative is the oracle
     codes = [catalog_entry(name).code() for name in all_loop_ids()]
     codes += [parse_code(SAMPLE_C4_16_A), parse_code(SAMPLE_C4_16_B)]
     associative = nonassociative = 0
     for code in codes:
         for sub in _subcodes(code):
             loop = build_loop(sub)
-            if loop.is_associative():
+            if _table_is_associative(loop.table):
                 associative += 1
                 with pytest.raises(AssociativeLoopError):
                     classify(loop)
@@ -182,7 +191,81 @@ def test_classify_raises_associative_iff_the_table_associates(code):
         raised = None
     except InvalidCodeError as exc:
         raised = type(exc)
-    assert (raised is AssociativeLoopError) == loop.is_associative()
+    assert (raised is AssociativeLoopError) == _table_is_associative(loop.table)
+
+
+def _twisted_loop(code, table):
+    """The loop of code twisted by table, which need not be a valid factor set."""
+    return CodeLoop(code, FactorSet(code, table))
+
+
+def _assert_word_checks_agree_with_table_checks(loop):
+    assert loop.is_moufang() == _table_is_moufang(loop.table)
+    assert loop.is_associative() == _table_is_associative(loop.table)
+
+
+def test_word_checks_agree_with_table_checks_on_catalog_subcodes():
+    moufang = associative = 0
+    for name in all_loop_ids():
+        for sub in _subcodes(catalog_entry(name).code()):
+            loop = build_loop(sub)
+            _assert_word_checks_agree_with_table_checks(loop)
+            moufang += loop.is_moufang()
+            associative += loop.is_associative()
+    assert moufang == 275 and associative == 238
+
+
+@settings(max_examples=40, deadline=None)
+@given(doubly_even_codes(0, 5))
+def test_word_checks_agree_with_table_checks(code):
+    loop = build_loop(code)
+    _assert_word_checks_agree_with_table_checks(loop)
+    assert loop.is_moufang()
+
+
+def test_word_checks_agree_with_table_checks_at_dimension_6():
+    code = parse_code("degree=27\n1-8\n1,4,9-14\n1,2,3,5,6,7,9-13,15-19\n2,3,15,16\n20-23\n24-27\n")
+    loop = build_loop(code)
+    assert loop.rank == 6
+    _assert_word_checks_agree_with_table_checks(loop)
+    assert loop.is_moufang() and not loop.is_associative()
+
+
+def test_a_flipped_factor_set_bit_breaks_both_moufang_checks():
+    # flipping phi(v, w) for nonzero v, w keeps the table a Latin square
+    # with identity 0, but the loop is no longer Moufang
+    rng = random.Random(20261018)
+    for name in all_loop_ids():
+        code = catalog_entry(name).code()
+        table = build_loop(code).factor_set.table
+        n = len(table)
+        for _ in range(20):
+            v, w = rng.randrange(1, n), rng.randrange(1, n)
+            flipped = [row[:] for row in table]
+            flipped[v][w] ^= 1
+            assert not is_moufang(flipped), (name, v, w)
+            loop = _twisted_loop(code, flipped)
+            assert not _table_is_moufang(loop.table), (name, v, w)
+            _assert_word_checks_agree_with_table_checks(loop)
+
+
+def test_a_coboundary_twist_keeps_both_moufang_checks():
+    # phi(v, w) + f(v) + f(w) + f(v + w) gives an isomorphic loop, by
+    # (s, v) -> (s f(v), v), so it stays Moufang and nonassociative
+    rng = random.Random(20261019)
+    for name in all_loop_ids():
+        code = catalog_entry(name).code()
+        table = build_loop(code).factor_set.table
+        n = len(table)
+        for _ in range(5):
+            f = [0] + [rng.randrange(2) for _ in range(n - 1)]
+            f[3] = 1 ^ f[1] ^ f[2]  # f is not linear, so the twist moves phi(1, 2)
+            twisted = [[table[v][w] ^ f[v] ^ f[w] ^ f[v ^ w] for w in range(n)] for v in range(n)]
+            assert twisted[1][2] != table[1][2]
+            loop = _twisted_loop(code, twisted)
+            assert loop.is_moufang() and _table_is_moufang(loop.table), name
+            _assert_word_checks_agree_with_table_checks(loop)
+            assert not loop.is_associative()
 
 
 def test_char_vector_round_trip_and_str():
