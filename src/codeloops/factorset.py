@@ -28,6 +28,14 @@ commutator and associator back off a table, so loops and equivalence
 derive all span-word signs from this one recursion.  The associators come
 from associator_bits, which CodeLoop.is_associative reads as well.
 
+Tables with k <= 6 are also handled as bit rows: row x of phi is one
+2^k-bit word, bit y = phi(x, y), so one uint64 holds it.  The translates
+t[a, x] of the rows (bit y of row x read from position y + a) are built for
+every a in k doubling steps, and a sum of phi terms over a free variable y
+becomes an xor of 2^k-bit words, one per pair of the other two variables:
+associator_bits and loops.is_moufang decide 2^k triples per word operation
+over 4^k pairs.
+
 The tests keep the general routine as the oracle: they solve the
 axioms as one linear system over GF(2) by elimination, pin free entries to
 0 in table order, and compare.
@@ -35,13 +43,14 @@ axioms as one linear system over GF(2) by elimination, pin free entries to
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import BinaryCode, InvalidCodeError, NotDoublyEvenError
 
-MAX_DIMENSION = 6  # the table has 4^k entries
+MAX_DIMENSION = 6  # the table has 4^k entries, and a row fits in a uint64
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,13 @@ class FactorSet:
             raise InvalidCodeError("factor set table must be 2^k x 2^k")
         self.code = code
         self.table = [list(row) for row in table]
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The table as a read-only uint8 array, built on first use."""
+        phi = np.array(self.table, dtype=np.uint8)
+        phi.flags.writeable = False
+        return phi
 
     @property
     def size(self) -> int:
@@ -121,31 +137,72 @@ def basis_table(squares, commutators, triples) -> list[list[int]]:
     return [[(r & y).bit_count() & 1 for y in range(n)] for r in rows]
 
 
-def sign_tables(table: list[list[int]]):
+def sign_tables(table):
     """Square, commutator and associator bits of every span word, read off a table.
 
-    A bit is 1 when the sign is -1.  These are the square, commutator and
-    cocycle axioms solved for their weight terms: sq[x] = phi(x, x),
-    cm[x][y] = phi(x, y) + phi(y, x) and asc[x][y][z] = phi(x+y, z) +
-    phi(x, y+z) + phi(x, y) + phi(y, z), all mod 2, so they equal |x|/4,
-    |x & y|/2 and |x & y & z| mod 2.
+    table is a 2^k x 2^k 0/1 table, as nested lists or an array.  A bit is
+    1 when the sign is -1.  These are the square, commutator and cocycle
+    axioms solved for their weight terms: sq[x] = phi(x, x), cm[x][y] =
+    phi(x, y) + phi(y, x) and asc[x][y][z] = phi(x+y, z) + phi(x, y+z) +
+    phi(x, y) + phi(y, z), all mod 2, so they equal |x|/4, |x & y|/2 and
+    |x & y & z| mod 2.  The associator rows are unpacked into nested lists.
     """
-    phi = np.array(table, dtype=np.uint8)
-    return phi.diagonal().tolist(), (phi ^ phi.T).tolist(), associator_bits(phi).tolist()
+    phi = np.asarray(table, dtype=np.uint8)
+    n = len(phi)
+    asc = associator_bits(phi).astype("<u8").view(np.uint8).reshape(n, n, 8)
+    asc = np.unpackbits(asc, axis=-1, bitorder="little")[..., :n]
+    return phi.diagonal().tolist(), (phi ^ phi.T).tolist(), asc.tolist()
+
+
+_SHIFTS = np.arange(64, dtype=np.uint64)
+# _CLEAR[b] marks the bit positions y < 64 with bit b of y clear
+_CLEAR = [np.uint64(sum(1 << y for y in range(64) if not y >> b & 1)) for b in range(6)]
+
+
+def bit_rows(phi: np.ndarray) -> np.ndarray:
+    """Row x of a 2^k x 2^k 0/1 array as one uint64 word, bit y = phi[x, y]; k <= 6."""
+    n = len(phi)
+    if n > 64:
+        raise InvalidCodeError(f"a {n}-entry row does not fit in 64 bits")
+    return np.bitwise_or.reduce(phi.astype(np.uint64) << _SHIFTS[:n], axis=1)
+
+
+def translates(rows: np.ndarray) -> np.ndarray:
+    """t[a, x] = rows[x] with bit y read from position y + a (xor), for every a.
+
+    rows holds 2^k words of 2^k bits.  Step b of the k doubling steps
+    appends the translates by a + 2^b, which swap the blocks of 2^b bits
+    of the translates by a.
+    """
+    t = rows[None, :]
+    for b in range(len(rows).bit_length() - 1):
+        s, m = np.uint64(1 << b), _CLEAR[b]
+        t = np.concatenate((t, ((t & m) << s) | ((t >> s) & m)))
+    return t
+
+
+def spread(bits: np.ndarray, n: int) -> np.ndarray:
+    """The all-ones n-bit word where bits is 1, and 0 where it is 0."""
+    return bits * np.uint64((1 << n) - 1)
 
 
 def associator_bits(phi: np.ndarray) -> np.ndarray:
-    """asc[x, y, z] = phi(x+y, z) + phi(x, y+z) + phi(x, y) + phi(y, z) mod 2, as a uint8 array.
+    """The associator bits as rows: bit z of word [x, y] is asc[x, y, z].
 
-    phi is a 2^k x 2^k uint8 array of sign exponents.  For any such table
-    this is the sign exponent of the associator of the positive lifts of
-    x, y, z in the twisted loop: ((x y) z) takes phi(x, y) + phi(x+y, z)
-    and (x (y z)) takes phi(y, z) + phi(x, y+z).  On a factor set it is
-    the cocycle axiom's weight term |x & y & z| mod 2.
+    asc[x, y, z] = phi(x+y, z) + phi(x, y+z) + phi(x, y) + phi(y, z) mod 2.
+    phi is a 2^k x 2^k uint8 array of sign exponents, k <= 6.  For any
+    such table this is the sign exponent of the associator of the positive
+    lifts of x, y, z in the twisted loop: ((x y) z) takes phi(x, y) +
+    phi(x+y, z) and (x (y z)) takes phi(y, z) + phi(x, y+z).  On a factor
+    set it is the cocycle axiom's weight term |x & y & z| mod 2.  Over z
+    the four terms are the rows of x+y, the translate of row x by y, the
+    constant phi(x, y) and the row of y.
     """
-    x = np.arange(len(phi))
-    xx, yy, zz = x[:, None, None], x[None, :, None], x[None, None, :]
-    return phi[xx ^ yy, zz] ^ phi[xx, yy ^ zz] ^ phi[xx, yy] ^ phi[yy, zz]
+    n = len(phi)
+    rows = bit_rows(phi)
+    w = np.arange(n)
+    x, y = w[:, None], w[None, :]
+    return rows[x ^ y] ^ translates(rows)[y, x] ^ spread(phi, n) ^ rows[y]
 
 
 def verify_factor_set(phi: FactorSet) -> list[Violation]:

@@ -19,8 +19,13 @@ its word is the sum of the factors' words.  Each Moufang identity, like
 the associative law, has every variable the same number of times on both
 sides, so the factors' signs cancel and the words agree; an identity
 holds on all signed triples exactly when the phi terms of its two sides
-agree on the positive lifts.  The tests keep the element-level checks on
-the table as the oracle.
+agree on the positive lifts.  The phi terms are read as bit rows of the
+factor set (see factorset): with y as the free variable, every phi term
+of an identity is a row, a column, a translate of either, or a constant
+spread over all 2^k bits, so each identity is one xor of 2^k-bit words
+for each of the 4^k pairs (z, x), which covers all 2^(3k) triples.  The
+tests keep the element-level checks on the table, and the broadcast
+checks over all triples of words, as the oracles.
 
 For a nonassociative loop of rank 3 or 4 the characteristic vector of an
 admissible basis (the first three words associate to -1 and, at rank 4,
@@ -46,7 +51,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, _mask_rank
-from .factorset import FactorSet, associator_bits, build_factor_set, sign_tables
+from .factorset import (
+    FactorSet,
+    associator_bits,
+    bit_rows,
+    build_factor_set,
+    sign_tables,
+    spread,
+    translates,
+)
 
 MAX_LOOP_DIMENSION = 6
 
@@ -91,7 +104,7 @@ class CodeLoop:
         # words, and its sign bit is s ^ u ^ phi(v, w)
         e = np.arange(self.order, dtype=np.int32)
         v, s = e >> 1, e & 1
-        phi = np.array(self.factor_set.table, dtype=np.int32)
+        phi = self.factor_set.array
         vv, ww = v[:, None], v[None, :]
         return ((vv ^ ww) << 1) | (s[:, None] ^ s[None, :] ^ phi[vv, ww])
 
@@ -134,12 +147,11 @@ class CodeLoop:
         return -1 if _sign_bit(r) else 1
 
     def is_moufang(self) -> bool:
-        return is_moufang(self.factor_set.table)
+        return is_moufang(self.factor_set.array)
 
     def is_associative(self) -> bool:
         """True when every associator of span words is trivial (see the module docstring)."""
-        phi = np.array(self.factor_set.table, dtype=np.uint8)
-        return not associator_bits(phi).any()
+        return not associator_bits(self.factor_set.array).any()
 
 
 def is_latin(table: np.ndarray) -> bool:
@@ -155,26 +167,39 @@ def is_latin(table: np.ndarray) -> bool:
 def is_moufang(phi) -> bool:
     """Check three equivalent Moufang identities on the loop twisted by a factor-set table.
 
-    phi is the 2^k x 2^k table of sign exponents.  Each identity is checked
-    on all 2^(3k) triples of words (z, x, y) as the xor of its phi terms on
-    either side, which decides it on all signed triples (see the module
-    docstring).  For z(x(zy)) = ((zx)z)y that is phi(z, y) + phi(x, z+y) +
-    phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y), mod 2.
+    phi is any 2^k x 2^k 0/1 table of sign exponents, k <= 6.  Each
+    identity is checked on all 2^(3k) triples of words (z, x, y) as the
+    xor of its phi terms on either side, which decides it on all signed
+    triples (see the module docstring).  For z(x(zy)) = ((zx)z)y that is
+    phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) +
+    phi(x, y), mod 2.
     """
-    phi = np.asarray(phi, dtype=np.uint8)
-    w = np.arange(len(phi))
-    z, x, y = w[:, None, None], w[None, :, None], w[None, None, :]
-    xyz = x ^ y ^ z
-    # the phi terms of the left and right side of each identity
-    sides = (
-        # z(x(zy)) = ((zx)z)y
-        (phi[z, y] ^ phi[x, z ^ y] ^ phi[z, xyz], phi[z, x] ^ phi[z ^ x, z] ^ phi[x, y]),
-        # x(z(yz)) = ((xz)y)z
-        (phi[y, z] ^ phi[z, y ^ z] ^ phi[x, y], phi[x, z] ^ phi[x ^ z, y] ^ phi[xyz, z]),
-        # (zx)(yz) = (z(xy))z
-        (phi[z, x] ^ phi[y, z] ^ phi[z ^ x, y ^ z], phi[x, y] ^ phi[z, x ^ y] ^ phi[xyz, z]),
-    )
-    return all((left == right).all() for left, right in sides)
+    return not any(defects.any() for defects in _moufang_defects(np.asarray(phi, dtype=np.uint8)))
+
+
+def _moufang_defects(phi: np.ndarray) -> Iterator[np.ndarray]:
+    """Per identity, the words over y of the xor of its two sides' phi terms.
+
+    Bit y of word [z, x] is 1 when the identity fails on (z, x, y).  Over y,
+    phi(u, y) is row u, phi(y, u) is column u, phi(u, y + a) and phi(y + a,
+    u) are their translates by a, and a term without y is spread over all
+    bits.
+    """
+    n = len(phi)
+    rows, cols = bit_rows(phi), bit_rows(phi.T)
+    tr, tc = translates(rows), translates(cols)
+    w = np.arange(n)
+    z, x = w[:, None], w[None, :]
+    zx = z ^ x
+    # z(x(zy)) = ((zx)z)y:
+    # phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y)
+    yield rows[z] ^ tr[z, x] ^ tr[zx, z] ^ rows[x] ^ spread(phi[z, x] ^ phi[zx, z], n)
+    # x(z(yz)) = ((xz)y)z:
+    # phi(y, z) + phi(z, y+z) + phi(x, y) = phi(x, z) + phi(x+z, y) + phi(x+y+z, z)
+    yield cols[z] ^ tr[z, z] ^ rows[x] ^ rows[zx] ^ tc[zx, z] ^ spread(phi[x, z], n)
+    # (zx)(yz) = (z(xy))z:
+    # phi(z, x) + phi(y, z) + phi(z+x, y+z) = phi(x, y) + phi(z, x+y) + phi(x+y+z, z)
+    yield cols[z] ^ tr[z, zx] ^ rows[x] ^ tr[x, z] ^ tc[zx, z] ^ spread(phi[z, x], n)
 
 
 def build_loop(code: BinaryCode) -> CodeLoop:
@@ -326,7 +351,7 @@ def _sign_tables(loop: CodeLoop):
     |u & v|/2 and asc[u][v][w] = |u & v & w|, all mod 2.  Acceptance
     criterion 7 checks them against the signs read off the Cayley table.
     """
-    return sign_tables(loop.factor_set.table)
+    return sign_tables(loop.factor_set.array)
 
 
 def _nuclear(asc, d: int) -> bool:
@@ -347,15 +372,15 @@ def admissible_bases(
     chosen in ascending order, so the bases come in ascending order of
     (v_1, ..., v_k).  A row v_j is dropped at once when it lies in the span
     of the rows before it, or when the bits read so far, row by row
-    (sq(v_j), then cm(v_i, v_j) for i < j), are no prefix of any vector's.
+    (sq(v_j), then cm(v_i, v_j) for i < j), are no prefix of any vector's;
+    the rows whose square bit begins no wanted row after the prefix are
+    never tried.
     """
     rank = len(sq).bit_length() - 1
-    wanted: dict[tuple, CharVector] = {}
-    for cv in vectors:
-        pairs = dict(zip(combinations(range(rank), 2), cv.commutators))
-        rows = tuple((cv.squares[j], *(pairs[i, j] for i in range(j))) for j in range(rank))
-        wanted[rows] = cv
-    prefixes = {rows[:j] for rows in wanted for j in range(1, rank + 1)}
+    wanted, prefixes, squares = _wanted_rows(rank, tuple(vectors))
+    words = range(1, len(sq))
+    # the candidate rows for each set of square bits, as squares encodes it
+    by_squares = ((), [v for v in words if not sq[v]], [v for v in words if sq[v]], words)
     nuclear = [_nuclear(asc, d) for d in range(len(sq))]
 
     def extend(basis: tuple[int, ...], span: set[int], bits: tuple):
@@ -363,7 +388,7 @@ def admissible_bases(
         if j == rank:
             yield basis, wanted[bits]
             return
-        for v in range(1, len(sq)):
+        for v in by_squares[squares.get(bits, 0)]:
             if v in span or j == 2 and not asc[basis[0]][basis[1]][v] or j == 3 and not nuclear[v]:
                 continue
             row_bits = bits + ((sq[v], *(cm[u][v] for u in basis)),)
@@ -371,6 +396,28 @@ def admissible_bases(
                 yield from extend(basis + (v,), span | {s ^ v for s in span}, row_bits)
 
     return extend((), {0}, ())
+
+
+@functools.lru_cache(maxsize=64)
+def _wanted_rows(rank: int, vectors: tuple[CharVector, ...]):
+    """The row-by-row bits of the vectors, as admissible_bases reads them.
+
+    Returns the map from each vector's rows (sq(v_j), then cm(v_i, v_j)
+    for i < j) to the vector, the set of nonempty prefixes of those rows,
+    and for each shorter prefix the square bits that begin a next row: bit
+    s of the value is set when square bit s does.
+    """
+    wanted: dict[tuple, CharVector] = {}
+    for cv in vectors:
+        pairs = dict(zip(combinations(range(rank), 2), cv.commutators))
+        rows = tuple((cv.squares[j], *(pairs[i, j] for i in range(j))) for j in range(rank))
+        wanted[rows] = cv
+    prefixes = {rows[:j] for rows in wanted for j in range(1, rank + 1)}
+    squares: dict[tuple, int] = {}
+    for rows in wanted:
+        for j in range(rank):
+            squares[rows[:j]] = squares.get(rows[:j], 0) | 1 << rows[j][0]
+    return wanted, prefixes, squares
 
 
 def classify(loop: CodeLoop) -> LoopClass:
