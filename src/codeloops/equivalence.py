@@ -11,9 +11,10 @@ basis B moves the class of S to the class of B.S, and the box point of
 the new basis is the same code.  When the new basis is admissible with
 vector L it is again a point of L's box, and two box points are isomorphic
 codes exactly when one is the other composed with such a B.  Those B form
-a group H_L that depends on L alone (box_stabilizer), so the isomorphism
-class of a box point is its H_L-orbit, and a code is isomorphic to another
-iff its packed class sizes are among the packed images of the other's.
+the stabilizer H_L of L's squaring form (box_stabilizer), so the
+isomorphism class of a box point is its H_L-orbit, and a code is
+isomorphic to another iff its packed class sizes are among the packed
+images of the other's.
 
 code_isomorphism decides isomorphism of arbitrary codes: it is the engine
 of the iso command and the independent cross-check of the orbit key.
@@ -33,14 +34,12 @@ span, so a code tested against many others pays for it once.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .codes import BinaryCode, Codeword, InternalInvariantError, _coordinates
-from .factorset import basis_table, sign_tables
-from .loops import CharVector, LoopClass, admissible_bases
+from .loops import LoopClass, _general_linear, _orbit
 from .search import _SUBSETS
 
 # invariant checks tried before any search, cheapest first; the name is the
@@ -233,35 +232,16 @@ def cycle_notation(perm: tuple[int, ...]) -> str:
 # the stabilizer of a reduced box
 
 
-def _word_signs(cv: CharVector) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
-    """Square, commutator and associator bits of every span word of a basis with vector cv.
-
-    Span word u has bit i set when it holds basis word i.  The vector gives
-    the basis square and commutator bits.  The triple-meet parity of basis
-    words i, l, j is 1 exactly when they are the words 0, 1 and 2: those
-    associate to -1, the fourth word is nuclear, and a repeated word gives
-    an even pair meet.  The factor-set recursion turns these bits into a
-    table, and the signs are read off it.
-    """
-    k = cv.rank
-    commutators = [[0] * k for _ in range(k)]
-    for (i, j), bit in zip(combinations(range(k), 2), cv.commutators):
-        commutators[i][j] = commutators[j][i] = bit
-    words = range(k)
-    triples = [[[int({i, l, j} == {0, 1, 2}) for j in words] for l in words] for i in words]
-    return sign_tables(basis_table(cv.squares, commutators, triples))
-
-
 @functools.lru_cache(maxsize=None)
 def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
     """H_L: the changes of basis that keep a class's vector, as maps on its box.
 
     The rows v_1..v_k of a B in GL(k, 2), read as span words of a box point
-    of class L, form an admissible basis with vector L.  Admissibility and
-    the vector read only sign bits of span words, which L fixes through
-    the factor-set recursion (_word_signs), so the B are found once per
-    class by loops.admissible_bases, in ascending order of (v_1, ..., v_k);
-    the identity comes first.
+    of class L, form an admissible basis with vector L exactly when they
+    read its squaring form q_L as q_L again (|u & v & w| is trilinear, so a
+    nuclear v_4 kills every cubic term holding it).  So H_L is the
+    stabilizer of q_L, in the ascending order of loops._general_linear,
+    whose first basis, the identity, reads q_L as itself.
 
     Row h of the result is B as a map on the subset positions of
     search._SUBSETS: if x holds the class sizes of a box point, x[h] holds
@@ -270,14 +250,14 @@ def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
     is uint8, read-only, and built on first use for each class.
     """
     k = loop_class.rank
-    cv = loop_class.vector
-    bases = [basis for basis, _ in admissible_bases(*_word_signs(cv), [cv])]
+    orbit = _orbit(loop_class.vector)
+    bases = _general_linear(k)[0][orbit == orbit[0]]
     # all values below 16, so uint8 keeps the arrays for 1344 bases small
     vectors = np.array([sum(1 << i for i in s) for s in _SUBSETS[k].sets], dtype=np.uint8)
     position = np.zeros(1 << k, dtype=np.uint8)
     position[vectors] = np.arange(len(vectors))
     # class S of the old basis lies in new generator j iff v_j meets S oddly
-    meets = np.array(bases, dtype=np.uint8)[:, :, None] & vectors
+    meets = bases[:, :, None] & vectors
     odd = np.array([v.bit_count() & 1 for v in range(1 << k)], dtype=np.uint8)[meets]
     images = position[np.bitwise_or.reduce(odd << np.arange(k, dtype=np.uint8)[:, None], axis=1)]
     # h[images[i]] = i: the inverse permutation

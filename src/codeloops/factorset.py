@@ -22,11 +22,11 @@ follows from the weights in closed form (after Griess, "Code loops", 1986):
 all mod 2, where i is the lowest set bit of x and x' = x with bit i
 cleared.  |b_i & w_x' & b_j| is the xor of |b_i & b_l & b_j| over the bits
 l of x', so basis_table needs only the basis square, commutator and
-triple-meet bits: build_factor_set reads them off a code, and equivalence
-off a class vector.  sign_tables reads every span word's square,
-commutator and associator back off a table, so loops and equivalence
-derive all span-word signs from this one recursion.  The associators come
-from associator_bits, which CodeLoop.is_associative reads as well.
+triple-meet bits, which build_factor_set reads off a code.  sign_tables
+reads every span word's square, commutator and associator back off a
+table, so characteristic vectors derive their signs from this one
+recursion.  The associators come from associator_bits, which
+CodeLoop.is_associative and loops.classify read as well.
 
 Tables with k <= 6 are also handled as bit rows: row x of phi is one
 2^k-bit word, bit y = phi(x, y), so one uint64 holds it.  The translates

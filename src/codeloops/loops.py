@@ -30,13 +30,17 @@ checks over all triples of words, as the oracles.
 For a nonassociative loop of rank 3 or 4 the characteristic vector of an
 admissible basis (the first three words associate to -1 and, at rank 4,
 the fourth is nuclear) collects the basis squares and commutators into a
-bit vector; the catalog below lists one vector per isomorphism class.  One
-search, admissible_bases, finds the admissible bases whose vector is in a
-given set: classify takes its first basis over the catalog, and
-equivalence.box_stabilizer every basis with one class's vector.
-Characteristic vectors and classification read their signs off the
-factor set (factorset.sign_tables) instead of the Cayley table: v squared
-is (-1)^(|v|/4), the commutator of u and v is (-1)^(|u & v|/2), and the
+bit vector; the catalog below lists one vector per isomorphism class.
+The squaring form q(v) = |v|/4 mod 2 of a basis, a truth table over span
+words, has the square bits as linear, the commutator bits as quadratic
+and the associators as cubic terms, and it fixes the loop up to
+isomorphism (Griess, "Code loops", 1986).  A basis is admissible with
+vector L exactly when it reads q as q_L (_class_form), so the classes are
+the GL(k, 2)-orbits of the forms with a cubic term (O'Brien and
+Vojtechovsky, 2017): classify looks q up in _class_table, and
+equivalence.box_stabilizer is the stabilizer of q_L.  characteristic_vector
+reads its signs off the factor set (factorset.sign_tables): v squared is
+(-1)^(|v|/4), the commutator of u and v is (-1)^(|u & v|/2), and the
 associator of u, v, w is (-1)^|u & v & w|.  Acceptance criterion 7 checks
 these signs against the Cayley table on every catalog loop.
 """
@@ -46,7 +50,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -360,86 +364,100 @@ def _nuclear(asc, d: int) -> bool:
     return not any(map(any, asc[d]))
 
 
-def admissible_bases(
-    sq, cm, asc, vectors: Iterable[CharVector]
-) -> Iterator[tuple[tuple[int, ...], CharVector]]:
-    """Each admissible basis whose characteristic vector is in vectors, with that vector.
+def _class_form(cv: CharVector) -> np.ndarray:
+    """q_L(y) = sum s_i y_i + sum c_ij y_i y_j + y_0 y_1 y_2 mod 2 (i < j) over span words y.
 
-    sq, cm and asc are the square, commutator and associator bits of every
-    span word, as _sign_tables gives them, and the vectors have the rank of
-    the span.  A basis is a tuple of span indices whose first three words
-    associate to -1 and, at rank 4, whose fourth word is nuclear.  Rows are
-    chosen in ascending order, so the bases come in ascending order of
-    (v_1, ..., v_k).  A row v_j is dropped at once when it lies in the span
-    of the rows before it, or when the bits read so far, row by row
-    (sq(v_j), then cm(v_i, v_j) for i < j), are no prefix of any vector's;
-    the rows whose square bit begins no wanted row after the prefix are
-    never tried.
+    The cubic term says that basis words 0, 1 and 2 associate to -1 and, at
+    rank 4, the fourth is nuclear.  On a code q_L(y) is |w_y|/4 mod 2.
     """
-    rank = len(sq).bit_length() - 1
-    wanted, prefixes, squares = _wanted_rows(rank, tuple(vectors))
-    words = range(1, len(sq))
-    # the candidate rows for each set of square bits, as squares encodes it
-    by_squares = ((), [v for v in words if not sq[v]], [v for v in words if sq[v]], words)
-    nuclear = [_nuclear(asc, d) for d in range(len(sq))]
-
-    def extend(basis: tuple[int, ...], span: set[int], bits: tuple):
-        j = len(basis)
-        if j == rank:
-            yield basis, wanted[bits]
-            return
-        for v in by_squares[squares.get(bits, 0)]:
-            if v in span or j == 2 and not asc[basis[0]][basis[1]][v] or j == 3 and not nuclear[v]:
-                continue
-            row_bits = bits + ((sq[v], *(cm[u][v] for u in basis)),)
-            if row_bits in prefixes:
-                yield from extend(basis + (v,), span | {s ^ v for s in span}, row_bits)
-
-    return extend((), {0}, ())
+    k = cv.rank
+    y = np.arange(1 << k)
+    bits = [y >> i & 1 for i in range(k)]
+    q = bits[0] & bits[1] & bits[2]
+    for i, s in enumerate(cv.squares):
+        q ^= s * bits[i]
+    for (i, j), c in zip(combinations(range(k), 2), cv.commutators):
+        q ^= c * (bits[i] & bits[j])
+    return q.astype(np.uint8)
 
 
-@functools.lru_cache(maxsize=64)
-def _wanted_rows(rank: int, vectors: tuple[CharVector, ...]):
-    """The row-by-row bits of the vectors, as admissible_bases reads them.
+def _pack(form: np.ndarray) -> int:
+    """A truth table over span words as an integer, bit y = the value at word y."""
+    return int(form @ (1 << np.arange(len(form))))
 
-    Returns the map from each vector's rows (sq(v_j), then cm(v_i, v_j)
-    for i < j) to the vector, the set of nonempty prefixes of those rows,
-    and for each shorter prefix the square bits that begin a next row: bit
-    s of the value is set when square bit s does.
+
+@functools.lru_cache(maxsize=None)
+def _general_linear(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every basis of GL(rank, 2) as rows (v_1, ..., v_k) in ascending order, and its span.
+
+    images[g, y] is the xor of the rows of basis g over the bits of y, so
+    q[images[g]] is the form q read in basis g.  Each next row is taken in
+    ascending order from outside the span of the rows before it, so the
+    identity comes first.  Both arrays are uint8 and read-only.
     """
-    wanted: dict[tuple, CharVector] = {}
-    for cv in vectors:
-        pairs = dict(zip(combinations(range(rank), 2), cv.commutators))
-        rows = tuple((cv.squares[j], *(pairs[i, j] for i in range(j))) for j in range(rank))
-        wanted[rows] = cv
-    prefixes = {rows[:j] for rows in wanted for j in range(1, rank + 1)}
-    squares: dict[tuple, int] = {}
-    for rows in wanted:
-        for j in range(rank):
-            squares[rows[:j]] = squares.get(rows[:j], 0) | 1 << rows[j][0]
-    return wanted, prefixes, squares
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    images = np.zeros((1, 1), dtype=np.uint8)
+    for j in range(rank):
+        outside = np.ones((len(rows), 1 << rank), dtype=bool)
+        outside[np.arange(len(rows))[:, None], images] = False
+        g, v = np.nonzero(outside)
+        rows = np.concatenate((rows[g], v[:, None].astype(np.uint8)), axis=1)
+        # the span words with bit j set are the old ones xor v_j
+        images = np.tile(images[g], 2)
+        images[:, 1 << j :] ^= rows[:, -1:]
+    rows.setflags(write=False)
+    images.setflags(write=False)
+    return rows, images
+
+
+def _orbit(cv: CharVector) -> np.ndarray:
+    """q_L packed as read in each basis of _general_linear, in its order; entry 0 is q_L.
+
+    Bit y of q_L read in basis g is bit images[g, y] of q_L.  A column at a
+    time keeps every temporary at 2 bytes a basis (rank <= 4).
+    """
+    _, images = _general_linear(cv.rank)
+    q = np.uint16(_pack(_class_form(cv)))
+    orbit = np.zeros(len(images), dtype=np.uint16)
+    for y, words in enumerate(images.T):
+        orbit |= (q >> words & 1) << y
+    return orbit
+
+
+@functools.lru_cache(maxsize=None)
+def _class_table(rank: int) -> np.ndarray:
+    """The catalog index of each packed squaring form of a rank, 0 for no class.
+
+    Class L holds the GL(k, 2)-orbit of q_L.  The catalog classes are
+    pairwise non-isomorphic, so no two orbits meet.  Read-only uint8.
+    """
+    table = np.zeros(1 << (1 << rank), dtype=np.uint8)
+    for index, cv in enumerate(canonical_catalog(rank), 1):
+        orbit = _orbit(cv)
+        if table[orbit].any():
+            raise InternalInvariantError(f"the squaring forms of class {index} meet another class")
+        table[orbit] = index
+    table.setflags(write=False)
+    return table
 
 
 def classify(loop: CodeLoop) -> LoopClass:
     """Match a nonassociative rank 3 or 4 code loop against the catalog.
 
-    The first admissible basis with a canonical characteristic vector, in
-    the ascending order of admissible_bases, decides the class (only one
-    class can ever match, since the catalog classes are pairwise
-    non-isomorphic).  The signs are read off the factor set by
-    _sign_tables, which criterion 7 checks against the Cayley table.  The
-    loop associates iff every associator is trivial, so the associator
-    table decides that too.
+    The class is the one whose orbit holds the squaring form, the diagonal
+    of the factor set (see the module docstring).  The loop associates iff
+    every associator is trivial, so the associator bits decide that first.
     """
-    sq, cm, asc = _sign_tables(loop)
-    if not any(any(map(any, plane)) for plane in asc):
+    phi = loop.factor_set.array
+    if not associator_bits(phi).any():
         raise AssociativeLoopError("loop is associative; not a nonassociative code loop")
     rank = loop.rank
     if rank not in (3, 4):
         raise InvalidCodeError(f"classification needs rank 3 or 4, got {rank}")
-    for _, cv in admissible_bases(sq, cm, asc, canonical_catalog(rank)):
-        return LoopClass.of_vector(cv)
-    raise InternalInvariantError("no admissible basis matched the canonical catalog")
+    index = int(_class_table(rank)[_pack(phi.diagonal())])
+    if not index:
+        raise InternalInvariantError("the squaring form lies in no catalog class")
+    return LoopClass(rank, index)
 
 
 def loops_isomorphic(a: CodeLoop, b: CodeLoop) -> bool:

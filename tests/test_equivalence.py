@@ -31,17 +31,10 @@ from codeloops import (
     parse_code,
     parse_loop_id,
 )
-from codeloops import equivalence, loops
+from codeloops import loops
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
 from codeloops.cli import _conjecture_groups, main
-from codeloops.equivalence import (
-    _check_permutation,
-    _word_signs,
-    box_stabilizer,
-    permute_code,
-    permute_word,
-)
-from codeloops.factorset import build_factor_set, sign_tables
+from codeloops.equivalence import _check_permutation, box_stabilizer, permute_code, permute_word
 from codeloops.search import _SUBSETS, reduced_box
 from strategies import doubly_even_codes, relabeled_codes
 
@@ -345,6 +338,55 @@ STABILIZER_ORDERS = {
 }
 
 
+def _forms_of_degree_three(rank):
+    """Every form of degree <= 3 on GF(2)^rank with q(0) = 0, with the monomials it holds.
+
+    Monomial m (a set of coordinates, as a bitmask) is 1 at y when y holds
+    all of m; row f of the coefficients picks the monomials of form f.
+    """
+    monomials = [m for m in range(1, 1 << rank) if m.bit_count() <= 3]
+    y = np.arange(1 << rank)
+    values = np.array([(y & m) == m for m in monomials], dtype=np.int64)
+    coefficients = np.arange(1 << len(monomials))[:, None] >> np.arange(len(monomials)) & 1
+    return monomials, coefficients, coefficients @ values % 2
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_class_table_partitions_the_forms_into_catalog_orbits(rank):
+    # the catalog is complete and irredundant: the forms with a cubic term
+    # are the squaring forms of nonassociative loops, and they fall into
+    # one orbit per class with the pinned stabilizer order
+    monomials, coefficients, forms = _forms_of_degree_three(rank)
+    packed = forms @ (1 << np.arange(1 << rank))
+    assert len(set(packed.tolist())) == len(packed)
+    cubic = coefficients[:, [m.bit_count() == 3 for m in monomials]].any(axis=1)
+    table = loops._class_table(rank)
+    classes = table[packed]
+    assert (classes[~cubic] == 0).all()
+    assert (classes[cubic] > 0).all()
+    assert np.count_nonzero(table) == cubic.sum() == (64 if rank == 3 else 15360)
+    rows, images = loops._general_linear(rank)
+    order = int(np.prod([(1 << rank) - (1 << i) for i in range(rank)]))
+    assert len(rows) == len(set(map(tuple, rows.tolist()))) == order
+    assert rows.tolist() == sorted(rows.tolist())
+    # a change of basis keeps the class of every form
+    for g in range(0, order, order // 12):
+        moved = forms[:, images[g]] @ (1 << np.arange(1 << rank))
+        assert (table[moved] == classes).all()
+    for name in all_loop_ids(rank):
+        loop_class = parse_loop_id(name)
+        vector = loop_class.vector
+        pairs = dict(zip(itertools.combinations(range(rank), 2), vector.commutators))
+        f = 0  # the form of the vector: its bits, and the cubic term of words 0, 1, 2
+        for i, m in enumerate(monomials):
+            held = tuple(j for j in range(rank) if m >> j & 1)
+            bit = vector.squares[held[0]] if len(held) == 1 else pairs.get(held, held == (0, 1, 2))
+            f |= int(bit) << i
+        assert packed[f] == loops._pack(loops._class_form(vector))
+        assert classes[f] == loop_class.index
+        assert np.count_nonzero(classes == loop_class.index) * STABILIZER_ORDERS[name] == order
+
+
 def _first_box_point(name):
     """The first reduced representation of a class: its own basis has the class vector."""
     return next(iter(enumerate_reduced(name, catalog_entry(name).degree)))
@@ -378,18 +420,19 @@ def _class_sizes_in_basis(rep, basis):
 
 
 @pytest.mark.parametrize("name", all_loop_ids())
-def test_word_signs_equal_the_weight_formulas(name, monkeypatch):
-    # the signs the class vector alone gives every span word are those the
-    # weights of a representation give
-    rep = _first_box_point(name)
-    tables = []
-    monkeypatch.setattr(
-        equivalence, "sign_tables", lambda table: tables.append(table) or sign_tables(table)
-    )
-    assert _word_signs(parse_loop_id(name).vector) == loops._sign_tables(build_loop(rep.code()))
-    # the standard basis of a box point is admissible with the class vector,
-    # so the recursion builds the factor set of the box point from either
-    assert tables == [build_factor_set(rep.code()).table]
+def test_word_signs_equal_the_weight_formulas(name):
+    # the squaring form the class vector alone gives every span word is the
+    # one the weights of a representation give, |w_x|/4 mod 2; the standard
+    # basis of every box point is admissible with the class vector
+    loop_class = parse_loop_id(name)
+    if loop_class.rank == 3:
+        reps = list(enumerate_reduced(loop_class, 49))
+    else:
+        reps = [_first_box_point(name)]
+    form = loops._class_form(loop_class.vector).tolist()
+    assert reps
+    for rep in reps:
+        assert form == [m.bit_count() // 4 % 2 for m in rep.code().span_masks()]
 
 
 @pytest.mark.parametrize("name", all_loop_ids())
@@ -434,12 +477,17 @@ def test_box_stabilizer_is_not_built_at_import():
     src = os.path.dirname(os.path.dirname(codeloops.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import codeloops.cli as c; print(c.box_stabilizer.cache_info().currsize)"],
+        [
+            sys.executable,
+            "-c",
+            "import codeloops.cli as c; from codeloops import loops as l; print(*(f.cache_info()"
+            ".currsize for f in (c.box_stabilizer, l._general_linear, l._class_table)))",
+        ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0\n", proc.stderr
+    assert proc.stdout == "0 0 0\n", proc.stderr
 
 
 def _box_rows(box):
