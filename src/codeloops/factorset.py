@@ -22,11 +22,11 @@ follows from the weights in closed form (after Griess, "Code loops", 1986):
 all mod 2, where i is the lowest set bit of x and x' = x with bit i
 cleared.  |b_i & w_x' & b_j| is the xor of |b_i & b_l & b_j| over the bits
 l of x', so basis_table needs only the basis square, commutator and
-triple-meet bits, which build_factor_set reads off a code.  sign_tables
-reads every span word's square, commutator and associator back off a
-table, so characteristic vectors derive their signs from this one
-recursion.  The associators come from associator_bits, which
-CodeLoop.is_associative and loops.classify read as well.
+triple-meet bits, which build_factor_set reads off a code.  The diagonal
+is the squaring form q(x) = |w_x|/4 mod 2, from which
+loops.characteristic_vector and loops.classify read their signs, so the
+signs derive from this one recursion.  associator_bits reads the
+associators, for CodeLoop.is_associative and loops.classify.
 
 Tables with k <= 6 are also handled as bit rows: row x of phi is one
 2^k-bit word, bit y = phi(x, y), so one uint64 holds it.  The translates
@@ -43,7 +43,6 @@ axioms as one linear system over GF(2) by elimination, pin free entries to
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,9 @@ import numpy as np
 from .codes import BinaryCode, InvalidCodeError, NotDoublyEvenError
 
 MAX_DIMENSION = 6  # the table has 4^k entries, and a row fits in a uint64
+
+# _PARITY[m] = |m| mod 2 for every k-bit mask m, k <= MAX_DIMENSION
+_PARITY = np.array([m.bit_count() & 1 for m in range(1 << MAX_DIMENSION)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -60,37 +62,40 @@ class Violation:
 
 
 class FactorSet:
-    """A 2^k x 2^k table of sign exponents over the span of a code."""
+    """A 2^k x 2^k table of sign exponents over a code's span, as one read-only uint8 array."""
 
-    def __init__(self, code: BinaryCode, table: list[list[int]]):
+    def __init__(self, code: BinaryCode, table: np.ndarray | list[list[int]]):
         n = 1 << code.dimension
         if len(table) != n or any(len(row) != n for row in table):
             raise InvalidCodeError("factor set table must be 2^k x 2^k")
-        self.code = code
-        self.table = [list(row) for row in table]
-
-    @functools.cached_property
-    def array(self) -> np.ndarray:
-        """The table as a read-only uint8 array, built on first use."""
-        phi = np.array(self.table, dtype=np.uint8)
+        given = np.asarray(table)
+        phi = given.astype(np.uint8)
+        if (phi > 1).any() or (phi != given).any():
+            raise InvalidCodeError("factor set entries must be 0 or 1")
         phi.flags.writeable = False
-        return phi
+        self.code = code
+        self.array = phi
+
+    @property
+    def table(self) -> list[list[int]]:
+        """A nested-list copy of the array."""
+        return self.array.tolist()
 
     @property
     def size(self) -> int:
-        return len(self.table)
+        return len(self.array)
 
     def bit(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        return int(self.array[i, j])
 
     def sign(self, i: int, j: int) -> int:
-        return -1 if self.table[i][j] else 1
+        return -1 if self.array[i, j] else 1
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FactorSet)
             and self.code == other.code
-            and self.table == other.table
+            and np.array_equal(self.array, other.array)
         )
 
 
@@ -111,8 +116,8 @@ def build_factor_set(code: BinaryCode) -> FactorSet:
     return FactorSet(code, basis_table(squares, commutators, triples))
 
 
-def basis_table(squares, commutators, triples) -> list[list[int]]:
-    """The least factor set table of a basis, from its bits alone.
+def basis_table(squares, commutators, triples) -> np.ndarray:
+    """The least factor set table of a basis of k <= MAX_DIMENSION words, from its bits alone.
 
     squares[i] = |b_i|/4, commutators[i][j] = |b_i & b_j|/2 and
     triples[i][l][j] = |b_i & b_l & b_j|, all mod 2.  Row x is phi(x, y) =
@@ -134,24 +139,7 @@ def basis_table(squares, commutators, triples) -> list[list[int]]:
         for l, meet in enumerate(meets[i]):
             r ^= meet if rest >> l & 1 else 0
         rows[x] = r
-    return [[(r & y).bit_count() & 1 for y in range(n)] for r in rows]
-
-
-def sign_tables(table):
-    """Square, commutator and associator bits of every span word, read off a table.
-
-    table is a 2^k x 2^k 0/1 table, as nested lists or an array.  A bit is
-    1 when the sign is -1.  These are the square, commutator and cocycle
-    axioms solved for their weight terms: sq[x] = phi(x, x), cm[x][y] =
-    phi(x, y) + phi(y, x) and asc[x][y][z] = phi(x+y, z) + phi(x, y+z) +
-    phi(x, y) + phi(y, z), all mod 2, so they equal |x|/4, |x & y|/2 and
-    |x & y & z| mod 2.  The associator rows are unpacked into nested lists.
-    """
-    phi = np.asarray(table, dtype=np.uint8)
-    n = len(phi)
-    asc = associator_bits(phi).astype("<u8").view(np.uint8).reshape(n, n, 8)
-    asc = np.unpackbits(asc, axis=-1, bitorder="little")[..., :n]
-    return phi.diagonal().tolist(), (phi ^ phi.T).tolist(), asc.tolist()
+    return _PARITY[np.array(rows, dtype=np.uint8)[:, None] & np.arange(n, dtype=np.uint8)]
 
 
 _SHIFTS = np.arange(64, dtype=np.uint64)

@@ -7,9 +7,9 @@ the product twists the GF(2) sum by a factor set:
 
 Internally an element is the integer 2*word_index + sign_bit, so the
 identity is 0 and negation is xor with 1.  The Cayley table is a numpy
-array, built by broadcasting over the factor set and checked to be a
-Latin square with identity 0.  The sign methods of CodeLoop read
-squares, commutators and associators off the table.
+array, built by broadcasting over the factor set when CodeLoop.table is
+first read and checked then to be a Latin square with identity 0.  The
+sign methods of CodeLoop read squares, commutators and associators off it.
 
 The Moufang identities and associativity are checked on the 2^k words of
 the factor set, not on the 2^(k+1) elements of the table.  The signs are
@@ -39,15 +39,17 @@ vector L exactly when it reads q as q_L (_class_form), so the classes are
 the GL(k, 2)-orbits of the forms with a cubic term (O'Brien and
 Vojtechovsky, 2017): classify looks q up in _class_table, and
 equivalence.box_stabilizer is the stabilizer of q_L.  characteristic_vector
-reads its signs off the factor set (factorset.sign_tables): v squared is
-(-1)^(|v|/4), the commutator of u and v is (-1)^(|u & v|/2), and the
-associator of u, v, w is (-1)^|u & v & w|.  Acceptance criterion 7 checks
-these signs against the Cayley table on every catalog loop.
+takes the ANF of q read in a basis with _anf, the GF(2) Moebius transform,
+and _class_form runs the same transform, its own inverse, from L to q_L.
+On a code v squared is (-1)^(|v|/4), the commutator of u and v is
+(-1)^(|u & v|/2) and the associator of u, v, w is (-1)^|u & v & w|;
+acceptance criterion 7 checks these signs against the Cayley table.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -60,7 +62,6 @@ from .factorset import (
     associator_bits,
     bit_rows,
     build_factor_set,
-    sign_tables,
     spread,
     translates,
 )
@@ -70,14 +71,6 @@ MAX_LOOP_DIMENSION = 6
 
 class AssociativeLoopError(InvalidCodeError):
     """The loop associates, so it has no nonassociative classification."""
-
-
-def _sign_bit(x: int) -> int:
-    return x & 1
-
-
-def _word(x: int) -> int:
-    return x >> 1
 
 
 class CodeLoop:
@@ -93,15 +86,20 @@ class CodeLoop:
         self.rank = code.dimension
         self.words = 1 << self.rank
         self.order = self.words << 1
-        # always built from the factor set, which the word-level checks read
-        self.table = self._build_table()
-        self._inverses: np.ndarray | None = None
-        if not is_latin(self.table):
-            raise InternalInvariantError("Cayley table is not a Latin square")
-        if (self.table[0] != np.arange(self.order)).any() or (
-            self.table[:, 0] != np.arange(self.order)
-        ).any():
+        # the table's identity check: 0 * e and e * 0 add phi(0, w), phi(w, 0) to e's sign
+        if factor_set.array[0].any() or factor_set.array[:, 0].any():
             raise InternalInvariantError("element 0 is not a two-sided identity")
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The Cayley table, built on first read and checked to be a Latin square with identity 0."""
+        table = self._build_table()
+        if not is_latin(table):
+            raise InternalInvariantError("Cayley table is not a Latin square")
+        identity = np.arange(self.order)
+        if (table[0] != identity).any() or (table[:, 0] != identity).any():
+            raise InternalInvariantError("element 0 is not a two-sided identity")
+        return table
 
     def _build_table(self) -> np.ndarray:
         # element e = 2*word + sign: the product word is the xor of the
@@ -116,39 +114,30 @@ class CodeLoop:
         return int(self.table[a, b])
 
     def inverse(self, a: int) -> int:
-        if self._inverses is None:
-            inv = np.zeros(self.order, dtype=np.int32)
-            for x in range(self.order):
-                hits = np.where(self.table[x] == 0)[0]
-                if len(hits) != 1 or self.table[hits[0], x] != 0:
-                    raise InternalInvariantError("inverses are not two-sided")
-                inv[x] = hits[0]
-            self._inverses = inv
         return int(self._inverses[a])
+
+    @functools.cached_property
+    def _inverses(self) -> np.ndarray:
+        inv = np.argmax(self.table == 0, axis=1)  # the one 0 of each row of a Latin square
+        if (self.table[inv, np.arange(self.order)] != 0).any():
+            raise InternalInvariantError("inverses are not two-sided")
+        return inv
 
     # word-level signs; lifts are the positive elements 2*w
 
     def square_sign(self, w: int) -> int:
-        r = self.mul(w << 1, w << 1)
-        if _word(r) != 0:
-            raise InternalInvariantError("square landed outside the sign subgroup")
-        return -1 if _sign_bit(r) else 1
+        return _central_sign(self.mul(w << 1, w << 1), "square")
 
     def commutator_sign(self, u: int, v: int) -> int:
         a, b = u << 1, v << 1
         r = self.mul(self.mul(self.mul(self.inverse(a), self.inverse(b)), a), b)
-        if _word(r) != 0:
-            raise InternalInvariantError("commutator landed outside the sign subgroup")
-        return -1 if _sign_bit(r) else 1
+        return _central_sign(r, "commutator")
 
     def associator_sign(self, u: int, v: int, w: int) -> int:
         a, b, c = u << 1, v << 1, w << 1
         left = self.mul(self.mul(a, b), c)
         right = self.mul(a, self.mul(b, c))
-        r = self.mul(left, self.inverse(right))
-        if _word(r) != 0:
-            raise InternalInvariantError("associator landed outside the sign subgroup")
-        return -1 if _sign_bit(r) else 1
+        return _central_sign(self.mul(left, self.inverse(right)), "associator")
 
     def is_moufang(self) -> bool:
         return is_moufang(self.factor_set.array)
@@ -156,6 +145,13 @@ class CodeLoop:
     def is_associative(self) -> bool:
         """True when every associator of span words is trivial (see the module docstring)."""
         return not associator_bits(self.factor_set.array).any()
+
+
+def _central_sign(r: int, what: str) -> int:
+    """The sign of a product r that must lie in the sign subgroup {0, 1}."""
+    if r >> 1:
+        raise InternalInvariantError(f"{what} landed outside the sign subgroup")
+    return -1 if r & 1 else 1
 
 
 def is_latin(table: np.ndarray) -> bool:
@@ -325,43 +321,54 @@ def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
 
     The basis is given as span indices.  It must span the code, the first
     three words must associate to -1, and at rank 4 the fourth word must be
-    nuclear (all associators involving it trivial).
+    nuclear (all associators involving it trivial): q read in the basis has
+    y_0 y_1 y_2 as its only cubic term.  Its linear and quadratic terms are the bits.
     """
     rank = loop.rank
     if rank not in (3, 4):
         raise InvalidCodeError(f"characteristic vectors need rank 3 or 4, got {rank}")
-    words = list(basis)
+    try:
+        words = [operator.index(w) for w in basis]
+    except TypeError:
+        raise InvalidCodeError("basis word indices must be integers") from None
     if any(not 0 <= w < loop.words for w in words):
         raise InvalidCodeError("basis word index outside the span")
     if len(words) != rank or _mask_rank(words) != rank:
         raise InvalidCodeError("basis does not span the code")
-    sq, cm, asc = _sign_tables(loop)
-    if not asc[words[0]][words[1]][words[2]]:
+    span = np.zeros(1 << rank, dtype=np.intp)
+    for i, w in enumerate(words):
+        span[1 << i : 2 << i] = span[: 1 << i] ^ w
+    anf = _anf(loop.factor_set.array.diagonal()[span])
+    if not anf[_BASIS_CUBIC]:
         raise InvalidCodeError("first three basis words associate; not an admissible basis")
-    if rank == 4 and not _nuclear(asc, words[3]):
+    if anf[[m for m in range(1 << rank) if m.bit_count() == 3]].sum() > 1:
         raise InvalidCodeError("fourth basis word is not nuclear")
-    squares = tuple(sq[w] for w in words)
-    commutators = tuple(
-        cm[words[i]][words[j]] for i in range(rank) for j in range(i + 1, rank)
-    )
-    return CharVector(rank, squares, commutators)
+    return CharVector.from_bits(rank, anf[_monomials(rank)])
 
 
-def _sign_tables(loop: CodeLoop):
-    """Square, commutator, and associator bits for all span words.
+_BASIS_CUBIC = 0b111  # the monomial y_0 y_1 y_2, as the mask of its variables
 
-    A bit is 1 when the sign is -1.  The bits are read off the loop's
-    factor set by factorset.sign_tables, so sq[u] = |u|/4, cm[u][v] =
-    |u & v|/2 and asc[u][v][w] = |u & v & w|, all mod 2.  Acceptance
-    criterion 7 checks them against the signs read off the Cayley table.
+
+def _monomials(rank: int) -> list[int]:
+    """The monomials y_i, then y_i y_j (i < j), as masks: the order of CharVector.bits."""
+    pairs = combinations(range(rank), 2)
+    return [1 << i for i in range(rank)] + [1 << i | 1 << j for i, j in pairs]
+
+
+def _anf(values: np.ndarray) -> np.ndarray:
+    """The GF(2) Moebius transform of a table over the 2^k span words, as uint8.
+
+    Entry m is the xor of the entries at the words inside m (y & m == y),
+    so it takes a truth table to its ANF, the coefficient of the monomial
+    of the bits of m, and the ANF back: the transform is its own inverse.
     """
-    return sign_tables(loop.factor_set.array)
-
-
-def _nuclear(asc, d: int) -> bool:
-    # |u & v & w| is symmetric in its arguments, so d associates trivially
-    # in every position iff it does in the first
-    return not any(map(any, asc[d]))
+    a = np.array(values, dtype=np.uint8)
+    half = 1
+    while half < len(a):
+        blocks = a.reshape(-1, 2, half)
+        blocks[:, 1] ^= blocks[:, 0]
+        half <<= 1
+    return a
 
 
 def _class_form(cv: CharVector) -> np.ndarray:
@@ -370,15 +377,10 @@ def _class_form(cv: CharVector) -> np.ndarray:
     The cubic term says that basis words 0, 1 and 2 associate to -1 and, at
     rank 4, the fourth is nuclear.  On a code q_L(y) is |w_y|/4 mod 2.
     """
-    k = cv.rank
-    y = np.arange(1 << k)
-    bits = [y >> i & 1 for i in range(k)]
-    q = bits[0] & bits[1] & bits[2]
-    for i, s in enumerate(cv.squares):
-        q ^= s * bits[i]
-    for (i, j), c in zip(combinations(range(k), 2), cv.commutators):
-        q ^= c * (bits[i] & bits[j])
-    return q.astype(np.uint8)
+    coefficients = np.zeros(1 << cv.rank, dtype=np.uint8)
+    coefficients[_BASIS_CUBIC] = 1
+    coefficients[_monomials(cv.rank)] = cv.bits
+    return _anf(coefficients)
 
 
 def _pack(form: np.ndarray) -> int:

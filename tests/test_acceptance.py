@@ -34,9 +34,8 @@ from codeloops.catalog import (
     catalog_entry,
 )
 from codeloops.cli import main
-from codeloops.loops import _sign_tables
 from codeloops.search import assemble_generators
-from oracles import _table_is_moufang
+from oracles import _broadcast_sign_tables, _table_is_moufang
 
 RANK3_MINIMA = {
     "C3_1": (7, "1111111"),
@@ -227,7 +226,7 @@ def test_criterion_07_sign_identity_suite():
 def _canonical_matches(loop):
     """Every canonical vector reachable from some admissible basis."""
     rank = loop.rank
-    sq, cm, asc = _sign_tables(loop)
+    sq, cm, asc = _broadcast_sign_tables(loop.factor_set.array)
     n = loop.words
     canonical = {cv.bits for cv in canonical_catalog(rank)}
     found = set()

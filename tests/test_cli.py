@@ -244,6 +244,46 @@ def test_accepted_code_stdout_pinned(capsys, tmp_path):
     assert digest == "e9033f3680e7386c825366be20b30c48968d13b1c44257c85a7355617fc6aa1e"
 
 
+def test_construct_and_classify_never_build_the_cayley_table(capsys, tmp_path, monkeypatch):
+    from codeloops.loops import CodeLoop
+
+    entry = catalog_entry("C4_16")
+    texts = [
+        f"degree={entry.degree}\n" + "\n".join(entry.generator_lines) + "\n",
+        "degree=27\n1-8\n1,4,9-14\n1,2,3,5,6,7,9-13,15-19\n2,3,15,16\n20-23\n24-27\n",
+    ]
+    files = []
+    for i, text in enumerate(texts):
+        files.append(tmp_path / f"{i}.code")
+        files[-1].write_text(text)
+    runs = lambda: [run(capsys, command, f) for f in files for command in ("construct", "classify")]
+    before = runs()
+
+    def refuse(self):
+        raise AssertionError("the Cayley table was built")
+
+    monkeypatch.setattr(CodeLoop, "_build_table", refuse)
+    assert runs() == before
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["enumerate", "--loop", "C4_16", "--max-degree", "37"]  # about 1 MB of output
+    with subprocess.Popen(
+        [sys.executable, "-m", "codeloops.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    ) as proc:
+        assert proc.stdout.readline() == b"target: C4_16\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
+    assert err == "error: stdout was closed before the output was written\n"
+
+
 def test_enumerate_tiny_bound_is_valid_and_empty(capsys):
     rc, out, _ = run(capsys, "enumerate", "--loop", "C3_1", "--max-degree", "3")
     assert rc == 0

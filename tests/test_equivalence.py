@@ -36,6 +36,7 @@ from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, cata
 from codeloops.cli import _conjecture_groups, main
 from codeloops.equivalence import _check_permutation, box_stabilizer, permute_code, permute_word
 from codeloops.search import _SUBSETS, reduced_box
+from oracles import _broadcast_sign_tables
 from strategies import doubly_even_codes, relabeled_codes
 
 
@@ -436,17 +437,14 @@ def test_word_signs_equal_the_weight_formulas(name):
 
 
 @pytest.mark.parametrize("name", all_loop_ids())
-def test_box_stabilizer_equals_admissible_bases(name, monkeypatch):
+def test_box_stabilizer_equals_admissible_bases(name):
     loop_class = parse_loop_id(name)
     rank = loop_class.rank
     rep = _first_box_point(name)
     loop = build_loop(rep.code())
-    # the weight-formula sign tables of this one loop, computed once
-    tables = loops._sign_tables(loop)
-    monkeypatch.setattr(loops, "_sign_tables", lambda _: tables)
     # a basis with the class vector has its square bits, so each row is
     # drawn from the span words (weights read off the code) with that bit
-    squares = tables[0]
+    squares = _broadcast_sign_tables(loop.factor_set.array)[0]
     rows = [[v for v in range(1, 1 << rank) if squares[v] == bit] for bit in loop_class.vector.squares]
     brute = set()
     for basis in itertools.product(*rows):

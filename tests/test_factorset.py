@@ -127,6 +127,18 @@ def test_table_shape_validated():
         FactorSet(code, [[0, 0]])
 
 
+@pytest.mark.parametrize("entry", [2, -1, 256, 0.5])
+def test_entries_other_than_0_and_1_are_refused(entry):
+    # on the associative code 1-4 / 5-8 an entry of 2 at (3, 3) would pass
+    # the word-level checks: is_associative would read the loop as
+    # nonassociative, and only the Cayley table would show the fault
+    code = parse_code("degree=8\n1-4\n5-8\n")
+    table = [[0] * 4 for _ in range(4)]
+    table[3][3] = entry
+    with pytest.raises(InvalidCodeError, match="0 or 1"):
+        FactorSet(code, table)
+
+
 # ---------------------------------------------------------------------------
 # elimination oracle
 

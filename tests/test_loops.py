@@ -21,6 +21,7 @@ from codeloops import (
     AssociativeLoopError,
     BinaryCode,
     CharVector,
+    InternalInvariantError,
     InvalidCodeError,
     LoopClass,
     build_loop,
@@ -35,9 +36,10 @@ from codeloops import (
 )
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
 from codeloops.codes import _mask_rank
-from codeloops.factorset import FactorSet
-from codeloops.loops import CodeLoop, _sign_tables, is_latin, is_moufang
-from oracles import _table_is_associative, _table_is_moufang
+from codeloops import loops
+from codeloops.factorset import FactorSet, build_factor_set
+from codeloops.loops import CodeLoop, is_latin, is_moufang
+from oracles import _broadcast_sign_tables, _table_is_associative, _table_is_moufang
 from strategies import doubly_even_codes, relabeled_codes
 
 
@@ -327,6 +329,46 @@ def test_characteristic_vector_rejects_bad_basis():
         characteristic_vector(loop, (1, 10, 12, 2))
 
 
+def test_characteristic_vector_reads_numpy_indices_and_refuses_floats():
+    # at rank 3 every basis is admissible: y_0 y_1 y_2 is the top term of q
+    loop = build_loop(catalog_entry("C3_1").code())
+    for row in loops._general_linear(3)[0]:
+        assert characteristic_vector(loop, row) == characteristic_vector(loop, tuple(row.tolist()))
+    with pytest.raises(InvalidCodeError, match="integers"):
+        characteristic_vector(loop, (1.0, 2, 4))
+
+
+def _oracle_vector(tables, rank, basis):
+    """The bits of a basis from the broadcast sign tables, or the word its refusal names."""
+    sq, cm, asc = tables
+    if _mask_rank(list(basis)) != rank:
+        return "span"
+    if not asc[basis[0]][basis[1]][basis[2]]:
+        return "associate"
+    if rank == 4 and any(map(any, asc[basis[3]])):
+        return "not nuclear"
+    pairs = itertools.combinations(basis, 2)
+    return tuple(sq[u] for u in basis) + tuple(cm[u][v] for u, v in pairs)
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_characteristic_vector_equals_the_broadcast_sign_tables(name):
+    # every ordered triple of span words at rank 3, and a seeded sample of
+    # ordered 4-tuples at rank 4; a refusal must give the same reason
+    loop = build_loop(catalog_entry(name).code())
+    tables = _broadcast_sign_tables(loop.factor_set.array)
+    tuples = list(itertools.product(range(loop.words), repeat=loop.rank))
+    if loop.rank == 4:
+        tuples = random.Random(f"bases:{name}").sample(tuples, 2000)
+    for basis in tuples:
+        want = _oracle_vector(tables, loop.rank, basis)
+        if isinstance(want, str):
+            with pytest.raises(InvalidCodeError, match=want):
+                characteristic_vector(loop, basis)
+        else:
+            assert characteristic_vector(loop, basis).bits == want, basis
+
+
 def test_classify_whole_catalog():
     for name in ("C3_1", "C3_2", "C3_3", "C3_5", "C4_1", "C4_7", "C4_16"):
         loop = build_loop(catalog_entry(name).code())
@@ -344,6 +386,33 @@ def test_classification_is_basis_independent():
     assert loops_isomorphic(a, b)
     c = build_loop(catalog_entry("C4_15").code())
     assert not loops_isomorphic(a, c)
+
+
+def test_loop_refuses_a_factor_set_without_identity_row_and_column():
+    code = catalog_entry("C3_1").code()
+    for v, w in ((0, 5), (5, 0)):
+        table = build_factor_set(code).table
+        table[v][w] ^= 1
+        with pytest.raises(InternalInvariantError, match="two-sided identity"):
+            CodeLoop(code, FactorSet(code, table))
+
+
+def test_cayley_table_is_built_and_checked_on_first_read(monkeypatch):
+    code = catalog_entry("C4_16").code()
+    built = []
+    build = CodeLoop._build_table
+    monkeypatch.setattr(CodeLoop, "_build_table", lambda self: built.append(1) or build(self))
+    loop = build_loop(code)
+    assert not built
+    assert loop.table is loop.table and len(built) == 1
+    # a table that is not a Latin square, and a Latin one whose identity
+    # is not element 0, are refused when read
+    latin = build(loop)
+    faults = (("Latin square", np.zeros_like(latin)), ("two-sided identity", np.roll(latin, 1, 0)))
+    for message, table in faults:
+        monkeypatch.setattr(CodeLoop, "_build_table", lambda self, table=table: table)
+        with pytest.raises(InternalInvariantError, match=message):
+            build_loop(code).table
 
 
 def test_dimension_cap_enforced():
@@ -375,7 +444,7 @@ def _weight_sign_tables(code):
 @given(doubly_even_codes(0, 5))
 def test_weight_sign_tables_equal_table_signs(code):
     loop = build_loop(code)
-    sq, cm, asc = _sign_tables(loop)
+    sq, cm, asc = _broadcast_sign_tables(loop.factor_set.array)
     assert (sq, cm, asc) == _weight_sign_tables(code)
     words = range(loop.words)
     bit = lambda sign: int(sign == -1)
@@ -414,7 +483,7 @@ def _first_canonical_basis(loop):
     order of the whole basis; independence is checked by elimination and
     the vector is compared only once a whole admissible basis is chosen.
     """
-    sq, cm, asc = _sign_tables(loop)
+    sq, cm, asc = _broadcast_sign_tables(loop.factor_set.array)
     rank = loop.rank
     canonical = {cv.bits for cv in canonical_catalog(rank)}
     nuclear = [not any(map(any, plane)) for plane in asc]
