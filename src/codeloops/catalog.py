@@ -83,7 +83,8 @@ def all_loop_ids(rank: int | None = None) -> tuple[str, ...]:
 
 def parse_loop_id(name: str) -> LoopClass:
     parts = name.split("_")
-    if len(parts) == 2 and parts[0] in ("C3", "C4") and _is_number(parts[1]):
+    # the index in ASCII digits without zero padding, so that the id is the class's name
+    if len(parts) == 2 and parts[0] in ("C3", "C4") and _is_number(parts[1]) and parts[1][0] != "0":
         rank = int(parts[0][1])
         index = int(parts[1])
         table = _RANK3 if rank == 3 else _RANK4

@@ -165,30 +165,52 @@ def _run_table(top: int) -> np.ndarray:
     )
 
 
+@functools.cache
+def _slot_leads(rank: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The lead byte of each run slot of the generator lines, and each generator's first slot.
+
+    Generator i gets one slot per run it can have: its runs when every
+    block is nonempty, since emptying blocks only merges runs.  The lead is
+    a comma between the runs of a line and a newline before each line but
+    the first.
+    """
+    slots = [len(runs) for runs in generator_runs(rank, (1 << 2**rank - 1) - 1)]
+    firsts = tuple(np.cumsum([0] + slots[:-1]).tolist())
+    lead = np.full(sum(slots), ord(","), dtype=np.uint8)
+    lead[list(firsts)] = ord("\n")
+    lead[0] = 0
+    lead.setflags(write=False)
+    return lead, firsts
+
+
+@functools.cache
+def _plan(rank: int, pattern: int) -> np.ndarray:
+    """The (p, q) block pair of each run slot for one pattern of nonempty blocks.
+
+    Unused slots get the empty run (0, 0).
+    """
+    lead, firsts = _slot_leads(rank)
+    plan = np.zeros((len(lead), 2), dtype=np.intp)
+    for first, runs in zip(firsts, generator_runs(rank, pattern)):
+        plan[first:first + len(runs)] = runs
+    plan.setflags(write=False)
+    return plan
+
+
 def _run_slots(rank: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where the generator lines of each row of block offsets take their runs from.
 
-    Generator i gets one slot per run it can have: its runs when every
-    block is nonempty, since emptying blocks only merges runs.  The runs
-    depend only on which blocks are nonempty, so generator_runs is called
-    once per pattern.  Returns the lead byte of each slot (a comma between
-    the runs of a line, a newline before each line but the first), the
-    (p, q) block pair of each slot for each pattern (unused slots get the
-    empty run (0, 0)), and the pattern of each row.
+    The runs depend only on which blocks are nonempty, so each pattern's
+    plan is made once per process.  Returns the lead byte of each slot
+    (_slot_leads), the plan of each pattern of the rows, and the pattern
+    of each row.
     """
     blocks = offsets.shape[1] - 1
-    slots = [len(runs) for runs in generator_runs(rank, (1 << blocks) - 1)]
-    firsts = np.cumsum([0] + slots[:-1])
-    lead = np.full(sum(slots), ord(","), dtype=np.uint8)
-    lead[firsts] = ord("\n")
-    lead[0] = 0
     nonempty = (np.diff(offsets, axis=1) > 0) @ (1 << np.arange(blocks))
     patterns, row_pattern = np.unique(nonempty, return_inverse=True)
-    plans = np.zeros((len(patterns), sum(slots), 2), dtype=np.intp)
-    for k, pattern in enumerate(patterns.tolist()):
-        for first, runs in zip(firsts, generator_runs(rank, pattern)):
-            plans[k, first:first + len(runs)] = runs
-    return lead, plans, row_pattern
+    lead, _ = _slot_leads(rank)
+    plans = np.array([_plan(rank, pattern) for pattern in patterns.tolist()], dtype=np.intp)
+    return lead, plans.reshape(len(patterns), len(lead), 2), row_pattern
 
 
 def _text(pieces: list) -> str:

@@ -21,11 +21,14 @@ class its meet needs, and the singles come out forced mod 8.  The classes
 are then laid out as consecutive coordinate intervals.
 
 Listing the box below a degree cap (enumerate_reduced, reduced_box) is one
-numpy walk that expands all partial rows a level at a time and returns the
-class sizes, meets and degrees of every leaf as small integer arrays; the
-command line formats enumerate records from those rows in bulk, through
-block_offsets and generator_runs, without building a Representation per
-leaf.  The full box of a rank 4 class is about 131000 rows.
+numpy walk.  It expands the classes of three or more generators a level at
+a time, into at most 2048 prefixes at rank 4 and 4 at rank 3, and then
+completes each prefix in one step: every pair class takes one of two sizes,
+and the singles are forced.  It returns the class sizes, meets and degrees
+of every leaf as small integer arrays; the command line formats enumerate
+records from those rows in bulk, through block_offsets and generator_runs,
+without building a Representation per leaf.  The full box of a rank 4
+class is about 131000 rows.
 
 Minimality searches the same box leaf by leaf with branch and bound
 (_scan): partial class-size sums bound the degree from below, so a subtree
@@ -37,7 +40,7 @@ of the walk in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, make_dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import and_, attrgetter, itemgetter
 from typing import Iterator, NamedTuple
@@ -83,6 +86,9 @@ class _Subsets:
         self.below = tuple(
             tuple(j for j, u in enumerate(self.sets) if set(u) < set(s)) for s in self.sets
         )
+        # the positions of the pair classes and of the singles
+        self.singles = slice(len(self.sets) - rank, len(self.sets))
+        self.pairs = slice(self.singles.start - rank * (rank - 1) // 2, self.singles.start)
         # 0/1 matrices for the walk's products, in float32 so that numpy
         # multiplies through BLAS (integer matmul is much slower); the
         # products are small integers, exact in float32
@@ -423,8 +429,9 @@ def _independent(rank: int, x: np.ndarray) -> np.ndarray:
     return ((x > 0) @ _SUBSETS[rank].odd > 0).all(axis=1)
 
 
-# partial rows expanded together; more are split into batches of this size,
-# which bounds the walk's arrays without slowing the walk of a small box
+# rows made together: _expand splits its partial rows, and _walk its
+# completions, into batches of about this many, which bounds the walk's
+# arrays without slowing the walk of a small box
 _MAX_ROWS = 4096
 
 
@@ -453,29 +460,86 @@ def _expand(x: np.ndarray, total: np.ndarray, levels, cap: int):
     return x, total
 
 
+@cache
+def _pair_bits(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 2^P ways to raise some of the P pair classes by 4, in binary order, first pair on top.
+
+    Raising a pair by 4 changes the singles in it by 4 mod 8, so a choice
+    changes single i when it raises an odd number of the pairs through i.
+    Returns, per choice: what it adds to each pair; what it xors into each
+    single (4 where it changes the single, else 0); the degree it adds
+    when every single is below 4; and, at (i, choice), 8 where it changes
+    single i, since a change takes 4 from a single of 4 or more instead of
+    adding 4.
+    """
+    subsets = _SUBSETS[rank]
+    count = subsets.pairs.stop - subsets.pairs.start
+    bits = (np.arange(1 << count)[:, None] >> np.arange(count - 1, -1, -1) & 1).astype(np.int16)
+    through = subsets.supersets[subsets.pairs, subsets.singles].astype(np.int16)
+    flips = 4 * (bits @ through % 2)
+    gain = 4 * bits.sum(axis=1, dtype=np.int16) + flips.sum(axis=1, dtype=np.int16)
+    tables = 4 * bits, flips, gain, 2 * flips.T.astype(np.float32)  # float32 as _Subsets.supersets
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _walk(target: LoopClass, cap: int) -> Box:
     """Every leaf _scan yields below cap, minus the degenerate ones, as arrays.
 
-    The box is expanded one level at a time instead of one leaf at a time.
-    At level j each row's least admissible size is (r_j - superset sum)
-    mod m_j, and its candidates step by m_j while they stay below 8 and
-    keep the partial degree below cap; taking each row's candidates in
-    turn keeps the rows in depth-first order, which is lexicographic order
-    in t.  The singles come out forced.  Rows whose generators are
-    dependent are dropped; they include the leaves _scan skips, those with
-    a generator of weight 0 (every weight is 0 mod 4, so that is weight
-    below 4).  The meets are checked against the coordinate layout, as
-    assemble_generators checks them per leaf.
+    The classes of three or more generators are expanded one level at a
+    time (_expand), which leaves at most 2048 prefixes at rank 4 and 4 at
+    rank 3.  A prefix fixes the rest up to one bit per pair class: pair p
+    takes l_p or l_p + 4, with l_p its residue mod 4 minus its supersets,
+    and single i is then forced to (r_i - w_i - sum of the pairs through
+    i) mod 8, w_i being its prefix supersets.  So each prefix is completed
+    in one step over the 2^P pair bits, in binary order with the first
+    pair on top, which is _scan's depth-first order, that is lexicographic
+    order in t, and the completions of degree cap or more are dropped.  A
+    pair's bit adds 0 or 4 to its own size and changes a single by 4 mod 8,
+    so l_p plus the singles' least sizes mod 4 bound the degree from below,
+    and a prefix whose bound reaches cap is dropped whole.  The prefixes
+    are completed in batches of at most _MAX_ROWS completions (one prefix
+    at least).
+
+    Rows whose generators are dependent are dropped; they include the
+    leaves _scan skips, those with a generator of weight 0 (every weight
+    is 0 mod 4, so that is weight below 4).  The meets are checked against
+    the coordinate layout, as assemble_generators checks them per leaf.
     """
     rank = target.rank
     subsets = _SUBSETS[rank]
     targets = congruence_targets(target.vector)
+    moduli, residues = zip(*(targets["t" + label] for label in subsets.labels))
+    pairs, singles = subsets.pairs, subsets.singles
     levels = [
-        (j, list(subsets.above[j]), *targets["t" + label])
-        for j, label in enumerate(subsets.labels)
+        (j, list(subsets.above[j]), moduli[j], residues[j]) for j in range(pairs.start)
     ]
-    n = len(levels)
+    n = len(subsets.sets)
     x, total = _expand(np.zeros((1, n), dtype=np.uint8), np.zeros(1, dtype=np.int16), levels, cap)
+    # the least sizes of the pairs, and of the singles when no pair is raised
+    above = (x @ subsets.supersets).astype(np.int16)  # the prefix supersets
+    least_pairs = (np.array(residues[pairs], dtype=np.int16) - above[:, pairs]) % 4
+    through = least_pairs @ subsets.supersets[pairs, singles].astype(np.int16)
+    least_singles = (np.array(residues[singles], dtype=np.int16) - above[:, singles] - through) % 8
+    base = total + least_pairs.sum(axis=1, dtype=np.int16)
+    keep = base + (least_singles % 4).sum(axis=1, dtype=np.int16) < cap
+    x, base, least_pairs, least_singles = x[keep], base[keep], least_pairs[keep], least_singles[keep]
+    raised, flips, gain, drops = _pair_bits(rank)
+    start = base + least_singles.sum(axis=1, dtype=np.int16)  # no pair raised
+    high = (least_singles >> 2).astype(np.float32)
+    batch = max(1, _MAX_ROWS // len(raised))
+    parts = [(x[:0], start[:0])]
+    for i in range(0, len(x), batch):
+        rows = slice(i, i + batch)
+        degree = start[rows, None] + gain - (high[rows] @ drops).astype(np.int16)
+        prefix, choice = np.nonzero(degree < cap)
+        part = x[rows][prefix]
+        part[:, pairs] = least_pairs[rows][prefix] + raised[choice]
+        part[:, singles] = least_singles[rows][prefix] ^ flips[choice]
+        parts.append((part, degree[prefix, choice]))
+    x = np.concatenate([part for part, _ in parts])
+    total = np.concatenate([degree for _, degree in parts])
     keep = _independent(rank, x)
     x, total = x[keep], total[keep]
     t = (x @ subsets.supersets).astype(np.uint8)  # t_S <= 56

@@ -1,13 +1,19 @@
-"""Slow loop checks, the oracles of the library's Moufang and associativity checks.
+"""Slow paths, the oracles of the library's fast ones.
 
 The library checks the Moufang identities and associativity on bit rows
 of the factor set, 2^k triples of words per word operation.  The table
 checks here test every triple of elements of the Cayley table and know
 nothing of factor sets; the broadcast checks read the same phi terms as
 the library, but one triple of words per array entry.
+
+The library lists a reduced box as prefixes of the classes of three or
+more generators times the bits of the pair classes; the level walk here
+expands every partial row one class at a time.
 """
 
 import numpy as np
+
+from codeloops.search import _SUBSETS, Box, _independent, congruence_targets
 
 
 def _triples(n):
@@ -71,3 +77,30 @@ def _broadcast_sign_tables(phi):
         (phi ^ phi.T).tolist(),
         _broadcast_associator_bits(phi).tolist(),
     )
+
+
+def _level_walk(target, cap):
+    """The non-degenerate leaves of the reduced box of a class below cap, one level at a time.
+
+    Every partial row is expanded at each class in subset order: its least
+    admissible size is (r_j - superset sum) mod m_j, and its candidates
+    step by m_j while they stay below 8 and keep the partial degree below
+    cap.  Taking each row's candidates in turn keeps the rows in
+    depth-first order, which is _scan's order.
+    """
+    subsets = _SUBSETS[target.rank]
+    targets = congruence_targets(target.vector)
+    x = np.zeros((1, len(subsets.sets)), dtype=np.uint8)
+    total = np.zeros(1, dtype=np.int16)
+    for j, label in enumerate(subsets.labels):
+        mod, residue = targets["t" + label]
+        least = (residue - x[:, list(subsets.above[j])].sum(axis=1, dtype=np.int16)) % mod
+        sizes = least[:, None] + np.arange(0, 8, mod, dtype=np.int16)
+        rows, nth = np.nonzero(sizes < cap - total[:, None])
+        chosen = sizes[rows, nth]
+        x, total = x[rows], total[rows] + chosen
+        x[:, j] = chosen
+    keep = _independent(target.rank, x)
+    x, total = x[keep], total[keep]
+    t = (x @ subsets.supersets).astype(np.uint8)
+    return Box(x, t, total.astype(np.uint8))

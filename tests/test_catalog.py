@@ -1,6 +1,8 @@
 """Bundled minimal representations: shape, parsing, and id handling."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from codeloops import (
     InvalidCodeError,
@@ -23,9 +25,20 @@ def test_id_listing():
 def test_parse_loop_id():
     lc = parse_loop_id("C4_9")
     assert (lc.rank, lc.index) == (4, 9)
-    for bad in ("C5_1", "C3_0", "C3_6", "C4_17", "c3_1", "C3", "C3_1_2", "x"):
+    for bad in ("C5_1", "C3_0", "C3_6", "C4_17", "c3_1", "C3", "C3_1_2", "x",
+                "C4_01", "C3_001", "C4_00", "C4_016"):
         with pytest.raises(InvalidCodeError):
             parse_loop_id(bad)
+
+
+@given(st.from_regex(r"\AC[345]_[0-9]{1,3}\Z") | st.text(alphabet="C034_1 6", max_size=6))
+def test_parse_loop_id_accepts_only_class_names(name):
+    try:
+        loop = parse_loop_id(name)
+    except InvalidCodeError:
+        assert name not in all_loop_ids()
+    else:
+        assert loop.name == name
 
 
 def test_entries_are_consistent():

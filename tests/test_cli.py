@@ -144,7 +144,8 @@ def test_out_files_are_byte_deterministic(tmp_path, capsys):
 
 
 def test_exit_code_1_on_bad_input(capsys, tmp_path):
-    for loop_id in ("C9_1", "C3_\u00b2", "C4_\u0661\u0666"):  # superscript two, Arabic-Indic 16
+    # superscript two, Arabic-Indic 16, and zero padding, which would name C4_1
+    for loop_id in ("C9_1", "C3_\u00b2", "C4_\u0661\u0666", "C4_01"):
         rc, _, err = run(capsys, "minimal", "--loop", loop_id)
         assert rc == 1
         assert err == f"error: unknown loop id {loop_id!r}\n"

@@ -6,6 +6,9 @@ x = (1,0,2,0,1,3,0,5,0,2,1,1,3,0) at degree 19, type 111122335.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import codeloops
 from codeloops import (
     InternalInvariantError,
     InvalidCodeError,
@@ -33,7 +37,7 @@ from codeloops import (
     verify_representation,
 )
 from codeloops.catalog import SAMPLE_C4_16_A, all_loop_ids, catalog_entry
-from codeloops import cli
+from codeloops import cli, search
 from codeloops.cli import main
 from codeloops.codes import _mask_rank
 from codeloops.search import (
@@ -43,6 +47,7 @@ from codeloops.search import (
     assemble_generators,
     reduced_box,
 )
+from oracles import _level_walk
 
 WALKTHROUGH_T = (0, 1, 0, 2, 0, 2, 6, 2, 6, 0, 4, 8, 8, 16, 4)
 WALKTHROUGH_X = (1, 0, 2, 0, 1, 3, 0, 5, 0, 2, 1, 1, 3, 0)
@@ -329,6 +334,16 @@ PINNED_RUNS = [
         "464156201f79a7577e3ea3a1ec9c7b0846f156674c4c76494ebd59ebf0575205",
         "groups: 1375\ncounterexamples: 400\nwritten: {out}\n",
     ),
+    (
+        ["enumerate", "--loop", "C4_1", "--max-degree", "37"],
+        "2fdd1008a2407e3c55a06056277b590aae8f063c5b0b606ee3cae2019c179995",
+        "representations: 5753\nwritten: {out}\n",
+    ),
+    (
+        ["enumerate", "--loop", "C3_1", "--max-degree", "20"],
+        "aa02db58273a5fc556bdbd90a134e206ba39a18e431ed6a2ba64bd4caa15b7b2",
+        "representations: 8\nwritten: {out}\n",
+    ),
 ]
 
 
@@ -338,6 +353,7 @@ PINNED_RUNS = [
     ids=[
         "enumerate-C3_2", "enumerate-C4_16", "enumerate-C4_16-full",
         "conjecture-4", "conjecture-4-25", "conjecture-3-49", "conjecture-4-31",
+        "enumerate-C4_1-37", "enumerate-C3_1-20",
     ],
 )
 def test_pinned_output_digests(tmp_path, capsys, argv, digest, stdout):
@@ -379,6 +395,50 @@ def test_walk_yields_the_scan_order_on_the_full_box(name):
     box = reduced_box(loop_class, 105)
     assert len(box.degree) == {"C4_1": 131040, "C4_16": 131072}[name]
     assert _box_rows(box) == _scan_rows(loop_class, 105)
+
+
+def _assert_boxes_equal(got, want, context):
+    for field, a, b in zip(got._fields, got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), (context, field)
+
+
+# the level walk at every cap of the rank 3 boxes, and around and past the
+# minimal degrees and the benchmark's cap at rank 4, up to the full box
+LEVEL_WALK_CAPS = {3: range(1, 50), 4: [*range(16, 46), 105]}
+
+
+@pytest.mark.parametrize("name", all_loop_ids(3) + ("C4_1", "C4_6", "C4_9", "C4_16"))
+def test_reduced_box_equals_the_level_walk(name):
+    loop_class = parse_loop_id(name)
+    for max_degree in LEVEL_WALK_CAPS[loop_class.rank]:
+        want = _level_walk(loop_class, max_degree + 1)
+        _assert_boxes_equal(reduced_box(loop_class, max_degree), want, max_degree)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("name, max_degree", [("C3_2", 49), ("C4_6", 25), ("C4_16", 37)])
+def test_reduced_box_equals_the_level_walk_across_batches(monkeypatch, rows, name, max_degree):
+    loop_class = parse_loop_id(name)
+    want = _level_walk(loop_class, max_degree + 1)
+    monkeypatch.setattr(search, "_MAX_ROWS", rows)
+    _assert_boxes_equal(reduced_box(loop_class, max_degree), want, rows)
+
+
+def test_run_plans_and_pair_bits_are_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import codeloops.cli as c; from codeloops import search as s; print(*(f.cache_info()"
+            ".currsize for f in (c._slot_leads, c._plan, s._pair_bits)))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "0 0 0\n", proc.stderr
 
 
 def test_walk_rejects_meets_off_the_layout(monkeypatch):
