@@ -132,53 +132,60 @@ def _emit(chunks: list[str], out: str | None) -> None:
             raise InvalidCodeError(f"cannot write {out}: {exc.strerror}") from exc
 
 
-# the decimal digits of 0..255 right-aligned in three ASCII bytes, leading
-# zeros as NUL bytes, which _text drops
-_DIGITS = np.array(
-    [[0 if ch == " " else ord(ch) for ch in f"{v:3d}"] for v in range(256)], dtype=np.uint8
-)
+@functools.cache
+def _number_words(width: int, end: str) -> np.ndarray:
+    """Word v, for v below 10**width: v in decimal right-aligned, then end, in 2 or 4 bytes.
 
-
-def _digit_fields(values: np.ndarray, width: int) -> np.ndarray:
-    """Each row of values (all below 10**width) as comma-separated fields of width bytes."""
-    digits = _DIGITS[values][:, :, 3 - width:]
-    commas = np.full(values.shape + (1,), ord(","), dtype=np.uint8)
-    return np.concatenate([digits, commas], axis=2).reshape(len(values), -1)[:, :-1]
-
-
-def _run_table(top: int) -> np.ndarray:
-    """run[a, b]: coordinates a+1..b as Codeword.__str__ writes them, in 7 bytes.
-
-    That is "b", "a,b" or "a-b" by the length of the run, each number in
-    three bytes; an empty run (b <= a) is all NUL.
+    NUL stands for the leading zeros; _box_text strips it.  The words are
+    read-only and made from bytes, so viewed back as bytes they are the
+    text in either byte order.
     """
-    a, b = np.indices((top + 1, top + 1))
+    size = 1 << width.bit_length()  # the least power of two above width
+    text = "".join(f"{v:{size - 1}d}{end}" for v in range(10**width))
+    return np.frombuffer(text.replace(" ", "\0").encode(), dtype=f"u{size}")
+
+
+# the last coordinate of a record whose 15 classes all fit the one-digit x field
+_RUN_TOP = 9 * 15
+
+
+@functools.cache
+def _run_words() -> np.ndarray:
+    """Word (lead, a, b): a lead byte, then coordinates a+1..b as Codeword.__str__ writes them.
+
+    The lead is none, a comma or a newline (0, 1, 2), and the run "b",
+    "a,b" or "a-b" by its length, each number in three bytes.  NUL pads
+    the numbers, and an empty run (b <= a) is NUL, lead and all.
+    Read-only uint64 words, flat in (lead, a, b) with a, b in 0.._RUN_TOP.
+    """
+    text = "".join(f"{v:3d}" for v in range(_RUN_TOP + 2)).replace(" ", "\0")
+    digits = np.frombuffer(text.encode(), dtype=np.uint8).reshape(-1, 3)
+    a, b = np.indices((_RUN_TOP + 1, _RUN_TOP + 1))
     length = (b - a)[:, :, None]
-    mid = np.where(length == 2, np.uint8(ord(",")), np.uint8(ord("-")))
-    return np.concatenate(
-        [
-            np.where(length > 1, _DIGITS[a + 1], np.uint8(0)),
-            np.where(length > 1, mid, np.uint8(0)),
-            np.where(length > 0, _DIGITS[b], np.uint8(0)),
-        ],
-        axis=2,
-    )
+    words = np.zeros((3,) + a.shape + (8,), dtype=np.uint8)
+    words[..., :1] = np.array([0, ord(","), ord("\n")], dtype=np.uint8)[:, None, None, None]
+    words[..., 1:4] = np.where(length > 1, digits[a + 1], 0)
+    words[..., 4:5] = np.where(length > 2, ord("-"), np.where(length == 2, ord(","), 0))
+    words[..., 5:] = digits[b]
+    words[:, b <= a] = 0
+    return np.frombuffer(words.tobytes(), dtype=np.uint64)
 
 
 @functools.cache
 def _slot_leads(rank: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The lead byte of each run slot of the generator lines, and each generator's first slot.
+    """The lead of each run slot of the generator lines, and each generator's first slot.
 
     Generator i gets one slot per run it can have: its runs when every
-    block is nonempty, since emptying blocks only merges runs.  The lead is
-    a comma between the runs of a line and a newline before each line but
-    the first.
+    block is nonempty, since emptying blocks only merges runs.  The lead
+    (of _run_words, times its plane size) is a comma (1) between the runs
+    of a line, a newline (2) before each line but the first, else none (0).
     """
     slots = [len(runs) for runs in generator_runs(rank, (1 << 2**rank - 1) - 1)]
     firsts = tuple(np.cumsum([0] + slots[:-1]).tolist())
-    lead = np.full(sum(slots), ord(","), dtype=np.uint8)
-    lead[list(firsts)] = ord("\n")
+    lead = np.ones(sum(slots), dtype=np.intp)
+    lead[list(firsts)] = 2
     lead[0] = 0
+    lead *= (_RUN_TOP + 1) ** 2
     lead.setflags(write=False)
     return lead, firsts
 
@@ -201,7 +208,7 @@ def _run_slots(rank: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """Where the generator lines of each row of block offsets take their runs from.
 
     The runs depend only on which blocks are nonempty, so each pattern's
-    plan is made once per process.  Returns the lead byte of each slot
+    plan is made once per process.  Returns the lead of each slot
     (_slot_leads), the plan of each pattern of the rows, and the pattern
     of each row.
     """
@@ -213,58 +220,51 @@ def _run_slots(rank: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return lead, plans.reshape(len(patterns), len(lead), 2), row_pattern
 
 
-def _text(pieces: list) -> str:
-    """The rows of pieces, str constants or ASCII byte columns, one after another.
-
-    The byte columns of all rows are laid side by side in one array, and
-    NUL bytes (padding) are dropped.
-    """
-    rows = next(len(p) for p in pieces if not isinstance(p, str))
-    data = np.concatenate(
-        [
-            np.broadcast_to(np.frombuffer(p.encode(), dtype=np.uint8), (rows, len(p)))
-            if isinstance(p, str) else p
-            for p in pieces
-        ],
-        axis=1,
-    )
-    return data[data != 0].tobytes().decode("ascii")
-
-
-# records formatted together; bounds the byte arrays of _text
+# records formatted together; bounds the row buffer of _box_text
 _CHUNK_ROWS = 1024
 
 
 def _box_text(target: LoopClass, box: Box) -> list[str]:
     """The enumerate output for a box, in chunks: each row's _record_lines, a blank line between.
 
-    Every line is a row of fixed-width byte fields, NUL-padded, so a chunk
-    of records is formatted by a few array operations.
+    Each record is a row of one byte buffer: pieces are its constant text
+    and the byte count of each field.  Per chunk of rows, each field is one
+    take of NUL-padded ASCII words (_number_words, _run_words) viewed as
+    bytes into its columns; the chunk is the buffer's bytes, NUL stripped.
     """
+    rows, classes = box.x.shape
+    if rows == 0:
+        return []
+    if box.t.max() >= 100 or box.x.max() >= 10 or box.degree.max() >= 1000:
+        raise InternalInvariantError("a class or meet size is too wide for its record field")
     offsets = block_offsets(target.rank, box.x)
     lead, plans, row_pattern = _run_slots(target.rank, offsets)
-    runs = _run_table(int(offsets.max(initial=0)))
+    pieces = (
+        f"target: {target.name}\ndegree: ", 4, "type: ", classes, "\nt: ", 4 * classes, "x: ",
+        2 * classes - 2, "generators:\ndegree=", 4, "", 8 * len(lead), "\n\n",
+    )
+    template = b"".join(p.encode() if isinstance(p, str) else bytes(p) for p in pieces)
+    bounds = np.cumsum([0] + [len(p) if isinstance(p, str) else p for p in pieces]).tolist()
+    degree, rep_type, t, x, degree2, generators = map(slice, bounds[1::2], bounds[2::2])
+    buf = np.tile(np.frombuffer(template, dtype=np.uint8), (min(_CHUNK_ROWS, rows), 1))
+    type_digits = np.frombuffer(b"\x00123456789", dtype=np.uint8)  # a zero size is no class
     chunks = []
-    for start in range(0, len(box.degree), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        part = Box(*(field[rows] for field in box))
-        degree = _digit_fields(part.degree[:, None], 3)
-        ascending = np.sort(part.x, axis=1)
-        slots = plans[row_pattern[rows]].reshape(len(part.x), -1)
-        ends = np.take_along_axis(offsets[rows], slots, axis=1)
-        a, b = ends[:, 0::2], ends[:, 1::2]  # the run of a slot covers a+1..b
-        leads = np.where(b > a, lead, np.uint8(0))[:, :, None]
-        generators = np.concatenate([leads, runs[a, b]], axis=2)
-        chunks.append(_text([
-            f"target: {target.name}\ndegree: ", degree,
-            "\ntype: ", np.where(ascending > 0, ascending + 48, 0).astype(np.uint8),
-            "\nt: ", _digit_fields(part.t, 2),
-            "\nx: ", _digit_fields(part.x[:, 1:], 1),
-            "\ngenerators:\ndegree=", degree, "\n",
-            generators.reshape(len(part.x), -1), "\n\n",
-        ]))
-    if chunks:
-        chunks[-1] = chunks[-1][:-1]  # no blank line after the last record
+    for start in range(0, rows, _CHUNK_ROWS):
+        part = Box(*(field[start:start + _CHUNK_ROWS] for field in box))
+        row = buf[:len(part.degree)]
+        degrees = _number_words(3, "\n").take(part.degree[:, None]).view(np.uint8)
+        row[:, degree] = row[:, degree2] = degrees
+        row[:, rep_type] = type_digits.take(np.sort(part.x, axis=1))
+        row[:, t] = _number_words(2, ",").take(part.t).view(np.uint8)
+        row[:, x] = _number_words(1, ",").take(part.x[:, 1:]).view(np.uint8)
+        row[:, [t.stop - 1, x.stop - 1]] = ord("\n")  # the last commas
+        slots = plans[row_pattern[start:start + _CHUNK_ROWS]].reshape(len(row), -1)
+        ends = np.take_along_axis(offsets[start:start + _CHUNK_ROWS], slots, axis=1)
+        row[:, generators] = _run_words().take(  # the run (a, b) of a slot
+            lead + ends[:, 0::2] * (_RUN_TOP + 1) + ends[:, 1::2]
+        ).view(np.uint8)
+        chunks.append(row.tobytes().translate(None, b"\0").decode("ascii"))
+    chunks[-1] = chunks[-1][:-1]  # no blank line after the last record
     return chunks
 
 

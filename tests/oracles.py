@@ -9,10 +9,15 @@ the library, but one triple of words per array entry.
 The library lists a reduced box as prefixes of the classes of three or
 more generators times the bits of the pair classes; the level walk here
 expands every partial row one class at a time.
+
+The library's minimal search steps through the residues of
+congruence_targets; the branch and bound here reads them off the ANF of
+the class form read in any basis of GL(k, 2).
 """
 
 import numpy as np
 
+from codeloops.loops import _anf, _class_form, _general_linear
 from codeloops.search import _SUBSETS, Box, _independent, congruence_targets
 
 
@@ -104,3 +109,57 @@ def _level_walk(target, cap):
     x, total = x[keep], total[keep]
     t = (x @ subsets.supersets).astype(np.uint8)
     return Box(x, t, total.astype(np.uint8))
+
+
+def _minimal_degree(loop_class, basis=0):
+    """The least degree of a reduced code whose form reads q_L∘g, and the nodes visited.
+
+    g is the basis of that index in _general_linear (0 is the identity),
+    and q_L∘g is q_L read in basis g.  The generators of the code are
+    taken in basis g, so its meets t_S get their residues from the ANF a
+    of q_L∘g: t_S = 4 a_S mod 8 for a single, 2 a_S mod 4 for a pair and
+    a_S mod 2 for a triple, and the quadruple is free.  A plain recursive
+    branch and bound then sets each class size x_S in 0..7, supersets
+    first, to a size that puts t_S in its residue class, cuts a branch
+    whose partial degree reaches the best complete one, and keeps a leaf
+    when its nonempty classes span GF(2)^k (independent generators).  It
+    shares no code with the library's search.
+    """
+    rank = loop_class.rank
+    _, images = _general_linear(rank)
+    anf = _anf(_class_form(loop_class.vector)[images[basis]])
+    if rank == 4 and anf[0b1111]:
+        raise AssertionError("a cubic form read in another basis has no quartic term")
+    subsets = sorted(range(1, 1 << rank), key=lambda s: (-s.bit_count(), s))
+    moduli = {s: {1: 8, 2: 4, 3: 2, 4: 1}[s.bit_count()] for s in subsets}
+    residues = {s: moduli[s] // 2 * int(anf[s]) % moduli[s] for s in subsets}
+    sizes = {}
+    best, visited = 8 * len(subsets), 0
+
+    def spans():
+        basis = []  # xor basis of the nonempty classes, as bit masks
+        for s, size in sizes.items():
+            for b in basis:
+                s = min(s, s ^ b)
+            if size and s:
+                basis.append(s)
+        return len(basis) == rank
+
+    def descend(level, degree):
+        nonlocal best, visited
+        if level == len(subsets):
+            if spans():
+                best = degree
+            return
+        s = subsets[level]
+        above = sum(size for u, size in sizes.items() if u & s == s)
+        for size in range((residues[s] - above) % moduli[s], 8, moduli[s]):
+            if degree + size >= best:
+                break
+            visited += 1
+            sizes[s] = size
+            descend(level + 1, degree + size)
+            del sizes[s]
+
+    descend(0, 0)
+    return best, visited

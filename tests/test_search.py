@@ -9,7 +9,9 @@ import hashlib
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,13 +43,15 @@ from codeloops import cli, search
 from codeloops.cli import main
 from codeloops.codes import _mask_rank
 from codeloops.search import (
+    Box,
     SearchStats,
     _independent,
     _scan,
     assemble_generators,
     reduced_box,
 )
-from oracles import _level_walk
+from codeloops.loops import _general_linear
+from oracles import _level_walk, _minimal_degree
 
 WALKTHROUGH_T = (0, 1, 0, 2, 0, 2, 6, 2, 6, 0, 4, 8, 8, 16, 4)
 WALKTHROUGH_X = (1, 0, 2, 0, 1, 3, 0, 5, 0, 2, 1, 1, 3, 0)
@@ -297,6 +301,19 @@ def test_minimal_certificates_are_pinned():
     assert sum(v[3] for v in got.values()) == 61624
 
 
+@pytest.mark.parametrize("name", sorted(MINIMAL_CERTIFICATES))
+def test_minimal_degree_equals_the_branch_and_bound_oracle(name):
+    # the oracle reads its residues off the ANF of q_L read in a basis g,
+    # the identity and one seeded random basis of GL(k, 2)
+    loop_class = parse_loop_id(name)
+    _, images = _general_linear(loop_class.rank)
+    random_basis = int(np.random.default_rng(2019 + loop_class.index).integers(1, len(images)))
+    for basis in (0, random_basis):
+        degree, visited = _minimal_degree(loop_class, basis)
+        assert degree == MINIMAL_CERTIFICATES[name][0], basis
+        assert visited < 20000, basis
+
+
 # sha256 of the --out file and the stdout (with {out} for the file path)
 PINNED_RUNS = [
     (
@@ -432,13 +449,14 @@ def test_run_plans_and_pair_bits_are_not_built_at_import():
             sys.executable,
             "-c",
             "import codeloops.cli as c; from codeloops import search as s; print(*(f.cache_info()"
-            ".currsize for f in (c._slot_leads, c._plan, s._pair_bits)))",
+            ".currsize for f in (c._slot_leads, c._plan, c._number_words, c._run_words,"
+            " s._pair_bits)))",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0 0 0\n", proc.stderr
+    assert proc.stdout == "0 0 0 0 0\n", proc.stderr
 
 
 def test_walk_rejects_meets_off_the_layout(monkeypatch):
@@ -454,10 +472,8 @@ def test_walk_rejects_meets_off_the_layout(monkeypatch):
         reduced_box("C3_1", 7)
 
 
-@pytest.mark.parametrize("name", all_loop_ids())
-def test_box_text_joins_the_record_lines(name, monkeypatch):
-    loop_class = parse_loop_id(name)
-    box = reduced_box(loop_class, 49 if loop_class.rank == 3 else 31)
+def _record_text(loop_class, box):
+    """The enumerate text of a box built record by record with _record_lines."""
     params, solution = (
         (ParamVector3, Solution3) if loop_class.rank == 3 else (ParamVector4, Solution4)
     )
@@ -466,10 +482,63 @@ def test_box_text_joins_the_record_lines(name, monkeypatch):
         + "\n"
         for t, x, _ in _box_rows(box)
     ]
-    assert records
-    assert "".join(cli._box_text(loop_class, box)) == "\n".join(records)
+    return "\n".join(records)
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_box_text_joins_the_record_lines(name, monkeypatch):
+    loop_class = parse_loop_id(name)
+    box = reduced_box(loop_class, 49 if loop_class.rank == 3 else 31)
+    want = _record_text(loop_class, box)
+    assert want
+    assert "".join(cli._box_text(loop_class, box)) == want
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)  # records across chunk boundaries
-    assert "".join(cli._box_text(loop_class, box)) == "\n".join(records)
+    assert "".join(cli._box_text(loop_class, box)) == want
+
+
+@lru_cache(maxsize=4)
+def _cached_box(name, max_degree):
+    return reduced_box(name, max_degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_box_text_of_any_rows_joins_their_record_lines(data):
+    name = data.draw(st.sampled_from(all_loop_ids()), label="class")
+    loop_class = parse_loop_id(name)
+    max_degree = data.draw(st.integers(1, 7 * (2**loop_class.rank - 1)), label="max_degree")
+    box = _cached_box(name, max_degree)
+    n = len(box.degree)
+    rows = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=40), label="rows")) if n else []
+    part = Box(*(field[rows] for field in box))
+    chunk_rows = data.draw(st.sampled_from([1, 7, 1024]), label="chunk_rows")
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        assert "".join(cli._box_text(loop_class, part)) == _record_text(loop_class, part)
+
+
+def test_box_text_of_the_widest_records_joins_their_record_lines(monkeypatch):
+    # the rows of degree 80 and up of the full C4_16 box: two-digit
+    # coordinates in nearly every run, and most runs per generator line
+    loop_class = parse_loop_id("C4_16")
+    box = reduced_box(loop_class, 105)
+    part = Box(*(field[box.degree >= 80] for field in box))
+    assert len(part.degree) == 104
+    want = _record_text(loop_class, part)
+    assert "".join(cli._box_text(loop_class, part)) == want
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    assert "".join(cli._box_text(loop_class, part)) == want
+
+
+@pytest.mark.parametrize("field, value", [("t", 100), ("x", 10), ("degree", 1000)])
+def test_box_text_refuses_a_value_too_wide_for_its_field(field, value):
+    # the record fields hold two digits of t, one of x and three of the
+    # degree; a wider value must not come out with its leading digit lost
+    loop_class = parse_loop_id("C4_16")
+    box = reduced_box(loop_class, 31)
+    wide = getattr(box, field).astype(np.int64)
+    wide.reshape(len(wide), -1)[len(wide) // 2, -1] = value
+    with pytest.raises(InternalInvariantError, match="too wide"):
+        cli._box_text(loop_class, box._replace(**{field: wide}))
 
 
 @pytest.mark.parametrize("argv", [["C4_16", "16"], ["C3_2", "12"], ["C3_1", "3"], ["C4_1", "3"]])
