@@ -361,10 +361,12 @@ def _conjecture_groups(rank: int, max_degree: int):
 
     The members stream by and are not kept: a group holds its first, its
     last and its gap member only, so memory grows with the number of
-    groups.  The members of a group are box points of one class, so a
-    member is isomorphic to the first exactly when its class sizes are an
-    image of the first's under box_stabilizer.  The packed images of each
-    group's first member are kept until a gap is found or the loop ends.
+    groups.  A member is keyed on its degree and the type of its box row
+    (its class sizes), and no member's code is laid out here.  The members
+    of a group are box points of one class, so a member is isomorphic to
+    the first exactly when its row is an image of the first's under
+    box_stabilizer.  The packed images of each group's first member are
+    kept until a gap is found or the loop ends.
     """
     groups: dict[tuple[int, int, tuple[int, ...]], _Group] = {}
     total = 0
@@ -373,17 +375,17 @@ def _conjecture_groups(rank: int, max_degree: int):
         images: dict[tuple[int, int, tuple[int, ...]], set[bytes]] = {}
         for rep in enumerate_reduced(target, max_degree):
             total += 1
+            row = rep.row
             key = (target.index, rep.degree, rep.rep_type().sizes)
-            sizes = rep.params.as_tuple()[:1] + rep.solution.as_tuple()
             group = groups.get(key)
             if group is None:
                 groups[key] = _Group(rep, rep)
-                packed = np.array(sizes, dtype=np.uint8)[box_stabilizer(target)].tobytes()
-                images[key] = {packed[i:i + len(sizes)] for i in range(0, len(packed), len(sizes))}
+                packed = np.array(row, dtype=np.uint8)[box_stabilizer(target)].tobytes()
+                images[key] = {packed[i:i + len(row)] for i in range(0, len(packed), len(row))}
                 continue
             group.last = rep
             group.count += 1
-            if key in images and bytes(sizes) not in images[key]:
+            if key in images and bytes(row) not in images[key]:
                 group.gap = (group.first, rep)
                 del images[key]
     return groups, total

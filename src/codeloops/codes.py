@@ -14,7 +14,7 @@ span, the weights, the classes and the doubly even test read the masks.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator
 
 MAX_DEGREE = 128
@@ -291,22 +291,28 @@ class BinaryCode:
 
         Two coordinates fall in one class iff every generator (equivalently
         every span element) contains both or neither.  Coordinates missed by
-        all generators go to the residue.
+        all generators go to the residue.  The all-ones mask is split on
+        each generator in turn, so a class comes out as a mask with its
+        signature: bit j set iff generator j contains the class.
         """
         if self._classes is None:
-            masks = [g.mask() for g in self.generators]
-            buckets: dict[int, list[int]] = {}  # generator incidence bits -> coordinates
-            for i in range(self.degree):
-                sig = 0
-                for j, m in enumerate(masks):
-                    sig |= (m >> i & 1) << j
-                buckets.setdefault(sig, []).append(i + 1)
-            residue = frozenset(buckets.pop(0, []))
-            classes = sorted(buckets.values(), key=lambda c: c[0])
+            parts = {0: (1 << self.degree) - 1}  # signature -> coordinates, as a mask
+            for j, g in enumerate(self.generators):
+                gm, bit = g.mask(), 1 << j
+                split = {}
+                for sig, m in parts.items():
+                    if m & gm:
+                        split[sig | bit] = m & gm
+                    if m & ~gm:
+                        split[sig] = m & ~gm
+                parts = split
+            residue = parts.pop(0, 0)
+            signatures = sorted(parts, key=lambda sig: parts[sig] & -parts[sig])  # lowest coordinate
             self._classes = ClassPartition(
                 degree=self.degree,
-                classes=tuple(frozenset(c) for c in classes),
-                residue=residue,
+                classes=tuple(frozenset(_coordinates(parts[sig])) for sig in signatures),
+                residue=frozenset(_coordinates(residue)),
+                signatures=tuple(signatures),
             )
         return self._classes
 
@@ -323,11 +329,16 @@ class BinaryCode:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Coordinate classes of a code, ordered by smallest member."""
+    """Coordinate classes of a code, ordered by smallest member.
+
+    signatures[i] has bit j set iff generator j contains class i; it is
+    derived from the generators, so equality and the hash leave it out.
+    """
 
     degree: int
     classes: tuple[frozenset[int], ...]
     residue: frozenset[int]
+    signatures: tuple[int, ...] = field(compare=False)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)

@@ -26,9 +26,17 @@ the other's.  Invariants screen a pair first.  The search then runs depth
 first over class bijections, cut by a class-profile screen and an
 incrementally kept projection of the patterns (see _match_classes); both
 cuts are necessary conditions, so the witness is the first valid bijection
-in depth-first order, the same as an unscreened search finds.  The
-per-code search data is computed once and kept on the BinaryCode, like its
-span, so a code tested against many others pays for it once.
+in depth-first order, the same as an unscreened search finds.
+
+The per-code search data comes from the class signatures of
+coordinate_classes (bit j: generator j holds the class), not from the span
+read coordinate by coordinate: a class lies in span word x iff its
+signature meets x in an odd number of generators, so the class order, the
+class patterns of the span and the class profiles follow from the
+signatures and the span weights (see _class_data).  The data is computed
+once and kept on the BinaryCode, like its span, so a code tested against
+many others pays for it once.  The witness is checked on the generator
+masks: their images must lie in the other span.
 """
 
 from __future__ import annotations
@@ -68,6 +76,10 @@ class _ClassData(NamedTuple):
     residue: tuple[int, ...]  # coordinates outside every class
 
 
+# byte v with its 8 bits in reverse order
+_REVERSED_BYTE = tuple(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+
 def _class_data(code: BinaryCode) -> _ClassData:
     """The search data of a code, computed once and kept on the code.
 
@@ -75,25 +87,41 @@ def _class_data(code: BinaryCode) -> _ClassData:
     the search assigns them.  Each span element becomes the bitmask of the
     classes it contains; a class's profile is its size followed by the
     sorted weights of the span elements that contain it.
+
+    All of it follows from the class signatures (coordinate_classes): span
+    word x holds the class of signature s iff |s & x| is odd.  So the
+    incidence vectors of two classes first differ at x = 2^j, j the lowest
+    bit where their signatures differ, and they sort as the signatures
+    read with bit 0 most significant.  The patterns are linear in x: the
+    pattern of x is the xor of the patterns of its generators, so they are
+    built by doubling, as span_masks is.  A profile is read off the
+    patterns in order of span weight.
     """
     if code._class_data is None:
         part = code.coordinate_classes()
-        span = code.span_masks()
-        weights = [m.bit_count() for m in span]
-        incidence = {}
-        for c in part.classes:
-            bit = min(c) - 1
-            incidence[c] = [m >> bit & 1 for m in span]
-        order = sorted(part.classes, key=lambda c: (len(c), incidence[c]))
-        rows = [incidence[c] for c in order]
+        k = code.dimension
+        weights = [m.bit_count() for m in code.span_masks()]  # k <= MAX_SPAN_DIMENSION = 16
+        shift = 16 - k
+        order = sorted(
+            (len(c), (_REVERSED_BYTE[s & 255] << 8 | _REVERSED_BYTE[s >> 8]) >> shift, c, s)
+            for c, s in zip(part.classes, part.signatures)
+        )
+        holding = [0] * k  # per generator, the classes it holds as a bitmask
+        for ci, (_, _, _, sig) in enumerate(order):
+            while sig:
+                low = sig & -sig
+                holding[low.bit_length() - 1] |= 1 << ci
+                sig ^= low
+        patterns = [0]
+        for pattern in holding:
+            patterns += [p ^ pattern for p in patterns]
+        by_weight = sorted(zip(weights, patterns))
         code._class_data = _ClassData(
-            classes=tuple(tuple(sorted(c)) for c in order),
-            patterns=tuple(
-                sum(1 << ci for ci, row in enumerate(rows) if row[x]) for x in range(len(weights))
-            ),
+            classes=tuple(tuple(sorted(c)) for _, _, c, _ in order),
+            patterns=tuple(patterns),
             profiles=tuple(
-                (len(c), *sorted(weight for weight, hit in zip(weights, row) if hit))
-                for c, row in zip(order, rows)
+                (size, *[w for w, p in by_weight if p >> ci & 1])
+                for ci, (size, _, _, _) in enumerate(order)
             ),
             residue=tuple(sorted(part.residue)),
         )
@@ -193,11 +221,16 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
 def _check_permutation(a: BinaryCode, b: BinaryCode, perm: list[int]) -> None:
     if sorted(perm) != list(range(1, a.degree + 1)):
         raise InternalInvariantError("isomorphism witness is not a permutation")
-    # a coordinate permutation commutes with xor, so it maps span(a) onto
-    # the span of the images of a's generators
-    image = permute_code(a, tuple(perm))
-    if not set(b.span_masks()).issuperset(image.span_masks()):
-        raise InternalInvariantError("isomorphism witness does not map span to span")
+    # a coordinate permutation commutes with xor, and span(b) is closed
+    # under xor, so the image of span(a) lies in span(b) iff the images of
+    # a's generators do
+    span_b = set(b.span_masks())
+    for g in a.generators:
+        image = 0
+        for i in _coordinates(g.mask()):
+            image |= 1 << (perm[i - 1] - 1)
+        if image not in span_b:
+            raise InternalInvariantError("isomorphism witness does not map span to span")
 
 
 def permute_word(w: Codeword, perm: tuple[int, ...]) -> Codeword:

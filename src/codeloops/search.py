@@ -28,7 +28,10 @@ and the singles are forced.  It returns the class sizes, meets and degrees
 of every leaf as small integer arrays; the command line formats enumerate
 records from those rows in bulk, through block_offsets and generator_runs,
 without building a Representation per leaf.  The full box of a rank 4
-class is about 131000 rows.
+class is about 131000 rows.  enumerate_reduced yields one Representation
+per row, and a Representation is its box row: it lays out its code only
+when the code is read, so a caller that reads the class sizes of every
+leaf and the code of a few pays for the few.
 
 Minimality searches the same box leaf by leaf with branch and bound
 (_scan): partial class-size sums bound the degree from below, so a subtree
@@ -39,7 +42,7 @@ of the walk in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, make_dataclass
+from dataclasses import FrozenInstanceError, dataclass, make_dataclass
 from functools import cache, reduce
 from itertools import combinations
 from operator import and_, attrgetter, itemgetter
@@ -258,22 +261,138 @@ _LAYOUT_MEETS = {
 }
 
 
-@dataclass(frozen=True)
-class Representation:
-    """A reduced representation: a concrete code plus its search data."""
+_new = object.__new__
+_set = object.__setattr__  # Representation refuses plain assignment
 
-    target: LoopClass
-    params: ParamVector3 | ParamVector4
-    solution: Solution3 | Solution4
-    classes: tuple[tuple[str, tuple[int, ...]], ...]  # nonempty (label, coords)
-    generators: tuple[Codeword, ...]
-    degree: int
+
+class Representation:
+    """A reduced representation of a loop class: one row of its reduced box.
+
+    A representation is its target, its degree and its box row: the class
+    sizes in subset order (a row of Box.x, row[0] the top meet) and the
+    meet sizes t.  The row fixes the code, and everything else is built
+    from it on first read: params and solution from the row, classes and
+    generators, the code in its interval layout, by assemble_generators.
+    So a representation costs what is read of it, and a report that reads
+    only the class sizes of most leaves never lays them out.
+
+    Representation(target, params, solution, classes, generators, degree)
+    takes all six values, as assemble_generators builds them;
+    enumerate_reduced makes its representations from box rows (_from_row).
+    Equality and the hash are over the six values, which lays out the code.
+    Instances are immutable.
+    """
+
+    __slots__ = (
+        "target", "degree", "_row", "_t", "_params", "_solution", "_classes", "_generators",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        target: LoopClass,
+        params: ParamVector3 | ParamVector4,
+        solution: Solution3 | Solution4,
+        classes: tuple[tuple[str, tuple[int, ...]], ...],  # nonempty (label, coords)
+        generators: tuple[Codeword, ...],
+        degree: int,
+    ):
+        _set(self, "target", target)
+        _set(self, "degree", degree)
+        _set(self, "_row", None)  # built from params and solution on first read
+        _set(self, "_t", None)
+        _set(self, "_params", params)
+        _set(self, "_solution", solution)
+        _set(self, "_classes", classes)
+        _set(self, "_generators", generators)
+
+    @classmethod
+    def _from_row(
+        cls, target: LoopClass, degree: int, row: tuple[int, ...], t: tuple[int, ...]
+    ) -> "Representation":
+        """The representation of a box row: class sizes in subset order, then its meets t."""
+        rep = _new(cls)
+        _set(rep, "target", target)
+        _set(rep, "degree", degree)
+        _set(rep, "_row", row)
+        _set(rep, "_t", t)
+        _set(rep, "_params", None)
+        _set(rep, "_solution", None)
+        _set(rep, "_classes", None)
+        _set(rep, "_generators", None)
+        return rep
+
+    @property
+    def row(self) -> tuple[int, ...]:
+        """The class sizes in subset order, row[0] the top meet, as in a row of Box.x."""
+        if self._row is None:
+            _set(self, "_row", self._params.as_tuple()[:1] + self._solution.as_tuple())
+        return self._row
+
+    @property
+    def params(self) -> ParamVector3 | ParamVector4:
+        if self._params is None:
+            _set(self, "_params", _PARAMS[self.target.rank](*self._t))
+        return self._params
+
+    @property
+    def solution(self) -> Solution3 | Solution4:
+        if self._solution is None:
+            _set(self, "_solution", _SOLUTIONS[self.target.rank](*self._row[1:]))
+        return self._solution
+
+    @property
+    def classes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        if self._classes is None:
+            self._lay_out()
+        return self._classes
+
+    @property
+    def generators(self) -> tuple[Codeword, ...]:
+        if self._generators is None:
+            self._lay_out()
+        return self._generators
+
+    def _lay_out(self) -> None:
+        # through the module global, so the rank and meet checks of
+        # assemble_generators run on every representation laid out
+        full = assemble_generators(self.params, self.solution, self.target)
+        if full.degree != self.degree:
+            raise InternalInvariantError("laid-out degree differs from the box degree")
+        _set(self, "_classes", full._classes)
+        _set(self, "_generators", full._generators)
 
     def code(self) -> BinaryCode:
         return BinaryCode(self.degree, self.generators)
 
     def rep_type(self) -> RepType:
-        return RepType(tuple(sorted([len(c) for _, c in self.classes])))
+        return RepType(tuple(sorted([size for size in self.row if size])))
+
+    def _astuple(self) -> tuple:
+        return (self.target, self.params, self.solution, self.classes, self.generators, self.degree)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, as for Codeword
+        return Representation, self._astuple()
+
+    def __repr__(self) -> str:
+        return (
+            f"Representation(target={self.target!r}, degree={self.degree!r}, row={self.row!r})"
+        )
 
 
 def assemble_generators(t, x, target: LoopClass) -> Representation:
@@ -582,9 +701,10 @@ def enumerate_reduced(
 
 
 def _representations(loop_class: LoopClass, box: Box) -> Iterator[Representation]:
-    params, solution = _PARAMS[loop_class.rank], _SOLUTIONS[loop_class.rank]
-    for t, x in zip(box.t.tolist(), box.x.tolist()):
-        yield assemble_generators(params(*t), solution(*x[1:]), loop_class)
+    from_row = Representation._from_row
+    rows = zip(box.degree.tolist(), map(tuple, box.x.tolist()), map(tuple, box.t.tolist()))
+    for degree, x, t in rows:
+        yield from_row(loop_class, degree, x, t)
 
 
 def block_offsets(rank: int, x: np.ndarray) -> np.ndarray:

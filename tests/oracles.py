@@ -13,10 +13,17 @@ expands every partial row one class at a time.
 The library's minimal search steps through the residues of
 congruence_targets; the branch and bound here reads them off the ANF of
 the class form read in any basis of GL(k, 2).
+
+The library splits coordinates into classes one generator mask at a time
+and derives the isomorphism search data from the class signatures; the
+bucket loop here reads every coordinate's generator bits, and the class
+data here reads every span word's bit at every class.
 """
 
 import numpy as np
 
+from codeloops.codes import ClassPartition
+from codeloops.equivalence import _ClassData
 from codeloops.loops import _anf, _class_form, _general_linear
 from codeloops.search import _SUBSETS, Box, _independent, congruence_targets
 
@@ -163,3 +170,53 @@ def _minimal_degree(loop_class, basis=0):
 
     descend(0, 0)
     return best, visited
+
+
+def _bucket_classes(code):
+    """The coordinate classes of a code, one bucket per generator incidence, coordinate by coordinate."""
+    masks = [g.mask() for g in code.generators]
+    buckets = {}  # generator incidence bits -> coordinates
+    for i in range(code.degree):
+        sig = 0
+        for j, m in enumerate(masks):
+            sig |= (m >> i & 1) << j
+        buckets.setdefault(sig, []).append(i + 1)
+    residue = frozenset(buckets.pop(0, []))
+    signatures = sorted(buckets, key=lambda sig: buckets[sig][0])
+    return ClassPartition(
+        degree=code.degree,
+        classes=tuple(frozenset(buckets[sig]) for sig in signatures),
+        residue=residue,
+        signatures=tuple(signatures),
+    )
+
+
+def _span_class_data(code):
+    """The isomorphism search data of a code, read off its span word by word.
+
+    Classes come from _bucket_classes.  Each class's incidence vector has
+    one bit per span word (does the word hold the class's first
+    coordinate); the classes sort by (size, incidence vector), a pattern
+    collects the classes each span word holds, and a profile is a class's
+    size and the sorted weights of the span words holding it.
+    """
+    part = _bucket_classes(code)
+    span = code.span_masks()
+    weights = [m.bit_count() for m in span]
+    incidence = {}
+    for c in part.classes:
+        bit = min(c) - 1
+        incidence[c] = [m >> bit & 1 for m in span]
+    order = sorted(part.classes, key=lambda c: (len(c), incidence[c]))
+    rows = [incidence[c] for c in order]
+    return _ClassData(
+        classes=tuple(tuple(sorted(c)) for c in order),
+        patterns=tuple(
+            sum(1 << ci for ci, row in enumerate(rows) if row[x]) for x in range(len(weights))
+        ),
+        profiles=tuple(
+            (len(c), *sorted(weight for weight, hit in zip(weights, row) if hit))
+            for c, row in zip(order, rows)
+        ),
+        residue=tuple(sorted(part.residue)),
+    )

@@ -38,6 +38,29 @@ def doubly_even_codes(draw, min_dimension=0, max_dimension=5):
 
 
 @st.composite
+def binary_codes(draw, min_dimension=1, max_dimension=8, max_degree=128):
+    """Random codes of any weights, drawn as coordinate columns.
+
+    The column of a coordinate says which generators hold it (bit i:
+    generator i).  One unit column per generator keeps the generators
+    independent; the other columns are drawn from a few, so that classes
+    of several coordinates and zero coordinates (column 0) come up, and
+    all coordinates are shuffled.
+    """
+    k = draw(st.integers(min_dimension, max_dimension))
+    pool = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=12))
+    columns = [1 << i for i in range(k)]
+    columns += draw(st.lists(st.sampled_from(pool), max_size=max_degree - k))
+    columns = draw(st.permutations(columns))
+    degree = len(columns)
+    generators = [
+        Codeword(degree, frozenset(p + 1 for p, v in enumerate(columns) if v >> i & 1))
+        for i in range(k)
+    ]
+    return BinaryCode(degree, generators)
+
+
+@st.composite
 def relabeled_codes(draw, code, max_pad=3):
     """A copy of code under a change of basis, zero padding and a coordinate permutation.
 

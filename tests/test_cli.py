@@ -352,6 +352,36 @@ def test_conjecture_keeps_at_most_three_representations_per_group(capsys, monkey
     assert max(kept.values()) <= 3
 
 
+def test_conjecture_lays_out_at_most_two_members_per_group(capsys, monkeypatch, tmp_path):
+    import codeloops.cli as cli_mod
+    import codeloops.search as search_mod
+
+    # every code laid out goes through search.assemble_generators
+    calls = []
+    assemble = search_mod.assemble_generators
+
+    def counted(t, x, target):
+        calls.append(target.name)
+        return assemble(t, x, target)
+
+    monkeypatch.setattr(search_mod, "assemble_generators", counted)
+    groups, total = cli_mod._conjecture_groups(4, 25)
+    assert calls == []  # grouping reads the box rows only
+    shared = sum(group.count > 1 for group in groups.values())
+    assert (total, len(groups), shared) == (1948, 324, 252)
+    out = tmp_path / "report.txt"
+    rc, stdout, _ = run(capsys, "conjecture", "--rank", "4", "--max-degree", "25", "--out", out)
+    assert rc == 0
+    assert "counterexamples: 42" in stdout
+    # the report of the pinned run (test_search.PINNED_RUNS)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "596a02647e66719675d0a85f6aae2ea6f2a4ec09582b8fc8800c32a58855e47b"
+    )
+    # a cross-check reads two members of each group of two or more, and a
+    # counterexample record reads the members its cross-check laid out
+    assert 0 < len(calls) <= 2 * shared
+
+
 def test_argparse_errors_map_to_exit_1(capsys):
     rc, _, err = run(capsys, "enumerate", "--loop", "C3_1")
     assert rc == 1

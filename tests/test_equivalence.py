@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,13 +32,19 @@ from codeloops import (
     parse_code,
     parse_loop_id,
 )
-from codeloops import loops
+from codeloops import equivalence, loops
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
 from codeloops.cli import _conjecture_groups, main
-from codeloops.equivalence import _check_permutation, box_stabilizer, permute_code, permute_word
+from codeloops.equivalence import (
+    _check_permutation,
+    _class_data,
+    box_stabilizer,
+    permute_code,
+    permute_word,
+)
 from codeloops.search import _SUBSETS, reduced_box
-from oracles import _broadcast_sign_tables
-from strategies import doubly_even_codes, relabeled_codes
+from oracles import _broadcast_sign_tables, _bucket_classes, _span_class_data
+from strategies import binary_codes, doubly_even_codes, relabeled_codes
 
 
 def brute_isomorphic(a, b):
@@ -312,6 +319,70 @@ def test_relabeled_non_isomorphic_pairs_give_none(data):
     assert distinguishing_invariant(a, b) is None
     assert code_isomorphism(a, b) is None
     assert oracle_isomorphism(a, b) is None
+
+
+# -- class data from signatures against the span-read oracles --------------
+
+
+def _assert_class_data_equals_oracle(code):
+    part, want = code.coordinate_classes(), _bucket_classes(code)
+    for name in ("degree", "classes", "residue", "signatures"):
+        assert getattr(part, name) == getattr(want, name), name
+    assert part == want
+    data, want = _class_data(code), _span_class_data(code)
+    for name in data._fields:
+        assert getattr(data, name) == getattr(want, name), name
+
+
+def _fresh(code):
+    """A copy of code with none of its derived data computed yet."""
+    return BinaryCode(code.degree, code.generators)
+
+
+def _oracle_backed_isomorphism(a, b):
+    """code_isomorphism with the class data read off the span, on fresh copies."""
+    with mock.patch.object(equivalence, "_class_data", _span_class_data):
+        return code_isomorphism(_fresh(a), _fresh(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(binary_codes(1, 8))
+def test_class_data_equals_oracle_on_random_codes(code):
+    _assert_class_data_equals_oracle(code)
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_class_data_equals_oracle_on_catalog_codes(name):
+    code = catalog_entry(name).code()
+    _assert_class_data_equals_oracle(code)
+    assert code_isomorphism(code, code) == _oracle_backed_isomorphism(code, code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_class_data_and_witness_equal_oracle_on_relabeled_box_points(data):
+    members = data.draw(st.sampled_from(_scan_rep_groups(4, 23) + _scan_rep_groups(3, 49)))
+    first = data.draw(st.sampled_from(members)).code()
+    second = data.draw(st.sampled_from(members)).code()
+    a = data.draw(relabeled_codes(first, max_pad=0))
+    b = data.draw(relabeled_codes(second, max_pad=0))
+    padded = data.draw(relabeled_codes(first))  # with zero coordinates
+    for code in (first, a, b, padded):
+        _assert_class_data_equals_oracle(code)
+    # isomorphic or not, with one witness or the other
+    assert code_isomorphism(a, b) == _oracle_backed_isomorphism(a, b)
+    assert code_isomorphism(first, a) == _oracle_backed_isomorphism(first, a) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_witness_with_signature_class_data_equals_span_class_data(data):
+    code = data.draw(binary_codes(1, 6, max_degree=40))
+    other = data.draw(relabeled_codes(code))
+    padded = BinaryCode(other.degree, [Codeword(other.degree, g.support) for g in code.generators])
+    got = code_isomorphism(padded, other)
+    assert got is not None
+    assert got == _oracle_backed_isomorphism(padded, other)
 
 
 RELABELED_C4_16_A = "degree=19\n1-3,5-13,15-17,19\n1,3,4,6-10,14,15,17,19\n3,4,7,8,12,17-19\n1-3,6,9,10,12,14-16,18,19\n"

@@ -5,10 +5,14 @@ t = [0,1,0,2,0,2,6,2,6,0,4,8,8,16,4] solving to
 x = (1,0,2,0,1,3,0,5,0,2,1,1,3,0) at degree 19, type 111122335.
 """
 
+import copy
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
+import weakref
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import combinations
 from unittest import mock
@@ -46,6 +50,7 @@ from codeloops.search import (
     Box,
     SearchStats,
     _independent,
+    _representations,
     _scan,
     assemble_generators,
     reduced_box,
@@ -609,3 +614,60 @@ def test_independent_rows_have_generators_of_full_rank(rank):
     # inversion over subspaces: 128 - 7*8 + 2*7*2 - 8 and
     # 2^15 - 15*2^7 + 2*35*2^3 - 8*15*2 + 64
     assert full_rank.count(True) == {3: 92, 4: 31232}[rank]
+
+
+# -- representations backed by box rows ------------------------------------
+
+
+def _assert_row_backed_equals_assembled(rep, loop_class, x, t, degree):
+    """A representation enumerate_reduced yields for a box row against assemble_generators."""
+    params = ParamVector3 if loop_class.rank == 3 else ParamVector4
+    solution = Solution3 if loop_class.rank == 3 else Solution4
+    oracle = assemble_generators(params(*t), solution(*x[1:]), loop_class)
+    assert rep.row == tuple(x)
+    assert rep.degree == degree == oracle.degree
+    # read from the row alone, then each attribute laid out on first read
+    assert rep.rep_type() == oracle.rep_type()
+    for name in ("target", "params", "solution", "classes", "generators", "degree"):
+        assert getattr(rep, name) == getattr(oracle, name), name
+    assert rep == oracle and oracle == rep
+    assert hash(rep) == hash(oracle)
+    assert set(rep.code().span_masks()) == set(oracle.code().span_masks())
+    for name in ("target", "degree", "generators", "row"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(rep, name, None)
+    with pytest.raises(FrozenInstanceError):
+        del rep.classes
+    assert weakref.ref(rep)() is rep
+    assert pickle.loads(pickle.dumps(rep)) == rep == copy.copy(rep)
+
+
+@pytest.mark.parametrize("name", all_loop_ids(3))
+def test_row_backed_representations_equal_assembled_on_the_full_rank3_box(name):
+    loop_class = parse_loop_id(name)
+    box = reduced_box(loop_class, 49)
+    reps = list(enumerate_reduced(loop_class, 49))
+    assert len(reps) == len(box.x)
+    rows = zip(reps, box.x.tolist(), box.t.tolist(), box.degree.tolist())
+    for rep, x, t, degree in rows:
+        _assert_row_backed_equals_assembled(rep, loop_class, x, t, degree)
+
+
+@lru_cache(maxsize=None)
+def _full_box(name):
+    return reduced_box(name, 105)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(all_loop_ids(4)), data=st.data())
+def test_row_backed_representations_equal_assembled_on_rank4_rows(name, data):
+    loop_class = parse_loop_id(name)
+    box = _full_box(name)
+    cap = data.draw(st.integers(int(box.degree.min()), 105), label="cap")
+    rows = np.flatnonzero(box.degree <= cap)
+    i = int(rows[data.draw(st.integers(0, len(rows) - 1), label="row")])
+    # the one row through the generator enumerate_reduced returns
+    [rep] = _representations(loop_class, Box(*(field[i:i + 1] for field in box)))
+    _assert_row_backed_equals_assembled(
+        rep, loop_class, box.x[i].tolist(), box.t[i].tolist(), int(box.degree[i])
+    )
