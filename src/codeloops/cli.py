@@ -361,34 +361,58 @@ def _conjecture_groups(rank: int, max_degree: int):
 
     The members stream by and are not kept: a group holds its first, its
     last and its gap member only, so memory grows with the number of
-    groups.  A member is keyed on its degree and the type of its box row
-    (its class sizes), and no member's code is laid out here.  The members
-    of a group are box points of one class, so a member is isomorphic to
-    the first exactly when its row is an image of the first's under
-    box_stabilizer.  The packed images of each group's first member are
-    kept until a gap is found or the loop ends.
+    groups.  A member is keyed on its degree and the sorted nonzero class
+    sizes of its box row, and no member's code is laid out here.  The
+    members of a group are box points of one class, so a member is
+    isomorphic to the first exactly when its row is an image of the
+    first's under box_stabilizer.  The packed images of a group's first
+    member are built when its second member arrives, and kept until a gap
+    is found or the loop ends.
     """
     groups: dict[tuple[int, int, tuple[int, ...]], _Group] = {}
     total = 0
     for name in all_loop_ids(rank):
         target = parse_loop_id(name)
-        images: dict[tuple[int, int, tuple[int, ...]], set[bytes]] = {}
+        images: dict[tuple[int, int, tuple[int, ...]], set[int]] = {}
         for rep in enumerate_reduced(target, max_degree):
             total += 1
             row = rep.row
-            key = (target.index, rep.degree, rep.rep_type().sizes)
+            key = (target.index, rep.degree, tuple(sorted([size for size in row if size])))
             group = groups.get(key)
             if group is None:
                 groups[key] = _Group(rep, rep)
-                packed = np.array(row, dtype=np.uint8)[box_stabilizer(target)].tobytes()
-                images[key] = {packed[i:i + len(row)] for i in range(0, len(packed), len(row))}
                 continue
             group.last = rep
             group.count += 1
-            if key in images and bytes(row) not in images[key]:
+            if group.gap is not None:
+                continue
+            orbit = images.get(key)
+            if orbit is None:
+                orbit = images[key] = _packed_images(target, group.first.row)
+            if _pack(row) not in orbit:
                 group.gap = (group.first, rep)
                 del images[key]
     return groups, total
+
+
+def _pack(row: tuple[int, ...]) -> int:
+    """A box row as one int: class size i in bits 3i..3i+2 (45 bits at rank 4)."""
+    packed = 0
+    for size in reversed(row):
+        packed = packed << 3 | size
+    return packed
+
+
+def _packed_images(target: LoopClass, row: tuple[int, ...]) -> set[int]:
+    """The images of a box row under box_stabilizer, each packed as _pack packs it.
+
+    The members of a group share their sorted class sizes, so a size below
+    8 in the first member's row keeps every member's sizes in their 3 bits.
+    """
+    if max(row) >= 8:
+        raise InternalInvariantError(f"class size {max(row)} of a box row does not fit in 3 bits")
+    images = np.array(row, dtype=np.int64)[box_stabilizer(target)]
+    return set((images << 3 * np.arange(len(row))).sum(axis=1).tolist())
 
 
 def _cross_check(group: _Group) -> None:

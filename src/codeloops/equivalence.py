@@ -23,20 +23,30 @@ class-to-class bijections instead of raw coordinate permutations: each
 span element is a union of classes, so a permutation exists iff some
 size-preserving class bijection maps the class patterns of one span onto
 the other's.  Invariants screen a pair first.  The search then runs depth
-first over class bijections, cut by a class-profile screen and an
-incrementally kept projection of the patterns (see _match_classes); both
-cuts are necessary conditions, so the witness is the first valid bijection
-in depth-first order, the same as an unscreened search finds.
+first over class bijections, cut by a class-profile screen and a screen on
+the linear relations of the class signatures (bit j: generator j holds the
+class; see _match_classes).  Both cuts are necessary conditions, so the
+witness is the first valid bijection in depth-first order, the same as an
+unscreened search finds.
+
+The relation screen rests on a kernel lemma.  Span word x holds the class
+of signature s iff |x & s| is odd, so the classes a word holds, restricted
+to some classes c, are the image of x under the linear map
+x -> (|x & s_c| mod 2)_c.  Every image is hit by the 2^(k-r) words of a
+coset of its kernel (r the rank of the map), so two such projections agree
+as multisets exactly when their images are one subspace, and that is when
+the signatures satisfy the same linear relations over GF(2).  The
+projection screen this replaced compared those multisets at every node;
+the relation screen makes the same decision with one xor-basis reduction
+or one dict lookup, so the search tree and the witness are unchanged.
 
 The per-code search data comes from the class signatures of
-coordinate_classes (bit j: generator j holds the class), not from the span
-read coordinate by coordinate: a class lies in span word x iff its
-signature meets x in an odd number of generators, so the class order, the
-class patterns of the span and the class profiles follow from the
-signatures and the span weights (see _class_data).  The data is computed
-once and kept on the BinaryCode, like its span, so a code tested against
-many others pays for it once.  The witness is checked on the generator
-masks: their images must lie in the other span.
+coordinate_classes, not from the span read coordinate by coordinate: the
+class order and the class profiles follow from the signatures and the span
+weights (see _class_data).  The data is computed once and kept on the
+BinaryCode, like its span, so a code tested against many others pays for
+it once.  The witness is checked on the generator masks: their images must
+lie in the other span.
 """
 
 from __future__ import annotations
@@ -68,10 +78,10 @@ def distinguishing_invariant(a: BinaryCode, b: BinaryCode) -> str | None:
 
 
 class _ClassData(NamedTuple):
-    """Classes of one code in search order, with their span incidence."""
+    """Classes of one code in search order, with their generator signatures."""
 
     classes: tuple[tuple[int, ...], ...]  # sorted coordinates of each class
-    patterns: tuple[int, ...]  # span element x as a bitmask over class indices
+    signatures: tuple[int, ...]  # bit j set iff generator j holds the class
     profiles: tuple[tuple[int, ...], ...]  # size, then sorted weights of the words holding the class
     residue: tuple[int, ...]  # coordinates outside every class
 
@@ -84,18 +94,17 @@ def _class_data(code: BinaryCode) -> _ClassData:
     """The search data of a code, computed once and kept on the code.
 
     Classes are ordered by (size, span-incidence vector), the order in which
-    the search assigns them.  Each span element becomes the bitmask of the
-    classes it contains; a class's profile is its size followed by the
+    the search assigns them; a class's profile is its size followed by the
     sorted weights of the span elements that contain it.
 
     All of it follows from the class signatures (coordinate_classes): span
     word x holds the class of signature s iff |s & x| is odd.  So the
     incidence vectors of two classes first differ at x = 2^j, j the lowest
     bit where their signatures differ, and they sort as the signatures
-    read with bit 0 most significant.  The patterns are linear in x: the
-    pattern of x is the xor of the patterns of its generators, so they are
-    built by doubling, as span_masks is.  A profile is read off the
-    patterns in order of span weight.
+    read with bit 0 most significant.  The classes each span word holds
+    are linear in x: those of x are the xor of those of its generators, so
+    they are built by doubling, as span_masks is, and the profiles are
+    filled in one pass over their set bits, in order of span weight.
     """
     if code._class_data is None:
         part = code.coordinate_classes()
@@ -112,17 +121,19 @@ def _class_data(code: BinaryCode) -> _ClassData:
                 low = sig & -sig
                 holding[low.bit_length() - 1] |= 1 << ci
                 sig ^= low
-        patterns = [0]
-        for pattern in holding:
-            patterns += [p ^ pattern for p in patterns]
-        by_weight = sorted(zip(weights, patterns))
+        held = [0]  # per span word, the classes it holds as a bitmask
+        for classes in holding:
+            held += [h ^ classes for h in held]
+        profiles = [[size] for size, _, _, _ in order]
+        for weight, h in sorted(zip(weights, held)):
+            while h:
+                low = h & -h
+                profiles[low.bit_length() - 1].append(weight)
+                h ^= low
         code._class_data = _ClassData(
             classes=tuple(tuple(sorted(c)) for _, _, c, _ in order),
-            patterns=tuple(patterns),
-            profiles=tuple(
-                (size, *[w for w, p in by_weight if p >> ci & 1])
-                for ci, (size, _, _, _) in enumerate(order)
-            ),
+            signatures=tuple(sig for _, _, _, sig in order),
+            profiles=tuple(map(tuple, profiles)),
             residue=tuple(sorted(part.residue)),
         )
     return code._class_data
@@ -154,7 +165,7 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode) -> tuple[int, ...] | None:
 
 
 def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
-    """The first pattern-preserving class bijection in depth-first order.
+    """The first span-preserving class bijection in depth-first order.
 
     Classes of a are assigned in index order; class ai is tried against the
     unused classes of b in index order, and entry ai of the result is its
@@ -164,29 +175,55 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
     - profile: a candidate class must have the profile of class ai, since
       a span-preserving permutation maps the words holding a class onto
       the words holding its image, weight for weight;
-    - projection: the patterns of a, mapped through the classes assigned so
-      far, must agree as a multiset with the patterns of b restricted to
-      their images, or no extension can map one pattern set onto the other.
+    - relations: the signatures of the classes assigned so far must satisfy
+      the same linear relations over GF(2) as the signatures of their
+      images, or no extension maps one span onto the other.
 
-    a and b come from codes of one dimension, and a pair whose profile
-    multisets differ is rejected before the search.  The projection is kept
-    incrementally, one image int per pattern on each side, and checked
-    through the patterns a step moves.  Before class ai goes to bi the
-    projections agree (at the root every image is 0), and no image holds
-    bit bi yet; the step sets that bit in the images of the patterns
-    holding ai (on a's side) and bi (on b's side) and leaves the others
-    alone.  So the projections agree after the step exactly when the moved
-    images agree as multisets before it, and a candidate is compared on
-    those alone.
+    a and b come from codes of one dimension k, and a pair whose profile
+    multisets differ is rejected before the search.  The relation screen
+    is the projection screen in linear form (the kernel lemma of the
+    module docstring).  The span words of a, projected onto the assigned
+    classes and mapped through them, are the image of the linear map
+    x -> (|x & s_c| mod 2)_c, each hit 2^(k-r) times for image rank r; so
+    they agree with b's projection as multisets exactly when the images
+    are one subspace, that is when the relations (the annihilator of the
+    image) agree.  The screen decides each node as the multiset comparison
+    did, so the tree, and the witness it finds, are those of the
+    projection search (tests/oracles.py keeps it).  With every class
+    assigned it says that the bijection maps span(a) onto span(b), which
+    code_isomorphism checks on the witness.
+
+    Relations change only where a class depends on those before it.  A
+    class of a whose signature is independent of the earlier ones needs an
+    image independent of theirs, which a reduction against an xor basis of
+    the images decides.  A dependent class, whose signature is the xor of
+    the earlier classes of its relation, has one admissible image: the
+    class of b whose signature is the xor of their images' signatures.
+    That class is unused, as a used one would give b a relation a lacks,
+    and a dict finds it.  The relations of a are computed once, before the
+    search.
     """
     if sorted(a.profiles) != sorted(b.profiles):
         return None
     n = len(a.classes)
     candidates = [[bi for bi in range(n) if b.profiles[bi] == p] for p in a.profiles]
-    holders_a = [[x for x, pat in enumerate(a.patterns) if pat >> ci & 1] for ci in range(n)]
-    holders_b = [[x for x, pat in enumerate(b.patterns) if pat >> ci & 1] for ci in range(n)]
-    image_a = [0] * len(a.patterns)  # pattern of a, mapped through the assigned classes
-    image_b = [0] * len(b.patterns)  # pattern of b, restricted to the assigned images
+    # relation[ai]: the earlier classes of a whose signatures xor to that of
+    # class ai, or () when it is independent of them
+    relation: list[tuple[int, ...]] = []
+    basis = []  # a's independent signatures, reduced, each with the classes it is the xor of
+    for ai, sig in enumerate(a.signatures):
+        combination = 1 << ai
+        for vector, classes in basis:
+            if sig ^ vector < sig:  # the top bit of vector is set in sig
+                sig ^= vector
+                combination ^= classes
+        if sig:
+            basis.append((sig, combination))
+            relation.append(())
+        else:
+            relation.append(tuple(c for c in range(ai) if combination >> c & 1))
+    class_of = {sig: bi for bi, sig in enumerate(b.signatures)}
+    images = []  # the signatures of the images of a's independent classes, reduced
     assigned: list[int] = []
     used = [False] * n
 
@@ -194,25 +231,37 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
         ai = len(assigned)
         if ai == n:
             return True
-        moved_a = sorted([image_a[x] for x in holders_a[ai]])
-        for bi in candidates[ai]:
-            if used[bi] or sorted([image_b[x] for x in holders_b[bi]]) != moved_a:
-                continue
-            bit = 1 << bi
-            for x in holders_a[ai]:
-                image_a[x] |= bit
-            for x in holders_b[bi]:
-                image_b[x] |= bit
+        if relation[ai]:
+            sig = 0
+            for c in relation[ai]:
+                sig ^= b.signatures[assigned[c]]
+            bi = class_of.get(sig)
+            if bi is None or b.profiles[bi] != a.profiles[ai]:
+                return False
             assigned.append(bi)
             used[bi] = True
             if extend():
                 return True
             used[bi] = False
             assigned.pop()
-            for x in holders_a[ai]:
-                image_a[x] ^= bit
-            for x in holders_b[bi]:
-                image_b[x] ^= bit
+            return False
+        for bi in candidates[ai]:
+            if used[bi]:
+                continue
+            sig = b.signatures[bi]
+            for vector in images:
+                if sig ^ vector < sig:
+                    sig ^= vector
+            if not sig:
+                continue
+            images.append(sig)
+            assigned.append(bi)
+            used[bi] = True
+            if extend():
+                return True
+            used[bi] = False
+            assigned.pop()
+            images.pop()
         return False
 
     return assigned if extend() else None

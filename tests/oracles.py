@@ -18,7 +18,14 @@ The library splits coordinates into classes one generator mask at a time
 and derives the isomorphism search data from the class signatures; the
 bucket loop here reads every coordinate's generator bits, and the class
 data here reads every span word's bit at every class.
+
+The library's class matcher screens a partial class bijection by the
+linear relations of the assigned signatures; the projection matcher here
+compares the span words projected onto the assigned classes as multisets.
 """
+
+import functools
+import operator
 
 import numpy as np
 
@@ -196,9 +203,10 @@ def _span_class_data(code):
 
     Classes come from _bucket_classes.  Each class's incidence vector has
     one bit per span word (does the word hold the class's first
-    coordinate); the classes sort by (size, incidence vector), a pattern
-    collects the classes each span word holds, and a profile is a class's
-    size and the sorted weights of the span words holding it.
+    coordinate); the classes sort by (size, incidence vector), a class's
+    signature has bit j when span word 2^j (generator j) holds it, and a
+    profile is a class's size and the sorted weights of the span words
+    holding it.
     """
     part = _bucket_classes(code)
     span = code.span_masks()
@@ -211,8 +219,8 @@ def _span_class_data(code):
     rows = [incidence[c] for c in order]
     return _ClassData(
         classes=tuple(tuple(sorted(c)) for c in order),
-        patterns=tuple(
-            sum(1 << ci for ci, row in enumerate(rows) if row[x]) for x in range(len(weights))
+        signatures=tuple(
+            sum(row[1 << j] << j for j in range(code.dimension)) for row in rows
         ),
         profiles=tuple(
             (len(c), *sorted(weight for weight, hit in zip(weights, row) if hit))
@@ -220,3 +228,66 @@ def _span_class_data(code):
         ),
         residue=tuple(sorted(part.residue)),
     )
+
+
+def _class_patterns(data):
+    """Per span word x, the classes it holds as a bitmask: those whose signature meets x oddly."""
+    k = functools.reduce(operator.or_, data.signatures, 0).bit_length()
+    return [
+        sum(1 << ci for ci, sig in enumerate(data.signatures) if (sig & x).bit_count() & 1)
+        for x in range(1 << k)
+    ]
+
+
+def _projection_match_classes(a, b):
+    """The first pattern-preserving class bijection in depth-first order, by projection.
+
+    Classes of a are assigned in index order; class ai is tried against the
+    unused classes of b in index order, and entry ai of the result is its
+    image.  A candidate must have the profile of class ai, and the span
+    patterns of a, mapped through the classes assigned so far, must agree
+    as a multiset with the patterns of b restricted to their images.  The
+    projection is kept incrementally, one image int per pattern on each
+    side: before class ai goes to bi the projections agree and no image
+    holds bit bi, so they agree after the step exactly when the images of
+    the patterns holding ai (on a's side) and bi (on b's side) agree as
+    multisets before it.  a and b come from codes of one dimension.
+    """
+    if sorted(a.profiles) != sorted(b.profiles):
+        return None
+    patterns_a, patterns_b = _class_patterns(a), _class_patterns(b)
+    n = len(a.classes)
+    candidates = [[bi for bi in range(n) if b.profiles[bi] == p] for p in a.profiles]
+    holders_a = [[x for x, pat in enumerate(patterns_a) if pat >> ci & 1] for ci in range(n)]
+    holders_b = [[x for x, pat in enumerate(patterns_b) if pat >> ci & 1] for ci in range(n)]
+    image_a = [0] * len(patterns_a)  # pattern of a, mapped through the assigned classes
+    image_b = [0] * len(patterns_b)  # pattern of b, restricted to the assigned images
+    assigned = []
+    used = [False] * n
+
+    def extend():
+        ai = len(assigned)
+        if ai == n:
+            return True
+        moved_a = sorted([image_a[x] for x in holders_a[ai]])
+        for bi in candidates[ai]:
+            if used[bi] or sorted([image_b[x] for x in holders_b[bi]]) != moved_a:
+                continue
+            bit = 1 << bi
+            for x in holders_a[ai]:
+                image_a[x] |= bit
+            for x in holders_b[bi]:
+                image_b[x] |= bit
+            assigned.append(bi)
+            used[bi] = True
+            if extend():
+                return True
+            used[bi] = False
+            assigned.pop()
+            for x in holders_a[ai]:
+                image_a[x] ^= bit
+            for x in holders_b[bi]:
+                image_b[x] ^= bit
+        return False
+
+    return assigned if extend() else None

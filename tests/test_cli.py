@@ -322,6 +322,44 @@ def test_conjecture_cross_checks_the_orbit_key(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_conjecture_builds_orbit_images_only_for_groups_of_two_or_more(monkeypatch):
+    import codeloops.cli as cli_mod
+
+    built = []
+    packed_images = cli_mod._packed_images
+
+    def counted(target, row):
+        built.append(row)
+        return packed_images(target, row)
+
+    monkeypatch.setattr(cli_mod, "_packed_images", counted)
+    groups, total = cli_mod._conjecture_groups(4, 25)
+    shared = [group for group in groups.values() if group.count > 1]
+    assert (total, len(groups), len(shared)) == (1948, 324, 252)
+    # once per group, when its second member arrives: 72 groups never need one
+    assert sorted(built) == sorted(group.first.row for group in shared)
+    assert sum(group.gap is not None for group in shared) == 42
+
+
+def test_conjecture_refuses_a_class_size_past_the_packed_field(capsys, monkeypatch):
+    import codeloops.cli as cli_mod
+    from codeloops.search import Representation
+
+    # box rows hold class sizes below 8; a row with an 8 would carry into
+    # the next 3-bit field of the orbit key, so it is a defect
+    def widened(target, max_degree):
+        for rep in enumerate_reduced(target, max_degree):
+            row = tuple(size + 1 if size == 7 else size for size in rep.row)
+            yield Representation._from_row(target, rep.degree, row, rep._t)
+
+    monkeypatch.setattr(cli_mod, "enumerate_reduced", widened)
+    rc, out, err = run(capsys, "conjecture", "--rank", "3", "--max-degree", "49")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("internal error: class size 8 ")
+    assert "Traceback" not in err
+
+
 def test_conjecture_keeps_at_most_three_representations_per_group(capsys, monkeypatch):
     import codeloops.cli as cli_mod
 

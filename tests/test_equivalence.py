@@ -1,5 +1,6 @@
-"""Coordinate isomorphism of codes against a brute-force permutation oracle
-and against the unscreened class matcher it replaced; the box stabilizers
+"""Coordinate isomorphism of codes against a brute-force permutation oracle,
+against the unscreened class matcher it replaced and against the projection
+matcher the relation screen replaced; the box stabilizers
 against the brute-force set of admissible bases, and the orbit-key grouping
 of conjecture against the pairwise search it replaced."""
 
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import codeloops
@@ -38,12 +39,18 @@ from codeloops.cli import _conjecture_groups, main
 from codeloops.equivalence import (
     _check_permutation,
     _class_data,
+    _match_classes,
     box_stabilizer,
     permute_code,
     permute_word,
 )
 from codeloops.search import _SUBSETS, reduced_box
-from oracles import _broadcast_sign_tables, _bucket_classes, _span_class_data
+from oracles import (
+    _broadcast_sign_tables,
+    _bucket_classes,
+    _projection_match_classes,
+    _span_class_data,
+)
 from strategies import binary_codes, doubly_even_codes, relabeled_codes
 
 
@@ -319,6 +326,84 @@ def test_relabeled_non_isomorphic_pairs_give_none(data):
     assert distinguishing_invariant(a, b) is None
     assert code_isomorphism(a, b) is None
     assert oracle_isomorphism(a, b) is None
+    _assert_bijection_equals_projection_oracle(a, b)
+
+
+# -- the relation screen against the projection screen it replaced ---------
+
+
+def _assert_bijection_equals_projection_oracle(a, b):
+    """The relation search picks the class bijection the projection search picks, or neither."""
+    da, db = _class_data(a), _class_data(b)
+    assert _match_classes(da, db) == _projection_match_classes(da, db)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_projections_agree_exactly_when_relations_agree(data):
+    # the lemma of the relation screen: signatures s_c of a, assigned to
+    # classes of b in a bijection prefix, project the span words x to
+    # (|x & s_c| mod 2)_c; those multisets agree on both sides exactly when
+    # the assigned signatures satisfy the same linear relations over GF(2)
+    k = data.draw(st.integers(1, 4), label="k")
+    nonzero = st.integers(1, (1 << k) - 1)
+    n = data.draw(st.integers(1, (1 << k) - 1), label="classes")
+    sig_a = data.draw(st.permutations(range(1, 1 << k)))[:n]
+    order = data.draw(st.permutations(range(n)))
+    if data.draw(st.booleans(), label="b from a by a linear map"):
+        rows = data.draw(st.lists(nonzero, min_size=k, max_size=k))  # images of the unit vectors
+        sig_b = [functools.reduce(int.__xor__, (r for j, r in enumerate(rows) if s >> j & 1), 0)
+                 for s in sig_a]
+        sig_b = [sig_b[i] for i in order]  # class c of a lands at order.index(c)
+        assume(0 not in sig_b and len(set(sig_b)) == n)  # a code's signatures are distinct, nonzero
+        prefix = [order.index(c) for c in range(n)]
+        if n > 1 and data.draw(st.booleans(), label="swap two images"):
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            prefix[i], prefix[j] = prefix[j], prefix[i]
+    else:
+        sig_b = data.draw(st.permutations(range(1, 1 << k)))[:n]
+        prefix = order
+    assigned = min(n, 10)  # 2^10 candidate relations at most
+    prefix = prefix[:assigned - data.draw(st.integers(0, assigned), label="unassigned")]
+    left = [sig_a[c] for c in range(len(prefix))]
+    right = [sig_b[bi] for bi in prefix]
+
+    def projection(sigs):
+        return Counter(tuple((x & s).bit_count() & 1 for s in sigs) for x in range(1 << k))
+
+    def relations(sigs):
+        return {
+            chosen
+            for chosen in range(1 << len(sigs))
+            if functools.reduce(int.__xor__, (s for c, s in enumerate(sigs) if chosen >> c & 1), 0)
+            == 0
+        }
+
+    assert (projection(left) == projection(right)) == (relations(left) == relations(right))
+
+
+def _cross_checked_pairs(rank, max_degree):
+    """The pairs of members that conjecture hands to code_isomorphism."""
+    groups, _ = _conjecture_groups(rank, max_degree)
+    return [group.gap or (group.first, group.last) for group in groups.values() if group.count > 1]
+
+
+@pytest.mark.parametrize("rank, max_degree, count", [(3, 49, 32), (4, 25, 252)])
+def test_bijection_equals_projection_oracle_on_cross_checked_pairs(rank, max_degree, count):
+    pairs = _cross_checked_pairs(rank, max_degree)
+    assert len(pairs) == count
+    for first, second in pairs:
+        a, b = first.code(), second.code()
+        _assert_bijection_equals_projection_oracle(a, b)
+        _assert_bijection_equals_projection_oracle(b, a)
+
+
+def test_bijection_equals_projection_oracle_on_non_isomorphic_pairs():
+    pairs = _non_isomorphic_pairs()
+    assert pairs
+    for a, b in pairs:
+        _assert_bijection_equals_projection_oracle(a, b)
+        assert _match_classes(_class_data(a), _class_data(b)) is None
 
 
 # -- class data from signatures against the span-read oracles --------------
@@ -356,6 +441,11 @@ def test_class_data_equals_oracle_on_catalog_codes(name):
     code = catalog_entry(name).code()
     _assert_class_data_equals_oracle(code)
     assert code_isomorphism(code, code) == _oracle_backed_isomorphism(code, code)
+    perm = list(range(1, code.degree + 1))
+    random.Random(name).shuffle(perm)
+    other = permute_code(code, tuple(perm))
+    for a, b in ((code, code), (code, other), (other, code)):
+        _assert_bijection_equals_projection_oracle(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -383,6 +473,7 @@ def test_witness_with_signature_class_data_equals_span_class_data(data):
     got = code_isomorphism(padded, other)
     assert got is not None
     assert got == _oracle_backed_isomorphism(padded, other)
+    _assert_bijection_equals_projection_oracle(padded, other)
 
 
 RELABELED_C4_16_A = "degree=19\n1-3,5-13,15-17,19\n1,3,4,6-10,14,15,17,19\n3,4,7,8,12,17-19\n1-3,6,9,10,12,14-16,18,19\n"
