@@ -33,19 +33,21 @@ per row, and a Representation is its box row: it lays out its code only
 when the code is read, so a caller that reads the class sizes of every
 leaf and the code of a few pays for the few.
 
-Minimality searches the same box leaf by leaf with branch and bound
-(_scan): partial class-size sums bound the degree from below, so a subtree
-is cut as soon as the partial sum reaches the incumbent, and the nodes
-visited and pruned form its certificate.  _scan is also the order oracle
-of the walk in the tests.
+Minimality searches the same box by branch and bound (_branch_and_bound):
+partial class-size sums bound the degree from below, so a subtree is cut
+as soon as the partial sum reaches the incumbent.  Its certificate counts
+the nodes visited and pruned by a walk that tries every class size, but
+below a prefix with no completion under the incumbent it reads the counts
+of the pair levels from tables (_pair_tables).
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, make_dataclass
 from functools import cache, reduce
-from itertools import combinations
-from operator import and_, attrgetter, itemgetter
+from itertools import combinations, product
+from math import comb
+from operator import and_, attrgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -59,54 +61,7 @@ from .codes import (
     _mask_rank,
 )
 from .loops import CharVector, LoopClass, build_loop, classify
-
-
-def _screen(s: tuple[int, ...]) -> tuple[int, int]:
-    """(modulus, residue) of t_S in every representation of a catalog class.
-
-    Weights are 0 mod 4 and pair meets even in any doubly even code; the
-    first three basis words associate to -1 (odd triple meet) and the
-    fourth is nuclear (even triple meets through it).
-    """
-    return {1: (4, 0), 2: (2, 0), 3: (2, int(s == (0, 1, 2))), 4: (1, 0)}[len(s)]
-
-
-class _Subsets:
-    """The nonempty generator subsets of one rank, in scan order."""
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.sets = tuple(
-            s for size in range(rank, 0, -1) for s in combinations(range(rank), size)
-        )
-        self.labels = tuple("".join(str(i + 1) for i in s) for s in self.sets)
-        self.screens = tuple(map(_screen, self.sets))
-        self.meets = tuple(itemgetter(*s) for s in self.sets if len(s) > 1)
-        # positions of the strict supersets and strict subsets of each subset
-        self.above = tuple(
-            tuple(j for j, u in enumerate(self.sets) if set(s) < set(u)) for s in self.sets
-        )
-        self.below = tuple(
-            tuple(j for j, u in enumerate(self.sets) if set(u) < set(s)) for s in self.sets
-        )
-        # the positions of the pair classes and of the singles
-        self.singles = slice(len(self.sets) - rank, len(self.sets))
-        self.pairs = slice(self.singles.start - rank * (rank - 1) // 2, self.singles.start)
-        # 0/1 matrices for the walk's products, in float32 so that numpy
-        # multiplies through BLAS (integer matmul is much slower); the
-        # products are small integers, exact in float32
-        # t = x @ supersets: row u, column s is 1 when s is a subset of u
-        self.supersets = np.array(
-            [[set(s) <= set(u) for s in self.sets] for u in self.sets], dtype=np.float32
-        )
-        # row s, column f - 1: the functional f (a bit per generator) is odd on s
-        self.odd = np.array(
-            [[sum(f >> i & 1 for i in s) % 2 for f in range(1, 1 << rank)] for s in self.sets],
-            dtype=np.float32,
-        )
-
-
-_SUBSETS = {rank: _Subsets(rank) for rank in (3, 4)}
+from .subsets import _SUBSETS, _least_completion, _max_degree, _pair_bits, _screen
 
 
 class _SubsetVector:
@@ -446,92 +401,15 @@ def _as_loop_class(target: LoopClass | CharVector | str) -> LoopClass:
 
 @dataclass
 class SearchStats:
-    visited: int = 0   # candidate class sizes tried across all levels
-    pruned: int = 0    # subtrees cut by the degree bound
+    # the nodes of a walk that tries each class size in turn, level by
+    # level, read from _pair_tables below most prefixes
+    visited: int = 0   # class sizes tried across all levels, rank per leaf reached
+    pruned: int = 0    # tries and leaves cut by the degree bound
     degenerate: int = 0  # leaves dropped for linearly dependent generators
 
 
-def _scan(target: LoopClass, cap: int, stats: SearchStats):
-    """Walk the reduced box of a class in lexicographic t order below cap.
-
-    Level j assigns the class size x[j] of subset j, in subset order.  The
-    meet of subset j is x[j] plus the sizes already assigned to its strict
-    supersets, so the target residue of the meet fixes x[j] modulo the
-    target modulus: a level steps through at most eight values, and the
-    singles, last, are forced mod 8.  Every value tried counts as visited;
-    a partial degree reaching cap cuts the rest of its level and counts
-    as pruned.  Leaves with a generator of weight 0 are skipped uncounted.
-    A caller may lower cap by sending the new value in reply to a yield.
-
-    The superset sums are kept in one int, a byte per subset: byte j holds
-    128 + residue_j minus the sizes assigned to strict supersets of j (at
-    most seven of them, of at most 7 each, so every byte stays in 79..135).
-    Assigning a size subtracts it from the bytes of all strict subsets in
-    one step, and since every modulus is a power of 2 dividing 128, the low
-    bits of byte j are the least admissible x[j].  The counters are kept in
-    locals and added to stats when the walk ends or is closed.
-    """
-    subsets = _SUBSETS[target.rank]
-    params, solution = _PARAMS[target.rank], _SOLUTIONS[target.rank]
-    targets = congruence_targets(target.vector)
-    moduli, residues = zip(*(targets["t" + label] for label in subsets.labels))
-    n = len(moduli)
-    last = n - subsets.rank - 1  # the last level before the singles
-    shifts = [8 * j for j in range(n)]
-    below = [sum(1 << shifts[j] for j in js) for js in subsets.below]
-    low = [mod - 1 for mod in moduli]
-    singles = range(last + 1, n)
-    packed = sum((128 + r) << sh for r, sh in zip(residues, shifts))
-    x = [0] * n
-    total = 0  # sum of the sizes assigned above this level
-    level = 0
-    size = packed & low[0]  # the next value to try at this level
-    visited = pruned = 0
-    try:
-        while True:
-            if size < 8:
-                visited += 1
-                s = total + size
-                if s < cap:
-                    x[level] = size
-                    if level < last:
-                        packed -= size * below[level]
-                        total = s
-                        level += 1
-                        size = packed >> shifts[level] & low[level]
-                        continue
-                    p = packed - size * below[level]
-                    degree = s
-                    for j in singles:
-                        x[j] = v = p >> shifts[j] & 7
-                        degree += v
-                    visited += subsets.rank
-                    if degree >= cap:
-                        pruned += 1
-                    else:
-                        t = [v + 128 + r - (p >> sh & 255) for v, r, sh in zip(x, residues, shifts)]
-                        if min(t[last + 1:]) >= 4:
-                            sent = yield params(*t), solution(*x[1:]), degree
-                            if sent is not None:
-                                cap = sent
-                    size += moduli[level]
-                    continue
-                pruned += 1
-            # the level is exhausted or cut: resume the level above
-            if level == 0:
-                break
-            level -= 1
-            size = x[level]
-            packed += size * below[level]
-            total -= size
-            size += moduli[level]
-    finally:
-        stats.visited += visited
-        stats.pruned += pruned
-
-
 class Box(NamedTuple):
-    """The non-degenerate leaves of a reduced box, one row each, in _scan's order."""
+    """The non-degenerate leaves of a reduced box, one row each, in lexicographic t order."""
 
     x: np.ndarray  # class sizes in subset order (x[:, 0] is the top meet), uint8
     t: np.ndarray  # meet sizes in subset order, uint8
@@ -579,32 +457,8 @@ def _expand(x: np.ndarray, total: np.ndarray, levels, cap: int):
     return x, total
 
 
-@cache
-def _pair_bits(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 2^P ways to raise some of the P pair classes by 4, in binary order, first pair on top.
-
-    Raising a pair by 4 changes the singles in it by 4 mod 8, so a choice
-    changes single i when it raises an odd number of the pairs through i.
-    Returns, per choice: what it adds to each pair; what it xors into each
-    single (4 where it changes the single, else 0); the degree it adds
-    when every single is below 4; and, at (i, choice), 8 where it changes
-    single i, since a change takes 4 from a single of 4 or more instead of
-    adding 4.
-    """
-    subsets = _SUBSETS[rank]
-    count = subsets.pairs.stop - subsets.pairs.start
-    bits = (np.arange(1 << count)[:, None] >> np.arange(count - 1, -1, -1) & 1).astype(np.int16)
-    through = subsets.supersets[subsets.pairs, subsets.singles].astype(np.int16)
-    flips = 4 * (bits @ through % 2)
-    gain = 4 * bits.sum(axis=1, dtype=np.int16) + flips.sum(axis=1, dtype=np.int16)
-    tables = 4 * bits, flips, gain, 2 * flips.T.astype(np.float32)  # float32 as _Subsets.supersets
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
 def _walk(target: LoopClass, cap: int) -> Box:
-    """Every leaf _scan yields below cap, minus the degenerate ones, as arrays.
+    """Every leaf of the reduced box below cap, minus the degenerate ones, as arrays.
 
     The classes of three or more generators are expanded one level at a
     time (_expand), which leaves at most 2048 prefixes at rank 4 and 4 at
@@ -613,18 +467,18 @@ def _walk(target: LoopClass, cap: int) -> Box:
     and single i is then forced to (r_i - w_i - sum of the pairs through
     i) mod 8, w_i being its prefix supersets.  So each prefix is completed
     in one step over the 2^P pair bits, in binary order with the first
-    pair on top, which is _scan's depth-first order, that is lexicographic
-    order in t, and the completions of degree cap or more are dropped.  A
-    pair's bit adds 0 or 4 to its own size and changes a single by 4 mod 8,
-    so l_p plus the singles' least sizes mod 4 bound the degree from below,
-    and a prefix whose bound reaches cap is dropped whole.  The prefixes
-    are completed in batches of at most _MAX_ROWS completions (one prefix
-    at least).
+    pair on top, which is the depth-first order of the branch and bound,
+    that is lexicographic order in t, and the completions of degree cap
+    or more are dropped.  A prefix whose least completion
+    (_least_completion) reaches cap has none below it and is dropped
+    whole.  The prefixes are completed in batches of at most _MAX_ROWS
+    completions (one prefix at least).
 
     Rows whose generators are dependent are dropped; they include the
-    leaves _scan skips, those with a generator of weight 0 (every weight
-    is 0 mod 4, so that is weight below 4).  The meets are checked against
-    the coordinate layout, as assemble_generators checks them per leaf.
+    leaves the branch and bound skips, those with a generator of weight 0
+    (every weight is 0 mod 4, so that is weight below 4).  The meets are
+    checked against the coordinate layout, as assemble_generators checks
+    them per leaf.
     """
     rank = target.rank
     subsets = _SUBSETS[rank]
@@ -642,7 +496,7 @@ def _walk(target: LoopClass, cap: int) -> Box:
     through = least_pairs @ subsets.supersets[pairs, singles].astype(np.int16)
     least_singles = (np.array(residues[singles], dtype=np.int16) - above[:, singles] - through) % 8
     base = total + least_pairs.sum(axis=1, dtype=np.int16)
-    keep = base + (least_singles % 4).sum(axis=1, dtype=np.int16) < cap
+    keep = _least_completion(base, least_singles) < cap
     x, base, least_pairs, least_singles = x[keep], base[keep], least_pairs[keep], least_singles[keep]
     raised, flips, gain, drops = _pair_bits(rank)
     start = base + least_singles.sum(axis=1, dtype=np.int16)  # no pair raised
@@ -667,11 +521,6 @@ def _walk(target: LoopClass, cap: int) -> Box:
     if not np.array_equal(x[:, positions] @ contains, t):
         raise InternalInvariantError("walked meets do not match the class layout")
     return Box(x, t, total.astype(np.uint8))
-
-
-def _max_degree(rank: int) -> int:
-    """Degree of the largest reduced representation: 7 per class."""
-    return 7 * (2**rank - 1)
 
 
 def reduced_box(target: LoopClass | CharVector | str, max_degree: int) -> Box:
@@ -744,6 +593,175 @@ def generator_runs(rank: int, nonempty: int) -> tuple[tuple[tuple[int, int], ...
     return tuple(map(tuple, runs))
 
 
+@cache
+def _pair_tables(rank: int) -> tuple[dict, dict, np.ndarray, dict]:
+    """What the branch and bound meets below a prefix of partial degree S, by budget b = cap - S.
+
+    Pair p tries its least size l_p and then l_p + 4, so a node of pair
+    level p with h earlier pairs raised has partial degree S + L_p + 4h,
+    L_p = l_0 + ... + l_{p-1}, and C(p, h) nodes share it.  With
+    reached(p, room) the ways to raise some of p pairs at 4h < room, level
+    p has R = reached(p, b - L_p) nodes, of which O = reached(p, b - L_p -
+    l_p) take their first try and T = reached(p, b - L_p - l_p - 4) their
+    second: R + O visits and R - T prunes.  Each of the reached(P, b - L_P)
+    completions adds rank visits, and a prune at a degree of cap or more.
+    Three consecutive pairs depend only on their l's and on the budget
+    b - L_p0 left to them, so the pairs are counted three at a time.
+
+    first and final map the l's of the first three pairs (none at rank 3)
+    and of the last three, at byte i for their pair i as in the packed int
+    of _branch_and_bound, to (the column of budget 0 in counts, the sum of
+    the l's, the l's at the bytes of the singles they lie in);
+    counts[:, column + budget] are their visits and prunes, with every
+    completion pruned.  lowest maps bit 2 of the singles' least sizes, at
+    byte i for single i, to the least -4 min(h, |high| // 2) that the
+    completions with 4h below room add to those sizes (_least_completion),
+    by room from 0 to the largest cap and then the negative rooms, which a
+    negative index reads from the end.
+    """
+    subsets = _SUBSETS[rank]
+    count = subsets.pairs.stop - subsets.pairs.start
+    width = _max_degree(rank) + 2 + 3 * count  # budgets from -3 * count to the largest cap
+    # reaching[p, room + 3 * count + 13] = reached(p, room), from the least room met up,
+    # read off the most pairs raised with 4h below room
+    most = np.clip((np.arange(-3 * count - 13, width - 3 * count) - 1) // 4, -1, count)
+    reaching = np.array([[comb(p, h) for h in range(count + 1)] + [0] for p in range(count + 1)])
+    reaching = np.c_[reaching[:, :-1].cumsum(axis=1), reaching[:, -1:]][:, most]
+    sizes = np.array(list(product(range(4), repeat=3)))
+    through = subsets.supersets[subsets.pairs, subsets.singles].astype(np.int64)
+    singles = through @ 256 ** np.arange(rank)  # per pair, a 1 at the byte of each single in it
+    tables, counts = [], []
+    for pairs in (range(count - 3), range(count - 3, count)):
+        least = sizes[:4 ** len(pairs), 3 - len(pairs):]  # row i: the l's of these pairs
+        room = np.zeros((len(least), 1), dtype=np.int64) + np.arange(13, width + 13)
+        visited, pruned = np.zeros_like(room), np.zeros_like(room)
+        for k, p in enumerate(pairs):
+            nodes, size = reaching[p, room], least[:, k, None]
+            visited += nodes + reaching[p, room - size]
+            pruned += nodes - reaching[p, room - size - 4]
+            room -= size
+        if count - 1 in pairs:
+            visited += rank * reaching[count, room]
+            pruned += reaching[count, room]
+        columns = (sum(map(len, counts)) + np.arange(len(least))) * width + 3 * count
+        keys, taken = least @ 256 ** np.arange(len(pairs)), least @ singles[pairs]
+        values = zip(columns.tolist(), least.sum(axis=1).tolist(), taken.tolist())
+        tables.append(dict(zip(keys.tolist(), values)))
+        counts.append(np.stack([visited, pruned], axis=1))
+    counts = np.concatenate(counts).transpose(1, 0, 2).reshape(2, -1).astype(np.int32)
+    highs = np.arange(1 << rank)[:, None] >> np.arange(rank) & 1  # row h: the bits of h
+    rooms = np.r_[0:width - 3 * count, -3 * count:0]
+    lowest = -4 * np.minimum((rooms - 1) // 4, highs.sum(axis=1)[:, None] // 2)
+    keys = (highs << 2 + 8 * np.arange(rank)).sum(axis=1)
+    return *tables, counts, dict(zip(keys.tolist(), lowest.tolist()))
+
+
+def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Representation | None:
+    """The last record of a branch and bound over the reduced box below cap.
+
+    Level j tries the sizes of class j, in subset order, that give its
+    meet the target residue: least, least + modulus, ... up to 7, so the
+    leaves come in lexicographic t order and the singles are forced mod 8.
+    A try counts as visited, and as pruned when the partial degree reaches
+    cap, which cuts the rest of its level.  A leaf adds rank visits, and a
+    prune at a degree of cap or more.  A leaf below cap whose generators
+    all weigh 4 or more is laid out by assemble_generators: degenerate
+    when they are dependent, else a record, which lowers cap.  Below a
+    prefix (the classes of three or more generators) the pair levels are
+    counted from _pair_tables, unless a completion of the prefix is below
+    cap; then they are walked too, as every level is counted.
+
+    The superset sums are kept in one int, a byte per subset: byte j holds
+    128 + residue_j minus the sizes assigned to strict supersets of j (at
+    most seven of them, of at most 7 each, so every byte stays in 79..135).
+    Assigning a size subtracts it from the bytes of all strict subsets in
+    one step, and since every modulus is a power of 2 dividing 128, the low
+    bits of byte j are the least admissible x[j].
+    """
+    rank = loop_class.rank
+    subsets = _SUBSETS[rank]
+    params, solution = _PARAMS[rank], _SOLUTIONS[rank]
+    targets = congruence_targets(loop_class.vector)
+    moduli, residues = zip(*(targets["t" + label] for label in subsets.labels))
+    n = len(moduli)
+    top, last = subsets.pairs.start - 1, n - rank - 1  # the last prefix level, the last pair level
+    shifts = [8 * j for j in range(n)]
+    below = [sum(1 << shifts[j] for j in js) for js in subsets.below]
+    low = [mod - 1 for mod in moduli]
+    singles = range(last + 1, n)
+    first, final, counts, lowest = _pair_tables(rank)
+    # the bytes of the pairs counted first (none at rank 3) and last, and of the singles
+    first_at, final_at, singles_at = shifts[top + 1], shifts[last - 2], shifts[last + 1]
+    first_mask = 0x030303 if rank == 4 else 0
+    sizes_mask, high_mask = 0x07070707 >> 32 - 8 * rank, 0x04040404 >> 32 - 8 * rank
+    packed = sum((128 + r) << sh for r, sh in zip(residues, shifts))
+    x = [0] * n
+    total = 0  # sum of the sizes assigned above this level
+    level = 0
+    size = packed & low[0]  # the next value to try at this level
+    visited = pruned = degenerate = 0
+    counted = []  # the columns of counts of the pair levels counted from the tables
+    best = None
+    while True:
+        if size < 8:
+            visited += 1
+            s = total + size
+            if s < cap:
+                if level == top:
+                    p = packed - size * below[level]
+                    first_column, first_sum, first_taken = first[p >> first_at & first_mask]
+                    final_column, final_sum, final_taken = final[p >> final_at & 0x030303]
+                    # the singles' least sizes, whose sum is their value mod 255, and
+                    # the room below cap left to the raised pairs, 4 each
+                    least = (p >> singles_at) - first_taken - final_taken & sizes_mask
+                    budget = cap - s
+                    room = budget - first_sum - final_sum
+                    if least % 255 + lowest[least & high_mask][room] >= room:
+                        counted += first_column + budget, final_column + budget - first_sum
+                        size += moduli[level]
+                        continue
+                x[level] = size
+                if level < last:
+                    packed -= size * below[level]
+                    total = s
+                    level += 1
+                    size = packed >> shifts[level] & low[level]
+                    continue
+                p = packed - size * below[level]
+                degree = s
+                for j in singles:
+                    x[j] = v = p >> shifts[j] & 7
+                    degree += v
+                visited += rank
+                if degree >= cap:
+                    pruned += 1
+                else:
+                    t = [v + 128 + r - (p >> sh & 255) for v, r, sh in zip(x, residues, shifts)]
+                    if min(t[last + 1:]) >= 4:
+                        try:
+                            best = assemble_generators(params(*t), solution(*x[1:]), loop_class)
+                        except InvalidCodeError:
+                            degenerate += 1
+                        else:
+                            cap = degree
+                size += moduli[level]
+                continue
+            pruned += 1
+        # the level is exhausted or cut: resume the level above
+        if level == 0:
+            break
+        level -= 1
+        size = x[level]
+        packed += size * below[level]
+        total -= size
+        size += moduli[level]
+    tabled = counts[:, counted].sum(axis=1).tolist()
+    stats.visited += visited + tabled[0]
+    stats.pruned += pruned + tabled[1]
+    stats.degenerate += degenerate
+    return best
+
+
 @dataclass(frozen=True)
 class MinimalityCertificate:
     """Witness that the whole reduced box was searched for smaller degrees."""
@@ -767,31 +785,12 @@ def minimal_representation(
     """
     loop_class = _as_loop_class(target)
     stats = SearchStats()
-    best: Representation | None = None
-    scan = _scan(loop_class, _max_degree(loop_class.rank) + 1, stats)
-    # each step resumes the scan with send(bound): None after a degenerate
-    # leaf, the new incumbent's degree (the lowered cap) after a found one;
-    # the StopIteration that ends the scan ends the loop
-    bound = None
-    for t, x, degree in iter(lambda: scan.send(bound), None):
-        bound = None
-        try:
-            rep = assemble_generators(t, x, loop_class)
-        except InvalidCodeError:
-            stats.degenerate += 1
-            continue
-        best = rep
-        bound = degree
+    best = _branch_and_bound(loop_class, _max_degree(loop_class.rank) + 1, stats)
     if best is None:
         raise InternalInvariantError(f"no reduced representation found for {loop_class}")
-    certificate = MinimalityCertificate(
-        target=loop_class,
-        degree=best.degree,
-        visited=stats.visited,
-        pruned=stats.pruned,
-        degenerate=stats.degenerate,
+    return best, MinimalityCertificate(
+        loop_class, best.degree, stats.visited, stats.pruned, stats.degenerate
     )
-    return best, certificate
 
 
 def verify_representation(rep: Representation) -> bool:

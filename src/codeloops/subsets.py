@@ -1,0 +1,109 @@
+"""The nonempty generator subsets of ranks 3 and 4, and the tables read off them.
+
+A reduced representation is indexed by the nonempty subsets S of its k
+generators in scan order, by decreasing size and then lexicographically,
+and the walks of search complete a prefix (the classes of three or more
+generators) over its pair classes.  What depends on the rank alone is
+here: the subsets and their incidence matrices, the 2^P ways to raise the
+P pair classes (built on first use), and the least completion of a
+prefix.
+"""
+
+from functools import cache
+from itertools import combinations
+from operator import itemgetter
+
+import numpy as np
+
+
+def _screen(s: tuple[int, ...]) -> tuple[int, int]:
+    """(modulus, residue) of t_S in every representation of a catalog class.
+
+    Weights are 0 mod 4 and pair meets even in any doubly even code; the
+    first three basis words associate to -1 (odd triple meet) and the
+    fourth is nuclear (even triple meets through it).
+    """
+    return {1: (4, 0), 2: (2, 0), 3: (2, int(s == (0, 1, 2))), 4: (1, 0)}[len(s)]
+
+
+class _Subsets:
+    """The nonempty generator subsets of one rank, in scan order."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.sets = tuple(
+            s for size in range(rank, 0, -1) for s in combinations(range(rank), size)
+        )
+        self.labels = tuple("".join(str(i + 1) for i in s) for s in self.sets)
+        self.screens = tuple(map(_screen, self.sets))
+        self.meets = tuple(itemgetter(*s) for s in self.sets if len(s) > 1)
+        # positions of the strict supersets and strict subsets of each subset
+        self.above = tuple(
+            tuple(j for j, u in enumerate(self.sets) if set(s) < set(u)) for s in self.sets
+        )
+        self.below = tuple(
+            tuple(j for j, u in enumerate(self.sets) if set(u) < set(s)) for s in self.sets
+        )
+        # the positions of the pair classes and of the singles
+        self.singles = slice(len(self.sets) - rank, len(self.sets))
+        self.pairs = slice(self.singles.start - rank * (rank - 1) // 2, self.singles.start)
+        # 0/1 matrices for the walk's products, in float32 so that numpy
+        # multiplies through BLAS (integer matmul is much slower); the
+        # products are small integers, exact in float32
+        # t = x @ supersets: row u, column s is 1 when s is a subset of u
+        self.supersets = np.array(
+            [[set(s) <= set(u) for s in self.sets] for u in self.sets], dtype=np.float32
+        )
+        # row s, column f - 1: the functional f (a bit per generator) is odd on s
+        self.odd = np.array(
+            [[sum(f >> i & 1 for i in s) % 2 for f in range(1, 1 << rank)] for s in self.sets],
+            dtype=np.float32,
+        )
+
+
+_SUBSETS = {rank: _Subsets(rank) for rank in (3, 4)}
+
+
+def _max_degree(rank: int) -> int:
+    """Degree of the largest reduced representation: 7 per class."""
+    return 7 * (2**rank - 1)
+
+
+@cache
+def _pair_bits(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 2^P ways to raise some of the P pair classes by 4, in binary order, first on top.
+
+    Raising a pair by 4 changes the singles in it by 4 mod 8, so a choice
+    changes single i when it raises an odd number of the pairs through i.
+    Returns, per choice: what it adds to each pair; what it xors into each
+    single (4 where it changes the single, else 0); the degree it adds
+    when every single is below 4; and, at (i, choice), 8 where it changes
+    single i, since a change takes 4 from a single of 4 or more instead of
+    adding 4.
+    """
+    subsets = _SUBSETS[rank]
+    count = subsets.pairs.stop - subsets.pairs.start
+    bits = (np.arange(1 << count)[:, None] >> np.arange(count - 1, -1, -1) & 1).astype(np.int16)
+    through = subsets.supersets[subsets.pairs, subsets.singles].astype(np.int16)
+    flips = 4 * (bits @ through % 2)
+    gain = 4 * bits.sum(axis=1, dtype=np.int16) + flips.sum(axis=1, dtype=np.int16)
+    tables = 4 * bits, flips, gain, 2 * flips.T.astype(np.float32)  # float32 as _Subsets.supersets
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _least_completion(base: np.ndarray, least_singles: np.ndarray) -> np.ndarray:
+    """The least degree over the 2^P pair bits of each prefix.
+
+    base is the prefix's partial degree plus its pairs' least sizes, and a
+    row of least_singles the sizes of its singles with no pair raised.  A
+    raised pair adds 4, and changes by 4 the singles of odd degree in the
+    raised pairs: up from below 4, down from 4 or more (the high singles).
+    Those singles form an even set, and changing 2j of them takes j raised
+    pairs at least.  So h raised pairs take at most 4 min(h, |high| // 2)
+    off the singles' least sizes, by pairing up high singles, and the
+    least completion is base + sum(least_singles mod 4) + 4 ceil(|high| / 2).
+    """
+    high = (least_singles >> 2).sum(axis=1, dtype=np.int16)
+    return base + (least_singles & 3).sum(axis=1, dtype=np.int16) + 4 * ((high + 1) // 2)

@@ -12,7 +12,10 @@ expands every partial row one class at a time.
 
 The library's minimal search steps through the residues of
 congruence_targets; the branch and bound here reads them off the ANF of
-the class form read in any basis of GL(k, 2).
+the class form read in any basis of GL(k, 2).  The library also counts
+the pair levels below each prefix of its branch and bound from tables;
+_scan here walks every level one value at a time, and is the order
+oracle of the box walk too.
 
 The library splits coordinates into classes one generator mask at a time
 and derives the isomorphism search data from the class signatures; the
@@ -29,10 +32,11 @@ import operator
 
 import numpy as np
 
-from codeloops.codes import ClassPartition
+from codeloops import search
+from codeloops.codes import ClassPartition, InvalidCodeError
 from codeloops.equivalence import _ClassData
 from codeloops.loops import _anf, _class_form, _general_linear
-from codeloops.search import _SUBSETS, Box, _independent, congruence_targets
+from codeloops.search import _PARAMS, _SOLUTIONS, _SUBSETS, Box, _independent, congruence_targets
 
 
 def _triples(n):
@@ -123,6 +127,106 @@ def _level_walk(target, cap):
     x, total = x[keep], total[keep]
     t = (x @ subsets.supersets).astype(np.uint8)
     return Box(x, t, total.astype(np.uint8))
+
+
+def _scan(target, cap, stats):
+    """Walk the reduced box of a class in lexicographic t order below cap.
+
+    Level j assigns the class size x[j] of subset j, in subset order.  The
+    meet of subset j is x[j] plus the sizes already assigned to its strict
+    supersets, so the target residue of the meet fixes x[j] modulo the
+    target modulus: a level steps through at most eight values, and the
+    singles, last, are forced mod 8.  Every value tried counts as visited;
+    a partial degree reaching cap cuts the rest of its level and counts
+    as pruned.  Leaves with a generator of weight 0 are skipped uncounted.
+    A caller may lower cap by sending the new value in reply to a yield.
+
+    The superset sums are kept in one int, a byte per subset: byte j holds
+    128 + residue_j minus the sizes assigned to strict supersets of j (at
+    most seven of them, of at most 7 each, so every byte stays in 79..135).
+    Assigning a size subtracts it from the bytes of all strict subsets in
+    one step, and since every modulus is a power of 2 dividing 128, the low
+    bits of byte j are the least admissible x[j].  The counters are kept in
+    locals and added to stats when the walk ends or is closed.
+    """
+    subsets = _SUBSETS[target.rank]
+    params, solution = _PARAMS[target.rank], _SOLUTIONS[target.rank]
+    targets = congruence_targets(target.vector)
+    moduli, residues = zip(*(targets["t" + label] for label in subsets.labels))
+    n = len(moduli)
+    last = n - subsets.rank - 1  # the last level before the singles
+    shifts = [8 * j for j in range(n)]
+    below = [sum(1 << shifts[j] for j in js) for js in subsets.below]
+    low = [mod - 1 for mod in moduli]
+    singles = range(last + 1, n)
+    packed = sum((128 + r) << sh for r, sh in zip(residues, shifts))
+    x = [0] * n
+    total = 0  # sum of the sizes assigned above this level
+    level = 0
+    size = packed & low[0]  # the next value to try at this level
+    visited = pruned = 0
+    try:
+        while True:
+            if size < 8:
+                visited += 1
+                s = total + size
+                if s < cap:
+                    x[level] = size
+                    if level < last:
+                        packed -= size * below[level]
+                        total = s
+                        level += 1
+                        size = packed >> shifts[level] & low[level]
+                        continue
+                    p = packed - size * below[level]
+                    degree = s
+                    for j in singles:
+                        x[j] = v = p >> shifts[j] & 7
+                        degree += v
+                    visited += subsets.rank
+                    if degree >= cap:
+                        pruned += 1
+                    else:
+                        t = [v + 128 + r - (p >> sh & 255) for v, r, sh in zip(x, residues, shifts)]
+                        if min(t[last + 1:]) >= 4:
+                            sent = yield params(*t), solution(*x[1:]), degree
+                            if sent is not None:
+                                cap = sent
+                    size += moduli[level]
+                    continue
+                pruned += 1
+            # the level is exhausted or cut: resume the level above
+            if level == 0:
+                break
+            level -= 1
+            size = x[level]
+            packed += size * below[level]
+            total -= size
+            size += moduli[level]
+    finally:
+        stats.visited += visited
+        stats.pruned += pruned
+
+
+def _scan_branch_and_bound(loop_class, cap, stats):
+    """The last record of the branch and bound that _scan drives, leaf by leaf.
+
+    Every leaf _scan yields is laid out by search.assemble_generators, read
+    at call time so that a test can patch it; a leaf with dependent
+    generators counts as degenerate, and any other is a record and lowers
+    the cap of the scan to its degree.
+    """
+    best, bound = None, None
+    scan = _scan(loop_class, cap, stats)
+    for t, x, degree in iter(lambda: scan.send(bound), None):
+        bound = None
+        try:
+            best = search.assemble_generators(t, x, loop_class)
+        except InvalidCodeError:
+            stats.degenerate += 1
+        else:
+            bound = degree
+    return best
 
 
 def _minimal_degree(loop_class, basis=0):

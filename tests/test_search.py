@@ -7,6 +7,7 @@ x = (1,0,2,0,1,3,0,5,0,2,1,1,3,0) at degree 19, type 111122335.
 
 import copy
 import hashlib
+import itertools
 import os
 import pickle
 import subprocess
@@ -51,12 +52,11 @@ from codeloops.search import (
     SearchStats,
     _independent,
     _representations,
-    _scan,
     assemble_generators,
     reduced_box,
 )
 from codeloops.loops import _general_linear
-from oracles import _level_walk, _minimal_degree
+from oracles import _level_walk, _minimal_degree, _scan, _scan_branch_and_bound
 
 WALKTHROUGH_T = (0, 1, 0, 2, 0, 2, 6, 2, 6, 0, 4, 8, 8, 16, 4)
 WALKTHROUGH_X = (1, 0, 2, 0, 1, 3, 0, 5, 0, 2, 1, 1, 3, 0)
@@ -455,13 +455,163 @@ def test_run_plans_and_pair_bits_are_not_built_at_import():
             "-c",
             "import codeloops.cli as c; from codeloops import search as s; print(*(f.cache_info()"
             ".currsize for f in (c._slot_leads, c._plan, c._number_words, c._run_words,"
-            " s._pair_bits)))",
+            " s._pair_bits, s._pair_tables)))",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0 0 0 0 0\n", proc.stderr
+    assert proc.stdout == "0 0 0 0 0 0\n", proc.stderr
+
+
+def test_minimal_in_a_fresh_interpreter_prints_the_pinned_certificate():
+    # the pair tables are built on first use, inside the one-shot command
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "codeloops.cli", "minimal", "--loop", "C4_8"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("loop: C4_8\ndegree: 17\ntype: 11111122223\n")
+    assert proc.stdout.endswith("visited: 16814\npruned: 6178\n")
+
+
+def _laid_out(branch_and_bound, loop_class, cap):
+    """The (t, x) of each leaf a branch and bound lays out, in order, its stats and its record."""
+    leaves = []
+    assemble = search.assemble_generators
+
+    def record(t, x, target):
+        leaves.append((t.as_tuple(), x.as_tuple()))
+        return assemble(t, x, target)
+
+    stats = SearchStats()
+    with mock.patch.object(search, "assemble_generators", record):
+        best = branch_and_bound(loop_class, cap, stats)
+    return leaves, stats, best
+
+
+def _assert_branch_and_bound_equals_the_scan(loop_class, cap):
+    got = _laid_out(search._branch_and_bound, loop_class, cap)
+    assert got == _laid_out(_scan_branch_and_bound, loop_class, cap), cap
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(all_loop_ids()), st.data())
+def test_branch_and_bound_equals_the_scan_at_any_cap(name, data):
+    # a cap below the minimal degree finds no record and cuts prefix
+    # levels; one above it walks the prefixes with a completion below cap
+    loop_class = parse_loop_id(name)
+    cap = data.draw(st.integers(1, search._max_degree(loop_class.rank) + 1), label="cap")
+    _assert_branch_and_bound_equals_the_scan(loop_class, cap)
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_CERTIFICATES))
+def test_branch_and_bound_equals_the_scan_around_the_minimal_degree(name):
+    loop_class = parse_loop_id(name)
+    degree = MINIMAL_CERTIFICATES[name][0]
+    # at the minimal degree the whole box below it is searched in vain, and
+    # C4_1 to C4_5 meet degenerate completions there
+    leaves, stats, best = _assert_branch_and_bound_equals_the_scan(loop_class, degree)
+    assert best is None
+    leaves, stats, best = _assert_branch_and_bound_equals_the_scan(loop_class, degree + 1)
+    assert best.degree == degree
+
+
+def _prefixes(loop_class, cap):
+    """Every prefix below cap: its partial degree and its pairs' and singles' least sizes."""
+    subsets = search._SUBSETS[loop_class.rank]
+    pairs, singles = subsets.pairs, subsets.singles
+    targets = congruence_targets(loop_class.vector)
+    moduli, residues = zip(*(targets["t" + label] for label in subsets.labels))
+    levels = [(j, list(subsets.above[j]), moduli[j], residues[j]) for j in range(pairs.start)]
+    start = np.zeros((1, len(subsets.sets)), dtype=np.uint8), np.zeros(1, dtype=np.int16)
+    x, total = search._expand(*start, levels, cap)
+    above = (x @ subsets.supersets).astype(np.int64)
+    least_pairs = (np.array(residues[pairs]) - above[:, pairs]) % 4
+    through = least_pairs @ subsets.supersets[pairs, singles].astype(np.int64)
+    least_singles = (np.array(residues[singles]) - above[:, singles] - through) % 8
+    return zip(total.tolist(), least_pairs.tolist(), least_singles.tolist())
+
+
+# per rank, the pairs (in subset order) through each single
+_PAIRS_THROUGH = {
+    rank: [[p for p, pair in enumerate(combinations(range(rank), 2)) if i in pair]
+           for i in range(rank)]
+    for rank in (3, 4)
+}
+
+
+def _walk_pair_levels(rank, partial, least_pairs, least_singles, cap):
+    """Visits and prunes of a prefix's pair levels, one try at a time, and its completion degrees."""
+    visited = pruned = 0
+    degrees = []
+
+    def descend(p, partial, raised):
+        nonlocal visited, pruned
+        if p == len(least_pairs):
+            visited += rank
+            flips = [sum(raised[q] for q in pairs) for pairs in _PAIRS_THROUGH[rank]]
+            degrees.append(partial + sum((s + 4 * f) % 8 for s, f in zip(least_singles, flips)))
+            return
+        for bit in (0, 1):
+            visited += 1
+            if partial + least_pairs[p] + 4 * bit >= cap:
+                pruned += 1
+                return
+            descend(p + 1, partial + least_pairs[p] + 4 * bit, raised + (bit,))
+
+    descend(0, partial, ())
+    return visited, pruned, degrees
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_pair_tables_count_every_prefix_as_its_pair_levels_walked(name):
+    # every prefix at caps that cut some pair levels and spare others, up to
+    # budgets at which the counts of the first three pairs stop changing
+    loop_class = parse_loop_id(name)
+    rank = loop_class.rank
+    first, final, counts, lowest = search._pair_tables(rank)
+    split = {3: 0, 4: 3}[rank]  # the pairs counted first
+    with_completion_below = 0
+    for cap in {3: (14, 20, 50), 4: (20, 34)}[rank]:
+        for partial, least_pairs, least_singles in _prefixes(loop_class, cap):
+            visited, pruned, degrees = _walk_pair_levels(
+                rank, partial, least_pairs, least_singles, cap
+            )
+            first_key, final_key = (
+                sum(size << 8 * i for i, size in enumerate(sizes))
+                for sizes in (least_pairs[:split], least_pairs[split:])
+            )
+            budget = cap - partial
+            first_column, first_sum, _ = first[first_key]
+            final_column, final_sum, _ = final[final_key]
+            tabled = counts[:, first_column + budget] + counts[:, final_column + budget - first_sum]
+            # the tables count every completion as pruned
+            assert tabled.tolist() == [visited, pruned + len(degrees)], (cap, partial, least_pairs)
+            room = budget - first_sum - final_sum
+            high = sum(4 << 8 * i for i, size in enumerate(least_singles) if size >= 4)
+            below = sum(least_singles) + lowest[high][room] < room
+            assert below == any(degree < cap for degree in degrees), (cap, partial, least_singles)
+            with_completion_below += below
+    assert with_completion_below > 0
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_least_completion_is_the_least_over_the_pair_bits(rank):
+    # every vector of least single sizes, which covers every prefix of every
+    # class: the closed form equals the least over the 2^P pair bits
+    _, _, gain, drops = search._pair_bits(rank)
+    least_singles = np.array(list(itertools.product(range(8), repeat=rank)), dtype=np.int16)
+    base = np.arange(len(least_singles), dtype=np.int16) % 23  # any partial degree
+    start = base + least_singles.sum(axis=1, dtype=np.int16)
+    high = (least_singles >> 2).astype(np.float32)
+    degrees = start[:, None] + gain - (high @ drops).astype(np.int16)
+    assert np.array_equal(search._least_completion(base, least_singles), degrees.min(axis=1))
 
 
 def test_walk_rejects_meets_off_the_layout(monkeypatch):
