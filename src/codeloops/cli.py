@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import all_loop_ids, parse_loop_id
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, parse_code
 from .equivalence import box_stabilizer, cycle_notation, code_isomorphism, distinguishing_invariant
-from .loops import LoopClass, build_loop, classify, AssociativeLoopError
+from .loops import _RANKS, LoopClass, build_loop, classify, AssociativeLoopError
 from .search import (
     Box,
     Representation,
@@ -57,7 +57,7 @@ def _weight_enumerator_str(code: BinaryCode) -> str:
 def _classification_lines(code: BinaryCode) -> list[str]:
     loop = build_loop(code)
     lines = [f"moufang: {'yes' if loop.is_moufang() else 'no'}"]
-    if code.dimension not in (3, 4):
+    if code.dimension not in _RANKS:
         if loop.is_associative():
             lines.append("class: associative")
         else:
@@ -305,8 +305,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    default_cap = 20 if args.rank == 3 else 19
-    max_degree = args.max_degree if args.max_degree is not None else default_cap
+    max_degree = args.max_degree if args.max_degree is not None else _CONJECTURE_CAPS[args.rank]
 
     groups, total = _conjecture_groups(args.rank, max_degree)
     lines = [
@@ -435,6 +434,10 @@ def _cross_check(group: _Group) -> None:
         )
 
 
+# conjecture's default degree cap per rank
+_CONJECTURE_CAPS = {3: 20, 4: 19}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The command line parser, built on first use and kept for the process.
@@ -469,7 +472,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=cmd_iso)
 
     p = sub.add_parser("conjecture", help="scan for same-degree same-type non-isomorphic pairs")
-    p.add_argument("--rank", type=int, choices=(3, 4), required=True)
+    p.add_argument("--rank", type=int, choices=_RANKS, required=True)
     p.add_argument("--max-degree", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_conjecture)

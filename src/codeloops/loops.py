@@ -30,7 +30,9 @@ checks over all triples of words, as the oracles.
 For a nonassociative loop of rank 3 or 4 the characteristic vector of an
 admissible basis (the first three words associate to -1 and, at rank 4,
 the fourth is nuclear) collects the basis squares and commutators into a
-bit vector; the catalog below lists one vector per isomorphism class.
+bit vector.  The class table below (_CLASSES) lists one vector per
+isomorphism class with its catalog data, and its keys are the ranks
+supported.
 The squaring form q(v) = |v|/4 mod 2 of a basis, a truth table over span
 words, has the square bits as linear, the commutator bits as quadratic
 and the associators as cubic terms, and it fixes the loop up to
@@ -210,6 +212,57 @@ def build_loop(code: BinaryCode) -> CodeLoop:
 # characteristic vectors and the canonical catalog
 
 
+# The catalog: per rank, one row per class in catalog order, C{rank}_1 first.
+# A row is the class's canonical characteristic vector, its minimal degree,
+# the type at that degree and the generator lines of a code realizing it,
+# separated by spaces.
+# The ranks the library supports are this table's keys.
+_CLASSES = {
+    3: (
+        ("111111", 7, "1111111", "1,2,3,4 1,2,5,6 1,3,5,7"),
+        ("000000", 13, "1111333", "1-8 1,2,3,4,9,10,11,12 1,5,6,7,9,10,11,13"),
+        ("000111", 11, "1111115", "1-8 1,2,3,4,5,6,9,10 1,2,3,4,5,7,9,11"),
+        ("110000", 17, "1111337", "1,2,3,4 1,2,5-14 1,3,5-11,15,16,17"),
+        ("100000", 17, "1113335", "1-12 1-8,13,14,15,16 1,2,3,4,5,9,10,11,13,14,15,17"),
+    ),
+    4: (
+        ("1110110100", 8, "11111111", "1,2,3,4 1,2,5,6 1,3,5,7 1-8"),
+        ("0000000000", 14, "11111111222", "1-8 1-4,9-12 1,5,6,7,9,10,11,13 1,2,5,8,9,12,13,14"),
+        ("0000110100", 12, "111111114", "1-8 1-6,9,10 1,2,3,4,5,7,9,11 1,6-12"),
+        ("0010100000", 18, "11111111226", "1-8 1-6,9,10 1,2,3,7,9,11-17 1,4,7,8,9,10,11,18"),
+        ("0000010100", 18, "111111112224",
+         "1-8 1,2,3,4,9,10,11,12 1,5,9,13-17 1,2,5,6,9,10,13,18"),
+        ("1111110100", 11, "11111114", "1,2,3,4 1,2,5,6 1,3,5,7 8,9,10,11"),
+        ("0001000000", 17, "11113334", "1-8 1,2,3,4,9,10,11,12 1,5,6,7,9,10,11,13 14,15,16,17"),
+        ("0000001000", 17, "11111122223",
+         "1-8 1,2,3,4,9-12 1,2,3,5,9,13,14,15 1,2,10,11,13,14,16,17"),
+        ("0100001000", 19, "11111222233",
+         "1-8 1,2,3,4,9-16 1,5,6,7,9,10,11,17 5,6,9,10,12,13,18,19"),
+        ("0001111000", 19, "111223333", "1-8 1,2,9-14 1,3,9,10,11,15,16,17 4,5,18,19"),
+        ("0001001000", 17, "111122333", "1-8 1,2,3,4,9-12 1,2,3,5,9,13,14,15 6,7,16,17"),
+        ("0000001100", 17, "1111112234",
+         "1-8 1,2,3,4,9-12 1,2,3,5,9,10,11,13 1,2,9,10,14,15,16,17"),
+        ("0110111100", 17, "111111236", "1-8 1,2,9,10 1,3,9,11 4,5,12-17"),
+        ("0001001100", 13, "111111223", "1-8 1,2,3,4,9-12 1,2,3,5,9,10,11,13 1,2,9,10"),
+        ("1001001100", 17, "111111227", "1-12 1,2,3,4,13-16 1,2,3,5,13,14,15,17 1,2,13,14"),
+        ("0001111100", 17, "111112235", "1-8 1,2,9-14 1,3,9-13,15 4,5,16,17"),
+    ),
+}
+_RANKS = tuple(_CLASSES)
+
+
+def _rank_rows(rank: int) -> tuple:
+    """The class table's rows of a rank, which must be one of its keys."""
+    if rank not in _RANKS:
+        raise InvalidCodeError(f"rank {rank} not in {_RANKS}")
+    return _CLASSES[rank]
+
+
+def _check_rank(rank: int, needs: str) -> None:
+    if rank not in _RANKS:
+        raise InvalidCodeError(f"{needs} rank {' or '.join(map(str, _RANKS))}, got {rank}")
+
+
 @dataclass(frozen=True)
 class CharVector:
     """Basis squares and commutators of a nonassociative loop, as bits.
@@ -225,8 +278,7 @@ class CharVector:
     commutators: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank not in (3, 4):
-            raise InvalidCodeError(f"rank {self.rank} not in (3, 4)")
+        _rank_rows(self.rank)
         pairs = self.rank * (self.rank - 1) // 2
         if len(self.squares) != self.rank or len(self.commutators) != pairs:
             raise InvalidCodeError("wrong number of square or commutator bits")
@@ -244,43 +296,15 @@ class CharVector:
         return "".join(str(b) for b in self.bits)
 
 
-_CANONICAL_RANK3 = (
-    "111111",
-    "000000",
-    "000111",
-    "110000",
-    "100000",
-)
-
-_CANONICAL_RANK4 = (
-    "1110110100",
-    "0000000000",
-    "0000110100",
-    "0010100000",
-    "0000010100",
-    "1111110100",
-    "0001000000",
-    "0000001000",
-    "0100001000",
-    "0001111000",
-    "0001001000",
-    "0000001100",
-    "0110111100",
-    "0001001100",
-    "1001001100",
-    "0001111100",
-)
-
-
 @dataclass(frozen=True)
 class LoopClass:
-    """One of the 21 nonassociative code loop classes of rank 3 or 4."""
+    """One of the nonassociative code loop classes of the catalog (_CLASSES)."""
 
     rank: int
     index: int  # 1-based position in the catalog
 
     def __post_init__(self):
-        count = len(canonical_catalog(self.rank))
+        count = len(_rank_rows(self.rank))
         if not 1 <= self.index <= count:
             raise InvalidCodeError(f"no catalog entry {self.index} at rank {self.rank}")
 
@@ -307,13 +331,7 @@ class LoopClass:
 @functools.lru_cache(maxsize=None)
 def canonical_catalog(rank: int) -> tuple[CharVector, ...]:
     """The canonical characteristic vectors, one per isomorphism class (built once per rank)."""
-    if rank == 3:
-        raw = _CANONICAL_RANK3
-    elif rank == 4:
-        raw = _CANONICAL_RANK4
-    else:
-        raise InvalidCodeError(f"rank {rank} not in (3, 4)")
-    return tuple(CharVector.from_bits(rank, bits) for bits in raw)
+    return tuple(CharVector.from_bits(rank, row[0]) for row in _rank_rows(rank))
 
 
 def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
@@ -325,8 +343,7 @@ def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
     y_0 y_1 y_2 as its only cubic term.  Its linear and quadratic terms are the bits.
     """
     rank = loop.rank
-    if rank not in (3, 4):
-        raise InvalidCodeError(f"characteristic vectors need rank 3 or 4, got {rank}")
+    _check_rank(rank, "characteristic vectors need")
     try:
         words = [operator.index(w) for w in basis]
     except TypeError:
@@ -444,7 +461,7 @@ def _class_table(rank: int) -> np.ndarray:
 
 
 def classify(loop: CodeLoop) -> LoopClass:
-    """Match a nonassociative rank 3 or 4 code loop against the catalog.
+    """Match a nonassociative code loop of a catalog rank against the catalog.
 
     The class is the one whose orbit holds the squaring form, the diagonal
     of the factor set (see the module docstring).  The loop associates iff
@@ -454,8 +471,7 @@ def classify(loop: CodeLoop) -> LoopClass:
     if not associator_bits(phi).any():
         raise AssociativeLoopError("loop is associative; not a nonassociative code loop")
     rank = loop.rank
-    if rank not in (3, 4):
-        raise InvalidCodeError(f"classification needs rank 3 or 4, got {rank}")
+    _check_rank(rank, "classification needs")
     index = int(_class_table(rank)[_pack(phi.diagonal())])
     if not index:
         raise InternalInvariantError("the squaring form lies in no catalog class")
@@ -463,5 +479,5 @@ def classify(loop: CodeLoop) -> LoopClass:
 
 
 def loops_isomorphic(a: CodeLoop, b: CodeLoop) -> bool:
-    """Nonassociative rank 3/4 loops are isomorphic iff they classify alike."""
+    """Nonassociative loops of the catalog ranks are isomorphic iff they classify alike."""
     return classify(a) == classify(b)

@@ -10,15 +10,15 @@ class x_S holds the coordinates lying in exactly the generators of S, so
 t_S is the sum of x_T over the supersets T of S, and Moebius inversion
 gives x_S as t_S minus the class sizes of the strict supersets of S.
 
-The characteristic vector puts each t_S in a residue class that depends
-only on |S|: weights mod 8 (the squares), pair meets mod 4 (the
-commutators), the meet of 123 odd and the other triple meets even (the
-associators), and the quadruple meet free.  A representation is reduced
-when every class has fewer than 8 coordinates, so the reduced space is a
-finite box.  It is searched one class size at a time in subset order,
-which is lexicographic order in t: each size steps through the residue
-class its meet needs, and the singles come out forced mod 8.  The classes
-are then laid out as consecutive coordinate intervals.
+Each t_S lies in a residue class read off the ANF a of the class form q_L,
+once per class (subsets._meet_residues): a weight is 4 a_S mod 8 (the
+squares), a pair meet 2 a_S mod 4 (the commutators), a triple meet a_S
+mod 2 (the associators), and the quadruple meet is free.  A
+representation is reduced when every class has fewer than 8 coordinates,
+so the reduced space is a finite box.  It is searched one class size at a
+time in subset order, which is lexicographic order in t: each size steps
+through the residue class its meet needs, and the singles come out forced
+mod 8.  The classes are then laid out as consecutive coordinate intervals.
 
 Listing the box below a degree cap (enumerate_reduced, reduced_box) is one
 numpy walk.  It expands the classes of three or more generators a level at
@@ -43,9 +43,9 @@ of the pair levels from tables (_pair_tables).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, make_dataclass
+from dataclasses import FrozenInstanceError, dataclass, field, make_dataclass
 from functools import cache, reduce
-from itertools import combinations, product
+from itertools import product
 from math import comb
 from operator import and_, attrgetter
 from typing import Iterator, NamedTuple
@@ -61,7 +61,14 @@ from .codes import (
     _mask_rank,
 )
 from .loops import CharVector, LoopClass, build_loop, classify
-from .subsets import _SUBSETS, _least_completion, _max_degree, _pair_bits, _screen
+from .subsets import (
+    _SUBSETS,
+    _least_completion,
+    _max_degree,
+    _meet_residues,
+    _open_residues,
+    _pair_bits,
+)
 
 
 class _SubsetVector:
@@ -132,29 +139,12 @@ _SOLUTIONS = {3: Solution3, 4: Solution4}
 def congruence_targets(cv: CharVector) -> dict[str, tuple[int, int]]:
     """Residue constraints (modulus, residue) on each t entry for a vector.
 
-    A square bit forces the word weight to 4 mod 8 (else 0 mod 8); a
-    commutator bit forces the pair meet to 2 mod 4 (else 0 mod 4).  The
-    first triple meet is odd; at rank 4 the triples through the nuclear
-    word are even and the quadruple meet is free.
+    The dict view of _meet_residues, keyed "t" + label: a square bit puts
+    the weight at 4 mod 8 (else 0 mod 8), a commutator bit the pair meet at
+    2 mod 4 (else 0 mod 4), and so on up the ANF of the class form.
     """
-    subsets = _SUBSETS[cv.rank]
-    commutators = dict(zip(combinations(range(cv.rank), 2), cv.commutators))
-    targets = {}
-    for s, label in zip(subsets.sets, subsets.labels):
-        if len(s) == 1:
-            targets["t" + label] = (8, 4 * cv.squares[s[0]])
-        elif len(s) == 2:
-            targets["t" + label] = (4, 2 * commutators[s])
-        else:
-            targets["t" + label] = _screen(s)
-    return targets
-
-
-def _meets_targets(t, targets: dict[str, tuple[int, int]]) -> bool:
-    for sym, (mod, residue) in targets.items():
-        if getattr(t, sym) % mod != residue:
-            return False
-    return True
+    labels = _SUBSETS[cv.rank].labels
+    return {"t" + label: target for label, target in zip(labels, zip(*_meet_residues(cv)))}
 
 
 def solve_system(t, targets: dict[str, tuple[int, int]] | None = None):
@@ -162,14 +152,16 @@ def solve_system(t, targets: dict[str, tuple[int, int]] | None = None):
 
     Each class size is its meet minus the class sizes of its strict
     supersets.  Feasibility is every class size in 0..7 and every generator
-    of weight at least 4, on top of the residues every catalog class shares
-    (and the target residues when given).
+    of weight at least 4, on top of the residues of every characteristic
+    vector (_open_residues) and the target residues when given.
     """
-    if targets is not None and not _meets_targets(t, targets):
+    if targets is not None and any(
+        getattr(t, sym) % mod != residue for sym, (mod, residue) in targets.items()
+    ):
         return None
     subsets = _SUBSETS[t._rank]
     values = t.as_tuple()
-    if any(v % mod != res for v, (mod, res) in zip(values, subsets.screens)):
+    if any(v % mod != res for v, mod, res in zip(values, *_open_residues(t._rank))):
         return None
     if min(values[-subsets.rank:]) < 4:
         return None
@@ -406,6 +398,8 @@ class SearchStats:
     visited: int = 0   # class sizes tried across all levels, rank per leaf reached
     pruned: int = 0    # tries and leaves cut by the degree bound
     degenerate: int = 0  # leaves dropped for linearly dependent generators
+    # prefixes whose pair levels are walked, not read from tables; not in the certificate
+    walked: int = field(default=0, compare=False)
 
 
 class Box(NamedTuple):
@@ -482,8 +476,7 @@ def _walk(target: LoopClass, cap: int) -> Box:
     """
     rank = target.rank
     subsets = _SUBSETS[rank]
-    targets = congruence_targets(target.vector)
-    moduli, residues = zip(*(targets["t" + label] for label in subsets.labels))
+    moduli, residues = _meet_residues(target.vector)
     pairs, singles = subsets.pairs, subsets.singles
     levels = [
         (j, list(subsets.above[j]), moduli[j], residues[j]) for j in range(pairs.start)
@@ -669,7 +662,8 @@ def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Re
     when they are dependent, else a record, which lowers cap.  Below a
     prefix (the classes of three or more generators) the pair levels are
     counted from _pair_tables, unless a completion of the prefix is below
-    cap; then they are walked too, as every level is counted.
+    cap; then they are walked too, as every level is counted, and the
+    prefix counts in stats.walked.
 
     The superset sums are kept in one int, a byte per subset: byte j holds
     128 + residue_j minus the sizes assigned to strict supersets of j (at
@@ -681,8 +675,7 @@ def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Re
     rank = loop_class.rank
     subsets = _SUBSETS[rank]
     params, solution = _PARAMS[rank], _SOLUTIONS[rank]
-    targets = congruence_targets(loop_class.vector)
-    moduli, residues = zip(*(targets["t" + label] for label in subsets.labels))
+    moduli, residues = _meet_residues(loop_class.vector)
     n = len(moduli)
     top, last = subsets.pairs.start - 1, n - rank - 1  # the last prefix level, the last pair level
     shifts = [8 * j for j in range(n)]
@@ -692,14 +685,14 @@ def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Re
     first, final, counts, lowest = _pair_tables(rank)
     # the bytes of the pairs counted first (none at rank 3) and last, and of the singles
     first_at, final_at, singles_at = shifts[top + 1], shifts[last - 2], shifts[last + 1]
-    first_mask = 0x030303 if rank == 4 else 0
-    sizes_mask, high_mask = 0x07070707 >> 32 - 8 * rank, 0x04040404 >> 32 - 8 * rank
+    first_mask, final_mask = (int.from_bytes(b"\3" * k, "little") for k in (last - top - 3, 3))
+    sizes_mask, high_mask = (int.from_bytes(bytes([b]) * rank, "little") for b in (7, 4))
     packed = sum((128 + r) << sh for r, sh in zip(residues, shifts))
     x = [0] * n
     total = 0  # sum of the sizes assigned above this level
     level = 0
     size = packed & low[0]  # the next value to try at this level
-    visited = pruned = degenerate = 0
+    visited = pruned = degenerate = walked = 0
     counted = []  # the columns of counts of the pair levels counted from the tables
     best = None
     while True:
@@ -710,7 +703,7 @@ def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Re
                 if level == top:
                     p = packed - size * below[level]
                     first_column, first_sum, first_taken = first[p >> first_at & first_mask]
-                    final_column, final_sum, final_taken = final[p >> final_at & 0x030303]
+                    final_column, final_sum, final_taken = final[p >> final_at & final_mask]
                     # the singles' least sizes, whose sum is their value mod 255, and
                     # the room below cap left to the raised pairs, 4 each
                     least = (p >> singles_at) - first_taken - final_taken & sizes_mask
@@ -720,6 +713,7 @@ def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Re
                         counted += first_column + budget, final_column + budget - first_sum
                         size += moduli[level]
                         continue
+                    walked += 1
                 x[level] = size
                 if level < last:
                     packed -= size * below[level]
@@ -759,6 +753,7 @@ def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Re
     stats.visited += visited + tabled[0]
     stats.pruned += pruned + tabled[1]
     stats.degenerate += degenerate
+    stats.walked += walked
     return best
 
 

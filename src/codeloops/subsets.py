@@ -1,4 +1,4 @@
-"""The nonempty generator subsets of ranks 3 and 4, and the tables read off them.
+"""The nonempty generator subsets of each catalog rank, and the tables read off them.
 
 A reduced representation is indexed by the nonempty subsets S of its k
 generators in scan order, by decreasing size and then lexicographically,
@@ -6,7 +6,8 @@ and the walks of search complete a prefix (the classes of three or more
 generators) over its pair classes.  What depends on the rank alone is
 here: the subsets and their incidence matrices, the 2^P ways to raise the
 P pair classes (built on first use), and the least completion of a
-prefix.
+prefix.  So are the residues a class puts on the meets t_S, read off the
+ANF of its squaring form q_L (_meet_residues), once per class.
 """
 
 from functools import cache
@@ -15,15 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-
-def _screen(s: tuple[int, ...]) -> tuple[int, int]:
-    """(modulus, residue) of t_S in every representation of a catalog class.
-
-    Weights are 0 mod 4 and pair meets even in any doubly even code; the
-    first three basis words associate to -1 (odd triple meet) and the
-    fourth is nuclear (even triple meets through it).
-    """
-    return {1: (4, 0), 2: (2, 0), 3: (2, int(s == (0, 1, 2))), 4: (1, 0)}[len(s)]
+from .loops import _RANKS, CharVector, _anf, _class_form
 
 
 class _Subsets:
@@ -35,7 +28,7 @@ class _Subsets:
             s for size in range(rank, 0, -1) for s in combinations(range(rank), size)
         )
         self.labels = tuple("".join(str(i + 1) for i in s) for s in self.sets)
-        self.screens = tuple(map(_screen, self.sets))
+        self.masks = tuple(sum(1 << i for i in s) for s in self.sets)  # the ANF monomials
         self.meets = tuple(itemgetter(*s) for s in self.sets if len(s) > 1)
         # positions of the strict supersets and strict subsets of each subset
         self.above = tuple(
@@ -61,7 +54,38 @@ class _Subsets:
         )
 
 
-_SUBSETS = {rank: _Subsets(rank) for rank in (3, 4)}
+_SUBSETS = {rank: _Subsets(rank) for rank in _RANKS}
+
+
+@cache
+def _meet_residues(cv: CharVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The moduli and residues of the meets t_S of a class, in subset order.
+
+    They are the ANF coefficients a_S of the class form q_L (Griess, "Code
+    loops", 1986): t_S is 4 a_S mod 8 for a single (a square), 2 a_S mod 4
+    for a pair (a commutator) and a_S mod 2 for a triple (an associator),
+    and a larger meet is free.  So the modulus is 16 >> |S|, at least 1,
+    and the residue is half the modulus times a_S.
+    """
+    subsets = _SUBSETS[cv.rank]
+    anf = _anf(_class_form(cv))[list(subsets.masks)].tolist()
+    moduli = tuple(max(1, 16 >> len(s)) for s in subsets.sets)
+    return moduli, tuple(m // 2 * a for m, a in zip(moduli, anf))
+
+
+@cache
+def _open_residues(rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The meet residues of every characteristic vector of a rank, in subset order.
+
+    The bits of a vector are the ANF coefficients of the pairs and the
+    singles, so with them left open a pair meet is 0 mod 2 and a weight 0
+    mod 4, as in any doubly even code.  The larger meets keep the residues
+    of the cubic part y_0 y_1 y_2 that every vector's form has.
+    """
+    subsets = _SUBSETS[rank]
+    pairs = subsets.pairs.start
+    moduli, residues = _meet_residues(CharVector.from_bits(rank, [0] * (len(subsets.sets) - pairs)))
+    return moduli[:pairs] + tuple(m // 2 for m in moduli[pairs:]), residues
 
 
 def _max_degree(rank: int) -> int:

@@ -10,12 +10,13 @@ The library lists a reduced box as prefixes of the classes of three or
 more generators times the bits of the pair classes; the level walk here
 expands every partial row one class at a time.
 
-The library's minimal search steps through the residues of
-congruence_targets; the branch and bound here reads them off the ANF of
-the class form read in any basis of GL(k, 2).  The library also counts
-the pair levels below each prefix of its branch and bound from tables;
-_scan here walks every level one value at a time, and is the order
-oracle of the box walk too.
+The library reads the residues of the meets off the ANF of the class
+form, once per class; the ladder here writes them out by subset size, a
+square or commutator bit at a time, and the branch and bound here reads
+them off the ANF of the class form read in any basis of GL(k, 2).  The
+library also counts the pair levels below each prefix of its branch and
+bound from tables; _scan here walks every level one value at a time, and
+is the order oracle of the box walk too.
 
 The library splits coordinates into classes one generator mask at a time
 and derives the isomorphism search data from the class signatures; the
@@ -29,6 +30,7 @@ compares the span words projected onto the assigned classes as multisets.
 
 import functools
 import operator
+from itertools import combinations
 
 import numpy as np
 
@@ -100,6 +102,61 @@ def _broadcast_sign_tables(phi):
         (phi ^ phi.T).tolist(),
         _broadcast_associator_bits(phi).tolist(),
     )
+
+
+def _ladder_screen(s):
+    """(modulus, residue) of t_S in every representation of a rank, by the size of S.
+
+    Weights are 0 mod 4 and pair meets even in any doubly even code; the
+    first three basis words associate to -1 (odd triple meet) and the
+    fourth is nuclear (even triple meets through it).
+    """
+    return {1: (4, 0), 2: (2, 0), 3: (2, int(s == (0, 1, 2))), 4: (1, 0)}[len(s)]
+
+
+def _ladder_subsets(rank):
+    """The nonempty subsets of range(rank) in scan order: by decreasing size, then lexicographically."""
+    return [s for size in range(rank, 0, -1) for s in combinations(range(rank), size)]
+
+
+def _ladder_targets(cv):
+    """The congruence targets of a characteristic vector, keyed "t" + label, by the size of S.
+
+    A square bit puts the weight at 4 mod 8 (else 0 mod 8), a commutator
+    bit the pair meet at 2 mod 4 (else 0 mod 4), and a larger meet takes
+    the residue of _ladder_screen.
+    """
+    commutators = dict(zip(combinations(range(cv.rank), 2), cv.commutators))
+    targets = {}
+    for s in _ladder_subsets(cv.rank):
+        label = "t" + "".join(str(i + 1) for i in s)
+        if len(s) == 1:
+            targets[label] = (8, 4 * cv.squares[s[0]])
+        elif len(s) == 2:
+            targets[label] = (4, 2 * commutators[s])
+        else:
+            targets[label] = _ladder_screen(s)
+    return targets
+
+
+def _ladder_solve_system(rank, t):
+    """The class sizes of meets t in scan order without the first, or None, with the ladder's screen.
+
+    t must pass _ladder_screen, give every generator weight 4 or more and
+    give every class a size in 0..7, a class size being its meet minus the
+    sizes of the classes of its strict supersets.
+    """
+    subsets = _ladder_subsets(rank)
+    if any(v % mod != res for v, (mod, res) in zip(t, map(_ladder_screen, subsets))):
+        return None
+    if min(t[-rank:]) < 4:
+        return None
+    x = {}
+    for s, v in zip(subsets, t):
+        x[s] = v - sum(size for u, size in x.items() if set(s) < set(u))
+    if any(not 0 <= size <= 7 for size in x.values()):
+        return None
+    return tuple(x[s] for s in subsets[1:])
 
 
 def _level_walk(target, cap):

@@ -56,7 +56,17 @@ from codeloops.search import (
     reduced_box,
 )
 from codeloops.loops import _general_linear
-from oracles import _level_walk, _minimal_degree, _scan, _scan_branch_and_bound
+from codeloops.subsets import _meet_residues
+from oracles import (
+    _ladder_screen,
+    _ladder_solve_system,
+    _ladder_subsets,
+    _ladder_targets,
+    _level_walk,
+    _minimal_degree,
+    _scan,
+    _scan_branch_and_bound,
+)
 
 WALKTHROUGH_T = (0, 1, 0, 2, 0, 2, 6, 2, 6, 0, 4, 8, 8, 16, 4)
 WALKTHROUGH_X = (1, 0, 2, 0, 1, 3, 0, 5, 0, 2, 1, 1, 3, 0)
@@ -84,6 +94,16 @@ def test_congruence_targets_rank4():
     assert targets["t34"] == (4, 0)
     # the quadruple overlap has no sign constraint; mod 1 leaves it free
     assert targets["t1234"] == (1, 0)
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_meet_residues_equal_the_ladder_on_every_class(name):
+    cv = parse_loop_id(name).vector
+    assert congruence_targets(cv) == _ladder_targets(cv)
+    # computed once per class: the dict view and the walks read one cached pair of tuples
+    moduli, residues = _meet_residues(cv)
+    assert _meet_residues(cv) is _meet_residues(cv)
+    assert list(congruence_targets(cv).values()) == list(zip(moduli, residues))
 
 
 def test_solve_system3_minimal_point():
@@ -387,7 +407,7 @@ def test_pinned_output_digests(tmp_path, capsys, argv, digest, stdout):
 
 def _scan_rows(loop_class, max_degree):
     """(t, x, degree) of every _scan leaf with independent generators, x led by the top meet."""
-    vectors = [sum(1 << i for i in s) for s in _subsets(loop_class.rank)]
+    vectors = [sum(1 << i for i in s) for s in _ladder_subsets(loop_class.rank)]
     rows = []
     for t, x, degree in _scan(loop_class, max_degree + 1, SearchStats()):
         x = t.as_tuple()[:1] + x.as_tuple()
@@ -523,7 +543,7 @@ def test_branch_and_bound_equals_the_scan_around_the_minimal_degree(name):
 
 
 def _prefixes(loop_class, cap):
-    """Every prefix below cap: its partial degree and its pairs' and singles' least sizes."""
+    """Every prefix below cap: its meets, its partial degree and its pairs' and singles' least sizes."""
     subsets = search._SUBSETS[loop_class.rank]
     pairs, singles = subsets.pairs, subsets.singles
     targets = congruence_targets(loop_class.vector)
@@ -535,7 +555,8 @@ def _prefixes(loop_class, cap):
     least_pairs = (np.array(residues[pairs]) - above[:, pairs]) % 4
     through = least_pairs @ subsets.supersets[pairs, singles].astype(np.int64)
     least_singles = (np.array(residues[singles]) - above[:, singles] - through) % 8
-    return zip(total.tolist(), least_pairs.tolist(), least_singles.tolist())
+    meets = map(tuple, above[:, :pairs.start].tolist())
+    return zip(meets, total.tolist(), least_pairs.tolist(), least_singles.tolist())
 
 
 # per rank, the pairs (in subset order) through each single
@@ -579,7 +600,7 @@ def test_pair_tables_count_every_prefix_as_its_pair_levels_walked(name):
     split = {3: 0, 4: 3}[rank]  # the pairs counted first
     with_completion_below = 0
     for cap in {3: (14, 20, 50), 4: (20, 34)}[rank]:
-        for partial, least_pairs, least_singles in _prefixes(loop_class, cap):
+        for _, partial, least_pairs, least_singles in _prefixes(loop_class, cap):
             visited, pruned, degrees = _walk_pair_levels(
                 rank, partial, least_pairs, least_singles, cap
             )
@@ -599,6 +620,38 @@ def test_pair_tables_count_every_prefix_as_its_pair_levels_walked(name):
             assert below == any(degree < cap for degree in degrees), (cap, partial, least_singles)
             with_completion_below += below
     assert with_completion_below > 0
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_branch_and_bound_walks_the_prefixes_with_a_completion_below_cap(name):
+    # from the largest cap, the cap falls at each record; a prefix reached
+    # below the cap then in force is walked leaf by leaf exactly when one of
+    # its completions is below that cap, and is otherwise read from the tables
+    loop_class = parse_loop_id(name)
+    rank = loop_class.rank
+    cap = search._max_degree(rank) + 1
+    prefix = search._SUBSETS[rank].pairs.start  # the meets of three or more generators
+    records = {}  # prefix meets -> the degree of its last record
+    assemble = search.assemble_generators
+
+    def record(t, x, target):
+        rep = assemble(t, x, target)  # raises for dependent generators
+        records[t.as_tuple()[:prefix]] = rep.degree
+        return rep
+
+    with mock.patch.object(search, "assemble_generators", record):
+        _scan_branch_and_bound(loop_class, cap, SearchStats())
+    walked, in_force = 0, cap
+    for meets, partial, least_pairs, least_singles in _prefixes(loop_class, cap):
+        if partial >= in_force:
+            continue  # cut at the prefix level, never reached
+        _, _, degrees = _walk_pair_levels(rank, partial, least_pairs, least_singles, in_force)
+        walked += any(degree < in_force for degree in degrees)
+        in_force = records.get(meets, in_force)
+    stats = SearchStats()
+    search._branch_and_bound(loop_class, cap, stats)
+    assert stats.walked == walked
+    assert 1 <= walked <= 5
 
 
 @pytest.mark.parametrize("rank", [3, 4])
@@ -706,21 +759,18 @@ def test_enumerate_below_the_minimum_writes_an_empty_file(tmp_path, capsys, argv
     assert out.read_bytes() == b""
 
 
-def _subsets(rank):
-    return [s for size in range(rank, 0, -1) for s in combinations(range(rank), size)]
-
-
 @st.composite
 def _class_sizes(draw, rank):
     """Class sizes x_S in 0..7 whose meets t_S pass the structural screens.
 
     Singles meet to 0 mod 4, pairs to 0 mod 2, the triple {1,2,3} to an odd
-    number and the other triples to an even one; the quadruple is free.
+    number and the other triples to an even one; the quadruple is free
+    (_ladder_screen).
     """
     x = {}
-    for s in _subsets(rank):
+    for s in _ladder_subsets(rank):
         above = sum(v for u, v in x.items() if set(s) < set(u))
-        mod, res = {1: (4, 0), 2: (2, 0), 3: (2, int(s == (0, 1, 2))), 4: (1, 0)}[len(s)]
+        mod, res = _ladder_screen(s)
         x[s] = (res - above) % mod + mod * draw(st.integers(0, 8 // mod - 1))
     return x
 
@@ -734,7 +784,7 @@ def _class_sizes(draw, rank):
 @given(data=st.data())
 def test_solve_and_assemble_invert_the_meet_sums(rank, params, solve, data):
     x = data.draw(_class_sizes(rank))
-    subsets = _subsets(rank)
+    subsets = _ladder_subsets(rank)
     t = tuple(sum(x[u] for u in subsets if set(s) <= set(u)) for s in subsets)
     if min(t[-rank:]) < 4:
         reject()  # a generator of weight 0 leaves the box
@@ -748,10 +798,32 @@ def test_solve_and_assemble_invert_the_meet_sums(rank, params, solve, data):
     assert params.from_words(*rep.generators) == params(*t)
 
 
+@pytest.mark.parametrize(
+    "rank, params, solve",
+    [(3, ParamVector3, solve_system3), (4, ParamVector4, solve_system4)],
+    ids=["rank3", "rank4"],
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_untargeted_solve_system_accepts_what_the_ladder_accepts(rank, params, solve, data):
+    # meets on the screen, then maybe one class of any size, which moves its
+    # meet and its subsets' meets off the screen or not, and one meet moved
+    # by up to 8, which can put a class size outside 0..7 or a weight below 4
+    x = data.draw(_class_sizes(rank))
+    subsets = _ladder_subsets(rank)
+    moved = data.draw(st.sampled_from([None, *subsets]))
+    if moved is not None:
+        x[moved] = data.draw(st.integers(0, 7))
+    t = [sum(x[u] for u in subsets if set(s) <= set(u)) for s in subsets]
+    t[data.draw(st.integers(0, len(t) - 1))] += data.draw(st.integers(-8, 8))
+    sol = solve(params(*t))
+    assert (None if sol is None else sol.as_tuple()) == _ladder_solve_system(rank, t)
+
+
 @pytest.mark.parametrize("rank", [3, 4])
 def test_independent_rows_have_generators_of_full_rank(rank):
     # every pattern of nonempty classes, with class j on coordinate j
-    subsets = _subsets(rank)
+    subsets = _ladder_subsets(rank)
     n = len(subsets)
     x = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
     full_rank = [
