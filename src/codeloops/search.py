@@ -21,24 +21,26 @@ through the residue class its meet needs, and the singles come out forced
 mod 8.  The classes are then laid out as consecutive coordinate intervals.
 
 Listing the box below a degree cap (enumerate_reduced, reduced_box) is one
-numpy walk.  It expands the classes of three or more generators a level at
-a time, into at most 2048 prefixes at rank 4 and 4 at rank 3, and then
-completes each prefix in one step: every pair class takes one of two sizes,
-and the singles are forced.  It returns the class sizes, meets and degrees
-of every leaf as small integer arrays; the command line formats enumerate
-records from those rows in bulk, through block_offsets and generator_runs,
-without building a Representation per leaf.  The full box of a rank 4
-class is about 131000 rows.  enumerate_reduced yields one Representation
-per row, and a Representation is its box row: it lays out its code only
-when the code is read, so a caller that reads the class sizes of every
-leaf and the code of a few pays for the few.
+numpy walk.  The sizes of the classes of three or more generators form
+prefixes that every class of a rank shares (subsets._prefix_tree), 2048 at
+rank 4 and 4 at rank 3, and the walk completes each prefix in one step:
+every pair class takes one of two sizes, and the singles are forced.  It
+returns the class sizes, meets and degrees of every leaf as small integer
+arrays; the command line formats enumerate records from those rows in
+bulk, through block_offsets and generator_runs, without building a
+Representation per leaf.  The full box of a rank 4 class is about 131000
+rows.  enumerate_reduced yields one Representation per row, and a
+Representation is its box row: it lays out its code only when the code
+is read, so a caller that reads the class sizes of every leaf and the
+code of a few pays for the few.
 
 Minimality searches the same box by branch and bound (_branch_and_bound):
 partial class-size sums bound the degree from below, so a subtree is cut
 as soon as the partial sum reaches the incumbent.  Its certificate counts
-the nodes visited and pruned by a walk that tries every class size, but
-below a prefix with no completion under the incumbent it reads the counts
-of the pair levels from tables (_pair_tables).
+the nodes visited and pruned by a walk that tries every class size.  Only
+the few prefixes with a completion below the incumbent are walked try by
+try; every other node is counted in bulk, by numpy over the shared prefix
+tree and from tables of the pair levels (_pair_tables).
 """
 
 from __future__ import annotations
@@ -64,10 +66,12 @@ from .loops import CharVector, LoopClass, build_loop, classify
 from .subsets import (
     _SUBSETS,
     _least_completion,
+    _least_sizes,
     _max_degree,
     _meet_residues,
     _open_residues,
     _pair_bits,
+    _prefix_tree,
 )
 
 
@@ -194,18 +198,20 @@ _BLOCKS = {
     )
     for rank, layout in ((3, _LAYOUT3), (4, _LAYOUT4))
 }
-# per rank, the positions of the layout's blocks in (t_top, *x) and which
-# subsets' meets each block counts toward
-_LAYOUT_MEETS = {
-    rank: (
-        [position for _, position, _ in blocks],
-        np.array(
-            [[set(s) <= set(members) for s in _SUBSETS[rank].sets] for _, _, members in blocks],
-            dtype=np.float32,  # as _Subsets.supersets
-        ),
+
+
+@cache
+def _layout_meets(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layout's blocks: their positions in (t_top, *x), and the meets each counts toward."""
+    blocks = _BLOCKS[rank]
+    positions = np.array([position for _, position, _ in blocks])
+    contains = np.array(
+        [[set(s) <= set(members) for s in _SUBSETS[rank].sets] for _, _, members in blocks],
+        dtype=np.float32,  # as _Subsets.supersets
     )
-    for rank, blocks in _BLOCKS.items()
-}
+    for table in (positions, contains):
+        table.setflags(write=False)
+    return positions, contains
 
 
 _new = object.__new__
@@ -420,46 +426,22 @@ def _independent(rank: int, x: np.ndarray) -> np.ndarray:
     return ((x > 0) @ _SUBSETS[rank].odd > 0).all(axis=1)
 
 
-# rows made together: _expand splits its partial rows, and _walk its
-# completions, into batches of about this many, which bounds the walk's
-# arrays without slowing the walk of a small box
+# rows made together: _walk completes its prefixes in batches of about
+# this many completions, which bounds the walk's arrays without slowing
+# the walk of a small box
 _MAX_ROWS = 4096
-
-
-def _expand(x: np.ndarray, total: np.ndarray, levels, cap: int):
-    """Every admissible completion of the partial rows over levels.
-
-    x holds the class sizes assigned so far and total their sum.  A level
-    is (j, positions of the strict supersets of j, modulus, residue).  The
-    candidates of a row are least, least + m, ... up to 7, those that keep
-    the degree below cap; taking them row by row keeps the rows in
-    depth-first order.
-    """
-    for k, (j, above, mod, residue) in enumerate(levels):
-        if len(x) > _MAX_ROWS:
-            parts = [
-                _expand(x[i:i + _MAX_ROWS], total[i:i + _MAX_ROWS], levels[k:], cap)
-                for i in range(0, len(x), _MAX_ROWS)
-            ]
-            return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-        least = (residue - x[:, above].sum(axis=1, dtype=np.int16)) % mod
-        sizes = least[:, None] + np.arange(0, 8, mod, dtype=np.int16)  # all below 8
-        rows, nth = np.nonzero(sizes < cap - total[:, None])
-        chosen = sizes[rows, nth]
-        x, total = x[rows], total[rows] + chosen
-        x[:, j] = chosen
-    return x, total
 
 
 def _walk(target: LoopClass, cap: int) -> Box:
     """Every leaf of the reduced box below cap, minus the degenerate ones, as arrays.
 
-    The classes of three or more generators are expanded one level at a
-    time (_expand), which leaves at most 2048 prefixes at rank 4 and 4 at
-    rank 3.  A prefix fixes the rest up to one bit per pair class: pair p
-    takes l_p or l_p + 4, with l_p its residue mod 4 minus its supersets,
-    and single i is then forced to (r_i - w_i - sum of the pairs through
-    i) mod 8, w_i being its prefix supersets.  So each prefix is completed
+    The classes of three or more generators take the sizes of one of the
+    prefixes every class of the rank shares (_prefix_tree): 2048 at rank 4
+    and 4 at rank 3, in depth-first order.  A prefix fixes the rest up to
+    one bit per pair class: pair p takes l_p or l_p + 4, with l_p its
+    residue mod 4 minus its supersets, and single i is then forced to (r_i
+    - w_i - sum of the pairs through i) mod 8, w_i being its prefix
+    supersets (_least_sizes).  So each prefix is completed
     in one step over the 2^P pair bits, in binary order with the first
     pair on top, which is the depth-first order of the branch and bound,
     that is lexicographic order in t, and the completions of degree cap
@@ -476,21 +458,12 @@ def _walk(target: LoopClass, cap: int) -> Box:
     """
     rank = target.rank
     subsets = _SUBSETS[rank]
-    moduli, residues = _meet_residues(target.vector)
+    _, residues = _meet_residues(target.vector)
     pairs, singles = subsets.pairs, subsets.singles
-    levels = [
-        (j, list(subsets.above[j]), moduli[j], residues[j]) for j in range(pairs.start)
-    ]
-    n = len(subsets.sets)
-    x, total = _expand(np.zeros((1, n), dtype=np.uint8), np.zeros(1, dtype=np.int16), levels, cap)
-    # the least sizes of the pairs, and of the singles when no pair is raised
-    above = (x @ subsets.supersets).astype(np.int16)  # the prefix supersets
-    least_pairs = (np.array(residues[pairs], dtype=np.int16) - above[:, pairs]) % 4
-    through = least_pairs @ subsets.supersets[pairs, singles].astype(np.int16)
-    least_singles = (np.array(residues[singles], dtype=np.int16) - above[:, singles] - through) % 8
-    base = total + least_pairs.sum(axis=1, dtype=np.int16)
+    base, least_pairs, least_singles = _least_sizes(rank, residues)
     keep = _least_completion(base, least_singles) < cap
-    x, base, least_pairs, least_singles = x[keep], base[keep], least_pairs[keep], least_singles[keep]
+    x = _prefix_tree(rank).sizes[keep]
+    base, least_pairs, least_singles = base[keep], least_pairs[keep], least_singles[keep]
     raised, flips, gain, drops = _pair_bits(rank)
     start = base + least_singles.sum(axis=1, dtype=np.int16)  # no pair raised
     high = (least_singles >> 2).astype(np.float32)
@@ -510,7 +483,7 @@ def _walk(target: LoopClass, cap: int) -> Box:
     x, total = x[keep], total[keep]
     t = (x @ subsets.supersets).astype(np.uint8)  # t_S <= 56
     # t_S again, as the sum of the blocks whose generators include S
-    positions, contains = _LAYOUT_MEETS[rank]
+    positions, contains = _layout_meets(rank)
     if not np.array_equal(x[:, positions] @ contains, t):
         raise InternalInvariantError("walked meets do not match the class layout")
     return Box(x, t, total.astype(np.uint8))
@@ -587,7 +560,7 @@ def generator_runs(rank: int, nonempty: int) -> tuple[tuple[tuple[int, int], ...
 
 
 @cache
-def _pair_tables(rank: int) -> tuple[dict, dict, np.ndarray, dict]:
+def _pair_tables(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What the branch and bound meets below a prefix of partial degree S, by budget b = cap - S.
 
     Pair p tries its least size l_p and then l_p + 4, so a node of pair
@@ -601,16 +574,12 @@ def _pair_tables(rank: int) -> tuple[dict, dict, np.ndarray, dict]:
     Three consecutive pairs depend only on their l's and on the budget
     b - L_p0 left to them, so the pairs are counted three at a time.
 
-    first and final map the l's of the first three pairs (none at rank 3)
-    and of the last three, at byte i for their pair i as in the packed int
-    of _branch_and_bound, to (the column of budget 0 in counts, the sum of
-    the l's, the l's at the bytes of the singles they lie in);
-    counts[:, column + budget] are their visits and prunes, with every
-    completion pruned.  lowest maps bit 2 of the singles' least sizes, at
-    byte i for single i, to the least -4 min(h, |high| // 2) that the
-    completions with 4h below room add to those sizes (_least_completion),
-    by room from 0 to the largest cap and then the negative rooms, which a
-    negative index reads from the end.
+    Returns the tables of the first three pairs (none at rank 3) and of
+    the last three, and digits.  A table holds at [key, 3P + budget] the
+    visits and the prunes, for budgets from -3P up to the largest cap, with
+    key the l's of its pairs as a base-4 number, the first pair's on top,
+    and every completion pruned.  The l's of all P pairs times digits are
+    the two keys and the sum of the first three l's.
     """
     subsets = _SUBSETS[rank]
     count = subsets.pairs.stop - subsets.pairs.start
@@ -621,11 +590,9 @@ def _pair_tables(rank: int) -> tuple[dict, dict, np.ndarray, dict]:
     reaching = np.array([[comb(p, h) for h in range(count + 1)] + [0] for p in range(count + 1)])
     reaching = np.c_[reaching[:, :-1].cumsum(axis=1), reaching[:, -1:]][:, most]
     sizes = np.array(list(product(range(4), repeat=3)))
-    through = subsets.supersets[subsets.pairs, subsets.singles].astype(np.int64)
-    singles = through @ 256 ** np.arange(rank)  # per pair, a 1 at the byte of each single in it
-    tables, counts = [], []
+    tables = []
     for pairs in (range(count - 3), range(count - 3, count)):
-        least = sizes[:4 ** len(pairs), 3 - len(pairs):]  # row i: the l's of these pairs
+        least = sizes[:4 ** len(pairs), 3 - len(pairs):]  # row key: the l's of these pairs
         room = np.zeros((len(least), 1), dtype=np.int64) + np.arange(13, width + 13)
         visited, pruned = np.zeros_like(room), np.zeros_like(room)
         for k, p in enumerate(pairs):
@@ -636,17 +603,14 @@ def _pair_tables(rank: int) -> tuple[dict, dict, np.ndarray, dict]:
         if count - 1 in pairs:
             visited += rank * reaching[count, room]
             pruned += reaching[count, room]
-        columns = (sum(map(len, counts)) + np.arange(len(least))) * width + 3 * count
-        keys, taken = least @ 256 ** np.arange(len(pairs)), least @ singles[pairs]
-        values = zip(columns.tolist(), least.sum(axis=1).tolist(), taken.tolist())
-        tables.append(dict(zip(keys.tolist(), values)))
-        counts.append(np.stack([visited, pruned], axis=1))
-    counts = np.concatenate(counts).transpose(1, 0, 2).reshape(2, -1).astype(np.int32)
-    highs = np.arange(1 << rank)[:, None] >> np.arange(rank) & 1  # row h: the bits of h
-    rooms = np.r_[0:width - 3 * count, -3 * count:0]
-    lowest = -4 * np.minimum((rooms - 1) // 4, highs.sum(axis=1)[:, None] // 2)
-    keys = (highs << 2 + 8 * np.arange(rank)).sum(axis=1)
-    return *tables, counts, dict(zip(keys.tolist(), lowest.tolist()))
+        tables.append(np.stack([visited, pruned], axis=2).astype(np.int32))
+    digits = np.zeros((count, 3), dtype=np.float32)  # as _Subsets.supersets
+    digits[:count - 3, 0] = 4 ** np.arange(count - 4, -1, -1)
+    digits[count - 3:, 1] = 4 ** np.arange(2, -1, -1)
+    digits[:count - 3, 2] = 1
+    for table in (*tables, digits):
+        table.setflags(write=False)
+    return *tables, digits
 
 
 def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Representation | None:
@@ -659,101 +623,121 @@ def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Re
     cap, which cuts the rest of its level.  A leaf adds rank visits, and a
     prune at a degree of cap or more.  A leaf below cap whose generators
     all weigh 4 or more is laid out by assemble_generators: degenerate
-    when they are dependent, else a record, which lowers cap.  Below a
-    prefix (the classes of three or more generators) the pair levels are
-    counted from _pair_tables, unless a completion of the prefix is below
-    cap; then they are walked too, as every level is counted, and the
-    prefix counts in stats.walked.
+    when they are dependent, else a record, which lowers cap.
 
-    The superset sums are kept in one int, a byte per subset: byte j holds
-    128 + residue_j minus the sizes assigned to strict supersets of j (at
-    most seven of them, of at most 7 each, so every byte stays in 79..135).
-    Assigning a size subtracts it from the bytes of all strict subsets in
-    one step, and since every modulus is a power of 2 dividing 128, the low
-    bits of byte j are the least admissible x[j].
+    Only a prefix (the classes of three or more generators, _prefix_tree)
+    whose least completion is below cap holds a leaf below it.  So the
+    prefixes are taken in depth-first order, the next one with a least
+    completion below the cap in force found in one step, and its pair
+    levels are walked try by try (_walk_pairs), each walk counting in
+    stats.walked.  The rest is counted in bulk.  A node of the prefix tree
+    meets the cap left by the walks before its first leaf.  Sizes rise
+    along siblings and the cap never rises, so a node is reached below
+    its cap exactly when its partial degree is, and a level makes those
+    tries and one prune when some child of a reached node is not.  The
+    pair levels below the other prefixes reached are read from
+    _pair_tables by their budget.
+    """
+    rank = loop_class.rank
+    tree = _prefix_tree(rank)
+    _, residues = _meet_residues(loop_class.vector)
+    partial = tree.sums[:, -1]
+    base, least_pairs, least_singles = _least_sizes(rank, residues)
+    completion = _least_completion(base, least_singles)
+    walked, caps, best = [], [cap], None
+    start = 0
+    while len(hits := np.flatnonzero(completion[start:] < cap)):
+        start += int(hits[0])
+        record = _walk_pairs(
+            loop_class, cap, tree.sizes[start].tolist(), least_pairs[start].tolist(),
+            least_singles[start].tolist(), stats,
+        )
+        if record is not None:
+            best, cap = record, record.degree
+        walked.append(start)
+        caps.append(cap)
+        start += 1
+    # the cap each node of the prefix tree meets, and whether it is reached below it
+    walked, caps = np.array(walked, dtype=np.intp), np.array(caps)
+    visited = pruned = 0
+    reached = np.ones(1, dtype=bool)  # the root
+    for level, stride in enumerate(tree.strides):
+        in_force = caps[np.searchsorted(walked, np.arange(0, len(partial), stride))]
+        below = tree.sums[::stride, level] < in_force
+        cut = np.count_nonzero(reached & ~below.reshape(len(reached), -1)[:, -1])
+        visited += np.count_nonzero(below) + cut
+        pruned += cut
+        reached = below
+    reached[walked] = False  # their pair levels are counted by the walk
+    first, final, digits = _pair_tables(rank)
+    budget = (in_force - partial)[reached] + 3 * len(digits)
+    keys = (least_pairs.astype(np.float32) @ digits).astype(np.intp)[reached]
+    tabled = (first[keys[:, 0], budget] + final[keys[:, 1], budget - keys[:, 2]]).sum(axis=0)
+    stats.visited += int(visited + tabled[0])
+    stats.pruned += int(pruned + tabled[1])
+    stats.walked += len(walked)
+    return best
+
+
+def _walk_pairs(
+    loop_class: LoopClass,
+    cap: int,
+    x: list[int],
+    least_pairs: list[int],
+    least_singles: list[int],
+    stats: SearchStats,
+) -> Representation | None:
+    """The last record below one prefix, its pair levels walked try by try.
+
+    x holds the class sizes of the prefix in subset order, and the least
+    sizes are those of _least_sizes.  Pair p tries l_p, then l_p + 4, which
+    changes by 4 each single in it: up from below 4, else down.  The tries
+    and leaves are counted and laid out as _branch_and_bound says, and a
+    record lowers cap for the rest of the walk.
     """
     rank = loop_class.rank
     subsets = _SUBSETS[rank]
-    params, solution = _PARAMS[rank], _SOLUTIONS[rank]
-    moduli, residues = _meet_residues(loop_class.vector)
-    n = len(moduli)
-    top, last = subsets.pairs.start - 1, n - rank - 1  # the last prefix level, the last pair level
-    shifts = [8 * j for j in range(n)]
-    below = [sum(1 << shifts[j] for j in js) for js in subsets.below]
-    low = [mod - 1 for mod in moduli]
-    singles = range(last + 1, n)
-    first, final, counts, lowest = _pair_tables(rank)
-    # the bytes of the pairs counted first (none at rank 3) and last, and of the singles
-    first_at, final_at, singles_at = shifts[top + 1], shifts[last - 2], shifts[last + 1]
-    first_mask, final_mask = (int.from_bytes(b"\3" * k, "little") for k in (last - top - 3, 3))
-    sizes_mask, high_mask = (int.from_bytes(bytes([b]) * rank, "little") for b in (7, 4))
-    packed = sum((128 + r) << sh for r, sh in zip(residues, shifts))
-    x = [0] * n
-    total = 0  # sum of the sizes assigned above this level
-    level = 0
-    size = packed & low[0]  # the next value to try at this level
-    visited = pruned = degenerate = walked = 0
-    counted = []  # the columns of counts of the pair levels counted from the tables
+    start, singles, masks = subsets.pairs.start, subsets.singles, subsets.masks
+    last = len(least_pairs) - 1
+    # the singles below 4, a bit per generator, and the singles' degree with no pair raised
+    low, base = sum(1 << i for i, size in enumerate(least_singles) if size < 4), sum(least_singles)
+    visited = pruned = 0
     best = None
-    while True:
-        if size < 8:
+
+    def descend(p: int, partial: int, flips: int) -> None:
+        nonlocal cap, best, visited, pruned
+        for raised in (0, 4):
+            size = least_pairs[p] + raised
             visited += 1
-            s = total + size
-            if s < cap:
-                if level == top:
-                    p = packed - size * below[level]
-                    first_column, first_sum, first_taken = first[p >> first_at & first_mask]
-                    final_column, final_sum, final_taken = final[p >> final_at & final_mask]
-                    # the singles' least sizes, whose sum is their value mod 255, and
-                    # the room below cap left to the raised pairs, 4 each
-                    least = (p >> singles_at) - first_taken - final_taken & sizes_mask
-                    budget = cap - s
-                    room = budget - first_sum - final_sum
-                    if least % 255 + lowest[least & high_mask][room] >= room:
-                        counted += first_column + budget, final_column + budget - first_sum
-                        size += moduli[level]
-                        continue
-                    walked += 1
-                x[level] = size
-                if level < last:
-                    packed -= size * below[level]
-                    total = s
-                    level += 1
-                    size = packed >> shifts[level] & low[level]
-                    continue
-                p = packed - size * below[level]
-                degree = s
-                for j in singles:
-                    x[j] = v = p >> shifts[j] & 7
-                    degree += v
-                visited += rank
-                if degree >= cap:
-                    pruned += 1
-                else:
-                    t = [v + 128 + r - (p >> sh & 255) for v, r, sh in zip(x, residues, shifts)]
-                    if min(t[last + 1:]) >= 4:
-                        try:
-                            best = assemble_generators(params(*t), solution(*x[1:]), loop_class)
-                        except InvalidCodeError:
-                            degenerate += 1
-                        else:
-                            cap = degree
-                size += moduli[level]
+            if partial + size >= cap:
+                pruned += 1
+                return
+            x[start + p] = size
+            changed = flips ^ masks[start + p] if raised else flips
+            if p < last:
+                descend(p + 1, partial + size, changed)
                 continue
-            pruned += 1
-        # the level is exhausted or cut: resume the level above
-        if level == 0:
-            break
-        level -= 1
-        size = x[level]
-        packed += size * below[level]
-        total -= size
-        size += moduli[level]
-    tabled = counts[:, counted].sum(axis=1).tolist()
-    stats.visited += visited + tabled[0]
-    stats.pruned += pruned + tabled[1]
-    stats.degenerate += degenerate
-    stats.walked += walked
+            # a leaf: its changed singles below 4 rise by 4, the others fall by 4
+            visited += rank
+            rise = (changed & low).bit_count()
+            degree = partial + size + base + 4 * (2 * rise - changed.bit_count())
+            if degree >= cap:
+                pruned += 1
+                continue
+            x[singles] = [v ^ (changed >> i & 1) * 4 for i, v in enumerate(least_singles)]
+            t = (np.array(x, dtype=np.float32) @ subsets.supersets).astype(int).tolist()
+            if min(t[singles]) >= 4:
+                params, solution = _PARAMS[rank](*t), _SOLUTIONS[rank](*x[1:])
+                try:
+                    best = assemble_generators(params, solution, loop_class)
+                except InvalidCodeError:
+                    stats.degenerate += 1
+                else:
+                    cap = degree
+
+    descend(0, sum(x), 0)
+    stats.visited += visited
+    stats.pruned += pruned
     return best
 
 

@@ -4,15 +4,17 @@ A reduced representation is indexed by the nonempty subsets S of its k
 generators in scan order, by decreasing size and then lexicographically,
 and the walks of search complete a prefix (the classes of three or more
 generators) over its pair classes.  What depends on the rank alone is
-here: the subsets and their incidence matrices, the 2^P ways to raise the
-P pair classes (built on first use), and the least completion of a
-prefix.  So are the residues a class puts on the meets t_S, read off the
-ANF of its squaring form q_L (_meet_residues), once per class.
+here: the subsets and their incidence matrices, the prefixes and the 2^P
+ways to raise the P pair classes (both built on first use), and the least
+sizes and least completion of a prefix.  So are the residues a class puts
+on the meets t_S, read off the ANF of its squaring form q_L
+(_meet_residues), once per class.
 """
 
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +117,72 @@ def _pair_bits(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+class _PrefixTree(NamedTuple):
+    """The prefixes of a rank, the classes of three or more generators, in depth-first order."""
+
+    sizes: np.ndarray  # row r: leaf r's class sizes in subset order, pairs and singles 0, uint8
+    sums: np.ndarray  # row r, column j: the sum of leaf r's sizes on levels 0..j
+    # row r: the meets of leaf r's sizes; column-major, so that a sum over
+    # a row's few columns is a sum of whole columns
+    above: np.ndarray
+    strides: tuple[int, ...]  # per level, the leaves below one of its nodes
+
+
+@cache
+def _prefix_tree(rank: int) -> _PrefixTree:
+    """Every prefix of a rank, level by level in subset order, each size below 8.
+
+    The triple meets take their residues from the cubic part y_0 y_1 y_2,
+    which every class of the rank shares (_open_residues), and the
+    quadruple meet is free.  So every class has the same prefixes: 8 x 4^4
+    = 2048 at rank 4 and 4 at rank 3, in the depth-first order of the
+    branch and bound, a level's sizes rising from least by its modulus m,
+    so a node has 8 / m children on that level.  The nodes of level j are
+    the leaves at steps of strides[j], each standing for its first leaf.
+    """
+    subsets = _SUBSETS[rank]
+    moduli, residues = _open_residues(rank)
+    top = subsets.pairs.start
+    x = np.zeros((1, len(subsets.sets)), dtype=np.int16)
+    for j in range(top):
+        least = (residues[j] - x[:, list(subsets.above[j])].sum(axis=1)) % moduli[j]
+        sizes = least[:, None] + np.arange(0, 8, moduli[j], dtype=np.int16)
+        x = x.repeat(sizes.shape[1], axis=0)
+        x[:, j] = sizes.ravel()
+    tree = _PrefixTree(
+        x.astype(np.uint8),
+        x[:, :top].cumsum(axis=1, dtype=np.int16),
+        np.asfortranarray(x.astype(np.float32) @ subsets.supersets, dtype=np.int16),
+        tuple(int(np.prod([8 // m for m in moduli[j + 1:top]])) for j in range(top)),
+    )
+    for table in tree[:3]:
+        table.setflags(write=False)
+    return tree
+
+
+def _least_sizes(
+    rank: int, residues: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base, and the least sizes of the pairs and of the singles, below each prefix.
+
+    residues are a class's meet residues in subset order.  Below a prefix
+    (_prefix_tree), pair p takes l_p, its residue mod 4 minus its prefix
+    supersets, or l_p + 4; single i is then forced to its residue minus
+    its supersets, the pairs through it included, mod 8.  The least
+    singles are those with no pair raised, and the base is the prefix's
+    partial degree plus the pairs' least sizes.  All three are
+    column-major, as the tree's meets.
+    """
+    subsets, tree = _SUBSETS[rank], _prefix_tree(rank)
+    pairs, singles = subsets.pairs, subsets.singles
+    least_pairs = (np.array(residues[pairs], dtype=np.int16) - tree.above[:, pairs]) & 3
+    through = least_pairs.astype(np.float32) @ subsets.supersets[pairs, singles]
+    least_singles = np.array(residues[singles], dtype=np.int16) - tree.above[:, singles]
+    least_singles = (least_singles - through.astype(np.int16, order="F")) & 7
+    base = tree.sums[:, -1] + least_pairs.sum(axis=1, dtype=np.int16)
+    return base, least_pairs, least_singles
 
 
 def _least_completion(base: np.ndarray, least_singles: np.ndarray) -> np.ndarray:

@@ -475,13 +475,13 @@ def test_run_plans_and_pair_bits_are_not_built_at_import():
             "-c",
             "import codeloops.cli as c; from codeloops import search as s; print(*(f.cache_info()"
             ".currsize for f in (c._slot_leads, c._plan, c._number_words, c._run_words,"
-            " s._pair_bits, s._pair_tables)))",
+            " s._pair_bits, s._pair_tables, s._prefix_tree, s._layout_meets)))",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0 0 0 0 0 0\n", proc.stderr
+    assert proc.stdout == "0 0 0 0 0 0 0 0\n", proc.stderr
 
 
 def test_minimal_in_a_fresh_interpreter_prints_the_pinned_certificate():
@@ -520,14 +520,14 @@ def _assert_branch_and_bound_equals_the_scan(loop_class, cap):
     return got
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(all_loop_ids()), st.data())
-def test_branch_and_bound_equals_the_scan_at_any_cap(name, data):
-    # a cap below the minimal degree finds no record and cuts prefix
-    # levels; one above it walks the prefixes with a completion below cap
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_branch_and_bound_equals_the_scan_at_every_cap(name):
+    # every cap, from one that cuts the first level to the whole box: a cap
+    # below the minimal degree finds no record and cuts prefix levels, one
+    # above it walks the prefixes with a completion below cap and lowers it
     loop_class = parse_loop_id(name)
-    cap = data.draw(st.integers(1, search._max_degree(loop_class.rank) + 1), label="cap")
-    _assert_branch_and_bound_equals_the_scan(loop_class, cap)
+    for cap in range(1, search._max_degree(loop_class.rank) + 2):
+        _assert_branch_and_bound_equals_the_scan(loop_class, cap)
 
 
 @pytest.mark.parametrize("name", sorted(MINIMAL_CERTIFICATES))
@@ -548,10 +548,19 @@ def _prefixes(loop_class, cap):
     pairs, singles = subsets.pairs, subsets.singles
     targets = congruence_targets(loop_class.vector)
     moduli, residues = zip(*(targets["t" + label] for label in subsets.labels))
-    levels = [(j, list(subsets.above[j]), moduli[j], residues[j]) for j in range(pairs.start)]
-    start = np.zeros((1, len(subsets.sets)), dtype=np.uint8), np.zeros(1, dtype=np.int16)
-    x, total = search._expand(*start, levels, cap)
-    above = (x @ subsets.supersets).astype(np.int64)
+    rows = [[]]  # depth-first: each level's sizes rise from least by the modulus
+    for j in range(pairs.start):
+        rows = [
+            row + [size]
+            for row in rows
+            for size in range(
+                (residues[j] - sum(row[k] for k in subsets.above[j])) % moduli[j], 8, moduli[j]
+            )
+        ]
+    n = len(subsets.sets)
+    x = np.array([row + [0] * (n - len(row)) for row in rows if sum(row) < cap]).reshape(-1, n)
+    total = x.sum(axis=1)
+    above = x @ subsets.supersets.astype(np.int64)
     least_pairs = (np.array(residues[pairs]) - above[:, pairs]) % 4
     through = least_pairs @ subsets.supersets[pairs, singles].astype(np.int64)
     least_singles = (np.array(residues[singles]) - above[:, singles] - through) % 8
@@ -596,7 +605,7 @@ def test_pair_tables_count_every_prefix_as_its_pair_levels_walked(name):
     # budgets at which the counts of the first three pairs stop changing
     loop_class = parse_loop_id(name)
     rank = loop_class.rank
-    first, final, counts, lowest = search._pair_tables(rank)
+    first, final, _ = search._pair_tables(rank)
     split = {3: 0, 4: 3}[rank]  # the pairs counted first
     with_completion_below = 0
     for cap in {3: (14, 20, 50), 4: (20, 34)}[rank]:
@@ -605,18 +614,18 @@ def test_pair_tables_count_every_prefix_as_its_pair_levels_walked(name):
                 rank, partial, least_pairs, least_singles, cap
             )
             first_key, final_key = (
-                sum(size << 8 * i for i, size in enumerate(sizes))
+                sum(size * 4 ** i for i, size in enumerate(reversed(sizes)))
                 for sizes in (least_pairs[:split], least_pairs[split:])
             )
-            budget = cap - partial
-            first_column, first_sum, _ = first[first_key]
-            final_column, final_sum, _ = final[final_key]
-            tabled = counts[:, first_column + budget] + counts[:, final_column + budget - first_sum]
+            # budgets are offset by 3 per pair, so that a negative budget reads its own column
+            budget = cap - partial + 3 * len(least_pairs)
+            first_sum = sum(least_pairs[:split])
+            tabled = first[first_key, budget] + final[final_key, budget - first_sum]
             # the tables count every completion as pruned
             assert tabled.tolist() == [visited, pruned + len(degrees)], (cap, partial, least_pairs)
-            room = budget - first_sum - final_sum
-            high = sum(4 << 8 * i for i, size in enumerate(least_singles) if size >= 4)
-            below = sum(least_singles) + lowest[high][room] < room
+            base = np.array([partial + sum(least_pairs)], dtype=np.int16)
+            least = search._least_completion(base, np.array([least_singles], dtype=np.int16))
+            below = least[0] < cap
             assert below == any(degree < cap for degree in degrees), (cap, partial, least_singles)
             with_completion_below += below
     assert with_completion_below > 0
@@ -672,10 +681,10 @@ def test_walk_rejects_meets_off_the_layout(monkeypatch):
 
     # a layout whose top block (class 123) counted toward the meets of 12
     # but not of 123 would miss x123 in t123
-    positions, contains = search._LAYOUT_MEETS[3]
+    positions, contains = search._layout_meets(3)
     wrong = contains.copy()
     wrong[0, 0] = 0
-    monkeypatch.setitem(search._LAYOUT_MEETS, 3, (positions, wrong))
+    monkeypatch.setattr(search, "_layout_meets", lambda rank: (positions, wrong))
     with pytest.raises(InternalInvariantError, match="do not match the class layout"):
         reduced_box("C3_1", 7)
 
