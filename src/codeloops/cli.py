@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import all_loop_ids, parse_loop_id
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, parse_code
 from .equivalence import box_stabilizer, cycle_notation, code_isomorphism, distinguishing_invariant
-from .loops import _RANKS, LoopClass, build_loop, classify, AssociativeLoopError
+from .loops import _RANKS, CodeLoop, LoopClass, build_loop, classify, AssociativeLoopError
 from .search import (
     Box,
     Representation,
@@ -54,23 +54,16 @@ def _weight_enumerator_str(code: BinaryCode) -> str:
     )
 
 
-def _classification_lines(code: BinaryCode) -> list[str]:
-    loop = build_loop(code)
-    lines = [f"moufang: {'yes' if loop.is_moufang() else 'no'}"]
-    if code.dimension not in _RANKS:
+def _classification_lines(loop: CodeLoop) -> list[str]:
+    if loop.rank not in _RANKS:
         if loop.is_associative():
-            lines.append("class: associative")
-        else:
-            lines.append(f"class: unsupported rank {code.dimension}")
-        return lines
+            return ["class: associative"]
+        return [f"class: unsupported rank {loop.rank}"]
     try:
         loop_class = classify(loop)
     except AssociativeLoopError:
-        lines.append("class: associative")
-        return lines
-    lines.append(f"lambda: {loop_class.vector}")
-    lines.append(f"class: {loop_class.name}")
-    return lines
+        return ["class: associative"]
+    return [f"lambda: {loop_class.vector}", f"class: {loop_class.name}"]
 
 
 def cmd_construct(args) -> int:
@@ -86,7 +79,9 @@ def cmd_construct(args) -> int:
         lines.append(f"dimension: {code.dimension}")
         lines.append(f"weight enumerator: {_weight_enumerator_str(code)}")
         lines.append(f"type: {code.rep_type()}")
-        lines.extend(_classification_lines(code))
+        loop = build_loop(code)
+        lines.append(f"moufang: {'yes' if loop.is_moufang() else 'no'}")
+        lines.extend(_classification_lines(loop))
     print("\n".join(lines))
     return 0
 
@@ -97,7 +92,7 @@ def cmd_classify(args) -> int:
         witness = code.first_odd_span_element()
         lines = [f"not doubly even (weight {witness.weight})"]
     else:
-        lines = [line for line in _classification_lines(code) if not line.startswith("moufang")]
+        lines = _classification_lines(build_loop(code))
     print("\n".join(lines))
     return 0
 

@@ -60,6 +60,7 @@ import numpy as np
 
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, _mask_rank
 from .factorset import (
+    MAX_DIMENSION,
     FactorSet,
     associator_bits,
     bit_rows,
@@ -67,8 +68,6 @@ from .factorset import (
     spread,
     translates,
 )
-
-MAX_LOOP_DIMENSION = 6
 
 
 class AssociativeLoopError(InvalidCodeError):
@@ -79,10 +78,8 @@ class CodeLoop:
     """Cayley table of the signed span of a doubly even code."""
 
     def __init__(self, code: BinaryCode, factor_set: FactorSet):
-        if code.dimension > MAX_LOOP_DIMENSION:
-            raise InvalidCodeError(
-                f"dimension {code.dimension} exceeds loop cap {MAX_LOOP_DIMENSION}"
-            )
+        if code.dimension > MAX_DIMENSION:
+            raise InvalidCodeError(f"dimension {code.dimension} exceeds loop cap {MAX_DIMENSION}")
         self.code = code
         self.factor_set = factor_set
         self.rank = code.dimension

@@ -426,14 +426,11 @@ def _independent(rank: int, x: np.ndarray) -> np.ndarray:
     return ((x > 0) @ _SUBSETS[rank].odd > 0).all(axis=1)
 
 
-# rows made together: _walk completes its prefixes in batches of about
-# this many completions, which bounds the walk's arrays without slowing
-# the walk of a small box
-_MAX_ROWS = 4096
+def reduced_box(target: LoopClass | CharVector | str, max_degree: int) -> Box:
+    """Every reduced representation of a class up to max_degree, as the rows of a Box.
 
-
-def _walk(target: LoopClass, cap: int) -> Box:
-    """Every leaf of the reduced box below cap, minus the degenerate ones, as arrays.
+    The rows are the representations enumerate_reduced yields, in the same
+    order; the whole box of a rank 4 class is 131072 rows at most.
 
     The classes of three or more generators take the sizes of one of the
     prefixes every class of the rank shares (_prefix_tree): 2048 at rank 4
@@ -444,11 +441,10 @@ def _walk(target: LoopClass, cap: int) -> Box:
     supersets (_least_sizes).  So each prefix is completed
     in one step over the 2^P pair bits, in binary order with the first
     pair on top, which is the depth-first order of the branch and bound,
-    that is lexicographic order in t, and the completions of degree cap
-    or more are dropped.  A prefix whose least completion
-    (_least_completion) reaches cap has none below it and is dropped
-    whole.  The prefixes are completed in batches of at most _MAX_ROWS
-    completions (one prefix at least).
+    that is lexicographic order in t, and the completions of degree above
+    max_degree are dropped.  A prefix whose least completion
+    (_least_completion) exceeds max_degree has none within it and is
+    dropped whole.
 
     Rows whose generators are dependent are dropped; they include the
     leaves the branch and bound skips, those with a generator of weight 0
@@ -456,9 +452,14 @@ def _walk(target: LoopClass, cap: int) -> Box:
     checked against the coordinate layout, as assemble_generators checks
     them per leaf.
     """
-    rank = target.rank
+    loop_class = _as_loop_class(target)
+    rank = loop_class.rank
+    limit = _max_degree(rank)
+    if not 1 <= max_degree <= limit:
+        raise InvalidCodeError(f"max degree {max_degree} out of range 1..{limit}")
+    cap = max_degree + 1
     subsets = _SUBSETS[rank]
-    _, residues = _meet_residues(target.vector)
+    _, residues = _meet_residues(loop_class.vector)
     pairs, singles = subsets.pairs, subsets.singles
     base, least_pairs, least_singles = _least_sizes(rank, residues)
     keep = _least_completion(base, least_singles) < cap
@@ -467,18 +468,12 @@ def _walk(target: LoopClass, cap: int) -> Box:
     raised, flips, gain, drops = _pair_bits(rank)
     start = base + least_singles.sum(axis=1, dtype=np.int16)  # no pair raised
     high = (least_singles >> 2).astype(np.float32)
-    batch = max(1, _MAX_ROWS // len(raised))
-    parts = [(x[:0], start[:0])]
-    for i in range(0, len(x), batch):
-        rows = slice(i, i + batch)
-        degree = start[rows, None] + gain - (high[rows] @ drops).astype(np.int16)
-        prefix, choice = np.nonzero(degree < cap)
-        part = x[rows][prefix]
-        part[:, pairs] = least_pairs[rows][prefix] + raised[choice]
-        part[:, singles] = least_singles[rows][prefix] ^ flips[choice]
-        parts.append((part, degree[prefix, choice]))
-    x = np.concatenate([part for part, _ in parts])
-    total = np.concatenate([degree for _, degree in parts])
+    degree = start[:, None] + gain - (high @ drops).astype(np.int16)
+    prefix, choice = np.nonzero(degree < cap)
+    x = x[prefix]
+    x[:, pairs] = least_pairs[prefix] + raised[choice]
+    x[:, singles] = least_singles[prefix] ^ flips[choice]
+    total = degree[prefix, choice]
     keep = _independent(rank, x)
     x, total = x[keep], total[keep]
     t = (x @ subsets.supersets).astype(np.uint8)  # t_S <= 56
@@ -487,19 +482,6 @@ def _walk(target: LoopClass, cap: int) -> Box:
     if not np.array_equal(x[:, positions] @ contains, t):
         raise InternalInvariantError("walked meets do not match the class layout")
     return Box(x, t, total.astype(np.uint8))
-
-
-def reduced_box(target: LoopClass | CharVector | str, max_degree: int) -> Box:
-    """Every reduced representation of a class up to max_degree, as the rows of a Box.
-
-    The rows are the representations enumerate_reduced yields, in the same
-    order; the whole box of a rank 4 class is 131072 rows at most.
-    """
-    loop_class = _as_loop_class(target)
-    limit = _max_degree(loop_class.rank)
-    if not 1 <= max_degree <= limit:
-        raise InvalidCodeError(f"max degree {max_degree} out of range 1..{limit}")
-    return _walk(loop_class, max_degree + 1)
 
 
 def enumerate_reduced(

@@ -32,12 +32,9 @@ class _Subsets:
         self.labels = tuple("".join(str(i + 1) for i in s) for s in self.sets)
         self.masks = tuple(sum(1 << i for i in s) for s in self.sets)  # the ANF monomials
         self.meets = tuple(itemgetter(*s) for s in self.sets if len(s) > 1)
-        # positions of the strict supersets and strict subsets of each subset
+        # positions of the strict supersets of each subset
         self.above = tuple(
             tuple(j for j, u in enumerate(self.sets) if set(s) < set(u)) for s in self.sets
-        )
-        self.below = tuple(
-            tuple(j for j, u in enumerate(self.sets) if set(u) < set(s)) for s in self.sets
         )
         # the positions of the pair classes and of the singles
         self.singles = slice(len(self.sets) - rank, len(self.sets))

@@ -213,7 +213,10 @@ def _scan(target, cap, stats):
     n = len(moduli)
     last = n - subsets.rank - 1  # the last level before the singles
     shifts = [8 * j for j in range(n)]
-    below = [sum(1 << shifts[j] for j in js) for js in subsets.below]
+    # per subset, a 1 in the byte of each strict subset: a size assigned is taken off those bytes
+    below = [
+        sum(1 << sh for u, sh in zip(subsets.sets, shifts) if set(u) < set(s)) for s in subsets.sets
+    ]
     low = [mod - 1 for mod in moduli]
     singles = range(last + 1, n)
     packed = sum((128 + r) << sh for r, sh in zip(residues, shifts))

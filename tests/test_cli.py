@@ -267,6 +267,29 @@ def test_construct_and_classify_never_build_the_cayley_table(capsys, tmp_path, m
     assert runs() == before
 
 
+def test_classify_never_checks_the_moufang_law_and_construct_does(capsys, tmp_path, monkeypatch):
+    from codeloops.loops import CodeLoop
+
+    checked = []
+    is_moufang = CodeLoop.is_moufang
+
+    def counted(self):
+        checked.append(self.rank)
+        return is_moufang(self)
+
+    monkeypatch.setattr(CodeLoop, "is_moufang", counted)
+    for name in all_loop_ids():
+        entry = catalog_entry(name)
+        f = tmp_path / f"{name}.code"
+        f.write_text(f"degree={entry.degree}\n" + "\n".join(entry.generator_lines) + "\n")
+        assert run(capsys, "classify", f)[0] == 0
+        assert checked == [], name
+        rc, stdout, _ = run(capsys, "construct", f)
+        assert rc == 0 and "\nmoufang: yes\nlambda: " in stdout
+        assert checked == [len(entry.generator_lines)], name
+        checked.clear()
+
+
 def test_closed_stdout_pipe_exits_1_without_traceback():
     src = os.path.dirname(os.path.dirname(codeloops.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
