@@ -5,6 +5,7 @@ against the brute-force set of admissible bases, and the orbit-key grouping
 of conjecture against the pairwise search it replaced."""
 
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -396,6 +397,65 @@ def test_bijection_equals_projection_oracle_on_cross_checked_pairs(rank, max_deg
         a, b = first.code(), second.code()
         _assert_bijection_equals_projection_oracle(a, b)
         _assert_bijection_equals_projection_oracle(b, a)
+
+
+def _seeded_relabeling(name):
+    """The catalog code of name under a coordinate permutation seeded by its name."""
+    code = catalog_entry(name).code()
+    perm = list(range(1, code.degree + 1))
+    random.Random(name).shuffle(perm)
+    return code, permute_code(code, tuple(perm))
+
+
+# sha256 of the witness lines below, pinned before the class data moved to masks
+WITNESS_DIGEST = "c1a221e0f74f69d64c2482360b5d8c438d97b255181625ea90edb58876fa5ff9"
+
+
+def test_witnesses_of_the_cross_checked_pairs_and_catalog_relabelings_are_pinned():
+    # every witness code_isomorphism gives on the 284 pairs of one benchmark
+    # conjecture pass and on the catalog codes against their relabelings,
+    # both ways; unlike the oracle comparisons, no class data is patched in
+    lines = []
+    pairs = [(a.code(), b.code()) for rank, cap in ((4, 25), (3, 49))
+             for a, b in _cross_checked_pairs(rank, cap)]
+    assert len(pairs) == 284
+    pairs += [_seeded_relabeling(name) for name in all_loop_ids()]
+    for first, second in pairs:
+        for a, b in ((first, second), (second, first)):
+            perm = code_isomorphism(a, b)
+            lines.append("None" if perm is None else cycle_notation(perm))
+    assert lines.count("None") == 84  # the 42 counterexample pairs of rank 4, both ways
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == WITNESS_DIGEST
+
+
+def test_direct_sum_of_sixteen_blocks_gets_a_witness_in_bounded_time():
+    # 16 disjoint 4-blocks and eight zero coordinates: 16 classes, each held
+    # by 2^15 span words.  The search takes under a second; class data that
+    # tabulates every signature of dimension 16 (2^16 x 2^15 words) does
+    # not finish within the timeout
+    script = (
+        "import random\n"
+        "from codeloops import BinaryCode, Codeword\n"
+        "from codeloops.equivalence import _check_permutation, code_isomorphism, permute_code\n"
+        "code = BinaryCode(72, [Codeword.from_mask(72, 15 << 4 * i) for i in range(16)])\n"
+        "perm = list(range(1, 73))\n"
+        "random.Random(16).shuffle(perm)\n"
+        "other = permute_code(code, tuple(perm))\n"
+        "witness = code_isomorphism(code, other)\n"
+        "_check_permutation(code, other, list(witness))\n"
+        "print(code.dimension, code.degree)\n"
+    )
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "16 72\n", proc.stderr
 
 
 def test_bijection_equals_projection_oracle_on_non_isomorphic_pairs():
