@@ -9,11 +9,13 @@ weights, spans, coordinate classes, and the doubly even test.
 Words are int bitmasks, coordinate i at bit i-1: a weight is a popcount,
 a sum is an xor and a meet is an and.  A Codeword keeps its degree and
 its mask and builds the support frozenset only when .support is read; the
-span, the weights, the classes and the doubly even test read the masks.
+span, the weights, the classes and the doubly even test read the masks,
+and the coordinate classes are kept as masks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator
 
@@ -309,16 +311,12 @@ class BinaryCode:
             residue = parts.pop(0, 0)
             signatures = sorted(parts, key=lambda sig: parts[sig] & -parts[sig])  # lowest coordinate
             self._classes = ClassPartition(
-                degree=self.degree,
-                classes=tuple(frozenset(_coordinates(parts[sig])) for sig in signatures),
-                residue=frozenset(_coordinates(residue)),
-                signatures=tuple(signatures),
+                self.degree, tuple([parts[sig] for sig in signatures]), residue, tuple(signatures)
             )
         return self._classes
 
     def rep_type(self) -> "RepType":
-        part = self.coordinate_classes()
-        return RepType(tuple(sorted(len(c) for c in part.classes)))
+        return RepType(tuple(sorted(self.coordinate_classes().sizes())))
 
     def weight_enumerator(self) -> tuple[int, ...]:
         """Sorted multiset of the 2^k span weights."""
@@ -331,17 +329,28 @@ class BinaryCode:
 class ClassPartition:
     """Coordinate classes of a code, ordered by smallest member.
 
-    signatures[i] has bit j set iff generator j contains class i; it is
-    derived from the generators, so equality and the hash leave it out.
+    Each class is held as a mask, coordinate i at bit i-1, as is the
+    residue, the coordinates outside every class.  classes and residue are
+    the same sets as frozensets, built on first read.  signatures[i] has
+    bit j set iff generator j contains class i; it is derived from the
+    generators, so equality and the hash leave it out.
     """
 
     degree: int
-    classes: tuple[frozenset[int], ...]
-    residue: frozenset[int]
+    masks: tuple[int, ...]
+    residue_mask: int
     signatures: tuple[int, ...] = field(compare=False)
 
+    @functools.cached_property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_coordinates(m)) for m in self.masks)
+
+    @functools.cached_property
+    def residue(self) -> frozenset[int]:
+        return frozenset(_coordinates(self.residue_mask))
+
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return tuple([m.bit_count() for m in self.masks])
 
 
 @dataclass(frozen=True)

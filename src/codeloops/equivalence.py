@@ -40,10 +40,12 @@ projection screen this replaced compared those multisets at every node;
 the relation screen makes the same decision with one xor-basis reduction
 or one dict lookup, so the search tree and the witness are unchanged.
 
-The per-code search data comes from the class signatures of
+The per-code search data comes from the class masks and signatures of
 coordinate_classes, not from the span read coordinate by coordinate: the
 class order and the class profiles follow from the signatures and the span
-weights (see _class_data).  The data is computed once and kept on the
+weights (see _class_data).  Classes stay int masks through the search, so
+no coordinate is touched until the witness is written out from the set
+bits of the matched masks.  The data is computed once and kept on the
 BinaryCode, like its span, so a code tested against many others pays for
 it once.  The witness is checked on the generator masks: their images must
 lie in the other span.
@@ -80,14 +82,25 @@ def distinguishing_invariant(a: BinaryCode, b: BinaryCode) -> str | None:
 class _ClassData(NamedTuple):
     """Classes of one code in search order, with their generator signatures."""
 
-    classes: tuple[tuple[int, ...], ...]  # sorted coordinates of each class
+    classes: tuple[int, ...]  # the coordinates of each class, as a mask
     signatures: tuple[int, ...]  # bit j set iff generator j holds the class
     profiles: tuple[tuple[int, ...], ...]  # size, then sorted weights of the words holding the class
-    residue: tuple[int, ...]  # coordinates outside every class
+    residue: int  # the coordinates outside every class, as a mask
 
 
 # byte v with its 8 bits in reverse order
 _REVERSED_BYTE = tuple(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+# the holders of every signature of dimension at most 8 fit in the cache
+# (502 tuples of at most 128 small ints); above that a class's holders are
+# listed afresh, as a table of dimension k would hold 2^k x 2^(k-1) words
+_CACHED_DIMENSION = 8
+
+
+@functools.lru_cache(maxsize=sum((1 << k) - 1 for k in range(1, _CACHED_DIMENSION + 1)))
+def _holders(k: int, sig: int) -> tuple[int, ...]:
+    """The span words x < 2^k that hold the class of signature sig: |x & sig| odd."""
+    return tuple([x for x in range(1 << k) if (x & sig).bit_count() & 1])
 
 
 def _class_data(code: BinaryCode) -> _ClassData:
@@ -97,44 +110,31 @@ def _class_data(code: BinaryCode) -> _ClassData:
     the search assigns them; a class's profile is its size followed by the
     sorted weights of the span elements that contain it.
 
-    All of it follows from the class signatures (coordinate_classes): span
-    word x holds the class of signature s iff |s & x| is odd.  So the
-    incidence vectors of two classes first differ at x = 2^j, j the lowest
-    bit where their signatures differ, and they sort as the signatures
-    read with bit 0 most significant.  The classes each span word holds
-    are linear in x: those of x are the xor of those of its generators, so
-    they are built by doubling, as span_masks is, and the profiles are
-    filled in one pass over their set bits, in order of span weight.
+    All of it follows from the class masks and signatures of
+    coordinate_classes: span word x holds the class of signature s iff
+    |s & x| is odd.  So the incidence vectors of two classes first differ
+    at x = 2^j, j the lowest bit where their signatures differ, and they
+    sort as the signatures read with bit 0 most significant.  The words
+    that hold signature s depend on s and the dimension k alone, so a
+    profile is the span weights gathered at _holders(k, s), sorted.
     """
     if code._class_data is None:
         part = code.coordinate_classes()
         k = code.dimension
         weights = [m.bit_count() for m in code.span_masks()]  # k <= MAX_SPAN_DIMENSION = 16
+        holders = _holders if k <= _CACHED_DIMENSION else _holders.__wrapped__
         shift = 16 - k
         order = sorted(
-            (len(c), (_REVERSED_BYTE[s & 255] << 8 | _REVERSED_BYTE[s >> 8]) >> shift, c, s)
-            for c, s in zip(part.classes, part.signatures)
+            (m.bit_count(), (_REVERSED_BYTE[s & 255] << 8 | _REVERSED_BYTE[s >> 8]) >> shift, m, s)
+            for m, s in zip(part.masks, part.signatures)
         )
-        holding = [0] * k  # per generator, the classes it holds as a bitmask
-        for ci, (_, _, _, sig) in enumerate(order):
-            while sig:
-                low = sig & -sig
-                holding[low.bit_length() - 1] |= 1 << ci
-                sig ^= low
-        held = [0]  # per span word, the classes it holds as a bitmask
-        for classes in holding:
-            held += [h ^ classes for h in held]
-        profiles = [[size] for size, _, _, _ in order]
-        for weight, h in sorted(zip(weights, held)):
-            while h:
-                low = h & -h
-                profiles[low.bit_length() - 1].append(weight)
-                h ^= low
         code._class_data = _ClassData(
-            classes=tuple(tuple(sorted(c)) for _, _, c, _ in order),
-            signatures=tuple(sig for _, _, _, sig in order),
-            profiles=tuple(map(tuple, profiles)),
-            residue=tuple(sorted(part.residue)),
+            classes=tuple([m for _, _, m, _ in order]),
+            signatures=tuple([s for _, _, _, s in order]),
+            profiles=tuple([
+                (size, *sorted([weights[x] for x in holders(k, s)])) for size, _, _, s in order
+            ]),
+            residue=part.residue_mask,
         )
     return code._class_data
 
@@ -144,8 +144,8 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode) -> tuple[int, ...] | None:
 
     The result p is 1-based: coordinate i of a maps to p[i-1] in b.  It is
     built from the first valid class bijection in the depth-first order of
-    _match_classes, class by class in sorted coordinate order, with the
-    residues matched in sorted order.
+    _match_classes, class by class in ascending coordinate order, with the
+    residues matched in ascending order.
     """
     if distinguishing_invariant(a, b) is not None:
         return None
@@ -156,9 +156,9 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode) -> tuple[int, ...] | None:
         return None
     perm = [0] * a.degree
     for ai, bi in enumerate(sigma):
-        for src, dst in zip(da.classes[ai], db.classes[bi]):
+        for src, dst in zip(_coordinates(da.classes[ai]), _coordinates(db.classes[bi])):
             perm[src - 1] = dst
-    for src, dst in zip(da.residue, db.residue):
+    for src, dst in zip(_coordinates(da.residue), _coordinates(db.residue)):
         perm[src - 1] = dst
     _check_permutation(a, b, perm)
     return tuple(perm)
@@ -174,7 +174,8 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
 
     - profile: a candidate class must have the profile of class ai, since
       a span-preserving permutation maps the words holding a class onto
-      the words holding its image, weight for weight;
+      the words holding its image, weight for weight; one dict from
+      profile to the classes of b lists the candidates;
     - relations: the signatures of the classes assigned so far must satisfy
       the same linear relations over GF(2) as the signatures of their
       images, or no extension maps one span onto the other.
@@ -206,7 +207,10 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
     if sorted(a.profiles) != sorted(b.profiles):
         return None
     n = len(a.classes)
-    candidates = [[bi for bi in range(n) if b.profiles[bi] == p] for p in a.profiles]
+    with_profile: dict[tuple[int, ...], list[int]] = {}  # profile -> the classes of b with it
+    for bi, p in enumerate(b.profiles):
+        with_profile.setdefault(p, []).append(bi)
+    candidates = [with_profile[p] for p in a.profiles]
     # relation[ai]: the earlier classes of a whose signatures xor to that of
     # class ai, or () when it is independent of them
     relation: list[tuple[int, ...]] = []

@@ -346,18 +346,18 @@ def _minimal_degree(loop_class, basis=0):
 def _bucket_classes(code):
     """The coordinate classes of a code, one bucket per generator incidence, coordinate by coordinate."""
     masks = [g.mask() for g in code.generators]
-    buckets = {}  # generator incidence bits -> coordinates
+    buckets = {}  # generator incidence bits -> coordinates, as a mask
     for i in range(code.degree):
         sig = 0
         for j, m in enumerate(masks):
             sig |= (m >> i & 1) << j
-        buckets.setdefault(sig, []).append(i + 1)
-    residue = frozenset(buckets.pop(0, []))
-    signatures = sorted(buckets, key=lambda sig: buckets[sig][0])
+        buckets[sig] = buckets.get(sig, 0) | 1 << i
+    residue = buckets.pop(0, 0)
+    signatures = sorted(buckets, key=lambda sig: buckets[sig] & -buckets[sig])
     return ClassPartition(
         degree=code.degree,
-        classes=tuple(frozenset(buckets[sig]) for sig in signatures),
-        residue=residue,
+        masks=tuple(buckets[sig] for sig in signatures),
+        residue_mask=residue,
         signatures=tuple(signatures),
     )
 
@@ -376,21 +376,21 @@ def _span_class_data(code):
     span = code.span_masks()
     weights = [m.bit_count() for m in span]
     incidence = {}
-    for c in part.classes:
-        bit = min(c) - 1
+    for c in part.masks:
+        bit = (c & -c).bit_length() - 1
         incidence[c] = [m >> bit & 1 for m in span]
-    order = sorted(part.classes, key=lambda c: (len(c), incidence[c]))
+    order = sorted(part.masks, key=lambda c: (c.bit_count(), incidence[c]))
     rows = [incidence[c] for c in order]
     return _ClassData(
-        classes=tuple(tuple(sorted(c)) for c in order),
+        classes=tuple(order),
         signatures=tuple(
             sum(row[1 << j] << j for j in range(code.dimension)) for row in rows
         ),
         profiles=tuple(
-            (len(c), *sorted(weight for weight, hit in zip(weights, row) if hit))
+            (c.bit_count(), *sorted(weight for weight, hit in zip(weights, row) if hit))
             for c, row in zip(order, rows)
         ),
-        residue=tuple(sorted(part.residue)),
+        residue=part.residue_mask,
     )
 
 

@@ -297,6 +297,24 @@ def test_coordinate_classes_and_type():
     assert str(code.rep_type()) == "222"
 
 
+def test_class_partition_holds_masks_and_builds_sets_on_read():
+    code = parse_code("degree=8\n1-4\n1,2,5,6\n")
+    part = code.coordinate_classes()
+    assert part.masks == (0b11, 0b1100, 0b110000)
+    assert part.residue_mask == 0b11000000
+    assert part.signatures == (0b11, 0b01, 0b10)
+    assert part.sizes() == (2, 2, 2)
+    assert "classes" not in vars(part) and "residue" not in vars(part)
+    assert part.classes == (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}))
+    assert part.residue == frozenset({7, 8})
+    assert part.classes is part.classes
+    # the same partition with other generators: equal, whatever the signatures
+    other = parse_code("degree=8\n1-4\n3-6\n").coordinate_classes()
+    assert other.signatures != part.signatures
+    assert other == part and hash(other) == hash(part)
+    assert parse_code("degree=8\n1-4\n1,3,5,6\n").coordinate_classes() != part
+
+
 def test_classes_refine_under_every_span_element():
     code = parse_code("degree=19\n1-8\n1,4,9-14\n1,2,3,5,6,7,9-13,15-19\n2,3,15,16\n")
     part = code.coordinate_classes()

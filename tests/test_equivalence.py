@@ -471,12 +471,31 @@ def test_bijection_equals_projection_oracle_on_non_isomorphic_pairs():
 
 def _assert_class_data_equals_oracle(code):
     part, want = code.coordinate_classes(), _bucket_classes(code)
-    for name in ("degree", "classes", "residue", "signatures"):
+    for name in ("degree", "masks", "residue_mask", "signatures", "classes", "residue"):
         assert getattr(part, name) == getattr(want, name), name
     assert part == want
     data, want = _class_data(code), _span_class_data(code)
     for name in data._fields:
         assert getattr(data, name) == getattr(want, name), name
+
+
+def test_holders_are_cached_to_dimension_8_and_listed_afresh_above():
+    # every signature of dimension <= 8 fits in the cache; a larger code's
+    # classes are listed afresh, so the cache never takes the 2^(k-1) words
+    # per signature of a large dimension
+    assert equivalence._holders.cache_info().maxsize == sum((1 << k) - 1 for k in range(1, 9))
+    rng = random.Random(9)
+    for dim in (8, 9, 11):
+        code = random_code(rng, 16, dim)
+        assert code.dimension == dim
+        before = equivalence._holders.cache_info().currsize
+        _assert_class_data_equals_oracle(code)
+        after = equivalence._holders.cache_info().currsize
+        assert after >= before if dim <= 8 else after == before
+        for sig in code.coordinate_classes().signatures:
+            assert equivalence._holders.__wrapped__(dim, sig) == tuple(
+                x for x in range(1 << dim) if (x & sig).bit_count() % 2
+            )
 
 
 def _fresh(code):
@@ -498,12 +517,9 @@ def test_class_data_equals_oracle_on_random_codes(code):
 
 @pytest.mark.parametrize("name", all_loop_ids())
 def test_class_data_equals_oracle_on_catalog_codes(name):
-    code = catalog_entry(name).code()
+    code, other = _seeded_relabeling(name)
     _assert_class_data_equals_oracle(code)
     assert code_isomorphism(code, code) == _oracle_backed_isomorphism(code, code)
-    perm = list(range(1, code.degree + 1))
-    random.Random(name).shuffle(perm)
-    other = permute_code(code, tuple(perm))
     for a, b in ((code, code), (code, other), (other, code)):
         _assert_bijection_equals_projection_oracle(a, b)
 
