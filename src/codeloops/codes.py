@@ -384,8 +384,9 @@ class RepType:
 
 
 def parse_code(text: str) -> BinaryCode:
+    """The code of a literal, each generator read straight into a mask as its tokens are read."""
     degree: int | None = None
-    gens: list[frozenset[int]] = []
+    gens: list[tuple[int, set[int]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -400,16 +401,17 @@ def parse_code(text: str) -> BinaryCode:
     if degree is None:
         if not gens:
             raise InvalidCodeError("empty code literal (no degree, no generators)")
-        degree = max(max(g) for g in gens if g)
+        degree = max(_largest(mask, big) for mask, big in gens)
     if degree < 1 or degree > MAX_DEGREE:
         raise InvalidCodeError(f"degree {degree} out of range 1..{MAX_DEGREE}")
     words = []
-    for g in gens:
-        if g and max(g) > degree:
-            raise InvalidCodeError(
-                f"coordinate {max(g)} exceeds declared degree {degree}"
-            )
-        words.append(Codeword(degree, g))
+    for mask, big in gens:
+        largest = _largest(mask, big)
+        if largest > degree:
+            raise InvalidCodeError(f"coordinate {largest} exceeds declared degree {degree}")
+        if mask & 1:
+            raise InvalidCodeError(f"coordinate 0 outside 1..{degree}")
+        words.append(Codeword.from_mask(degree, mask >> 1))
     return BinaryCode(degree, words)
 
 
@@ -418,34 +420,59 @@ def _is_number(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _parse_support_line(line: str, raw: str, lineno: int) -> frozenset[int]:
-    support: set[int] = set()
-    col = raw.index(line) + 1
-    for token in line.split(","):
+def _largest(mask: int, big: set[int]) -> int:
+    """The largest coordinate of a generator read by _parse_support_line."""
+    return max(big) if big else mask.bit_length() - 1
+
+
+def _parse_support_line(line: str, raw: str, lineno: int) -> tuple[int, set[int]]:
+    """One generator line as a mask with coordinate i at bit i (0 included), and the rest.
+
+    A run is one shifted block of bits, and a coordinate met twice is an
+    overlapping bit, reported at its lowest.  Coordinates above MAX_DEGREE
+    are kept aside in a set and never shifted into the mask; parse_code
+    refuses them once the degree is known.  The position of a bad token is
+    worked out only when it is refused.
+    """
+    mask = 0
+    big: set[int] = set()
+    tokens = line.split(",")
+    for n, token in enumerate(tokens):
         tok = token.strip()
-        loc = f"line {lineno}, col {col}"
-        col += len(token) + 1
-        if not tok:
-            raise InvalidCodeError(f"{loc}: empty entry")
-        if "-" in tok:
+        if _is_number(tok):
+            i = int(tok)
+            if i > MAX_DEGREE:
+                if i in big:
+                    error = f"duplicate coordinate {i}"
+                    break
+                big.add(i)
+                continue
+            bits = 1 << i
+        elif "-" in tok:
             lo_s, _, hi_s = tok.partition("-")
             if not (_is_number(lo_s.strip()) and _is_number(hi_s.strip())):
-                raise InvalidCodeError(f"{loc}: bad range {tok!r}")
+                error = f"bad range {tok!r}"
+                break
             lo, hi = int(lo_s), int(hi_s)
             if lo > hi:
-                raise InvalidCodeError(f"{loc}: empty range {tok!r}")
-            if hi > MAX_DEGREE:  # refuse before building the range
-                raise InvalidCodeError(f"{loc}: coordinate {hi} out of range 1..{MAX_DEGREE}")
-            entries = range(lo, hi + 1)
-        elif _is_number(tok):
-            entries = [int(tok)]
+                error = f"empty range {tok!r}"
+                break
+            if hi > MAX_DEGREE:  # refuse before building the run
+                error = f"coordinate {hi} out of range 1..{MAX_DEGREE}"
+                break
+            bits = ((2 << (hi - lo)) - 1) << lo
         else:
-            raise InvalidCodeError(f"{loc}: bad coordinate {tok!r}")
-        for i in entries:
-            if i in support:
-                raise InvalidCodeError(f"{loc}: duplicate coordinate {i}")
-            support.add(i)
-    return frozenset(support)
+            error = f"bad coordinate {tok!r}" if tok else "empty entry"
+            break
+        overlap = mask & bits
+        if overlap:
+            error = f"duplicate coordinate {(overlap & -overlap).bit_length() - 1}"
+            break
+        mask |= bits
+    else:
+        return mask, big
+    col = raw.index(line) + 1 + sum(len(token) + 1 for token in tokens[:n])
+    raise InvalidCodeError(f"line {lineno}, col {col}: {error}")
 
 
 def format_code(code: BinaryCode) -> str:

@@ -32,9 +32,15 @@ Tables with k <= 6 are also handled as bit rows: row x of phi is one
 2^k-bit word, bit y = phi(x, y), so one uint64 holds it.  The translates
 t[a, x] of the rows (bit y of row x read from position y + a) are built for
 every a in k doubling steps, and a sum of phi terms over a free variable y
-becomes an xor of 2^k-bit words, one per pair of the other two variables:
-associator_bits and loops.is_moufang decide 2^k triples per word operation
-over 4^k pairs.
+becomes an xor of 2^k-bit words, one per pair of the other two variables.
+word_table lays out every such word a kernel can read in one flat array:
+phi spread to words (a term without y), then the translates of the rows
+and, for the Moufang check, of the columns, from one doubling pass over
+their stack.  A kernel is then a fixed uint16 index table per 2^k, built
+on first use, that names where each of its phi terms sits in the word
+table: associator_bits is one gather of its 4 terms and one xor over
+them, and loops.is_moufang the same with 6 terms per identity.  Each
+word decides 2^k triples, so the 4^k words decide all 2^(3k).
 
 The tests keep the general routine as the oracle: they solve the
 axioms as one linear system over GF(2) by elimination, pin free entries to
@@ -43,6 +49,7 @@ axioms as one linear system over GF(2) by elimination, pin free entries to
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,36 +149,88 @@ def basis_table(squares, commutators, triples) -> np.ndarray:
     return _PARITY[np.array(rows, dtype=np.uint8)[:, None] & np.arange(n, dtype=np.uint8)]
 
 
-_SHIFTS = np.arange(64, dtype=np.uint64)
 # _CLEAR[b] marks the bit positions y < 64 with bit b of y clear
 _CLEAR = [np.uint64(sum(1 << y for y in range(64) if not y >> b & 1)) for b in range(6)]
+_SHIFTS = [np.uint64(1 << b) for b in range(6)]
 
 
 def bit_rows(phi: np.ndarray) -> np.ndarray:
-    """Row x of a 2^k x 2^k 0/1 array as one uint64 word, bit y = phi[x, y]; k <= 6."""
-    n = len(phi)
+    """The last axis of a 0/1 array of at most 64 entries as uint64 words, bit y = entry y.
+
+    Row x of a 2^k x 2^k table (k <= 6) becomes one word; leading axes are
+    kept, so a stack of tables gives a stack of rows.
+    """
+    n = phi.shape[-1]
     if n > 64:
         raise InvalidCodeError(f"a {n}-entry row does not fit in 64 bits")
-    return np.bitwise_or.reduce(phi.astype(np.uint64) << _SHIFTS[:n], axis=1)
+    packed = np.packbits(phi, axis=-1, bitorder="little")
+    words = np.zeros(phi.shape[:-1] + (8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view("<u8")[..., 0].astype(np.uint64, copy=False)
 
 
 def translates(rows: np.ndarray) -> np.ndarray:
-    """t[a, x] = rows[x] with bit y read from position y + a (xor), for every a.
+    """t[a, ..., x] = rows[..., x] with bit y read from position y + a (xor), for every a.
 
-    rows holds 2^k words of 2^k bits.  Step b of the k doubling steps
-    appends the translates by a + 2^b, which swap the blocks of 2^b bits
-    of the translates by a.
+    The last axis of rows holds 2^k words of 2^k bits, after any leading
+    axes; the translates by a lead, so each is one contiguous block.  Step
+    b of the k doubling steps fills the translates by a + 2^b, which swap
+    the blocks of 2^b bits of the translates by a.
     """
-    t = rows[None, :]
-    for b in range(len(rows).bit_length() - 1):
-        s, m = np.uint64(1 << b), _CLEAR[b]
-        t = np.concatenate((t, ((t & m) << s) | ((t >> s) & m)))
+    n = rows.shape[-1]
+    t = np.empty((n,) + rows.shape, dtype=np.uint64)
+    t[0] = rows
+    flat = t.reshape(n, -1)
+    for b in range(n.bit_length() - 1):
+        s, m = _SHIFTS[b], _CLEAR[b]
+        done, todo = flat[: 1 << b], flat[1 << b : 2 << b]
+        np.left_shift(np.bitwise_and(done, m, out=todo), s, out=todo)
+        np.bitwise_or(todo, np.bitwise_and(done >> s, m), out=todo)
     return t
 
 
-def spread(bits: np.ndarray, n: int) -> np.ndarray:
-    """The all-ones n-bit word where bits is 1, and 0 where it is 0."""
-    return bits * np.uint64((1 << n) - 1)
+def word_table(phi: np.ndarray, columns: bool) -> np.ndarray:
+    """Every 2^k-bit word the kernels read off a 2^k x 2^k uint8 table, k <= 6, as one flat array.
+
+    phi spread to words comes first, then for each offset a the translates
+    by a of the rows and, with columns, of the columns; row u itself is
+    its translate by 0.  Rows and columns are translated in one pass over
+    their stack.  _word_positions says where each word sits.
+    """
+    n = len(phi)
+    rows = bit_rows(np.stack((phi, phi.T)) if columns else phi)
+    spread = np.multiply(phi, np.uint64((1 << n) - 1), dtype=np.uint64)
+    return np.concatenate((spread.ravel(), translates(rows).ravel()))
+
+
+def _word_positions(n: int, columns: bool):
+    """The positions in word_table(phi, columns) of 2^k = n, as functions of word indices.
+
+    spread(u, v) is phi(u, v) over all n bits, row(a, u) the translate by
+    a of row u and, with columns, col(a, u) that of column u.  The indices
+    may be broadcasting arrays.
+    """
+    stride = 2 * n if columns else n  # the translates by one offset
+    spread = lambda u, v: u * n + v
+    row = lambda a, u: n * n + a * stride + u
+    col = lambda a, u: n * n + a * stride + n + u
+    return spread, row, col
+
+
+def _index_table(n: int, *terms) -> np.ndarray:
+    """Word-table positions, each term broadcast to (n, n), stacked as a read-only uint16 array."""
+    index = np.array([np.broadcast_to(term, (n, n)) for term in terms], dtype=np.uint16)
+    index.setflags(write=False)  # positions < 3n^2 <= 12288
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def _associator_index(n: int) -> np.ndarray:
+    """Where the 4 phi terms of associator word [x, y] sit in word_table(phi, False): (4, n, n)."""
+    w = np.arange(n)
+    x, y = w[:, None], w[None, :]
+    spread, row, _ = _word_positions(n, columns=False)
+    return _index_table(n, row(0, x ^ y), row(y, x), spread(x, y), row(0, y))
 
 
 def associator_bits(phi: np.ndarray) -> np.ndarray:
@@ -183,14 +242,11 @@ def associator_bits(phi: np.ndarray) -> np.ndarray:
     lifts of x, y, z in the twisted loop: ((x y) z) takes phi(x, y) +
     phi(x+y, z) and (x (y z)) takes phi(y, z) + phi(x, y+z).  On a factor
     set it is the cocycle axiom's weight term |x & y & z| mod 2.  Over z
-    the four terms are the rows of x+y, the translate of row x by y, the
-    constant phi(x, y) and the row of y.
+    the four terms are the row of x+y, the translate of row x by y, the
+    constant phi(x, y) and the row of y: one gather from the word table.
     """
-    n = len(phi)
-    rows = bit_rows(phi)
-    w = np.arange(n)
-    x, y = w[:, None], w[None, :]
-    return rows[x ^ y] ^ translates(rows)[y, x] ^ spread(phi, n) ^ rows[y]
+    words = word_table(phi, columns=False).take(_associator_index(len(phi)))
+    return np.bitwise_xor.reduce(words, axis=0)
 
 
 def verify_factor_set(phi: FactorSet) -> list[Violation]:

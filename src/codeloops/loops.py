@@ -22,8 +22,9 @@ holds on all signed triples exactly when the phi terms of its two sides
 agree on the positive lifts.  The phi terms are read as bit rows of the
 factor set (see factorset): with y as the free variable, every phi term
 of an identity is a row, a column, a translate of either, or a constant
-spread over all 2^k bits, so each identity is one xor of 2^k-bit words
-for each of the 4^k pairs (z, x), which covers all 2^(3k) triples.  The
+spread over all 2^k bits, so each identity is one gather of its terms
+from factorset.word_table and one xor of 2^k-bit words for each of the
+4^k pairs (z, x), which covers all 2^(3k) triples.  The
 tests keep the element-level checks on the table, and the broadcast
 checks over all triples of words, as the oracles.
 
@@ -54,7 +55,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,11 +63,11 @@ from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, _mask_r
 from .factorset import (
     MAX_DIMENSION,
     FactorSet,
+    _index_table,
+    _word_positions,
     associator_bits,
-    bit_rows,
     build_factor_set,
-    spread,
-    translates,
+    word_table,
 )
 
 
@@ -171,34 +172,52 @@ def is_moufang(phi) -> bool:
     xor of its phi terms on either side, which decides it on all signed
     triples (see the module docstring).  For z(x(zy)) = ((zx)z)y that is
     phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) +
-    phi(x, y), mod 2.
+    phi(x, y), mod 2.  The terms are words of one word table per call
+    (factorset.word_table), and _moufang_defects gathers them per identity.
     """
-    return not any(defects.any() for defects in _moufang_defects(np.asarray(phi, dtype=np.uint8)))
+    return not _moufang_defects(np.asarray(phi, dtype=np.uint8)).any()
 
 
-def _moufang_defects(phi: np.ndarray) -> Iterator[np.ndarray]:
-    """Per identity, the words over y of the xor of its two sides' phi terms.
+@functools.lru_cache(maxsize=None)
+def _moufang_index(n: int) -> np.ndarray:
+    """Where the 6 phi terms of each identity sit in word_table(phi, True): (3, 6, n, n).
 
-    Bit y of word [z, x] is 1 when the identity fails on (z, x, y).  Over y,
-    phi(u, y) is row u, phi(y, u) is column u, phi(u, y + a) and phi(y + a,
-    u) are their translates by a, and a term without y is spread over all
-    bits.
+    Entry [i, :, z, x] lists the words whose xor is word [z, x] of identity
+    i in _moufang_defects.  Read-only uint16.
     """
-    n = len(phi)
-    rows, cols = bit_rows(phi), bit_rows(phi.T)
-    tr, tc = translates(rows), translates(cols)
     w = np.arange(n)
     z, x = w[:, None], w[None, :]
     zx = z ^ x
-    # z(x(zy)) = ((zx)z)y:
-    # phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y)
-    yield rows[z] ^ tr[z, x] ^ tr[zx, z] ^ rows[x] ^ spread(phi[z, x] ^ phi[zx, z], n)
-    # x(z(yz)) = ((xz)y)z:
-    # phi(y, z) + phi(z, y+z) + phi(x, y) = phi(x, z) + phi(x+z, y) + phi(x+y+z, z)
-    yield cols[z] ^ tr[z, z] ^ rows[x] ^ rows[zx] ^ tc[zx, z] ^ spread(phi[x, z], n)
-    # (zx)(yz) = (z(xy))z:
-    # phi(z, x) + phi(y, z) + phi(z+x, y+z) = phi(x, y) + phi(z, x+y) + phi(x+y+z, z)
-    yield cols[z] ^ tr[z, zx] ^ rows[x] ^ tr[x, z] ^ tc[zx, z] ^ spread(phi[z, x], n)
+    spread, tr, tc = _word_positions(n, columns=True)
+    return _index_table(
+        n,
+        # z(x(zy)) = ((zx)z)y:
+        # phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y)
+        tr(0, z), tr(z, x), tr(zx, z), tr(0, x), spread(z, x), spread(zx, z),
+        # x(z(yz)) = ((xz)y)z:
+        # phi(y, z) + phi(z, y+z) + phi(x, y) = phi(x, z) + phi(x+z, y) + phi(x+y+z, z)
+        tc(0, z), tr(z, z), tr(0, x), tr(0, zx), tc(zx, z), spread(x, z),
+        # (zx)(yz) = (z(xy))z:
+        # phi(z, x) + phi(y, z) + phi(z+x, y+z) = phi(x, y) + phi(z, x+y) + phi(x+y+z, z)
+        tc(0, z), tr(z, zx), tr(0, x), tr(x, z), tc(zx, z), spread(z, x),
+    ).reshape(3, 6, n, n)
+
+
+def _moufang_defects(phi: np.ndarray) -> np.ndarray:
+    """Per identity, the words over y of the xor of its two sides' phi terms: (3, 2^k, 2^k).
+
+    Bit y of word [i, z, x] is 1 when identity i fails on (z, x, y).  Over
+    y, phi(u, y) is row u, phi(y, u) is column u, phi(u, y + a) and phi(y +
+    a, u) are their translates by a, and a term without y is spread over
+    all bits; each identity is one gather of its 6 terms from the word
+    table and one xor over them.
+    """
+    n = len(phi)
+    words = word_table(phi, columns=True)
+    defects = np.empty((3, n, n), dtype=np.uint64)
+    for identity, terms in enumerate(_moufang_index(n)):
+        np.bitwise_xor.reduce(words.take(terms), axis=0, out=defects[identity])
+    return defects
 
 
 def build_loop(code: BinaryCode) -> CodeLoop:

@@ -224,14 +224,16 @@ class Representation:
     A representation is its target, its degree and its box row: the class
     sizes in subset order (a row of Box.x, row[0] the top meet) and the
     meet sizes t.  The row fixes the code, and everything else is built
-    from it on first read: params and solution from the row, classes and
-    generators, the code in its interval layout, by assemble_generators.
-    So a representation costs what is read of it, and a report that reads
-    only the class sizes of most leaves never lays them out.
+    from it on first read: params and solution from the row, the classes
+    (the coordinates of each nonempty class in the interval layout) by
+    _layout_classes, and the generators by assemble_generators.  So a
+    representation costs what is read of it, and a report that reads only
+    the class sizes of most leaves never lays them out.
 
     Representation(target, params, solution, classes, generators, degree)
-    takes all six values, as assemble_generators builds them;
-    enumerate_reduced makes its representations from box rows (_from_row).
+    takes all six values as assemble_generators builds them, classes None
+    to derive them from the row; enumerate_reduced makes its
+    representations from box rows (_from_row).
     Equality and the hash are over the six values, which lays out the code.
     Instances are immutable.
     """
@@ -246,7 +248,7 @@ class Representation:
         target: LoopClass,
         params: ParamVector3 | ParamVector4,
         solution: Solution3 | Solution4,
-        classes: tuple[tuple[str, tuple[int, ...]], ...],  # nonempty (label, coords)
+        classes: tuple[tuple[str, tuple[int, ...]], ...] | None,  # nonempty (label, coords)
         generators: tuple[Codeword, ...],
         degree: int,
     ):
@@ -297,23 +299,19 @@ class Representation:
     @property
     def classes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         if self._classes is None:
-            self._lay_out()
+            _set(self, "_classes", _layout_classes(self.target.rank, self.row))
         return self._classes
 
     @property
     def generators(self) -> tuple[Codeword, ...]:
         if self._generators is None:
-            self._lay_out()
+            # through the module global, so the rank and meet checks of
+            # assemble_generators run on every representation laid out
+            full = assemble_generators(self.params, self.solution, self.target)
+            if full.degree != self.degree:
+                raise InternalInvariantError("laid-out degree differs from the box degree")
+            _set(self, "_generators", full._generators)
         return self._generators
-
-    def _lay_out(self) -> None:
-        # through the module global, so the rank and meet checks of
-        # assemble_generators run on every representation laid out
-        full = assemble_generators(self.params, self.solution, self.target)
-        if full.degree != self.degree:
-            raise InternalInvariantError("laid-out degree differs from the box degree")
-        _set(self, "_classes", full._classes)
-        _set(self, "_generators", full._generators)
 
     def code(self) -> BinaryCode:
         return BinaryCode(self.degree, self.generators)
@@ -361,14 +359,12 @@ def assemble_generators(t, x, target: LoopClass) -> Representation:
     t_values = t.as_tuple()
     # the top class lies in every generator, so its size is its meet
     sizes = t_values[:1] + x.as_tuple()
-    classes: list[tuple[str, tuple[int, ...]]] = []
     masks = [0] * rank
     degree = 0  # coordinates laid out so far
-    for label, position, members in _BLOCKS[rank]:
+    for _, position, members in _BLOCKS[rank]:
         size = sizes[position]
         if size == 0:
             continue
-        classes.append((label, tuple(range(degree + 1, degree + size + 1))))
         block = ((1 << size) - 1) << degree
         for i in members:
             masks[i] |= block
@@ -381,10 +377,26 @@ def assemble_generators(t, x, target: LoopClass) -> Representation:
         target=target,
         params=t,
         solution=x,
-        classes=tuple(classes),
+        classes=None,  # derived from the row when read
         generators=tuple(Codeword.from_mask(degree, m) for m in masks),
         degree=degree,
     )
+
+
+def _layout_classes(rank: int, sizes: tuple[int, ...]) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The nonempty classes of a row (t_top, *x) as (label, coordinates), laid out as intervals.
+
+    The layout of assemble_generators: the classes in layout order take
+    consecutive coordinates from 1, and empty classes are skipped.
+    """
+    classes = []
+    degree = 0
+    for label, position, _ in _BLOCKS[rank]:
+        size = sizes[position]
+        if size:
+            classes.append((label, tuple(range(degree + 1, degree + size + 1))))
+            degree += size
+    return tuple(classes)
 
 
 def _as_loop_class(target: LoopClass | CharVector | str) -> LoopClass:

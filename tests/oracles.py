@@ -26,6 +26,13 @@ data here reads every span word's bit at every class.
 The library's class matcher screens a partial class bijection by the
 linear relations of the assigned signatures; the projection matcher here
 compares the span words projected onto the assigned classes as multisets.
+
+The library's word kernels gather the phi terms of an identity from one
+table of bit-row words; the broadcast checks here index phi itself.
+
+The library reads a code literal straight into generator masks, a run as
+one block of bits; the set parser here adds every coordinate of a run to
+a set one at a time and builds each Codeword from its set.
 """
 
 import functools
@@ -35,7 +42,14 @@ from itertools import combinations
 import numpy as np
 
 from codeloops import search
-from codeloops.codes import ClassPartition, InvalidCodeError
+from codeloops.codes import (
+    MAX_DEGREE,
+    BinaryCode,
+    ClassPartition,
+    Codeword,
+    InvalidCodeError,
+    _is_number,
+)
 from codeloops.equivalence import _ClassData
 from codeloops.loops import _anf, _class_form, _general_linear
 from codeloops.search import _PARAMS, _SOLUTIONS, _SUBSETS, Box, _independent, congruence_targets
@@ -455,3 +469,62 @@ def _projection_match_classes(a, b):
         return False
 
     return assigned if extend() else None
+
+
+def _set_parse_code(text):
+    """The code of a literal, each generator collected as a set of coordinates first."""
+    degree = None
+    gens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if degree is None and not gens and line.startswith("degree="):
+            value = line[len("degree="):]
+            if not _is_number(value):
+                raise InvalidCodeError(f"line {lineno}, col 8: bad degree {value!r}")
+            degree = int(value)
+            continue
+        gens.append(_set_support_line(line, raw, lineno))
+    if degree is None:
+        if not gens:
+            raise InvalidCodeError("empty code literal (no degree, no generators)")
+        degree = max(max(g) for g in gens if g)
+    if degree < 1 or degree > MAX_DEGREE:
+        raise InvalidCodeError(f"degree {degree} out of range 1..{MAX_DEGREE}")
+    words = []
+    for g in gens:
+        if g and max(g) > degree:
+            raise InvalidCodeError(f"coordinate {max(g)} exceeds declared degree {degree}")
+        words.append(Codeword(degree, g))
+    return BinaryCode(degree, words)
+
+
+def _set_support_line(line, raw, lineno):
+    support = set()
+    col = raw.index(line) + 1
+    for token in line.split(","):
+        tok = token.strip()
+        loc = f"line {lineno}, col {col}"
+        col += len(token) + 1
+        if not tok:
+            raise InvalidCodeError(f"{loc}: empty entry")
+        if "-" in tok:
+            lo_s, _, hi_s = tok.partition("-")
+            if not (_is_number(lo_s.strip()) and _is_number(hi_s.strip())):
+                raise InvalidCodeError(f"{loc}: bad range {tok!r}")
+            lo, hi = int(lo_s), int(hi_s)
+            if lo > hi:
+                raise InvalidCodeError(f"{loc}: empty range {tok!r}")
+            if hi > MAX_DEGREE:  # refuse before building the range
+                raise InvalidCodeError(f"{loc}: coordinate {hi} out of range 1..{MAX_DEGREE}")
+            entries = range(lo, hi + 1)
+        elif _is_number(tok):
+            entries = [int(tok)]
+        else:
+            raise InvalidCodeError(f"{loc}: bad coordinate {tok!r}")
+        for i in entries:
+            if i in support:
+                raise InvalidCodeError(f"{loc}: duplicate coordinate {i}")
+            support.add(i)
+    return frozenset(support)

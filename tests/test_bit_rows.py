@@ -1,31 +1,38 @@
 """The bit-row kernels of the Moufang and associativity checks against their oracles.
 
-loops.is_moufang and factorset.associator_bits read the factor set as
-2^k-bit rows and decide 2^k triples per word operation; the oracles in
-oracles.py read the same phi terms one triple per array entry.  Every
+loops.is_moufang and factorset.associator_bits gather the phi terms of
+each identity from one table of 2^k-bit words (factorset.word_table) and
+decide 2^k triples per word operation; the oracles in oracles.py read the
+same phi terms one triple per array entry.  Every
 comparison here is bit for bit: bit y of the kernel's word [z, x] (or bit
 z of [x, y] for the associators) against the oracle's entry at that triple.
 The signs of characteristic vectors come from the ANF of the squaring form
 instead, and test_loops.py checks them against _broadcast_sign_tables.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codeloops
 from codeloops import BinaryCode, Codeword, build_loop
 from codeloops.catalog import all_loop_ids, catalog_entry
 from codeloops.factorset import (
     FactorSet,
+    _associator_index,
     associator_bits,
     bit_rows,
     build_factor_set,
     translates,
+    word_table,
 )
-from codeloops.loops import CodeLoop, _moufang_defects, is_moufang
+from codeloops.loops import CodeLoop, _moufang_defects, _moufang_index, is_moufang
 from oracles import (
     _broadcast_associator_bits,
     _broadcast_is_moufang,
@@ -43,8 +50,10 @@ def _pack(bits):
 
 def _assert_kernels_match_oracles(table):
     phi = np.array(table, dtype=np.uint8)
+    defects = _moufang_defects(phi)
+    assert defects.shape == (3, len(phi), len(phi)) and defects.dtype == np.uint64
     for identity, (words, oracle) in enumerate(
-        zip(_moufang_defects(phi), _broadcast_moufang_sides(phi), strict=True)
+        zip(defects, _broadcast_moufang_sides(phi), strict=True)
     ):
         assert (words == _pack(oracle)).all(), identity
     assert is_moufang(table) == is_moufang(phi) == _broadcast_is_moufang(phi)
@@ -180,6 +189,67 @@ def test_translates_read_each_row_at_every_offset(k):
     a, x, y = w[:, None, None], w[None, :, None], w[None, None, :]
     assert t.shape == (n, n)
     assert (t == _pack(phi[x, y ^ a])).all()
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_kernels_match_oracles_on_random_tables_of_every_size(k):
+    # random 0/1 tables, not factor sets: phi(0, .) and phi(., 0) need not
+    # vanish, and the Moufang identities fail almost everywhere
+    n = 1 << k
+    rng = np.random.default_rng(20261019 + k)
+    for density in (0.5, 0.1, 0.9):
+        for _ in range(3):
+            _assert_kernels_match_oracles((rng.random((n, n)) < density).astype(np.uint8))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_stacked_rows_and_translates_equal_per_table_calls(k):
+    n = 1 << k
+    rng = np.random.default_rng(k)
+    stack = rng.integers(0, 2, (2, 3, n, n), dtype=np.uint8)
+    rows = bit_rows(stack)
+    t = translates(rows)  # the translate by a first
+    assert rows.shape == (2, 3, n) and t.shape == (n, 2, 3, n)
+    for i, j in np.ndindex(2, 3):
+        assert (rows[i, j] == bit_rows(stack[i, j])).all()
+        assert (t[:, i, j] == translates(rows[i, j])).all()
+
+
+def test_word_table_lays_out_spread_entries_then_the_translates_by_each_offset():
+    n = 8
+    phi = np.random.default_rng(8).integers(0, 2, (n, n), dtype=np.uint8)
+    spread = phi.astype(np.uint64) * np.uint64(0xFF)
+    rows, cols = translates(bit_rows(phi)), translates(bit_rows(phi.T))
+    words = word_table(phi, columns=True)
+    assert words.shape == (3 * n * n,) and words.dtype == np.uint64
+    assert (words[: n * n] == spread.ravel()).all()
+    # per offset a, the translates of the n rows, then of the n columns
+    assert (words[n * n :].reshape(n, 2, n) == np.stack((rows, cols), axis=1)).all()
+    words = word_table(phi, columns=False)
+    assert (words == np.concatenate((spread.ravel(), rows.ravel()))).all()
+
+
+def test_index_tables_are_built_on_first_use_read_only_and_uint16():
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import codeloops; from codeloops import factorset as f, loops as l;"
+            " print(*(g.cache_info().currsize for g in (f._associator_index, l._moufang_index)))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "0 0\n", proc.stderr
+    tables = ((_associator_index(64), (4, 64, 64)), (_moufang_index(64), (3, 6, 64, 64)))
+    for index, shape in tables:
+        assert index.shape == shape and index.dtype == np.uint16
+        assert int(index.max()) < 3 * 64 * 64
+        with pytest.raises(ValueError):
+            index[0, 0, 0] = 0
 
 
 def test_bit_rows_refuse_tables_wider_than_a_word():

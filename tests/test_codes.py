@@ -16,6 +16,7 @@ from codeloops import (
     meet_weight,
     parse_code,
 )
+from oracles import _set_parse_code
 from strategies import doubly_even_codes
 
 
@@ -406,3 +407,102 @@ def test_format_round_trip():
 def test_format_uses_runs_of_three_or_more():
     code = parse_code("degree=9\n1,2,3,4,6,7,9\n")
     assert format_code(code).splitlines()[1] == "1-4,6,7,9"
+
+
+# coordinates a literal may name: 0 and 129 are refused, 10**9 is never
+# shifted into a mask, and the few small ones make duplicates likely
+_COORDINATES = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 127, 128, 129, 10**9]), st.integers(1, 128)
+)
+
+
+@st.composite
+def _tokens(draw, clean):
+    """One entry of a generator line: a coordinate or a run if clean, else anything."""
+    kinds = ["coordinate"] * 2 + ["run"] + ([] if clean else ["reversed", "past", "blank", "junk"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "coordinate":
+        token = str(draw(_COORDINATES))
+    elif kind == "run":
+        lo = draw(st.integers(0, 128))
+        token = f"{lo}-{draw(st.integers(lo, min(lo + 3, 128)))}"
+    elif kind == "reversed":
+        hi = draw(st.integers(0, 127))
+        token = f"{draw(st.integers(hi + 1, 128))}-{hi}"
+    elif kind == "past":
+        token = f"{draw(st.integers(0, 128))}-{draw(st.sampled_from([129, 200, 10**9]))}"
+    elif kind == "blank":
+        token = ""
+    else:
+        token = draw(st.sampled_from(["x", "1-", "-3", "\u00b2", "1-2-3", "4 5", "+1", "0x1"]))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    return draw(pad) + token + draw(pad)
+
+
+@st.composite
+def _literals(draw):
+    """A code literal from random tokens: duplicates, blank lines and an optional degree header.
+
+    Half of the literals have clean tokens and header, so that they reach
+    the degree and coordinate checks after the lines are read, or parse.
+    """
+    clean = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.sampled_from([0, 1, 2, 2, 3, 3, 4, 5]))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        tokens = draw(st.lists(_tokens(clean), min_size=1, max_size=4))
+        if not clean and draw(st.booleans()):  # a token again, within a run or across tokens
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(tokens)))
+        lines.append(draw(st.sampled_from(["", " ", "\t "])) + ",".join(tokens))
+    numbers = [int(n) for line in lines for n in line.replace("-", ",").split(",")
+               if n.strip().isascii() and n.strip().isdigit()]
+    largest = max(numbers, default=1)
+    header = draw(st.sampled_from(["none", "degree", "below"] + ([] if clean else ["junk"])))
+    if header == "degree":
+        lines.insert(0, f"degree={draw(st.sampled_from([0, 1, 8, 64, 128, 129, 10**9]))}")
+    elif header == "below":  # a degree below the largest coordinate
+        lines.insert(0, f"degree={max(0, largest - draw(st.integers(1, 3)))}")
+    elif header == "junk":
+        lines.insert(0, draw(st.sampled_from(["degree=x", "degree= 8", "degree=", "degree=8x"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _parsed(parse, text):
+    """The code a parser returns, or the class and message of what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - the oracle's exception is the expected value
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_literals())
+def test_parse_code_matches_the_set_parser(text):
+    got, want = _parsed(parse_code, text), _parsed(_set_parse_code, text)
+    assert got == want
+    if isinstance(want, BinaryCode):
+        assert [g.mask() for g in got.generators] == [g.mask() for g in want.generators]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("degree=8\n1-4,3-6\n", "line 2, col 5: duplicate coordinate 3"),
+        ("degree=8\n 1-4, 2\n", "line 2, col 6: duplicate coordinate 2"),
+        ("5,1000000000,1000000000\n", "line 1, col 14: duplicate coordinate 1000000000"),
+        ("1,1000000000\n", "degree 1000000000 out of range 1..128"),
+        ("degree=8\n1,1000000000\n", "coordinate 1000000000 exceeds declared degree 8"),
+        ("degree=8\n0,1\n9\n", "coordinate 0 outside 1..8"),
+        ("degree=8\n1\n0,9\n", "coordinate 9 exceeds declared degree 8"),
+        ("0\n", "degree 0 out of range 1..128"),
+        ("1-129\n", "line 1, col 1: coordinate 129 out of range 1..128"),
+        ("1,,2\n", "line 1, col 3: empty entry"),
+    ],
+)
+def test_parse_errors_keep_their_text_and_order(text, message):
+    assert _parsed(_set_parse_code, text) == (InvalidCodeError, message)
+    with pytest.raises(InvalidCodeError) as exc:
+        parse_code(text)
+    assert str(exc.value) == message

@@ -237,6 +237,22 @@ def test_every_enumerated_rep_verifies():
             assert rep.rep_type().is_reduced
 
 
+def test_assembled_classes_are_read_off_the_row_as_the_coordinate_classes_of_the_code():
+    # assemble_generators lays out the generators alone; the classes, read
+    # later, are the coordinate classes of that code in interval layout
+    for name, cap in (("C3_3", 14), ("C3_5", 21), ("C4_6", 12), ("C4_16", 17)):
+        reps = list(enumerate_reduced(name, cap))
+        assert reps, name
+        for rep in reps:
+            full = assemble_generators(rep.params, rep.solution, rep.target)
+            assert full._classes is None
+            part = full.code().coordinate_classes()
+            assert tuple(frozenset(coords) for _, coords in full.classes) == part.classes
+            signatures = tuple(sum(1 << int(ch) - 1 for ch in label) for label, _ in full.classes)
+            assert signatures == part.signatures and part.residue_mask == 0
+            assert full.classes == rep.classes and hash(full) == hash(rep)
+
+
 def test_enumerated_types_sum_to_degree():
     for rep in enumerate_reduced("C4_1", 10):
         assert sum(rep.rep_type().sizes) == rep.degree
