@@ -395,7 +395,9 @@ def parse_code(text: str) -> BinaryCode:
             value = line[len("degree="):]
             if not _is_number(value):
                 raise InvalidCodeError(f"line {lineno}, col 8: bad degree {value!r}")
-            degree = int(value)
+            degree = _value(value)
+            if degree is None:
+                raise InvalidCodeError(f"line {lineno}, col 8: number too long")
             continue
         gens.append(_parse_support_line(line, raw, lineno))
     if degree is None:
@@ -420,6 +422,14 @@ def _is_number(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _value(digits: str) -> int | None:
+    """ASCII digits as an int, None if too many: int() refuses over 4300, leading zeros included."""
+    try:
+        return int(digits.strip().lstrip("0") or "0")
+    except ValueError:
+        return None
+
+
 def _largest(mask: int, big: set[int]) -> int:
     """The largest coordinate of a generator read by _parse_support_line."""
     return max(big) if big else mask.bit_length() - 1
@@ -440,7 +450,10 @@ def _parse_support_line(line: str, raw: str, lineno: int) -> tuple[int, set[int]
     for n, token in enumerate(tokens):
         tok = token.strip()
         if _is_number(tok):
-            i = int(tok)
+            i = _value(tok)
+            if i is None:
+                error = "number too long"
+                break
             if i > MAX_DEGREE:
                 if i in big:
                     error = f"duplicate coordinate {i}"
@@ -453,7 +466,10 @@ def _parse_support_line(line: str, raw: str, lineno: int) -> tuple[int, set[int]
             if not (_is_number(lo_s.strip()) and _is_number(hi_s.strip())):
                 error = f"bad range {tok!r}"
                 break
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _value(lo_s), _value(hi_s)
+            if lo is None or hi is None:
+                error = "number too long"
+                break
             if lo > hi:
                 error = f"empty range {tok!r}"
                 break

@@ -11,22 +11,23 @@ codewords, subject to:
 Tables are stored as 0/1 exponents indexed by span position: index x is the
 sum of the generators b_j with bit j set in x, written w_x.  Of all tables
 that satisfy the axioms, the builder returns the lexicographically least one
-in row-major order.  That table is linear in its second argument over the
-generator basis, phi(x, y) = xor of r(x, j) over the bits j of y, and r
-follows from the weights in closed form (after Griess, "Code loops", 1986):
+in row-major order.  With X the 2^k x k matrix of the bits of each x, G the
+k x m matrix of the generators and B the k x k matrix with |b_i|/4 at
+(i, i), |b_i & b_j|/2 at (i, j) for i > j and 0 above the diagonal, it is
 
-    r(0, j)   = 0
-    r(e_i, j) = |b_i|/4 if i = j,  |b_i & b_j|/2 if i > j,  0 if i < j
-    r(x, j)   = r(e_i, j) + r(x', j) + |b_i & w_x' & b_j|
+    phi = X B X^T + floor(X G / 2) (X G)^T   mod 2.
 
-all mod 2, where i is the lowest set bit of x and x' = x with bit i
-cleared.  |b_i & w_x' & b_j| is the xor of |b_i & b_l & b_j| over the bits
-l of x', so basis_table needs only the basis square, commutator and
-triple-meet bits, which build_factor_set reads off a code.  The diagonal
-is the squaring form q(x) = |w_x|/4 mod 2, from which
-loops.characteristic_vector and loops.classify read their signs, so the
-signs derive from this one recursion.  associator_bits reads the
-associators, for CodeLoop.is_associative and loops.classify.
+This unrolls the recursion of Griess ("Code loops", 1986): phi(x, y) sums
+r(x, j) over the bits j of y, and r(x, j) = r(e_i, j) + r(x', j) +
+|b_i & w_x' & b_j| for i the lowest bit of x and x' = x - e_i, so r(x, j)
+is B[i, j] summed over the bits i of x plus |b_i & b_l & b_j| over their
+pairs i < l.  Entry (x, c) of X G counts the generators of x that hold
+coordinate c, and the pairs among n of them, C(n, 2), are odd exactly
+when floor(n/2) is: the second product sums the triple meets.  The
+diagonal is the squaring form q(x) = |w_x|/4 mod 2, from which
+loops.characteristic_vector and loops.classify read their signs.
+associator_bits reads the associators, for CodeLoop.is_associative and
+loops.classify.
 
 Tables with k <= 6 are also handled as bit rows: row x of phi is one
 2^k-bit word, bit y = phi(x, y), so one uint64 holds it.  The translates
@@ -57,9 +58,6 @@ import numpy as np
 from .codes import BinaryCode, InvalidCodeError, NotDoublyEvenError
 
 MAX_DIMENSION = 6  # the table has 4^k entries, and a row fits in a uint64
-
-# _PARITY[m] = |m| mod 2 for every k-bit mask m, k <= MAX_DIMENSION
-_PARITY = np.array([m.bit_count() & 1 for m in range(1 << MAX_DIMENSION)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -109,44 +107,25 @@ class FactorSet:
 def build_factor_set(code: BinaryCode) -> FactorSet:
     """The lexicographically least factor set of a doubly even code.
 
-    Reads the basis data off the generators and runs basis_table on it.
+    Evaluates the closed form of the module docstring in float32: every
+    sum is an integer below 2^24, so the products are exact.
     """
     if not code.is_doubly_even():
         raise NotDoublyEvenError(code.first_odd_span_element())
     k = code.dimension
     if k > MAX_DIMENSION:
         raise InvalidCodeError(f"dimension {k} exceeds solver cap {MAX_DIMENSION}")
-    gens = [g.mask() for g in code.generators]
-    squares = [(b.bit_count() >> 2) & 1 for b in gens]
-    commutators = [[((bi & bj).bit_count() >> 1) & 1 for bj in gens] for bi in gens]
-    triples = [[[(bi & bl & bj).bit_count() & 1 for bj in gens] for bl in gens] for bi in gens]
-    return FactorSet(code, basis_table(squares, commutators, triples))
-
-
-def basis_table(squares, commutators, triples) -> np.ndarray:
-    """The least factor set table of a basis of k <= MAX_DIMENSION words, from its bits alone.
-
-    squares[i] = |b_i|/4, commutators[i][j] = |b_i & b_j|/2 and
-    triples[i][l][j] = |b_i & b_l & b_j|, all mod 2.  Row x is phi(x, y) =
-    xor of r(x, j) over the generators j in y, and r follows the recursion
-    in the module docstring, with |b_i & w_x' & b_j| the xor of the
-    triples[i][l][j] over the bits l of x'.
-    """
-    k = len(squares)
-    n = 1 << k
-    bits = lambda row: sum(b << j for j, b in enumerate(row))
-    # r(e_i, .) as a bitmask over j: square bit at i, commutator bits below i
-    base = [squares[i] << i | bits(commutators[i][:i]) for i in range(k)]
-    meets = [[bits(row) for row in plane] for plane in triples]  # over j, per (i, l)
-    rows = [0] * n  # rows[x] bit j = r(x, j); r(0, .) = 0
-    for x in range(1, n):
-        i = (x & -x).bit_length() - 1
-        rest = x ^ (1 << i)
-        r = base[i] ^ rows[rest]
-        for l, meet in enumerate(meets[i]):
-            r ^= meet if rest >> l & 1 else 0
-        rows[x] = r
-    return _PARITY[np.array(rows, dtype=np.uint8)[:, None] & np.arange(n, dtype=np.uint8)]
+    size = -(-code.degree // 8)  # bytes per generator
+    masks = b"".join(g.mask().to_bytes(size, "little") for g in code.generators)
+    masks = np.frombuffer(masks, dtype=np.uint8).reshape(k, size)
+    gens = np.unpackbits(masks, axis=1, bitorder="little").astype(np.float32)  # G, 0 past the degree
+    span = np.arange(1 << k, dtype=np.uint8)[:, None]
+    x = np.unpackbits(span, axis=1, count=k, bitorder="little").astype(np.float32)  # X
+    i = np.arange(k, dtype=np.float32)[:, None]
+    basis = gens @ gens.T * (np.sign(i - i.T) + 1) / 4  # B: meets/2 below the diagonal, /4 on it
+    counts = x @ gens  # n_x(c)
+    phi = x @ basis @ x.T + np.floor(counts / 2) @ counts.T
+    return FactorSet(code, phi.astype(np.uint16) & 1)
 
 
 # _CLEAR[b] marks the bit positions y < 64 with bit b of y clear

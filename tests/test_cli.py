@@ -188,6 +188,25 @@ def test_malformed_code_file_exits_1_without_traceback(capsys, tmp_path, content
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["construct", "classify", "iso"])
+def test_long_numbers_in_a_code_literal_exit_without_traceback(capsys, tmp_path, command):
+    # int() refuses more than 4300 digits: zero padding is dropped first, and
+    # a number still too long is one error line
+    files = {}
+    for name, text in [
+        ("plain", "degree=8\n1-4\n"),
+        ("padded", "degree=" + "0" * 4400 + "8\n1-" + "0" * 4400 + "4\n"),
+        ("long", "degree=8\n1-7," + "9" * 5000 + "\n"),
+    ]:
+        files[name] = tmp_path / f"{name}.code"
+        files[name].write_text(text)
+    argv = lambda name: [files[name]] * (2 if command == "iso" else 1)
+    assert run(capsys, command, *argv("padded")) == run(capsys, command, *argv("plain"))
+    assert run(capsys, command, *argv("long")) == (
+        1, "", "error: line 2, col 5: number too long\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, odd, expected",
     [

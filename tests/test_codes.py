@@ -506,3 +506,38 @@ def test_parse_errors_keep_their_text_and_order(text, message):
     with pytest.raises(InvalidCodeError) as exc:
         parse_code(text)
     assert str(exc.value) == message
+
+
+# int() refuses a string of more than 4300 digits, leading zeros included
+_PAD = "0" * 4400
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,same_as",
+    [
+        (f"degree={_PAD}8\n1-8\n", "degree=8\n1-8\n"),
+        (f"1-{_PAD}4\n", "1-4\n"),
+        (f"degree=8\n{_PAD}1, {_PAD}2 ,3,{_PAD}4\n", "degree=8\n1,2,3,4\n"),
+        (f"{_PAD}5-8\n1-4\n", "5-8\n1-4\n"),
+    ],
+    ids=["degree", "run-end", "coordinates", "run-start"],
+)
+def test_zero_padded_numbers_parse_as_their_value(text, same_as):
+    assert parse_code(text) == parse_code(same_as)  # same degree and generator masks
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (f"degree={_LONG}\n1-4\n", "line 1, col 8: number too long"),
+        (f"degree=8\n1-7,{_LONG}\n", "line 2, col 5: number too long"),
+        (f"1-{_LONG}\n", "line 1, col 1: number too long"),
+        (f"1,2,{_PAD}{_LONG}-9\n", "line 1, col 5: number too long"),
+    ],
+    ids=["degree", "coordinate", "run-end", "run-start"],
+)
+def test_numbers_too_long_for_int_are_refused_with_their_position(text, message):
+    with pytest.raises(InvalidCodeError) as exc:
+        parse_code(text)
+    assert str(exc.value) == message

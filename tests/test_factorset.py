@@ -30,6 +30,15 @@ from strategies import doubly_even_codes
 
 
 def test_zero_dimensional_code():
+    # no generators: X is 1 x 0 and G has no rows, so both products are empty sums
+    code = parse_code("degree=5\n")
+    assert code.dimension == 0
+    phi = build_factor_set(code)
+    assert phi.table == [[0]]
+    assert verify_factor_set(phi) == []
+
+
+def test_one_generator_code():
     code = parse_code("degree=4\n1,2,3,4\n")
     phi = build_factor_set(code)
     assert phi.size == 2
