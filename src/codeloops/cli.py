@@ -487,6 +487,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # the inputs and --out report their own errors, so this is stdout
+        # (a full disk, say); quiet the flush at exit as above
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 1
     except InvalidCodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -62,7 +62,7 @@ from .codes import (
     RepType,
     _mask_rank,
 )
-from .loops import CharVector, LoopClass, build_loop, classify
+from .loops import _RANKS, CharVector, LoopClass, build_loop, classify
 from .subsets import (
     _SUBSETS,
     _least_completion,
@@ -120,24 +120,22 @@ def _vector_class(name: str, base: type, prefix: str, labels, rank: int, doc: st
     )
 
 
-ParamVector3 = _vector_class(
-    "ParamVector3", _ParamVector, "t", _SUBSETS[3].labels, 3,
-    "Intersection cardinalities of a rank 3 basis.",
-)
-ParamVector4 = _vector_class(
-    "ParamVector4", _ParamVector, "t", _SUBSETS[4].labels, 4,
-    "Intersection cardinalities of a rank 4 basis.",
-)
-Solution3 = _vector_class(
-    "Solution3", _SubsetVector, "x", _SUBSETS[3].labels[1:], 3,
-    "Class sizes solving the rank 3 system (the triple class size is t123).",
-)
-Solution4 = _vector_class(
-    "Solution4", _SubsetVector, "x", _SUBSETS[4].labels[1:], 4,
-    "Class sizes solving the rank 4 system (the quadruple class size is t1234).",
-)
-_PARAMS = {3: ParamVector3, 4: ParamVector4}
-_SOLUTIONS = {3: Solution3, 4: Solution4}
+_PARAMS: dict[int, type] = {}
+_SOLUTIONS: dict[int, type] = {}
+for _rank in _RANKS:
+    _labels = _SUBSETS[_rank].labels
+    _PARAMS[_rank] = _vector_class(
+        f"ParamVector{_rank}", _ParamVector, "t", _labels, _rank,
+        f"Intersection cardinalities of a rank {_rank} basis.",
+    )
+    _SOLUTIONS[_rank] = _vector_class(
+        f"Solution{_rank}", _SubsetVector, "x", _labels[1:], _rank,
+        f"Class sizes solving the rank {_rank} system (the top class size is t{_labels[0]}).",
+    )
+del _rank, _labels
+# module-level names, so that pickle finds the classes
+ParamVector3, ParamVector4 = _PARAMS[3], _PARAMS[4]
+Solution3, Solution4 = _SOLUTIONS[3], _SOLUTIONS[4]
 
 
 def congruence_targets(cv: CharVector) -> dict[str, tuple[int, int]]:
@@ -218,89 +216,85 @@ _new = object.__new__
 _set = object.__setattr__  # Representation refuses plain assignment
 
 
+def _fill(rep, target, degree, row, t, generators):
+    _set(rep, "target", target)
+    _set(rep, "degree", degree)
+    _set(rep, "row", row)
+    _set(rep, "_t", t)
+    _set(rep, "_generators", generators)  # None: laid out from the row on first read
+    return rep
+
+
+def _layout(rank: int, row: tuple[int, ...]) -> Iterator[tuple[str, tuple[int, ...], int, int]]:
+    """The nonempty classes of a row (t_top, *x) in the interval layout.
+
+    Yields each class's label, the generators containing it, its 0-based
+    first coordinate and its size: the classes take consecutive
+    coordinates in layout order, and empty classes are skipped.
+    """
+    start = 0
+    for label, position, members in _BLOCKS[rank]:
+        size = row[position]
+        if size:
+            yield label, members, start, size
+            start += size
+
+
 class Representation:
     """A reduced representation of a loop class: one row of its reduced box.
 
-    A representation is its target, its degree and its box row: the class
-    sizes in subset order (a row of Box.x, row[0] the top meet) and the
-    meet sizes t.  The row fixes the code, and everything else is built
-    from it on first read: params and solution from the row, the classes
-    (the coordinates of each nonempty class in the interval layout) by
-    _layout_classes, and the generators by assemble_generators.  So a
-    representation costs what is read of it, and a report that reads only
-    the class sizes of most leaves never lays them out.
+    A representation stores its target, its degree, its row (the class
+    sizes in subset order, a row of Box.x, row[0] the top meet) and the
+    meet sizes t the row fixes.  params, solution and classes (the
+    coordinates of each nonempty class in the interval layout) are views
+    of the row, and the generators are laid out from it by
+    assemble_generators on first read unless they were given.  So a report
+    that reads only the class sizes of most leaves never lays them out.
 
+    enumerate_reduced makes its representations from box rows (_from_row).
     Representation(target, params, solution, classes, generators, degree)
-    takes all six values as assemble_generators builds them, classes None
-    to derive them from the row; enumerate_reduced makes its
-    representations from box rows (_from_row).
-    Equality and the hash are over the six values, which lays out the code.
-    Instances are immutable.
+    takes the row and t from params and solution and keeps the generators;
+    classes is not stored, since the row gives them.  Equality and the
+    hash are over the six values, which lays out the code.  Instances are
+    immutable.
     """
 
-    __slots__ = (
-        "target", "degree", "_row", "_t", "_params", "_solution", "_classes", "_generators",
-        "__weakref__",
-    )
+    __slots__ = ("target", "degree", "row", "_t", "_generators", "__weakref__")
 
     def __init__(
         self,
         target: LoopClass,
         params: ParamVector3 | ParamVector4,
         solution: Solution3 | Solution4,
-        classes: tuple[tuple[str, tuple[int, ...]], ...] | None,  # nonempty (label, coords)
+        classes: tuple[tuple[str, tuple[int, ...]], ...] | None,  # read off the row instead
         generators: tuple[Codeword, ...],
         degree: int,
     ):
-        _set(self, "target", target)
-        _set(self, "degree", degree)
-        _set(self, "_row", None)  # built from params and solution on first read
-        _set(self, "_t", None)
-        _set(self, "_params", params)
-        _set(self, "_solution", solution)
-        _set(self, "_classes", classes)
-        _set(self, "_generators", generators)
+        t = params.as_tuple()
+        # the top class lies in every generator, so its size is its meet
+        _fill(self, target, degree, t[:1] + solution.as_tuple(), t, generators)
 
     @classmethod
     def _from_row(
         cls, target: LoopClass, degree: int, row: tuple[int, ...], t: tuple[int, ...]
     ) -> "Representation":
         """The representation of a box row: class sizes in subset order, then its meets t."""
-        rep = _new(cls)
-        _set(rep, "target", target)
-        _set(rep, "degree", degree)
-        _set(rep, "_row", row)
-        _set(rep, "_t", t)
-        _set(rep, "_params", None)
-        _set(rep, "_solution", None)
-        _set(rep, "_classes", None)
-        _set(rep, "_generators", None)
-        return rep
-
-    @property
-    def row(self) -> tuple[int, ...]:
-        """The class sizes in subset order, row[0] the top meet, as in a row of Box.x."""
-        if self._row is None:
-            _set(self, "_row", self._params.as_tuple()[:1] + self._solution.as_tuple())
-        return self._row
+        return _fill(_new(cls), target, degree, row, t, None)
 
     @property
     def params(self) -> ParamVector3 | ParamVector4:
-        if self._params is None:
-            _set(self, "_params", _PARAMS[self.target.rank](*self._t))
-        return self._params
+        return _PARAMS[self.target.rank](*self._t)
 
     @property
     def solution(self) -> Solution3 | Solution4:
-        if self._solution is None:
-            _set(self, "_solution", _SOLUTIONS[self.target.rank](*self._row[1:]))
-        return self._solution
+        return _SOLUTIONS[self.target.rank](*self.row[1:])
 
     @property
     def classes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        if self._classes is None:
-            _set(self, "_classes", _layout_classes(self.target.rank, self.row))
-        return self._classes
+        return tuple(
+            (label, tuple(range(start + 1, start + size + 1)))
+            for label, _, start, size in _layout(self.target.rank, self.row)
+        )
 
     @property
     def generators(self) -> tuple[Codeword, ...]:
@@ -357,46 +351,19 @@ def assemble_generators(t, x, target: LoopClass) -> Representation:
     """
     rank = target.rank
     t_values = t.as_tuple()
-    # the top class lies in every generator, so its size is its meet
-    sizes = t_values[:1] + x.as_tuple()
+    row = t_values[:1] + x.as_tuple()  # as Representation stores it
     masks = [0] * rank
-    degree = 0  # coordinates laid out so far
-    for _, position, members in _BLOCKS[rank]:
-        size = sizes[position]
-        if size == 0:
-            continue
-        block = ((1 << size) - 1) << degree
+    for _, members, start, size in _layout(rank, row):
+        block = ((1 << size) - 1) << start
         for i in members:
             masks[i] |= block
-        degree += size
     if _mask_rank(masks) != rank:
         raise InvalidCodeError("generators are linearly dependent")
     if _mask_meets(rank, masks) != t_values:
         raise InternalInvariantError("assembled generators do not reproduce t")
-    return Representation(
-        target=target,
-        params=t,
-        solution=x,
-        classes=None,  # derived from the row when read
-        generators=tuple(Codeword.from_mask(degree, m) for m in masks),
-        degree=degree,
-    )
-
-
-def _layout_classes(rank: int, sizes: tuple[int, ...]) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """The nonempty classes of a row (t_top, *x) as (label, coordinates), laid out as intervals.
-
-    The layout of assemble_generators: the classes in layout order take
-    consecutive coordinates from 1, and empty classes are skipped.
-    """
-    classes = []
-    degree = 0
-    for label, position, _ in _BLOCKS[rank]:
-        size = sizes[position]
-        if size:
-            classes.append((label, tuple(range(degree + 1, degree + size + 1))))
-            degree += size
-    return tuple(classes)
+    degree = sum(row)
+    generators = tuple(Codeword.from_mask(degree, m) for m in masks)
+    return _fill(_new(Representation), target, degree, row, t_values, generators)
 
 
 def _as_loop_class(target: LoopClass | CharVector | str) -> LoopClass:

@@ -32,11 +32,14 @@ table of bit-row words; the broadcast checks here index phi itself.
 
 The library reads a code literal straight into generator masks, a run as
 one block of bits; the set parser here adds every coordinate of a run to
-a set one at a time and builds each Codeword from its set.
+a set one at a time and builds each Codeword from its set.  Both read a
+number by its significant digits: leading zeros are dropped, and more
+digits than int() reads from a string are refused.
 """
 
 import functools
 import operator
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -483,7 +486,7 @@ def _set_parse_code(text):
             value = line[len("degree="):]
             if not _is_number(value):
                 raise InvalidCodeError(f"line {lineno}, col 8: bad degree {value!r}")
-            degree = int(value)
+            degree = _set_number(value, f"line {lineno}, col 8")
             continue
         gens.append(_set_support_line(line, raw, lineno))
     if degree is None:
@@ -500,6 +503,14 @@ def _set_parse_code(text):
     return BinaryCode(degree, words)
 
 
+def _set_number(text, loc):
+    """ASCII digits as an int, leading zeros dropped; refused at loc past int()'s digit limit."""
+    digits = text.strip().lstrip("0") or "0"
+    if len(digits) > sys.get_int_max_str_digits() > 0:
+        raise InvalidCodeError(f"{loc}: number too long")
+    return int(digits)
+
+
 def _set_support_line(line, raw, lineno):
     support = set()
     col = raw.index(line) + 1
@@ -513,14 +524,14 @@ def _set_support_line(line, raw, lineno):
             lo_s, _, hi_s = tok.partition("-")
             if not (_is_number(lo_s.strip()) and _is_number(hi_s.strip())):
                 raise InvalidCodeError(f"{loc}: bad range {tok!r}")
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _set_number(lo_s, loc), _set_number(hi_s, loc)
             if lo > hi:
                 raise InvalidCodeError(f"{loc}: empty range {tok!r}")
             if hi > MAX_DEGREE:  # refuse before building the range
                 raise InvalidCodeError(f"{loc}: coordinate {hi} out of range 1..{MAX_DEGREE}")
             entries = range(lo, hi + 1)
         elif _is_number(tok):
-            entries = [int(tok)]
+            entries = [_set_number(tok, loc)]
         else:
             raise InvalidCodeError(f"{loc}: bad coordinate {tok!r}")
         for i in entries:

@@ -1,6 +1,7 @@
 """Command line behavior: output fields, exit codes, determinism."""
 
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -325,6 +326,25 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
         assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err
     assert err == "error: stdout was closed before the output was written\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_stdout_exits_1_without_traceback():
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "codeloops.cli", "minimal", "--loop", "C3_1"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_enumerate_tiny_bound_is_valid_and_empty(capsys):

@@ -414,6 +414,28 @@ def test_format_uses_runs_of_three_or_more():
 _COORDINATES = st.one_of(
     st.sampled_from([0, 1, 2, 3, 4, 127, 128, 129, 10**9]), st.integers(1, 128)
 )
+# int() refuses a string of more than 4300 digits, leading zeros included
+_PAD = "0" * 4400
+_LONG = "9" * 5000
+
+
+def _spelled(draw, value, clean):
+    """A number as a literal may write it: plain or zero-padded, or if not clean a long one.
+
+    The long numbers are the most digits int() reads (a number far past
+    any degree) and one digit more, which the parser refuses.
+    """
+    forms = ["plain"] * 3 + ["zeros", "padded"] + ([] if clean else ["limit", "long"])
+    form = draw(st.sampled_from(forms))
+    if form == "zeros":
+        return "0" * draw(st.integers(1, 3)) + str(value)
+    if form == "padded":
+        return _PAD + str(value)
+    if form == "limit":
+        return "9" * 4300
+    if form == "long":
+        return "1" + "0" * 4300
+    return str(value)
 
 
 @st.composite
@@ -422,10 +444,11 @@ def _tokens(draw, clean):
     kinds = ["coordinate"] * 2 + ["run"] + ([] if clean else ["reversed", "past", "blank", "junk"])
     kind = draw(st.sampled_from(kinds))
     if kind == "coordinate":
-        token = str(draw(_COORDINATES))
+        token = _spelled(draw, draw(_COORDINATES), clean)
     elif kind == "run":
         lo = draw(st.integers(0, 128))
-        token = f"{lo}-{draw(st.integers(lo, min(lo + 3, 128)))}"
+        hi = draw(st.integers(lo, min(lo + 3, 128)))
+        token = f"{_spelled(draw, lo, clean)}-{_spelled(draw, hi, clean)}"
     elif kind == "reversed":
         hi = draw(st.integers(0, 127))
         token = f"{draw(st.integers(hi + 1, 128))}-{hi}"
@@ -441,7 +464,7 @@ def _tokens(draw, clean):
 
 @st.composite
 def _literals(draw):
-    """A code literal from random tokens: duplicates, blank lines and an optional degree header.
+    """A code literal from random tokens: duplicates, blank lines, padded or long numbers, a header.
 
     Half of the literals have clean tokens and header, so that they reach
     the degree and coordinate checks after the lines are read, or parse.
@@ -456,14 +479,16 @@ def _literals(draw):
         if not clean and draw(st.booleans()):  # a token again, within a run or across tokens
             tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(tokens)))
         lines.append(draw(st.sampled_from(["", " ", "\t "])) + ",".join(tokens))
-    numbers = [int(n) for line in lines for n in line.replace("-", ",").split(",")
-               if n.strip().isascii() and n.strip().isdigit()]
-    largest = max(numbers, default=1)
+    numbers = [n.strip().lstrip("0") or "0" for line in lines
+               for n in line.replace("-", ",").split(",") if n.strip().isascii() and n.strip().isdigit()]
+    largest = max([int(n) for n in numbers if len(n) <= 4300], default=1)
     header = draw(st.sampled_from(["none", "degree", "below"] + ([] if clean else ["junk"])))
     if header == "degree":
-        lines.insert(0, f"degree={draw(st.sampled_from([0, 1, 8, 64, 128, 129, 10**9]))}")
+        degree = draw(st.sampled_from([0, 1, 8, 64, 128, 129, 10**9]))
+        lines.insert(0, f"degree={_spelled(draw, degree, clean)}")
     elif header == "below":  # a degree below the largest coordinate
-        lines.insert(0, f"degree={max(0, largest - draw(st.integers(1, 3)))}")
+        degree = max(0, largest - draw(st.integers(1, 3)))
+        lines.insert(0, f"degree={_spelled(draw, degree, clean)}")
     elif header == "junk":
         lines.insert(0, draw(st.sampled_from(["degree=x", "degree= 8", "degree=", "degree=8x"])))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
@@ -506,11 +531,6 @@ def test_parse_errors_keep_their_text_and_order(text, message):
     with pytest.raises(InvalidCodeError) as exc:
         parse_code(text)
     assert str(exc.value) == message
-
-
-# int() refuses a string of more than 4300 digits, leading zeros included
-_PAD = "0" * 4400
-_LONG = "9" * 5000
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,7 @@ from codeloops.cli import main
 from codeloops.codes import _mask_rank
 from codeloops.search import (
     Box,
+    Representation,
     SearchStats,
     _independent,
     _representations,
@@ -245,7 +246,7 @@ def test_assembled_classes_are_read_off_the_row_as_the_coordinate_classes_of_the
         assert reps, name
         for rep in reps:
             full = assemble_generators(rep.params, rep.solution, rep.target)
-            assert full._classes is None
+            assert not hasattr(full, "_classes")  # read off the row, not stored
             part = full.code().coordinate_classes()
             assert tuple(frozenset(coords) for _, coords in full.classes) == part.classes
             signatures = tuple(sum(1 << int(ch) - 1 for ch in label) for label, _ in full.classes)
@@ -873,18 +874,37 @@ def test_independent_rows_have_generators_of_full_rank(rank):
 
 
 def _assert_row_backed_equals_assembled(rep, loop_class, x, t, degree):
-    """A representation enumerate_reduced yields for a box row against assemble_generators."""
+    """A representation enumerate_reduced yields for a box row against assemble_generators.
+
+    A third one comes from the public constructor, given its six values as
+    bench/checks.py gives them for a record: classes (), the generators
+    laid out.
+    """
     params = ParamVector3 if loop_class.rank == 3 else ParamVector4
     solution = Solution3 if loop_class.rank == 3 else Solution4
     oracle = assemble_generators(params(*t), solution(*x[1:]), loop_class)
-    assert rep.row == tuple(x)
-    assert rep.degree == degree == oracle.degree
+    public = Representation(
+        target=loop_class, params=params(*t), solution=solution(*x[1:]), classes=(),
+        generators=oracle.generators, degree=oracle.degree,
+    )
+    # params, solution and classes are views of the row: reading them lays out no code
+    with mock.patch.object(search, "assemble_generators", side_effect=AssertionError):
+        for other in (rep, public):
+            for name in ("params", "solution", "classes"):
+                assert getattr(other, name) == getattr(oracle, name), name
+    assert rep._generators is None
+    assert rep.row == public.row == oracle.row == tuple(x)
+    assert rep._t == public._t == oracle._t == tuple(t)
+    assert rep.degree == public.degree == degree == oracle.degree
     # read from the row alone, then each attribute laid out on first read
     assert rep.rep_type() == oracle.rep_type()
     for name in ("target", "params", "solution", "classes", "generators", "degree"):
         assert getattr(rep, name) == getattr(oracle, name), name
     assert rep == oracle and oracle == rep
-    assert hash(rep) == hash(oracle)
+    assert public == rep and rep == public and public == oracle
+    assert hash(rep) == hash(oracle) == hash(public)
+    assert verify_representation(rep) and verify_representation(public)
+    assert verify_representation(oracle)
     assert set(rep.code().span_masks()) == set(oracle.code().span_masks())
     for name in ("target", "degree", "generators", "row"):
         with pytest.raises(FrozenInstanceError):
