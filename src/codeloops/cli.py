@@ -13,6 +13,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -389,12 +390,13 @@ def _conjecture_groups(rank: int, max_degree: int):
     return groups, total
 
 
+# 8^i, the weight of class size i in a packed row of 2^k - 1 classes
+_POWERS_OF_8 = tuple(8**i for i in range((1 << max(_RANKS)) - 1))
+
+
 def _pack(row: tuple[int, ...]) -> int:
     """A box row as one int: class size i in bits 3i..3i+2 (45 bits at rank 4)."""
-    packed = 0
-    for size in reversed(row):
-        packed = packed << 3 | size
-    return packed
+    return sum(map(mul, row, _POWERS_OF_8))
 
 
 def _packed_images(target: LoopClass, row: tuple[int, ...]) -> set[int]:
@@ -406,7 +408,7 @@ def _packed_images(target: LoopClass, row: tuple[int, ...]) -> set[int]:
     if max(row) >= 8:
         raise InternalInvariantError(f"class size {max(row)} of a box row does not fit in 3 bits")
     images = np.array(row, dtype=np.int64)[box_stabilizer(target)]
-    return set((images << 3 * np.arange(len(row))).sum(axis=1).tolist())
+    return set((images @ np.array(_POWERS_OF_8[: len(row)], dtype=np.int64)).tolist())
 
 
 def _cross_check(group: _Group) -> None:

@@ -43,18 +43,21 @@ or one dict lookup, so the search tree and the witness are unchanged.
 The per-code search data comes from the class masks and signatures of
 coordinate_classes, not from the span read coordinate by coordinate: the
 class order and the class profiles follow from the signatures and the span
-weights (see _class_data).  Classes stay int masks through the search, so
-no coordinate is touched until the witness is written out from the set
-bits of the matched masks.  The data is computed once and kept on the
+weights (see _class_data).  A profile is gathered from the span weights
+through one cached itemgetter per dimension and signature.  Classes stay
+int masks through the search, so no coordinate is touched until the
+witness is written out: the lowest set bits of each matched pair of masks
+are peeled together.  The data is computed once and kept on the
 BinaryCode, like its span, so a code tested against many others pays for
-it once.  The witness is checked on the generator masks: their images must
-lie in the other span.
+it once.  The witness is checked on the generator masks, each set bit
+mapped to its image bit: the images must lie in the other span.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -92,15 +95,36 @@ class _ClassData(NamedTuple):
 _REVERSED_BYTE = tuple(int(f"{v:08b}"[::-1], 2) for v in range(256))
 
 # the holders of every signature of dimension at most 8 fit in the cache
-# (502 tuples of at most 128 small ints); above that a class's holders are
-# listed afresh, as a table of dimension k would hold 2^k x 2^(k-1) words
+# (502 tuples of at most 128 small ints), and so do their getters; above
+# that a class's holders are listed afresh, as a table of dimension k would
+# hold 2^k x 2^(k-1) words
 _CACHED_DIMENSION = 8
+_CACHE_SIZE = sum((1 << k) - 1 for k in range(1, _CACHED_DIMENSION + 1))
 
 
-@functools.lru_cache(maxsize=sum((1 << k) - 1 for k in range(1, _CACHED_DIMENSION + 1)))
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _holders(k: int, sig: int) -> tuple[int, ...]:
     """The span words x < 2^k that hold the class of signature sig: |x & sig| odd."""
     return tuple([x for x in range(1 << k) if (x & sig).bit_count() & 1])
+
+
+def _gather(holders: tuple[int, ...]) -> Callable[[list[int]], tuple[int, ...]]:
+    """A getter of the entries at holders, as a tuple even for one holder."""
+    if len(holders) == 1:  # only at k = 1; itemgetter of one index gives a scalar
+        (x,) = holders
+        return lambda weights: (weights[x],)
+    return itemgetter(*holders)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _holder_weights(k: int, sig: int) -> Callable[[list[int]], tuple[int, ...]]:
+    """The getter of the span weights at _holders(k, sig), kept to dimension 8 as _holders."""
+    return _gather(_holders(k, sig))
+
+
+def _fresh_holder_weights(k: int, sig: int) -> Callable[[list[int]], tuple[int, ...]]:
+    """The getter of _holder_weights, listed afresh: nothing above dimension 8 is cached."""
+    return _gather(_holders.__wrapped__(k, sig))
 
 
 def _class_data(code: BinaryCode) -> _ClassData:
@@ -116,13 +140,14 @@ def _class_data(code: BinaryCode) -> _ClassData:
     at x = 2^j, j the lowest bit where their signatures differ, and they
     sort as the signatures read with bit 0 most significant.  The words
     that hold signature s depend on s and the dimension k alone, so a
-    profile is the span weights gathered at _holders(k, s), sorted.
+    profile is the span weights gathered at _holders(k, s), sorted, through
+    one itemgetter per (k, s) (_holder_weights).
     """
     if code._class_data is None:
         part = code.coordinate_classes()
         k = code.dimension
-        weights = [m.bit_count() for m in code.span_masks()]  # k <= MAX_SPAN_DIMENSION = 16
-        holders = _holders if k <= _CACHED_DIMENSION else _holders.__wrapped__
+        weights = list(map(int.bit_count, code.span_masks()))  # k <= MAX_SPAN_DIMENSION = 16
+        getter = _holder_weights if k <= _CACHED_DIMENSION else _fresh_holder_weights
         shift = 16 - k
         order = sorted(
             (m.bit_count(), (_REVERSED_BYTE[s & 255] << 8 | _REVERSED_BYTE[s >> 8]) >> shift, m, s)
@@ -131,9 +156,7 @@ def _class_data(code: BinaryCode) -> _ClassData:
         code._class_data = _ClassData(
             classes=tuple([m for _, _, m, _ in order]),
             signatures=tuple([s for _, _, _, s in order]),
-            profiles=tuple([
-                (size, *sorted([weights[x] for x in holders(k, s)])) for size, _, _, s in order
-            ]),
+            profiles=tuple([(size, *sorted(getter(k, s)(weights))) for size, _, _, s in order]),
             residue=part.residue_mask,
         )
     return code._class_data
@@ -155,11 +178,14 @@ def code_isomorphism(a: BinaryCode, b: BinaryCode) -> tuple[int, ...] | None:
     if sigma is None:
         return None
     perm = [0] * a.degree
-    for ai, bi in enumerate(sigma):
-        for src, dst in zip(_coordinates(da.classes[ai]), _coordinates(db.classes[bi])):
-            perm[src - 1] = dst
-    for src, dst in zip(_coordinates(da.residue), _coordinates(db.residue)):
-        perm[src - 1] = dst
+    # the lowest set bits of a class and of its image are peeled together
+    images = [db.classes[bi] for bi in sigma]
+    for src, dst in zip((*da.classes, da.residue), (*images, db.residue)):
+        while src:
+            low = src & -src
+            perm[low.bit_length() - 1] = (dst & -dst).bit_length()
+            src ^= low
+            dst &= dst - 1
     _check_permutation(a, b, perm)
     return tuple(perm)
 
@@ -278,10 +304,13 @@ def _check_permutation(a: BinaryCode, b: BinaryCode, perm: list[int]) -> None:
     # under xor, so the image of span(a) lies in span(b) iff the images of
     # a's generators do
     span_b = set(b.span_masks())
+    bits = [1 << (p - 1) for p in perm]  # the image of each coordinate, as a mask
     for g in a.generators:
-        image = 0
-        for i in _coordinates(g.mask()):
-            image |= 1 << (perm[i - 1] - 1)
+        mask, image = g.mask(), 0
+        while mask:
+            low = mask & -mask
+            image |= bits[low.bit_length() - 1]
+            mask ^= low
         if image not in span_b:
             raise InternalInvariantError("isomorphism witness does not map span to span")
 

@@ -71,9 +71,12 @@ class FactorSet:
 
     def __init__(self, code: BinaryCode, table: np.ndarray | list[list[int]]):
         n = 1 << code.dimension
-        if len(table) != n or any(len(row) != n for row in table):
+        try:
+            given = np.asarray(table)
+        except ValueError:  # a ragged list
+            given = None
+        if given is None or given.shape != (n, n):
             raise InvalidCodeError("factor set table must be 2^k x 2^k")
-        given = np.asarray(table)
         phi = given.astype(np.uint8)
         if (phi > 1).any() or (phi != given).any():
             raise InvalidCodeError("factor set entries must be 0 or 1")

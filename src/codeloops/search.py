@@ -46,10 +46,10 @@ tree and from tables of the pair levels (_pair_tables).
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field, make_dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import product
 from math import comb
-from operator import and_, attrgetter
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -100,11 +100,10 @@ def _meet_sizes(rank: int, words: tuple[Codeword, ...]) -> tuple[int, ...]:
 
 def _mask_meets(rank: int, masks: list[int]) -> tuple[int, ...]:
     """Popcounts of the ANDs of the masks over every nonempty subset, in subset order."""
-    # the singles come last, in generator order
-    return (
-        *[reduce(and_, get(masks)).bit_count() for get in _SUBSETS[rank].meets],
-        *[m.bit_count() for m in masks],
-    )
+    ands = [-1]  # ands[u]: the AND of the masks at the bits of u, by doubling
+    for m in masks:
+        ands += [a & m for a in ands]
+    return tuple(map(int.bit_count, _SUBSETS[rank].in_order(ands)))
 
 
 def _vector_class(name: str, base: type, prefix: str, labels, rank: int, doc: str):
@@ -225,21 +224,6 @@ def _fill(rep, target, degree, row, t, generators):
     return rep
 
 
-def _layout(rank: int, row: tuple[int, ...]) -> Iterator[tuple[str, tuple[int, ...], int, int]]:
-    """The nonempty classes of a row (t_top, *x) in the interval layout.
-
-    Yields each class's label, the generators containing it, its 0-based
-    first coordinate and its size: the classes take consecutive
-    coordinates in layout order, and empty classes are skipped.
-    """
-    start = 0
-    for label, position, members in _BLOCKS[rank]:
-        size = row[position]
-        if size:
-            yield label, members, start, size
-            start += size
-
-
 class Representation:
     """A reduced representation of a loop class: one row of its reduced box.
 
@@ -254,9 +238,12 @@ class Representation:
     enumerate_reduced makes its representations from box rows (_from_row).
     Representation(target, params, solution, classes, generators, degree)
     takes the row and t from params and solution and keeps the generators;
-    classes is not stored, since the row gives them.  Equality and the
-    hash are over the six values, which lays out the code.  Instances are
-    immutable.
+    classes is not stored, since the row gives them.  So classes is the
+    row's interval layout: it describes the code's classes only when the
+    generators are in that layout, as every path of the library makes
+    them.  Generators in another coordinate order (a relabeled record,
+    say) are kept as given, not refused.  Equality and the hash are over
+    the six values, which lays out the code.  Instances are immutable.
     """
 
     __slots__ = ("target", "degree", "row", "_t", "_generators", "__weakref__")
@@ -291,10 +278,13 @@ class Representation:
 
     @property
     def classes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return tuple(
-            (label, tuple(range(start + 1, start + size + 1)))
-            for label, _, start, size in _layout(self.target.rank, self.row)
-        )
+        # the nonempty classes take consecutive coordinates in layout order
+        classes, start = [], 0
+        for label, position, _ in _BLOCKS[self.target.rank]:
+            if size := self.row[position]:
+                classes.append((label, tuple(range(start + 1, start + size + 1))))
+                start += size
+        return tuple(classes)
 
     @property
     def generators(self) -> tuple[Codeword, ...]:
@@ -353,10 +343,13 @@ def assemble_generators(t, x, target: LoopClass) -> Representation:
     t_values = t.as_tuple()
     row = t_values[:1] + x.as_tuple()  # as Representation stores it
     masks = [0] * rank
-    for _, members, start, size in _layout(rank, row):
-        block = ((1 << size) - 1) << start
-        for i in members:
-            masks[i] |= block
+    start = 0
+    for _, position, members in _BLOCKS[rank]:
+        if size := row[position]:
+            block = ((1 << size) - 1) << start
+            for i in members:
+                masks[i] |= block
+            start += size
     if _mask_rank(masks) != rank:
         raise InvalidCodeError("generators are linearly dependent")
     if _mask_meets(rank, masks) != t_values:

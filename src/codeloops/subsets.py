@@ -31,7 +31,9 @@ class _Subsets:
         )
         self.labels = tuple("".join(str(i + 1) for i in s) for s in self.sets)
         self.masks = tuple(sum(1 << i for i in s) for s in self.sets)  # the ANF monomials
-        self.meets = tuple(itemgetter(*s) for s in self.sets if len(s) > 1)
+        # reads a list indexed by subset mask (entry u for the generators at
+        # the bits of u) in scan order
+        self.in_order = itemgetter(*self.masks)
         # positions of the strict supersets of each subset
         self.above = tuple(
             tuple(j for j, u in enumerate(self.sets) if set(s) < set(u)) for s in self.sets

@@ -18,6 +18,10 @@ library also counts the pair levels below each prefix of its branch and
 bound from tables; _scan here walks every level one value at a time, and
 is the order oracle of the box walk too.
 
+The library takes the meets of a basis from the ANDs of all subsets of its
+masks, built by doubling; the reduce here ANDs the masks of each subset
+anew.
+
 The library splits coordinates into classes one generator mask at a time
 and derives the isomorphism search data from the class signatures; the
 bucket loop here reads every coordinate's generator bits, and the class
@@ -358,6 +362,18 @@ def _minimal_degree(loop_class, basis=0):
 
     descend(0, 0)
     return best, visited
+
+
+def _reduce_mask_meets(rank, masks):
+    """search._mask_meets by one reduce per subset of two or more masks, singles last."""
+    return (
+        *[
+            functools.reduce(operator.and_, operator.itemgetter(*s)(masks)).bit_count()
+            for s in _SUBSETS[rank].sets
+            if len(s) > 1
+        ],
+        *[m.bit_count() for m in masks],
+    )
 
 
 def _bucket_classes(code):

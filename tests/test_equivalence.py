@@ -515,6 +515,22 @@ def test_class_data_equals_oracle_on_random_codes(code):
     _assert_class_data_equals_oracle(code)
 
 
+def test_class_data_equals_oracle_at_dimension_1():
+    # one holder per class: the profile gather must still give a tuple
+    code = parse_code("degree=6\n1-4\n")
+    _assert_class_data_equals_oracle(code)
+    assert _class_data(code).profiles == ((4, 4),)
+
+
+def test_class_data_equals_oracle_at_dimension_9_past_the_caches():
+    code = parse_code("degree=14\n1-4\n3-6\n5-8\n7-10\n9-12\n11-14\n1,3,5,7\n2,4,6,8,10\n1,14\n")
+    assert code.dimension == 9
+    caches = (equivalence._holders, equivalence._holder_weights)
+    before = [cache.cache_info().currsize for cache in caches]
+    _assert_class_data_equals_oracle(code)
+    assert [cache.cache_info().currsize for cache in caches] == before
+
+
 @pytest.mark.parametrize("name", all_loop_ids())
 def test_class_data_equals_oracle_on_catalog_codes(name):
     code, other = _seeded_relabeling(name)

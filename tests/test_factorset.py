@@ -12,6 +12,7 @@ which the closed-form builder must reproduce bit for bit.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -134,6 +135,12 @@ def test_table_shape_validated():
     code = parse_code("degree=4\n1,2,3,4\n")
     with pytest.raises(InvalidCodeError):
         FactorSet(code, [[0, 0]])
+    # a 2 x 2 x 2 array has 2 rows of length 2, so only its shape tells it
+    # apart; a ragged list has no shape
+    with pytest.raises(InvalidCodeError, match=r"2\^k x 2\^k"):
+        FactorSet(code, np.zeros((2, 2, 2)))
+    with pytest.raises(InvalidCodeError, match=r"2\^k x 2\^k"):
+        FactorSet(code, [[0, 0], [0]])
 
 
 @pytest.mark.parametrize("entry", [2, -1, 256, 0.5])

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import codeloops
 from codeloops import (
+    Codeword,
     InternalInvariantError,
     InvalidCodeError,
     LoopClass,
@@ -67,6 +68,7 @@ from oracles import (
     _level_walk,
     _minimal_degree,
     _scan,
+    _reduce_mask_meets,
     _scan_branch_and_bound,
 )
 
@@ -196,6 +198,38 @@ def test_assemble_checks_the_meets_against_t():
     x = Solution3(1, 1, 1, 1, 1, 2)  # x3 = 2 makes t3 = 5, not 4
     with pytest.raises(InternalInvariantError, match="do not reproduce t"):
         assemble_generators(t, x, parse_loop_id("C3_1"))
+
+
+_MASKS = st.one_of(st.just(0), st.integers(0, 2**64 - 1), st.integers(2**64, 2**200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mask_meets_by_doubling_equal_the_per_subset_reduce(data):
+    # zero masks, word-size masks and masks wider than 64 bits
+    rank = data.draw(st.sampled_from([3, 4]))
+    masks = data.draw(st.lists(_MASKS, min_size=rank, max_size=rank))
+    assert search._mask_meets(rank, masks) == _reduce_mask_meets(rank, masks)
+
+
+def test_classes_of_relabeled_generators_are_the_row_layout():
+    # generators in another coordinate order are kept, not refused; classes
+    # is then the row's interval layout, not the code's classes
+    code = parse_code(SAMPLE_C4_16_A)
+    m = code.degree
+    generators = tuple(Codeword(m, [m + 1 - i for i in g.support]) for g in code.generators)
+    t = ParamVector4.from_words(*generators)
+    assert t == ParamVector4.from_words(*code.generators)
+    rep = Representation(
+        target=parse_loop_id("C4_16"), params=t, solution=solve_system4(t),
+        classes=(), generators=generators, degree=m,
+    )
+    assert rep.generators == generators
+    assert rep.classes == assemble_generators(t, solve_system4(t), rep.target).classes
+    laid_out = {frozenset(coordinates) for _, coordinates in rep.classes}
+    assert laid_out == set(code.coordinate_classes().classes)
+    assert laid_out != set(rep.code().coordinate_classes().classes)
+    assert verify_representation(rep)
 
 
 def test_enumerate_c3_1_to_degree_7():
