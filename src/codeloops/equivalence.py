@@ -61,8 +61,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .codes import BinaryCode, Codeword, InternalInvariantError, _coordinates
-from .loops import LoopClass, _general_linear, _orbit
+from .codes import BinaryCode, Codeword, InternalInvariantError, InvalidCodeError, _coordinates
+from .loops import LoopClass, _class_form, _general_linear
 from .search import _SUBSETS
 
 # invariant checks tried before any search, cheapest first; the name is the
@@ -294,7 +294,9 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
             images.pop()
         return False
 
-    return assigned if extend() else None
+    found = extend()
+    del extend  # the closure holds itself through its cell: free it without the collector
+    return assigned if found else None
 
 
 def _check_permutation(a: BinaryCode, b: BinaryCode, perm: list[int]) -> None:
@@ -326,20 +328,19 @@ def permute_code(code: BinaryCode, perm: tuple[int, ...]) -> BinaryCode:
 
 def cycle_notation(perm: tuple[int, ...]) -> str:
     """Render a 1-based permutation in cycle form, fixed points omitted."""
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise InvalidCodeError(f"not a permutation of 1..{len(perm)}")
     seen = set()
     out = []
     for start in range(1, len(perm) + 1):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        nxt = perm[start - 1]
-        while nxt != start:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt - 1]
+        cycle = []
+        i = start
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = perm[i - 1]
         if len(cycle) > 1:
-            out.append("(" + " ".join(str(i) for i in cycle) + ")")
+            out.append("(" + " ".join(map(str, cycle)) + ")")
     return "".join(out) if out else "()"
 
 
@@ -365,8 +366,10 @@ def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
     is uint8, read-only, and built on first use for each class.
     """
     k = loop_class.rank
-    orbit = _orbit(loop_class.vector)
-    bases = _general_linear(k)[0][orbit == orbit[0]]
+    rows, images = _general_linear(k)
+    q = _class_form(loop_class.vector)
+    # q_L read in each basis against q_L, a word at a time
+    bases = rows[functools.reduce(np.logical_and, (q[w] == q[y] for y, w in enumerate(images.T)))]
     # all values below 16, so uint8 keeps the arrays for 1344 bases small
     vectors = np.array([sum(1 << i for i in s) for s in _SUBSETS[k].sets], dtype=np.uint8)
     position = np.zeros(1 << k, dtype=np.uint8)

@@ -26,8 +26,7 @@ coordinate c, and the pairs among n of them, C(n, 2), are odd exactly
 when floor(n/2) is: the second product sums the triple meets.  The
 diagonal is the squaring form q(x) = |w_x|/4 mod 2, from which
 loops.characteristic_vector and loops.classify read their signs.
-associator_bits reads the associators, for CodeLoop.is_associative and
-loops.classify.
+associator_bits reads the associators, for CodeLoop.is_associative.
 
 Tables with k <= 6 are also handled as bit rows: row x of phi is one
 2^k-bit word, bit y = phi(x, y), so one uint64 holds it.  The translates

@@ -40,10 +40,17 @@ and the associators as cubic terms, and it fixes the loop up to
 isomorphism (Griess, "Code loops", 1986).  A basis is admissible with
 vector L exactly when it reads q as q_L (_class_form), so the classes are
 the GL(k, 2)-orbits of the forms with a cubic term (O'Brien and
-Vojtechovsky, 2017): classify looks q up in _class_table, and
-equivalence.box_stabilizer is the stabilizer of q_L.  characteristic_vector
-takes the ANF of q read in a basis with _anf, the GF(2) Moebius transform,
-and _class_form runs the same transform, its own inverse, from L to q_L.
+Vojtechovsky, 2017), and equivalence.box_stabilizer is the stabilizer of
+q_L.  classify needs no orbit: it reads q off the factor-set diagonal,
+refuses it as associative without a cubic term and as in no class with a
+term above degree 3, and otherwise looks up two isomorphism invariants,
+the number of words whose lifts square to -1 and the number of ordered
+pairs of words whose lifts fail to commute.  These two counts tell the 5
+classes of rank 3 and the 16 of rank 4 apart, and the tests check the
+rule against the orbit table of every truth table of both ranks.
+characteristic_vector takes the ANF of q read in a basis with _anf, the
+GF(2) Moebius transform, and _class_form runs the same transform, its
+own inverse, from L to q_L.
 On a code v squared is (-1)^(|v|/4), the commutator of u and v is
 (-1)^(|u & v|/2) and the associator of u, v, w is (-1)^|u & v & w|;
 acceptance criterion 7 checks these signs against the Cayley table.
@@ -298,6 +305,8 @@ class CharVector:
         pairs = self.rank * (self.rank - 1) // 2
         if len(self.squares) != self.rank or len(self.commutators) != pairs:
             raise InvalidCodeError("wrong number of square or commutator bits")
+        if any(type(b) is not int or b not in (0, 1) for b in self.bits):
+            raise InvalidCodeError(f"characteristic vector bits must be 0 or 1, got {self.bits}")
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -305,7 +314,8 @@ class CharVector:
 
     @classmethod
     def from_bits(cls, rank: int, bits: Sequence[int] | str) -> "CharVector":
-        vals = tuple(int(b) for b in bits)
+        # '0', '1' and numpy 0/1 become ints; anything else is left for __post_init__ to refuse
+        vals = tuple({"0": 0, "1": 1}.get(str(b), b) for b in bits)
         return cls(rank, vals[:rank], vals[rank:])
 
     def __str__(self) -> str:
@@ -321,6 +331,8 @@ class LoopClass:
 
     def __post_init__(self):
         count = len(_rank_rows(self.rank))
+        if not hasattr(type(self.index), "__index__"):  # what operator.index refuses
+            raise InvalidCodeError(f"catalog index {self.index!r} is not an integer")
         if not 1 <= self.index <= count:
             raise InvalidCodeError(f"no catalog entry {self.index} at rank {self.rank}")
 
@@ -416,11 +428,6 @@ def _class_form(cv: CharVector) -> np.ndarray:
     return _anf(coefficients)
 
 
-def _pack(form: np.ndarray) -> int:
-    """A truth table over span words as an integer, bit y = the value at word y."""
-    return int(form @ (1 << np.arange(len(form))))
-
-
 @functools.lru_cache(maxsize=None)
 def _general_linear(rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Every basis of GL(rank, 2) as rows (v_1, ..., v_k) in ascending order, and its span.
@@ -445,53 +452,53 @@ def _general_linear(rank: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, images
 
 
-def _orbit(cv: CharVector) -> np.ndarray:
-    """q_L packed as read in each basis of _general_linear, in its order; entry 0 is q_L.
+def _form_key(q: np.ndarray) -> tuple[int, int]:
+    """How many span words have q = 1, and how many ordered pairs q(u+v) + q(u) + q(v) = 1.
 
-    Bit y of q_L read in basis g is bit images[g, y] of q_L.  A column at a
-    time keeps every temporary at 2 bytes a basis (rank <= 4).
+    They count the words whose lifts square to -1 and the pairs whose lifts
+    fail to commute, so both are isomorphism invariants.
     """
-    _, images = _general_linear(cv.rank)
-    q = np.uint16(_pack(_class_form(cv)))
-    orbit = np.zeros(len(images), dtype=np.uint16)
-    for y, words in enumerate(images.T):
-        orbit |= (q >> words & 1) << y
-    return orbit
+    y = np.arange(len(q))
+    return int(q.sum()), int((q[y[:, None] ^ y] ^ q[:, None] ^ q).sum())
 
 
 @functools.lru_cache(maxsize=None)
-def _class_table(rank: int) -> np.ndarray:
-    """The catalog index of each packed squaring form of a rank, 0 for no class.
+def _class_keys(rank: int) -> dict[tuple[int, int], int]:
+    """The catalog index of each class of a rank by the _form_key of q_L, built on first use."""
+    keys = {_form_key(_class_form(cv)): i for i, cv in enumerate(canonical_catalog(rank), 1)}
+    if len(keys) < len(_rank_rows(rank)):
+        raise InternalInvariantError(f"two classes of rank {rank} share a squaring-form key")
+    return keys
 
-    Class L holds the GL(k, 2)-orbit of q_L.  The catalog classes are
-    pairwise non-isomorphic, so no two orbits meet.  Read-only uint8.
+
+def _form_class(q: np.ndarray) -> LoopClass:
+    """The class of a squaring form q, a 0/1 truth table over the 2^k span words.
+
+    q has a cubic term exactly when the loop is nonassociative.  A form of
+    degree at most 3 with a cubic term lies in one catalog class, told by
+    its _form_key; a form with a term above degree 3 lies in none.
     """
-    table = np.zeros(1 << (1 << rank), dtype=np.uint8)
-    for index, cv in enumerate(canonical_catalog(rank), 1):
-        orbit = _orbit(cv)
-        if table[orbit].any():
-            raise InternalInvariantError(f"the squaring forms of class {index} meet another class")
-        table[orbit] = index
-    table.setflags(write=False)
-    return table
+    anf = _anf(q)
+    degree = np.array([m.bit_count() for m in range(len(q))])
+    if not anf[degree == 3].any():
+        raise AssociativeLoopError("loop is associative; not a nonassociative code loop")
+    rank = len(q).bit_length() - 1
+    _check_rank(rank, "classification needs")
+    index = _class_keys(rank).get(_form_key(q))
+    if index is None or anf[degree > 3].any():
+        raise InternalInvariantError("the squaring form lies in no catalog class")
+    return LoopClass(rank, index)
 
 
 def classify(loop: CodeLoop) -> LoopClass:
     """Match a nonassociative code loop of a catalog rank against the catalog.
 
-    The class is the one whose orbit holds the squaring form, the diagonal
-    of the factor set (see the module docstring).  The loop associates iff
-    every associator is trivial, so the associator bits decide that first.
+    The class is that of the squaring form, the diagonal of the factor set
+    (_form_class; see the module docstring).  On a code's own factor set the
+    cubic terms of q are the associators, so q decides associativity too.
+    A loop twisted by an arbitrary table is classified by its diagonal.
     """
-    phi = loop.factor_set.array
-    if not associator_bits(phi).any():
-        raise AssociativeLoopError("loop is associative; not a nonassociative code loop")
-    rank = loop.rank
-    _check_rank(rank, "classification needs")
-    index = int(_class_table(rank)[_pack(phi.diagonal())])
-    if not index:
-        raise InternalInvariantError("the squaring form lies in no catalog class")
-    return LoopClass(rank, index)
+    return _form_class(loop.factor_set.array.diagonal())
 
 
 def loops_isomorphic(a: CodeLoop, b: CodeLoop) -> bool:

@@ -34,6 +34,11 @@ compares the span words projected onto the assigned classes as multisets.
 The library's word kernels gather the phi terms of an identity from one
 table of bit-row words; the broadcast checks here index phi itself.
 
+The library classifies a squaring form by two counts, the words with
+q = 1 and the pairs that fail to commute; the class table here packs
+every form of a rank and maps it to the class whose GL(k, 2)-orbit holds
+it, from the orbits of the catalog forms over every basis.
+
 The library reads a code literal straight into generator masks, a run as
 one block of bits; the set parser here adds every coordinate of a run to
 a set one at a time and builds each Codeword from its set.  Both read a
@@ -54,11 +59,12 @@ from codeloops.codes import (
     BinaryCode,
     ClassPartition,
     Codeword,
+    InternalInvariantError,
     InvalidCodeError,
     _is_number,
 )
 from codeloops.equivalence import _ClassData
-from codeloops.loops import _anf, _class_form, _general_linear
+from codeloops.loops import _anf, _class_form, _general_linear, canonical_catalog
 from codeloops.search import _PARAMS, _SOLUTIONS, _SUBSETS, Box, _independent, congruence_targets
 
 
@@ -308,6 +314,42 @@ def _scan_branch_and_bound(loop_class, cap, stats):
         else:
             bound = degree
     return best
+
+
+def _pack(form):
+    """A truth table over span words as an integer, bit y = the value at word y."""
+    return int(form @ (1 << np.arange(len(form))))
+
+
+def _orbit(cv):
+    """q_L packed as read in each basis of _general_linear, in its order; entry 0 is q_L.
+
+    Bit y of q_L read in basis g is bit images[g, y] of q_L.  A column at a
+    time keeps every temporary at 2 bytes a basis (rank <= 4).
+    """
+    _, images = _general_linear(cv.rank)
+    q = np.uint16(_pack(_class_form(cv)))
+    orbit = np.zeros(len(images), dtype=np.uint16)
+    for y, words in enumerate(images.T):
+        orbit |= (q >> words & 1) << y
+    return orbit
+
+
+@functools.lru_cache(maxsize=None)
+def _class_table(rank):
+    """The catalog index of each packed squaring form of a rank, 0 for no class.
+
+    Class L holds the GL(k, 2)-orbit of q_L.  The catalog classes are
+    pairwise non-isomorphic, so no two orbits meet.  Read-only uint8.
+    """
+    table = np.zeros(1 << (1 << rank), dtype=np.uint8)
+    for index, cv in enumerate(canonical_catalog(rank), 1):
+        orbit = _orbit(cv)
+        if table[orbit].any():
+            raise InternalInvariantError(f"the squaring forms of class {index} meet another class")
+        table[orbit] = index
+    table.setflags(write=False)
+    return table
 
 
 def _minimal_degree(loop_class, basis=0):

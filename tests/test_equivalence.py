@@ -5,10 +5,12 @@ against the brute-force set of admissible bases, and the orbit-key grouping
 of conjecture against the pairwise search it replaced."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -49,6 +51,8 @@ from codeloops.search import _SUBSETS, reduced_box
 from oracles import (
     _broadcast_sign_tables,
     _bucket_classes,
+    _class_table,
+    _pack,
     _projection_match_classes,
     _span_class_data,
 )
@@ -177,10 +181,41 @@ def test_isomorphism_invariant_under_relabelling_both_sides():
         assert code_isomorphism(permute_code(a, tuple(p)), permute_code(a, tuple(q)))
 
 
+def _raise_timeout(signum, frame):
+    raise TimeoutError("no answer within the time bound")
+
+
 def test_cycle_notation():
     assert cycle_notation((1, 2, 3)) == "()"
     assert cycle_notation((2, 1, 3)) == "(1 2)"
     assert cycle_notation((2, 3, 1, 5, 4)) == "(1 2 3)(4 5)"
+    # a tuple that is no permutation of 1..n is refused at once; a walk of
+    # its cycles would never close, or index past the end; the alarm bounds
+    # the time (and so the memory) a regression can take
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    try:
+        for perm in ((2, 2), (0,), (1, 3)):
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(InvalidCodeError, match=r"^not a permutation of 1\.\."):
+                cycle_notation(perm)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_match_classes_leaves_no_reference_cycle():
+    # the depth-first search is a closure that calls itself; it is freed on
+    # return, so a search leaves nothing for the cyclic collector
+    a, b = parse_code(SAMPLE_C4_16_A), parse_code(SAMPLE_C4_16_A)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert code_isomorphism(a, b) is not None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- the class matcher without screens, kept as the witness oracle --------
@@ -615,7 +650,7 @@ def test_class_table_partitions_the_forms_into_catalog_orbits(rank):
     packed = forms @ (1 << np.arange(1 << rank))
     assert len(set(packed.tolist())) == len(packed)
     cubic = coefficients[:, [m.bit_count() == 3 for m in monomials]].any(axis=1)
-    table = loops._class_table(rank)
+    table = _class_table(rank)
     classes = table[packed]
     assert (classes[~cubic] == 0).all()
     assert (classes[cubic] > 0).all()
@@ -637,7 +672,7 @@ def test_class_table_partitions_the_forms_into_catalog_orbits(rank):
             held = tuple(j for j in range(rank) if m >> j & 1)
             bit = vector.squares[held[0]] if len(held) == 1 else pairs.get(held, held == (0, 1, 2))
             f |= int(bit) << i
-        assert packed[f] == loops._pack(loops._class_form(vector))
+        assert packed[f] == _pack(loops._class_form(vector))
         assert classes[f] == loop_class.index
         assert np.count_nonzero(classes == loop_class.index) * STABILIZER_ORDERS[name] == order
 
@@ -733,7 +768,7 @@ def test_box_stabilizer_is_not_built_at_import():
             sys.executable,
             "-c",
             "import codeloops.cli as c; from codeloops import loops as l; print(*(f.cache_info()"
-            ".currsize for f in (c.box_stabilizer, l._general_linear, l._class_table)))",
+            ".currsize for f in (c.box_stabilizer, l._general_linear, l._class_keys)))",
         ],
         capture_output=True,
         text=True,

@@ -10,13 +10,17 @@ oracles are the element-level checks on the Cayley table in oracles.py.
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codeloops
 from codeloops import (
     AssociativeLoopError,
     BinaryCode,
@@ -35,11 +39,16 @@ from codeloops import (
     parse_loop_id,
 )
 from codeloops.catalog import SAMPLE_C4_16_A, SAMPLE_C4_16_B, all_loop_ids, catalog_entry
-from codeloops.codes import _mask_rank
+from codeloops.codes import _mask_rank, format_code
 from codeloops import loops
 from codeloops.factorset import FactorSet, build_factor_set
 from codeloops.loops import CodeLoop, is_latin, is_moufang
-from oracles import _broadcast_sign_tables, _table_is_associative, _table_is_moufang
+from oracles import (
+    _broadcast_sign_tables,
+    _class_table,
+    _table_is_associative,
+    _table_is_moufang,
+)
 from strategies import doubly_even_codes, relabeled_codes
 
 
@@ -281,6 +290,22 @@ def test_char_vector_round_trip_and_str():
     assert cv4.commutators == (1, 1, 1, 1, 0, 0)
     with pytest.raises(InvalidCodeError):
         CharVector.from_bits(3, "11000")
+    assert CharVector.from_bits(3, np.array([1, 1, 0, 0, 0, 0], dtype=np.uint8)) == cv
+    with pytest.raises(InvalidCodeError, match="bits must be 0 or 1"):
+        CharVector(3, (0, 0, 0), (True, 0, 0))
+
+
+@pytest.mark.parametrize("bits, got", [
+    ("222222", "('2', '2', '2', '2', '2', '2')"),
+    ("1111x1", "(1, 1, 1, 1, 'x', 1)"),
+    ([1, 1, 0, 0, 0, 2], "(1, 1, 0, 0, 0, 2)"),
+    ([1, 1, 0, 0, 0, 1.0], "(1, 1, 0, 0, 0, 1.0)"),
+])
+def test_char_vector_refuses_bits_other_than_0_and_1(bits, got):
+    message = f"characteristic vector bits must be 0 or 1, got {got}"
+    with pytest.raises(InvalidCodeError) as info:
+        CharVector.from_bits(3, bits)
+    assert str(info.value) == message
 
 
 def test_canonical_catalog_shapes():
@@ -305,6 +330,13 @@ def test_loop_class_names():
             assert LoopClass.of_vector(cv) == LoopClass(rank, index)
     with pytest.raises(InvalidCodeError, match="not canonical"):
         LoopClass.of_vector(CharVector.from_bits(3, "111110"))
+
+
+def test_loop_class_refuses_an_index_that_is_not_an_integer():
+    for index in (1.0, "1", None):
+        with pytest.raises(InvalidCodeError, match=f"^catalog index {index!r} is not an integer$"):
+            LoopClass(3, index)
+    assert LoopClass(3, np.int64(2)).name == "C3_2"
 
 
 def test_characteristic_vector_of_generator_basis():
@@ -375,6 +407,72 @@ def test_classify_whole_catalog():
         got = classify(loop)
         assert got.name == name
         assert got == LoopClass(got.rank, got.index)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_form_class_equals_the_oracle_class_table_on_every_truth_table(rank):
+    # every 0/1 table over the 2^k span words, q(0) = 1 included: no cubic
+    # term is an associative loop, and a form in no class orbit is refused
+    n = 1 << rank
+    table = _class_table(rank)
+    cubic = [m for m in range(n) if m.bit_count() == 3]
+    for packed in range(1 << n):
+        q = np.array([packed >> y & 1 for y in range(n)], dtype=np.uint8)
+        try:
+            got = loops._form_class(q)
+        except AssociativeLoopError:
+            assert table[packed] == 0 and not loops._anf(q)[cubic].any(), packed
+        except InternalInvariantError as exc:
+            assert str(exc) == "the squaring form lies in no catalog class"
+            assert table[packed] == 0 and loops._anf(q)[cubic].any(), packed
+        else:
+            assert got == LoopClass(rank, int(table[packed])), packed
+
+
+def test_class_keys_are_pinned_and_distinct():
+    keys = {rank: {LoopClass(rank, i).name: key for key, i in loops._class_keys(rank).items()}
+            for rank in (3, 4)}
+    assert keys[3] == {"C3_1": (7, 42), "C3_2": (1, 18), "C3_3": (3, 42), "C3_4": (5, 18),
+                       "C3_5": (3, 18)}
+    assert list(keys[4].values()) == [
+        (14, 168), (2, 72), (6, 168), (10, 72), (6, 72), (8, 168), (8, 72), (4, 96),
+        (8, 96), (10, 96), (6, 96), (6, 120), (10, 120), (4, 120), (12, 120), (8, 120),
+    ]
+    assert list(keys[4]) == [f"C4_{i}" for i in range(1, 17)]
+
+
+def test_classify_refuses_a_diagonal_with_a_degree_four_term():
+    # the C4_1 loop twisted so that its diagonal gains y_0 y_1 y_2 y_3: the
+    # form keeps its cubic term, so it is nonassociative, and lies in no class
+    loop = build_loop(catalog_entry("C4_1").code())
+    table = loop.factor_set.array.copy()
+    table[15, 15] ^= 1  # the Moebius transform of the top monomial is the top word alone
+    assert loops._anf(table.diagonal())[0b1111] == 1
+    with pytest.raises(InternalInvariantError, match="^the squaring form lies in no catalog class"):
+        classify(_twisted_loop(loop.code, table.tolist()))
+
+
+def test_classify_never_builds_the_general_linear_group(tmp_path):
+    # a rank-4 classification reads two counts off the diagonal; the bases
+    # of GL(4, 2) are listed only for box_stabilizer
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    file = tmp_path / "c4_8.code"
+    file.write_text(format_code(catalog_entry("C4_8").code()), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from codeloops import loops\n"
+        "from codeloops.cli import main\n"
+        "main(['classify', sys.argv[1]])\n"
+        "print(loops._general_linear.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(file)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.splitlines()[-2:] == ["class: C4_8", "0"], proc.stderr
 
 
 def test_classification_is_basis_independent():
