@@ -430,6 +430,10 @@ def _value(digits: str) -> int | None:
         return None
 
 
+# digits below this many are read by int() directly, far under its limit of at least 640
+_SHORT = 20
+
+
 def _largest(mask: int, big: set[int]) -> int:
     """The largest coordinate of a generator read by _parse_support_line."""
     return max(big) if big else mask.bit_length() - 1
@@ -449,8 +453,9 @@ def _parse_support_line(line: str, raw: str, lineno: int) -> tuple[int, set[int]
     tokens = line.split(",")
     for n, token in enumerate(tokens):
         tok = token.strip()
-        if _is_number(tok):
-            i = _value(tok)
+        # _is_number, then int() for a short number and _value for a long one
+        if tok.isdigit() and tok.isascii():
+            i = int(tok) if len(tok) < _SHORT else _value(tok)
             if i is None:
                 error = "number too long"
                 break
@@ -463,10 +468,12 @@ def _parse_support_line(line: str, raw: str, lineno: int) -> tuple[int, set[int]
             bits = 1 << i
         elif "-" in tok:
             lo_s, _, hi_s = tok.partition("-")
-            if not (_is_number(lo_s.strip()) and _is_number(hi_s.strip())):
+            lo_s, hi_s = lo_s.strip(), hi_s.strip()
+            if not (lo_s.isdigit() and hi_s.isdigit() and lo_s.isascii() and hi_s.isascii()):
                 error = f"bad range {tok!r}"
                 break
-            lo, hi = _value(lo_s), _value(hi_s)
+            lo = int(lo_s) if len(lo_s) < _SHORT else _value(lo_s)
+            hi = int(hi_s) if len(hi_s) < _SHORT else _value(hi_s)
             if lo is None or hi is None:
                 error = "number too long"
                 break

@@ -11,21 +11,31 @@ codewords, subject to:
 Tables are stored as 0/1 exponents indexed by span position: index x is the
 sum of the generators b_j with bit j set in x, written w_x.  Of all tables
 that satisfy the axioms, the builder returns the lexicographically least one
-in row-major order.  With X the 2^k x k matrix of the bits of each x, G the
-k x m matrix of the generators and B the k x k matrix with |b_i|/4 at
-(i, i), |b_i & b_j|/2 at (i, j) for i > j and 0 above the diagonal, it is
+in row-major order.  It is linear in its second argument: with X the 2^k x k
+matrix of the bits of each x, G the k x m matrix of the generators and B
+the k x k matrix with |b_i|/4 at (i, i), |b_i & b_j|/2 at (i, j) for i > j
+and 0 above the diagonal,
 
-    phi = X B X^T + floor(X G / 2) (X G)^T   mod 2.
+    phi = R X^T  mod 2,  R = X B + floor(X G / 2) G^T.
 
-This unrolls the recursion of Griess ("Code loops", 1986): phi(x, y) sums
-r(x, j) over the bits j of y, and r(x, j) = r(e_i, j) + r(x', j) +
-|b_i & w_x' & b_j| for i the lowest bit of x and x' = x - e_i, so r(x, j)
-is B[i, j] summed over the bits i of x plus |b_i & b_l & b_j| over their
+Row x of R is the k-bit functional r(x, .) of Griess's recursion ("Code
+loops", 1986): phi(x, y) sums r(x, j) over the bits j of y, and r(x, j) is
+B[i, j] summed over the bits i of x plus |b_i & b_l & b_j| over their
 pairs i < l.  Entry (x, c) of X G counts the generators of x that hold
 coordinate c, and the pairs among n of them, C(n, 2), are odd exactly
-when floor(n/2) is: the second product sums the triple meets.  The
-diagonal is the squaring form q(x) = |w_x|/4 mod 2, from which
-loops.characteristic_vector and loops.classify read their signs.
+when floor(n/2) is: the second product sums the triple meets.  The builder
+never forms these products.  It keeps each row of R as an int, bit j =
+r(x, j), and fills them by doubling over the generators: for x below 2^i,
+
+    R[x + e_i] = R[x] + R[e_i] + sum over the bits l of x of T(i, l),
+
+where R[e_i] is row i of B and bit j of T(i, l) is |b_i & b_l & b_j| mod
+2, since the pairs of x + e_i are those of x and (l, i) for each l in x.
+That takes the generator weights, pair meets and triple-meet parities,
+all popcounts of int masks, and then phi(x, y) = parity(R[x] & y) is row
+R[x] of one cached 2^k x 2^k parity table: one gather, exact at any
+degree.  The diagonal is the squaring form q(x) = |w_x|/4 mod 2, from
+which loops.characteristic_vector and loops.classify read their signs.
 associator_bits reads the associators, for CodeLoop.is_associative.
 
 Tables with k <= 6 are also handled as bit rows: row x of phi is one
@@ -36,10 +46,11 @@ becomes an xor of 2^k-bit words, one per pair of the other two variables.
 word_table lays out every such word a kernel can read in one flat array:
 phi spread to words (a term without y), then the translates of the rows
 and, for the Moufang check, of the columns, from one doubling pass over
-their stack.  A kernel is then a fixed uint16 index table per 2^k, built
+their stack.  A kernel is then a fixed intp index table per 2^k, built
 on first use, that names where each of its phi terms sits in the word
 table: associator_bits is one gather of its 4 terms and one xor over
-them, and loops.is_moufang the same with 6 terms per identity.  Each
+them, and loops.is_moufang one gather of the 6 terms of each of its 3
+identities and one xor per identity.  Each
 word decides 2^k triples, so the 4^k words decide all 2^(3k).
 
 The tests keep the general routine as the oracle: they solve the
@@ -109,25 +120,45 @@ class FactorSet:
 def build_factor_set(code: BinaryCode) -> FactorSet:
     """The lexicographically least factor set of a doubly even code.
 
-    Evaluates the closed form of the module docstring in float32: every
-    sum is an integer below 2^24, so the products are exact.
+    Builds the rows R[x] of phi = R X^T as k-bit ints by doubling over the
+    generators (see the module docstring) and gathers row R[x] of the cached
+    parity table as row x of phi.
     """
     if not code.is_doubly_even():
         raise NotDoublyEvenError(code.first_odd_span_element())
     k = code.dimension
     if k > MAX_DIMENSION:
         raise InvalidCodeError(f"dimension {k} exceeds solver cap {MAX_DIMENSION}")
-    size = -(-code.degree // 8)  # bytes per generator
-    masks = b"".join(g.mask().to_bytes(size, "little") for g in code.generators)
-    masks = np.frombuffer(masks, dtype=np.uint8).reshape(k, size)
-    gens = np.unpackbits(masks, axis=1, bitorder="little").astype(np.float32)  # G, 0 past the degree
-    span = np.arange(1 << k, dtype=np.uint8)[:, None]
-    x = np.unpackbits(span, axis=1, count=k, bitorder="little").astype(np.float32)  # X
-    i = np.arange(k, dtype=np.float32)[:, None]
-    basis = gens @ gens.T * (np.sign(i - i.T) + 1) / 4  # B: meets/2 below the diagonal, /4 on it
-    counts = x @ gens  # n_x(c)
-    phi = x @ basis @ x.T + np.floor(counts / 2) @ counts.T
-    return FactorSet(code, phi.astype(np.uint16) & 1)
+    masks = [g.mask() for g in code.generators]
+    bits = [(1 << j, b) for j, b in enumerate(masks)]
+    rows = [0]  # R[x] for the x below 2^i
+    for i, a in enumerate(masks):
+        meets = [a & b for b in masks[:i]]
+        # R[e_i] is row i of B: |b_i|/4 at bit i and |b_i & b_l|/2 at the bits l < i
+        base = (a.bit_count() >> 2 & 1) << i
+        for l, meet in enumerate(meets):
+            base |= (meet.bit_count() >> 1 & 1) << l
+        pairs = [base]  # R[e_i] + the sum of T(i, l) over the bits l of x
+        for meet in meets:
+            t = 0  # T(i, l): bit j is |b_i & b_l & b_j| mod 2
+            for bit, b in bits:
+                if (meet & b).bit_count() & 1:
+                    t |= bit
+            pairs += [p ^ t for p in pairs]
+        rows += [r ^ p for r, p in zip(rows, pairs)]
+    return FactorSet(code, _parity_table(1 << k)[rows])
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_table(n: int) -> np.ndarray:
+    """parity(r & y) at [r, y] for r, y < n, as a read-only uint8 array, built on first use."""
+    w = np.arange(n)
+    meets = w[:, None] & w
+    parity = np.zeros((n, n), dtype=np.uint8)
+    for b in range(n.bit_length() - 1):
+        parity ^= (meets >> b & 1).astype(np.uint8)
+    parity.setflags(write=False)
+    return parity
 
 
 # _CLEAR[b] marks the bit positions y < 64 with bit b of y clear
@@ -199,9 +230,15 @@ def _word_positions(n: int, columns: bool):
 
 
 def _index_table(n: int, *terms) -> np.ndarray:
-    """Word-table positions, each term broadcast to (n, n), stacked as a read-only uint16 array."""
-    index = np.array([np.broadcast_to(term, (n, n)) for term in terms], dtype=np.uint16)
-    index.setflags(write=False)  # positions < 3n^2 <= 12288
+    """Word-table positions, each term broadcast to (n, n), stacked as a read-only intp array.
+
+    The kernels gather by indexing, words[index]: a narrower index is cast
+    to intp on every call, and ndarray.take faulted in 1 MB of fresh pages
+    on every call at 2^k = 64 (the Moufang gather took 540 us that way and
+    145 us by indexing; numpy 2.4, 2-core VM).
+    """
+    index = np.array([np.broadcast_to(term, (n, n)) for term in terms], dtype=np.intp)
+    index.setflags(write=False)
     return index
 
 
@@ -226,7 +263,7 @@ def associator_bits(phi: np.ndarray) -> np.ndarray:
     the four terms are the row of x+y, the translate of row x by y, the
     constant phi(x, y) and the row of y: one gather from the word table.
     """
-    words = word_table(phi, columns=False).take(_associator_index(len(phi)))
+    words = word_table(phi, columns=False)[_associator_index(len(phi))]
     return np.bitwise_xor.reduce(words, axis=0)
 
 

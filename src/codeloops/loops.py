@@ -22,9 +22,9 @@ holds on all signed triples exactly when the phi terms of its two sides
 agree on the positive lifts.  The phi terms are read as bit rows of the
 factor set (see factorset): with y as the free variable, every phi term
 of an identity is a row, a column, a translate of either, or a constant
-spread over all 2^k bits, so each identity is one gather of its terms
-from factorset.word_table and one xor of 2^k-bit words for each of the
-4^k pairs (z, x), which covers all 2^(3k) triples.  The
+spread over all 2^k bits, so the identities are one gather of their terms
+from factorset.word_table and one xor of 2^k-bit words per identity for
+each of the 4^k pairs (z, x), which covers all 2^(3k) triples.  The
 tests keep the element-level checks on the table, and the broadcast
 checks over all triples of words, as the oracles.
 
@@ -49,8 +49,8 @@ pairs of words whose lifts fail to commute.  These two counts tell the 5
 classes of rank 3 and the 16 of rank 4 apart, and the tests check the
 rule against the orbit table of every truth table of both ranks.
 characteristic_vector takes the ANF of q read in a basis with _anf, the
-GF(2) Moebius transform, and _class_form runs the same transform, its
-own inverse, from L to q_L.
+GF(2) Moebius transform of the table packed into one int, and _class_form
+runs the same transform, its own inverse, from L to q_L.
 On a code v squared is (-1)^(|v|/4), the commutator of u and v is
 (-1)^(|u & v|/2) and the associator of u, v, w is (-1)^|u & v & w|;
 acceptance criterion 7 checks these signs against the Cayley table.
@@ -180,7 +180,8 @@ def is_moufang(phi) -> bool:
     triples (see the module docstring).  For z(x(zy)) = ((zx)z)y that is
     phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) +
     phi(x, y), mod 2.  The terms are words of one word table per call
-    (factorset.word_table), and _moufang_defects gathers them per identity.
+    (factorset.word_table), and _moufang_defects gathers those of all three
+    identities at once.
     """
     return not _moufang_defects(np.asarray(phi, dtype=np.uint8)).any()
 
@@ -190,7 +191,7 @@ def _moufang_index(n: int) -> np.ndarray:
     """Where the 6 phi terms of each identity sit in word_table(phi, True): (3, 6, n, n).
 
     Entry [i, :, z, x] lists the words whose xor is word [z, x] of identity
-    i in _moufang_defects.  Read-only uint16.
+    i in _moufang_defects.  Read-only intp.
     """
     w = np.arange(n)
     z, x = w[:, None], w[None, :]
@@ -216,15 +217,11 @@ def _moufang_defects(phi: np.ndarray) -> np.ndarray:
     Bit y of word [i, z, x] is 1 when identity i fails on (z, x, y).  Over
     y, phi(u, y) is row u, phi(y, u) is column u, phi(u, y + a) and phi(y +
     a, u) are their translates by a, and a term without y is spread over
-    all bits; each identity is one gather of its 6 terms from the word
-    table and one xor over them.
+    all bits.  The 6 terms of all 3 identities are one gather from the
+    word table, and one xor over the terms of each identity.
     """
-    n = len(phi)
-    words = word_table(phi, columns=True)
-    defects = np.empty((3, n, n), dtype=np.uint64)
-    for identity, terms in enumerate(_moufang_index(n)):
-        np.bitwise_xor.reduce(words.take(terms), axis=0, out=defects[identity])
-    return defects
+    words = word_table(phi, columns=True)[_moufang_index(len(phi))]
+    return np.bitwise_xor.reduce(words, axis=1)
 
 
 def build_loop(code: BinaryCode) -> CodeLoop:
@@ -276,13 +273,17 @@ _RANKS = tuple(_CLASSES)
 
 def _rank_rows(rank: int) -> tuple:
     """The class table's rows of a rank, which must be one of its keys."""
-    if rank not in _RANKS:
-        raise InvalidCodeError(f"rank {rank} not in {_RANKS}")
+    _check_rank(rank)
     return _CLASSES[rank]
 
 
-def _check_rank(rank: int, needs: str) -> None:
+def _check_rank(rank: int, needs: str | None = None) -> None:
+    """Refuse a rank that is not an integer or not a key of the class table; needs names the use."""
+    if not hasattr(type(rank), "__index__"):  # what operator.index refuses
+        raise InvalidCodeError(f"rank {rank!r} is not an integer")
     if rank not in _RANKS:
+        if needs is None:
+            raise InvalidCodeError(f"rank {rank} not in {_RANKS}")
         raise InvalidCodeError(f"{needs} rank {' or '.join(map(str, _RANKS))}, got {rank}")
 
 
@@ -314,6 +315,7 @@ class CharVector:
 
     @classmethod
     def from_bits(cls, rank: int, bits: Sequence[int] | str) -> "CharVector":
+        _check_rank(rank)  # before the bits are split at it
         # '0', '1' and numpy 0/1 become ints; anything else is left for __post_init__ to refuse
         vals = tuple({"0": 0, "1": 1}.get(str(b), b) for b in bits)
         return cls(rank, vals[:rank], vals[rank:])
@@ -356,7 +358,7 @@ class LoopClass:
         return self.name
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: a cached rank 3 never answers for 3.0
 def canonical_catalog(rank: int) -> tuple[CharVector, ...]:
     """The canonical characteristic vectors, one per isomorphism class (built once per rank)."""
     return tuple(CharVector.from_bits(rank, row[0]) for row in _rank_rows(rank))
@@ -406,14 +408,34 @@ def _anf(values: np.ndarray) -> np.ndarray:
     Entry m is the xor of the entries at the words inside m (y & m == y),
     so it takes a truth table to its ANF, the coefficient of the monomial
     of the bits of m, and the ANF back: the transform is its own inverse.
+    The table is packed into one int, entry y at bit y (_packed), transformed
+    there by _mobius in k shift-xor steps, and unpacked.
     """
-    a = np.array(values, dtype=np.uint8)
+    n = len(values)
+    anf = _mobius(_packed(values), n).to_bytes(-(-n // 8), "little")
+    return np.unpackbits(np.frombuffer(anf, dtype=np.uint8), count=n, bitorder="little")
+
+
+def _packed(values: np.ndarray) -> int:
+    """A 0/1 table as one int, entry y at bit y."""
+    packed = np.packbits(np.asarray(values, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _mobius(word: int, n: int) -> int:
+    """The Moebius transform of a table over n = 2^k words packed into an int, entry y at bit y.
+
+    Each of the k steps xors every entry y with the bit of half clear into
+    entry y + half, as one shift of the entries under the mask of those y:
+    after the k steps, entry m holds the xor over every y inside m.
+    """
     half = 1
-    while half < len(a):
-        blocks = a.reshape(-1, 2, half)
-        blocks[:, 1] ^= blocks[:, 0]
+    while half < n:
+        # runs of half ones every 2 * half bits: (2^n - 1) / (2^(2 half) - 1) repeats the run
+        clear = ((1 << n) - 1) // ((1 << 2 * half) - 1) * ((1 << half) - 1)
+        word ^= (word & clear) << half
         half <<= 1
-    return a
+    return word
 
 
 def _class_form(cv: CharVector) -> np.ndarray:
@@ -458,8 +480,16 @@ def _form_key(q: np.ndarray) -> tuple[int, int]:
     They count the words whose lifts square to -1 and the pairs whose lifts
     fail to commute, so both are isomorphism invariants.
     """
-    y = np.arange(len(q))
-    return int(q.sum()), int((q[y[:, None] ^ y] ^ q[:, None] ^ q).sum())
+    return int(q.sum()), int((q[_xor_table(len(q))] ^ q[:, None] ^ q).sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _xor_table(n: int) -> np.ndarray:
+    """u ^ v at [u, v] for the n = 2^k span words, read-only, built on first use."""
+    w = np.arange(n)
+    table = w[:, None] ^ w
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -471,21 +501,31 @@ def _class_keys(rank: int) -> dict[tuple[int, int], int]:
     return keys
 
 
+@functools.lru_cache(maxsize=None)
+def _degree_masks(n: int) -> tuple[int, int]:
+    """The monomials of degree 3 and those above 3 over n = 2^k words, as bitmasks over masks m."""
+    cubic = sum(1 << m for m in range(n) if m.bit_count() == 3)
+    higher = sum(1 << m for m in range(n) if m.bit_count() > 3)
+    return cubic, higher
+
+
 def _form_class(q: np.ndarray) -> LoopClass:
     """The class of a squaring form q, a 0/1 truth table over the 2^k span words.
 
     q has a cubic term exactly when the loop is nonassociative.  A form of
     degree at most 3 with a cubic term lies in one catalog class, told by
-    its _form_key; a form with a term above degree 3 lies in none.
+    its _form_key; a form with a term above degree 3 lies in none.  The
+    ANF is read as one int (_mobius), monomial m at bit m.
     """
-    anf = _anf(q)
-    degree = np.array([m.bit_count() for m in range(len(q))])
-    if not anf[degree == 3].any():
+    n = len(q)
+    anf = _mobius(_packed(q), n)
+    cubic, higher = _degree_masks(n)
+    if not anf & cubic:
         raise AssociativeLoopError("loop is associative; not a nonassociative code loop")
-    rank = len(q).bit_length() - 1
+    rank = n.bit_length() - 1
     _check_rank(rank, "classification needs")
     index = _class_keys(rank).get(_form_key(q))
-    if index is None or anf[degree > 3].any():
+    if index is None or anf & higher:
         raise InternalInvariantError("the squaring form lies in no catalog class")
     return LoopClass(rank, index)
 

@@ -229,7 +229,7 @@ def test_word_table_lays_out_spread_entries_then_the_translates_by_each_offset()
     assert (words == np.concatenate((spread.ravel(), rows.ravel()))).all()
 
 
-def test_index_tables_are_built_on_first_use_read_only_and_uint16():
+def test_index_tables_are_built_on_first_use_read_only_and_intp():
     src = os.path.dirname(os.path.dirname(codeloops.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -246,7 +246,7 @@ def test_index_tables_are_built_on_first_use_read_only_and_uint16():
     assert proc.stdout == "0 0\n", proc.stderr
     tables = ((_associator_index(64), (4, 64, 64)), (_moufang_index(64), (3, 6, 64, 64)))
     for index, shape in tables:
-        assert index.shape == shape and index.dtype == np.uint16
+        assert index.shape == shape and index.dtype == np.intp
         assert int(index.max()) < 3 * 64 * 64
         with pytest.raises(ValueError):
             index[0, 0, 0] = 0

@@ -266,8 +266,14 @@ def test_closed_form_equals_elimination_on_random_codes(code):
         # C3_1 plus three generators on overlapping 4-blocks, one of them
         # mixed with a catalog generator
         "degree=19\n1-4\n1,2,5,6\n1,3,5,7\n8-11\n1-4,8-15\n12-19\n",
+        # C3_1 on the last coordinates plus three long generators, one of
+        # them mixed with a C3_1 generator: degree 100 and 128, the sizes
+        # at which a float matrix product over the coordinates ran threaded
+        "degree=100\n94-97\n94,95,98,99\n94,96,98,100\n1-64,94-97\n33-92\n1-16,49-64,77-92\n",
+        "degree=128\n122-125\n122,123,126,127\n122,124,126,128\n1-64,122-125\n33-96\n"
+        "1-16,49-64,97-112\n",
     ],
-    ids=["C4_16+2", "C3_1+3"],
+    ids=["C4_16+2", "C3_1+3", "C3_1+3-degree-100", "C3_1+3-degree-128"],
 )
 def test_closed_form_equals_elimination_at_dimension_6(text):
     code = parse_code(text)

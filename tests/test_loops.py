@@ -339,6 +339,22 @@ def test_loop_class_refuses_an_index_that_is_not_an_integer():
     assert LoopClass(3, np.int64(2)).name == "C3_2"
 
 
+def test_a_rank_that_is_not_an_integer_is_refused():
+    # 3.0 == 3, so a membership test alone would take it and name the class C3.0_1
+    canonical_catalog(3)  # a cached rank-3 catalog must not answer for 3.0
+    for make in (
+        lambda: LoopClass(3.0, 1),
+        lambda: CharVector(3.0, (1, 1, 1), (1, 1, 1)),
+        lambda: CharVector.from_bits(3.0, "111111"),
+        lambda: canonical_catalog(3.0),
+    ):
+        with pytest.raises(InvalidCodeError, match=r"^rank 3\.0 is not an integer$"):
+            make()
+    with pytest.raises(InvalidCodeError, match="^rank '3' is not an integer$"):
+        LoopClass("3", 1)
+    assert LoopClass(np.int64(3), 2).vector == LoopClass(3, 2).vector
+
+
 def test_characteristic_vector_of_generator_basis():
     code = catalog_entry("C3_4").code()
     loop = build_loop(code)
@@ -427,6 +443,19 @@ def test_form_class_equals_the_oracle_class_table_on_every_truth_table(rank):
             assert table[packed] == 0 and loops._anf(q)[cubic].any(), packed
         else:
             assert got == LoopClass(rank, int(table[packed])), packed
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_anf_is_the_moebius_transform_on_every_truth_table_and_its_own_inverse(rank):
+    # by its definition: entry m is the xor of the entries at the y inside m
+    n = 1 << rank
+    tables = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
+    inside = np.array([[y & m == y for y in range(n)] for m in range(n)], dtype=np.int64)
+    want = (tables.astype(np.int64) @ inside.T % 2).astype(np.uint8)
+    for q, anf in zip(tables, want):
+        got = loops._anf(q)
+        assert got.dtype == np.uint8 and got.shape == (n,)
+        assert (got == anf).all() and (loops._anf(got) == q).all(), q
 
 
 def test_class_keys_are_pinned_and_distinct():
