@@ -46,6 +46,14 @@ _new = object.__new__
 _set = object.__setattr__  # Codeword refuses plain assignment
 
 
+def _check_in_range(value: int, name: str, top: int) -> None:
+    """Refuse a value that is not an integer in 1..top; name names it in the message."""
+    if not hasattr(type(value), "__index__"):  # what operator.index refuses
+        raise InvalidCodeError(f"{name} {value!r} is not an integer")
+    if not 1 <= value <= top:
+        raise InvalidCodeError(f"{name} {value} out of range 1..{top}")
+
+
 class Codeword:
     """A subset of {1..degree}, the support of a GF(2) vector.
 
@@ -67,8 +75,8 @@ class Codeword:
     def __post_init__(self):
         # runs on every construction, from __init__ and from from_mask
         degree = self.degree
-        if not 1 <= degree <= MAX_DEGREE:
-            raise InvalidCodeError(f"degree {degree} out of range 1..{MAX_DEGREE}")
+        if type(degree) is not int or not 1 <= degree <= MAX_DEGREE:  # no call for a valid int
+            _check_in_range(degree, "degree", MAX_DEGREE)
         if self._mask is None:
             mask = 0
             for i in self._support:
@@ -193,8 +201,7 @@ class BinaryCode:
 
     def __init__(self, degree: int, generators: Iterable[Codeword]):
         gens = tuple(generators)
-        if not 1 <= degree <= MAX_DEGREE:
-            raise InvalidCodeError(f"degree {degree} out of range 1..{MAX_DEGREE}")
+        _check_in_range(degree, "degree", MAX_DEGREE)
         for g in gens:
             if g.degree != degree:
                 raise InvalidCodeError("generator degree differs from code degree")
@@ -404,8 +411,7 @@ def parse_code(text: str) -> BinaryCode:
         if not gens:
             raise InvalidCodeError("empty code literal (no degree, no generators)")
         degree = max(_largest(mask, big) for mask, big in gens)
-    if degree < 1 or degree > MAX_DEGREE:
-        raise InvalidCodeError(f"degree {degree} out of range 1..{MAX_DEGREE}")
+    _check_in_range(degree, "degree", MAX_DEGREE)
     words = []
     for mask, big in gens:
         largest = _largest(mask, big)

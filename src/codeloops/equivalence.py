@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .codes import BinaryCode, Codeword, InternalInvariantError, InvalidCodeError, _coordinates
-from .loops import LoopClass, _class_form, _general_linear
+from .loops import LoopClass, _class_form
 from .search import _SUBSETS
 
 # invariant checks tried before any search, cheapest first; the name is the
@@ -318,7 +318,8 @@ def _check_permutation(a: BinaryCode, b: BinaryCode, perm: list[int]) -> None:
 
 
 def permute_word(w: Codeword, perm: tuple[int, ...]) -> Codeword:
-    # the constructor checks every image coordinate against the degree
+    if sorted(perm) != list(range(1, w.degree + 1)):
+        raise InvalidCodeError(f"not a permutation of 1..{w.degree}")
     return Codeword(w.degree, [perm[i - 1] for i in _coordinates(w.mask())])
 
 
@@ -348,6 +349,26 @@ def cycle_notation(perm: tuple[int, ...]) -> str:
 # the stabilizer of a reduced box
 
 
+def _form_stabilizer(q: np.ndarray) -> np.ndarray:
+    """The bases (v_1, ..., v_k) that read a form q over the 2^k span words as q, as uint8 rows.
+
+    A basis grows a row at a time, in ascending order from outside the span
+    so far.  Row v_(j+1) adds the span words with bit j set, the old ones
+    xor v_(j+1), and is kept only when q reads them as q[2^j : 2^(j+1)]:
+    only the stabilizer is ever held, ascending, the identity first.
+    """
+    k = len(q).bit_length() - 1
+    images = np.zeros((1, 1), dtype=np.uint8)  # images[g, y]: the xor of g's rows at the bits of y
+    for j in range(k):
+        outside = np.ones((len(images), len(q)), dtype=bool)
+        np.put_along_axis(outside, images, False, axis=1)
+        g, v = np.nonzero(outside)
+        words = images[g] ^ v.astype(np.uint8)[:, None]
+        keep = (q[words] == q[1 << j : 2 << j]).all(axis=1)
+        images = np.concatenate((images[g[keep]], words[keep]), axis=1)
+    return images[:, 1 << np.arange(k)]  # row i is the span word 2^i
+
+
 @functools.lru_cache(maxsize=None)
 def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
     """H_L: the changes of basis that keep a class's vector, as maps on its box.
@@ -356,8 +377,8 @@ def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
     of class L, form an admissible basis with vector L exactly when they
     read its squaring form q_L as q_L again (|u & v & w| is trilinear, so a
     nuclear v_4 kills every cubic term holding it).  So H_L is the
-    stabilizer of q_L, in the ascending order of loops._general_linear,
-    whose first basis, the identity, reads q_L as itself.
+    stabilizer of q_L, grown row by row by _form_stabilizer: in ascending
+    order of the rows, the identity first.
 
     Row h of the result is B as a map on the subset positions of
     search._SUBSETS: if x holds the class sizes of a box point, x[h] holds
@@ -365,19 +386,13 @@ def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
     The x[h] over all rows h are the box points isomorphic to x.  The array
     is uint8, read-only, and built on first use for each class.
     """
-    k = loop_class.rank
-    rows, images = _general_linear(k)
-    q = _class_form(loop_class.vector)
-    # q_L read in each basis against q_L, a word at a time
-    bases = rows[functools.reduce(np.logical_and, (q[w] == q[y] for y, w in enumerate(images.T)))]
-    # all values below 16, so uint8 keeps the arrays for 1344 bases small
-    vectors = np.array([sum(1 << i for i in s) for s in _SUBSETS[k].sets], dtype=np.uint8)
-    position = np.zeros(1 << k, dtype=np.uint8)
-    position[vectors] = np.arange(len(vectors))
+    subsets = _SUBSETS[loop_class.rank]
+    bases = _form_stabilizer(_class_form(loop_class.vector))
+    position = np.zeros(1 << subsets.rank, dtype=np.uint8)
+    position[list(subsets.masks)] = np.arange(len(subsets.masks))
     # class S of the old basis lies in new generator j iff v_j meets S oddly
-    meets = bases[:, :, None] & vectors
-    odd = np.array([v.bit_count() & 1 for v in range(1 << k)], dtype=np.uint8)[meets]
-    images = position[np.bitwise_or.reduce(odd << np.arange(k, dtype=np.uint8)[:, None], axis=1)]
+    odd = subsets.odd[:, bases - 1].astype(np.uint8)  # [S, basis, j]
+    images = position[(odd << np.arange(subsets.rank, dtype=np.uint8)).sum(axis=2).T]
     # h[images[i]] = i: the inverse permutation
     maps = np.argsort(images, axis=1).astype(np.uint8)
     maps.setflags(write=False)

@@ -370,7 +370,8 @@ def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
     The basis is given as span indices.  It must span the code, the first
     three words must associate to -1, and at rank 4 the fourth word must be
     nuclear (all associators involving it trivial): q read in the basis has
-    y_0 y_1 y_2 as its only cubic term.  Its linear and quadratic terms are the bits.
+    y_0 y_1 y_2 as its only cubic term, and no term above degree 3 (such a
+    loop lies in no class).  Its linear and quadratic terms are the bits.
     """
     rank = loop.rank
     _check_rank(rank, "characteristic vectors need")
@@ -390,6 +391,8 @@ def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
         raise InvalidCodeError("first three basis words associate; not an admissible basis")
     if anf[[m for m in range(1 << rank) if m.bit_count() == 3]].sum() > 1:
         raise InvalidCodeError("fourth basis word is not nuclear")
+    if anf[[m for m in range(1 << rank) if m.bit_count() > 3]].any():
+        raise InvalidCodeError("squaring form has a term above degree 3; the loop lies in no class")
     return CharVector.from_bits(rank, anf[_monomials(rank)])
 
 
@@ -448,30 +451,6 @@ def _class_form(cv: CharVector) -> np.ndarray:
     coefficients[_BASIS_CUBIC] = 1
     coefficients[_monomials(cv.rank)] = cv.bits
     return _anf(coefficients)
-
-
-@functools.lru_cache(maxsize=None)
-def _general_linear(rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every basis of GL(rank, 2) as rows (v_1, ..., v_k) in ascending order, and its span.
-
-    images[g, y] is the xor of the rows of basis g over the bits of y, so
-    q[images[g]] is the form q read in basis g.  Each next row is taken in
-    ascending order from outside the span of the rows before it, so the
-    identity comes first.  Both arrays are uint8 and read-only.
-    """
-    rows = np.zeros((1, 0), dtype=np.uint8)
-    images = np.zeros((1, 1), dtype=np.uint8)
-    for j in range(rank):
-        outside = np.ones((len(rows), 1 << rank), dtype=bool)
-        outside[np.arange(len(rows))[:, None], images] = False
-        g, v = np.nonzero(outside)
-        rows = np.concatenate((rows[g], v[:, None].astype(np.uint8)), axis=1)
-        # the span words with bit j set are the old ones xor v_j
-        images = np.tile(images[g], 2)
-        images[:, 1 << j :] ^= rows[:, -1:]
-    rows.setflags(write=False)
-    images.setflags(write=False)
-    return rows, images
 
 
 def _form_key(q: np.ndarray) -> tuple[int, int]:

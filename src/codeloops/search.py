@@ -60,6 +60,7 @@ from .codes import (
     InternalInvariantError,
     InvalidCodeError,
     RepType,
+    _check_in_range,
     _mask_rank,
 )
 from .loops import _RANKS, CharVector, LoopClass, build_loop, classify
@@ -426,9 +427,7 @@ def reduced_box(target: LoopClass | CharVector | str, max_degree: int) -> Box:
     """
     loop_class = _as_loop_class(target)
     rank = loop_class.rank
-    limit = _max_degree(rank)
-    if not 1 <= max_degree <= limit:
-        raise InvalidCodeError(f"max degree {max_degree} out of range 1..{limit}")
+    _check_in_range(max_degree, "max degree", _max_degree(rank))
     cap = max_degree + 1
     subsets = _SUBSETS[rank]
     _, residues = _meet_residues(loop_class.vector)

@@ -39,6 +39,11 @@ q = 1 and the pairs that fail to commute; the class table here packs
 every form of a rank and maps it to the class whose GL(k, 2)-orbit holds
 it, from the orbits of the catalog forms over every basis.
 
+The library grows the stabilizer of a squaring form a row at a time,
+keeping only the partial bases that read the form as itself; the list
+here holds every basis of GL(k, 2), and the stabilizer is the filter of
+that list by the form.
+
 The library reads a code literal straight into generator masks, a run as
 one block of bits; the set parser here adds every coordinate of a run to
 a set one at a time and builds each Codeword from its set.  Both read a
@@ -64,7 +69,7 @@ from codeloops.codes import (
     _is_number,
 )
 from codeloops.equivalence import _ClassData
-from codeloops.loops import _anf, _class_form, _general_linear, canonical_catalog
+from codeloops.loops import _anf, _class_form, canonical_catalog
 from codeloops.search import _PARAMS, _SOLUTIONS, _SUBSETS, Box, _independent, congruence_targets
 
 
@@ -314,6 +319,30 @@ def _scan_branch_and_bound(loop_class, cap, stats):
         else:
             bound = degree
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def _general_linear(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every basis of GL(rank, 2) as rows (v_1, ..., v_k) in ascending order, and its span.
+
+    images[g, y] is the xor of the rows of basis g over the bits of y, so
+    q[images[g]] is the form q read in basis g.  Each next row is taken in
+    ascending order from outside the span of the rows before it, so the
+    identity comes first.  Both arrays are uint8 and read-only.
+    """
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    images = np.zeros((1, 1), dtype=np.uint8)
+    for j in range(rank):
+        outside = np.ones((len(rows), 1 << rank), dtype=bool)
+        outside[np.arange(len(rows))[:, None], images] = False
+        g, v = np.nonzero(outside)
+        rows = np.concatenate((rows[g], v[:, None].astype(np.uint8)), axis=1)
+        # the span words with bit j set are the old ones xor v_j
+        images = np.tile(images[g], 2)
+        images[:, 1 << j :] ^= rows[:, -1:]
+    rows.setflags(write=False)
+    images.setflags(write=False)
+    return rows, images
 
 
 def _pack(form):

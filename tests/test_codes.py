@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -137,6 +138,19 @@ def test_from_mask_rejects_bad_degree():
     for degree in (0, 129):
         with pytest.raises(InvalidCodeError, match=f"degree {degree} out of range 1..128"):
             Codeword.from_mask(degree, 1)
+
+
+def test_degree_must_be_an_integer():
+    # the rule of ranks and catalog indices: what operator.index refuses;
+    # a float degree once made a word, and 1 << 8.5 a bare TypeError
+    for degree in (8.0, 8.5, "8", None):
+        with pytest.raises(InvalidCodeError, match=r"^degree .* is not an integer$"):
+            Codeword(degree, [1])
+        with pytest.raises(InvalidCodeError, match=r"^degree .* is not an integer$"):
+            Codeword.from_mask(degree, 1)
+        with pytest.raises(InvalidCodeError, match=r"^degree .* is not an integer$"):
+            BinaryCode(degree, [])
+    assert Codeword(np.int64(8), [1]).mask() == 1
 
 
 def test_meet_weight_pairs_and_triples():

@@ -52,6 +52,7 @@ from oracles import (
     _broadcast_sign_tables,
     _bucket_classes,
     _class_table,
+    _general_linear,
     _pack,
     _projection_match_classes,
     _span_class_data,
@@ -201,6 +202,20 @@ def test_cycle_notation():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_permute_word_and_code_refuse_a_non_permutation():
+    # a repeated image once dropped a coordinate, and a short tuple raised
+    # a bare IndexError
+    word = Codeword(4, [1, 2])
+    code = BinaryCode(4, [Codeword(4, [1, 2, 3, 4])])
+    assert permute_word(word, (2, 3, 1, 4)) == Codeword(4, [2, 3])
+    assert permute_code(code, (2, 3, 1, 4)) == code
+    for perm in ((1, 1, 3, 4), (2, 1, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(InvalidCodeError, match=r"^not a permutation of 1\.\.4$"):
+            permute_word(word, perm)
+        with pytest.raises(InvalidCodeError, match=r"^not a permutation of 1\.\.4$"):
+            permute_code(code, perm)
 
 
 def test_match_classes_leaves_no_reference_cycle():
@@ -655,7 +670,7 @@ def test_class_table_partitions_the_forms_into_catalog_orbits(rank):
     assert (classes[~cubic] == 0).all()
     assert (classes[cubic] > 0).all()
     assert np.count_nonzero(table) == cubic.sum() == (64 if rank == 3 else 15360)
-    rows, images = loops._general_linear(rank)
+    rows, images = _general_linear(rank)
     order = int(np.prod([(1 << rank) - (1 << i) for i in range(rank)]))
     assert len(rows) == len(set(map(tuple, rows.tolist()))) == order
     assert rows.tolist() == sorted(rows.tolist())
@@ -760,6 +775,84 @@ def test_box_stabilizer_is_cached_read_only_and_starts_at_the_identity():
     assert maps[0].tolist() == list(range(15))
 
 
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_form_stabilizer_equals_the_general_linear_filter(name):
+    # the row-by-row walk keeps exactly the bases of the full GL(k, 2) list
+    # that read q_L as q_L, in the list's ascending order
+    loop_class = parse_loop_id(name)
+    q = loops._class_form(loop_class.vector)
+    rows, images = _general_linear(loop_class.rank)
+    got = equivalence._form_stabilizer(q)
+    assert got.dtype == np.uint8
+    assert got.tolist() == rows[(q[images] == q).all(axis=1)].tolist()
+
+
+def _transvection_orbit(q):
+    """The packed forms q read in every basis of GL(k, 2), by a breadth-first walk.
+
+    The transvection e_i -> e_i + e_j takes span word y to y ^ (bit i of y)
+    << j, and the k(k - 1) transvections generate GL(k, 2), so the walk
+    over them from q reaches its whole orbit.  Shares no code with the
+    library's walk over the rows of a basis.
+    """
+    n = len(q)
+    k = n.bit_length() - 1
+    y = np.arange(n)
+    moves = np.array([y ^ (y >> i & 1) << j for i in range(k) for j in range(k) if i != j])
+    powers = np.int64(1) << np.arange(n, dtype=np.int64)
+    seen = {int(q @ powers)}
+    frontier = q[None, :]
+    while len(frontier):
+        moved = frontier[:, moves].reshape(-1, n)
+        packed = (moved @ powers).tolist()
+        fresh = {}
+        for i, p in enumerate(packed):
+            if p not in seen:
+                fresh.setdefault(p, i)
+        seen.update(fresh)
+        frontier = moved[list(fresh.values())]
+    return seen
+
+
+def _monomial_form(rank, monomials):
+    """The truth table of a sum of monomials, each a mask of its variables."""
+    coefficients = np.zeros(1 << rank, dtype=np.uint8)
+    coefficients[list(monomials)] = 1
+    return loops._anf(coefficients)
+
+
+RANK5_FORMS = {
+    # the squaring form of a dimension-5 code: |w_y|/4 mod 2 over its span
+    "code": (
+        np.array([
+            m.bit_count() // 4 % 2
+            for m in parse_code("degree=12\n1,2,3,4\n1,2,5,6\n1,3,5,7\n1-8\n9-12\n").span_masks()
+        ], dtype=np.uint8),
+        2688,
+    ),
+    "y0y1y2": (_monomial_form(5, [0b00111]), 9216),
+    "y0y1y2 + y0y3y4": (_monomial_form(5, [0b00111, 0b11001]), 720),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK5_FORMS))
+def test_form_stabilizer_at_rank_5(name):
+    # GL(5, 2) has 9,999,360 bases, too many to list; the walk holds only
+    # the stabilizer, and orbit times stabilizer is the group order
+    q, order = RANK5_FORMS[name]
+    rows = equivalence._form_stabilizer(q)
+    assert len(rows) == order
+    assert rows[0].tolist() == [1, 2, 4, 8, 16]
+    listed = rows.tolist()
+    assert all(a < b for a, b in zip(listed, listed[1:]))  # strictly ascending
+    images = np.zeros((len(rows), 32), dtype=np.uint8)
+    for j in range(5):
+        images[:, 1 << j : 2 << j] = images[:, : 1 << j] ^ rows[:, j : j + 1]
+    assert (np.sort(images, axis=1) == np.arange(32)).all()  # each row set is a basis
+    assert (q[images] == q).all()
+    assert len(rows) * len(_transvection_orbit(q)) == 9999360
+
+
 def test_box_stabilizer_is_not_built_at_import():
     src = os.path.dirname(os.path.dirname(codeloops.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -768,13 +861,13 @@ def test_box_stabilizer_is_not_built_at_import():
             sys.executable,
             "-c",
             "import codeloops.cli as c; from codeloops import loops as l; print(*(f.cache_info()"
-            ".currsize for f in (c.box_stabilizer, l._general_linear, l._class_keys)))",
+            ".currsize for f in (c.box_stabilizer, l._class_keys)))",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0 0 0\n", proc.stderr
+    assert proc.stdout == "0 0\n", proc.stderr
 
 
 def _box_rows(box):

@@ -46,6 +46,7 @@ from codeloops.loops import CodeLoop, is_latin, is_moufang
 from oracles import (
     _broadcast_sign_tables,
     _class_table,
+    _general_linear,
     _table_is_associative,
     _table_is_moufang,
 )
@@ -380,7 +381,7 @@ def test_characteristic_vector_rejects_bad_basis():
 def test_characteristic_vector_reads_numpy_indices_and_refuses_floats():
     # at rank 3 every basis is admissible: y_0 y_1 y_2 is the top term of q
     loop = build_loop(catalog_entry("C3_1").code())
-    for row in loops._general_linear(3)[0]:
+    for row in _general_linear(3)[0]:
         assert characteristic_vector(loop, row) == characteristic_vector(loop, tuple(row.tolist()))
     with pytest.raises(InvalidCodeError, match="integers"):
         characteristic_vector(loop, (1.0, 2, 4))
@@ -481,19 +482,36 @@ def test_classify_refuses_a_diagonal_with_a_degree_four_term():
         classify(_twisted_loop(loop.code, table.tolist()))
 
 
+def test_characteristic_vector_refuses_a_diagonal_with_a_degree_four_term():
+    # the twisted C4_1 loop above: classify finds it in no class, and no
+    # basis gives it a vector, as none makes its fourth word nuclear
+    loop = build_loop(catalog_entry("C4_1").code())
+    assert str(characteristic_vector(loop, (1, 2, 4, 8))) == "1110110100"
+    table = loop.factor_set.array.copy()
+    table[15, 15] ^= 1
+    with pytest.raises(InvalidCodeError, match="^squaring form has a term above degree 3"):
+        characteristic_vector(_twisted_loop(loop.code, table.tolist()), (1, 2, 4, 8))
+
+
 def test_classify_never_builds_the_general_linear_group(tmp_path):
-    # a rank-4 classification reads two counts off the diagonal; the bases
-    # of GL(4, 2) are listed only for box_stabilizer
-    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    # no module of the package lists the bases of GL(k, 2): box_stabilizer
+    # grows only the admissible ones, and the full list is a test oracle;
+    # a rank-4 classification reads two counts off the diagonal and builds
+    # no stabilizer
+    package = os.path.dirname(codeloops.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                assert "_general_linear" not in f.read(), name
+    src = os.path.dirname(package)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     file = tmp_path / "c4_8.code"
     file.write_text(format_code(catalog_entry("C4_8").code()), encoding="utf-8")
     script = (
         "import sys\n"
-        "from codeloops import loops\n"
-        "from codeloops.cli import main\n"
+        "from codeloops.cli import box_stabilizer, main\n"
         "main(['classify', sys.argv[1]])\n"
-        "print(loops._general_linear.cache_info().currsize)\n"
+        "print(box_stabilizer.cache_info().currsize)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(file)],

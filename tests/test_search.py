@@ -58,9 +58,9 @@ from codeloops.search import (
     assemble_generators,
     reduced_box,
 )
-from codeloops.loops import _general_linear
 from codeloops.subsets import _meet_residues
 from oracles import (
+    _general_linear,
     _ladder_screen,
     _ladder_solve_system,
     _ladder_subsets,
@@ -744,6 +744,17 @@ def test_walk_rejects_meets_off_the_layout(monkeypatch):
     monkeypatch.setattr(search, "_layout_meets", lambda rank: (positions, wrong))
     with pytest.raises(InternalInvariantError, match="do not match the class layout"):
         reduced_box("C3_1", 7)
+
+
+def test_reduced_box_refuses_a_non_integer_max_degree():
+    # a cap of 20.5 once let in the completions of degree 21
+    assert len(reduced_box("C4_16", 20).degree) == 8
+    for max_degree in (20.5, 20.0, "20", None):
+        with pytest.raises(InvalidCodeError, match=r"^max degree .* is not an integer$"):
+            reduced_box("C4_16", max_degree)
+        with pytest.raises(InvalidCodeError, match=r"^max degree .* is not an integer$"):
+            enumerate_reduced("C4_16", max_degree)
+    assert len(reduced_box("C4_16", np.int64(20)).degree) == 8
 
 
 def _record_text(loop_class, box):
