@@ -16,6 +16,7 @@ and the coordinate classes are kept as masks.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator
 
@@ -80,8 +81,13 @@ class Codeword:
         if self._mask is None:
             mask = 0
             for i in self._support:
-                if not (isinstance(i, int) and 1 <= i <= degree):
-                    raise InvalidCodeError(f"coordinate {i!r} outside 1..{degree}")
+                if type(i) is not int:  # no call for an int
+                    if not hasattr(type(i), "__index__"):  # what operator.index refuses
+                        raise InvalidCodeError(f"coordinate {i!r} is not an integer")
+                    i = operator.index(i)
+                    _set(self, "_support", None)  # rebuilt from the mask, as ints
+                if not 1 <= i <= degree:
+                    raise InvalidCodeError(f"coordinate {i} outside 1..{degree}")
                 mask |= 1 << (i - 1)
             _set(self, "_mask", mask)
         elif self._support is None:

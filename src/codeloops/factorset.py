@@ -44,14 +44,13 @@ t[a, x] of the rows (bit y of row x read from position y + a) are built for
 every a in k doubling steps, and a sum of phi terms over a free variable y
 becomes an xor of 2^k-bit words, one per pair of the other two variables.
 word_table lays out every such word a kernel can read in one flat array:
-phi spread to words (a term without y), then the translates of the rows
-and, for the Moufang check, of the columns, from one doubling pass over
-their stack.  A kernel is then a fixed intp index table per 2^k, built
-on first use, that names where each of its phi terms sits in the word
-table: associator_bits is one gather of its 4 terms and one xor over
-them, and loops.is_moufang one gather of the 6 terms of each of its 3
-identities and one xor per identity.  Each
-word decides 2^k triples, so the 4^k words decide all 2^(3k).
+phi spread to words (a term without y), then the translates of the rows.
+A kernel is a fixed intp index table per 2^k, built on first use, that
+names where each of its phi terms sits there: associator_bits gathers 4
+terms and xors them, and loops.is_moufang the 6 of z(x(zy)) = ((zx)z)y,
+all rows.  No column is needed: a quasigroup with one Moufang identity
+has them all (K. Kunen, "Moufang quasigroups", J. Algebra 183, 1996).
+Each word decides 2^k triples, so the 4^k words decide all 2^(3k).
 
 The tests keep the general routine as the oracle: they solve the
 axioms as one linear system over GF(2) by elimination, pin free entries to
@@ -80,16 +79,7 @@ class FactorSet:
     """A 2^k x 2^k table of sign exponents over a code's span, as one read-only uint8 array."""
 
     def __init__(self, code: BinaryCode, table: np.ndarray | list[list[int]]):
-        n = 1 << code.dimension
-        try:
-            given = np.asarray(table)
-        except ValueError:  # a ragged list
-            given = None
-        if given is None or given.shape != (n, n):
-            raise InvalidCodeError("factor set table must be 2^k x 2^k")
-        phi = given.astype(np.uint8)
-        if (phi > 1).any() or (phi != given).any():
-            raise InvalidCodeError("factor set entries must be 0 or 1")
+        phi = _zero_one_table(table, 1 << code.dimension)
         phi.flags.writeable = False
         self.code = code
         self.array = phi
@@ -115,6 +105,21 @@ class FactorSet:
             and self.code == other.code
             and np.array_equal(self.array, other.array)
         )
+
+
+def _zero_one_table(table, n: int | None = None) -> np.ndarray:
+    """A uint8 copy of an n x n 0/1 table, any 2^k x 2^k one for n None; others are refused."""
+    try:
+        given = np.asarray(table)
+    except ValueError:  # a ragged list
+        given = np.empty(0)
+    if n is None and given.ndim == 2:
+        n = len(given)
+    if given.shape != (n, n) or not n or n & (n - 1):
+        raise InvalidCodeError("factor set table must be 2^k x 2^k")
+    if not np.logical_or(given == 0, given == 1).all():  # before the cast, which reads 256 as 0
+        raise InvalidCodeError("factor set entries must be 0 or 1")
+    return given.astype(np.uint8)
 
 
 def build_factor_set(code: BinaryCode) -> FactorSet:
@@ -201,32 +206,28 @@ def translates(rows: np.ndarray) -> np.ndarray:
     return t
 
 
-def word_table(phi: np.ndarray, columns: bool) -> np.ndarray:
-    """Every 2^k-bit word the kernels read off a 2^k x 2^k uint8 table, k <= 6, as one flat array.
+def word_table(phi) -> np.ndarray:
+    """Every 2^k-bit word the kernels read off a 2^k x 2^k 0/1 table, k <= 6, as one flat array.
 
     phi spread to words comes first, then for each offset a the translates
-    by a of the rows and, with columns, of the columns; row u itself is
-    its translate by 0.  Rows and columns are translated in one pass over
-    their stack.  _word_positions says where each word sits.
+    by a of the rows; row u itself is its translate by 0.  _word_positions
+    says where each word sits.  Any other table is refused (InvalidCodeError).
     """
-    n = len(phi)
-    rows = bit_rows(np.stack((phi, phi.T)) if columns else phi)
-    spread = np.multiply(phi, np.uint64((1 << n) - 1), dtype=np.uint64)
+    phi = _zero_one_table(phi)
+    rows = bit_rows(phi)
+    spread = np.multiply(phi, np.uint64((1 << len(phi)) - 1), dtype=np.uint64)
     return np.concatenate((spread.ravel(), translates(rows).ravel()))
 
 
-def _word_positions(n: int, columns: bool):
-    """The positions in word_table(phi, columns) of 2^k = n, as functions of word indices.
+def _word_positions(n: int):
+    """The positions in word_table(phi) of 2^k = n, as functions of word indices.
 
-    spread(u, v) is phi(u, v) over all n bits, row(a, u) the translate by
-    a of row u and, with columns, col(a, u) that of column u.  The indices
-    may be broadcasting arrays.
+    spread(u, v) is phi(u, v) over all n bits and row(a, u) the translate
+    by a of row u.  The indices may be broadcasting arrays.
     """
-    stride = 2 * n if columns else n  # the translates by one offset
     spread = lambda u, v: u * n + v
-    row = lambda a, u: n * n + a * stride + u
-    col = lambda a, u: n * n + a * stride + n + u
-    return spread, row, col
+    row = lambda a, u: n * n + a * n + u
+    return spread, row
 
 
 def _index_table(n: int, *terms) -> np.ndarray:
@@ -244,18 +245,18 @@ def _index_table(n: int, *terms) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _associator_index(n: int) -> np.ndarray:
-    """Where the 4 phi terms of associator word [x, y] sit in word_table(phi, False): (4, n, n)."""
+    """Where the 4 phi terms of associator word [x, y] sit in word_table(phi): (4, n, n)."""
     w = np.arange(n)
     x, y = w[:, None], w[None, :]
-    spread, row, _ = _word_positions(n, columns=False)
+    spread, row = _word_positions(n)
     return _index_table(n, row(0, x ^ y), row(y, x), spread(x, y), row(0, y))
 
 
-def associator_bits(phi: np.ndarray) -> np.ndarray:
+def associator_bits(phi) -> np.ndarray:
     """The associator bits as rows: bit z of word [x, y] is asc[x, y, z].
 
     asc[x, y, z] = phi(x+y, z) + phi(x, y+z) + phi(x, y) + phi(y, z) mod 2.
-    phi is a 2^k x 2^k uint8 array of sign exponents, k <= 6.  For any
+    phi is a 2^k x 2^k 0/1 table of sign exponents, k <= 6.  For any
     such table this is the sign exponent of the associator of the positive
     lifts of x, y, z in the twisted loop: ((x y) z) takes phi(x, y) +
     phi(x+y, z) and (x (y z)) takes phi(y, z) + phi(x, y+z).  On a factor
@@ -263,7 +264,7 @@ def associator_bits(phi: np.ndarray) -> np.ndarray:
     the four terms are the row of x+y, the translate of row x by y, the
     constant phi(x, y) and the row of y: one gather from the word table.
     """
-    words = word_table(phi, columns=False)[_associator_index(len(phi))]
+    words = word_table(phi)[_associator_index(len(phi))]
     return np.bitwise_xor.reduce(words, axis=0)
 
 

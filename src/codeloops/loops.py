@@ -11,22 +11,24 @@ array, built by broadcasting over the factor set when CodeLoop.table is
 first read and checked then to be a Latin square with identity 0.  The
 sign methods of CodeLoop read squares, commutators and associators off it.
 
-The Moufang identities and associativity are checked on the 2^k words of
-the factor set, not on the 2^(k+1) elements of the table.  The signs are
-central, so the sign exponent of a product of signed elements is the sum
-of the factors' sign exponents plus one phi term per multiplication, and
-its word is the sum of the factors' words.  Each Moufang identity, like
-the associative law, has every variable the same number of times on both
-sides, so the factors' signs cancel and the words agree; an identity
-holds on all signed triples exactly when the phi terms of its two sides
-agree on the positive lifts.  The phi terms are read as bit rows of the
-factor set (see factorset): with y as the free variable, every phi term
-of an identity is a row, a column, a translate of either, or a constant
-spread over all 2^k bits, so the identities are one gather of their terms
-from factorset.word_table and one xor of 2^k-bit words per identity for
-each of the 4^k pairs (z, x), which covers all 2^(3k) triples.  The
-tests keep the element-level checks on the table, and the broadcast
-checks over all triples of words, as the oracles.
+The Moufang property and associativity are checked on the 2^k words of
+the factor set, not on the 2^(k+1) elements of the table.  For any table
+phi the product is a quasigroup (multiplying by (s, v) on either side is
+a bijection), and a quasigroup with one Moufang identity is a loop with
+all of them (K. Kunen, "Moufang quasigroups", J. Algebra 183, 1996), so
+is_moufang checks z(x(zy)) = ((zx)z)y alone.  The sign exponent of a
+product of signed elements is the sum of the factors' sign exponents
+plus one phi term per multiplication, and its word is the sum of the
+factors' words.  That identity, like the associative law, has every
+variable the same number of times on both sides, so the factors' signs
+cancel and the words agree: it holds on all signed triples exactly when
+the phi terms of its two sides agree on the positive lifts.  Over y its
+six terms are rows of phi, their translates or constants spread over
+2^k bits (see factorset): one gather from factorset.word_table, which
+associator_bits reads too, and one xor of 2^k-bit words for each of the
+4^k pairs (z, x) decide all 2^(3k) triples.  The tests keep the
+element-level checks of all three identities on the table, and the
+broadcast checks over all triples of words, as the oracles.
 
 For a nonassociative loop of rank 3 or 4 the characteristic vector of an
 admissible basis (the first three words associate to -1 and, at rank 4,
@@ -48,9 +50,10 @@ the number of words whose lifts square to -1 and the number of ordered
 pairs of words whose lifts fail to commute.  These two counts tell the 5
 classes of rank 3 and the 16 of rank 4 apart, and the tests check the
 rule against the orbit table of every truth table of both ranks.
-characteristic_vector takes the ANF of q read in a basis with _anf, the
-GF(2) Moebius transform of the table packed into one int, and _class_form
-runs the same transform, its own inverse, from L to q_L.
+characteristic_vector reads the ANF of q in a basis as _form_class does,
+the GF(2) Moebius transform of the table packed into one int (_mobius),
+monomial m at bit m, and _class_form runs the same transform, its own
+inverse, from L to q_L (_anf).
 On a code v squared is (-1)^(|v|/4), the commutator of u and v is
 (-1)^(|u & v|/2) and the associator of u, v, w is (-1)^|u & v & w|;
 acceptance criterion 7 checks these signs against the Cayley table.
@@ -172,56 +175,41 @@ def is_latin(table: np.ndarray) -> bool:
 
 
 def is_moufang(phi) -> bool:
-    """Check three equivalent Moufang identities on the loop twisted by a factor-set table.
+    """Check the Moufang identities on the loop twisted by a 2^k x 2^k 0/1 table phi, k <= 6.
 
-    phi is any 2^k x 2^k 0/1 table of sign exponents, k <= 6.  Each
-    identity is checked on all 2^(3k) triples of words (z, x, y) as the
-    xor of its phi terms on either side, which decides it on all signed
-    triples (see the module docstring).  For z(x(zy)) = ((zx)z)y that is
-    phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) +
-    phi(x, y), mod 2.  The terms are words of one word table per call
-    (factorset.word_table), and _moufang_defects gathers those of all three
-    identities at once.
+    One identity decides them all (see the module docstring): z(x(zy)) =
+    ((zx)z)y on all 2^(3k) triples of words, as phi(z, y) + phi(x, z+y) +
+    phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y), mod 2.  Any other
+    table is refused with InvalidCodeError.
     """
-    return not _moufang_defects(np.asarray(phi, dtype=np.uint8)).any()
+    return not _moufang_defects(phi).any()
 
 
 @functools.lru_cache(maxsize=None)
 def _moufang_index(n: int) -> np.ndarray:
-    """Where the 6 phi terms of each identity sit in word_table(phi, True): (3, 6, n, n).
+    """Where the 6 phi terms of z(x(zy)) = ((zx)z)y sit in word_table(phi): (6, n, n).
 
-    Entry [i, :, z, x] lists the words whose xor is word [z, x] of identity
-    i in _moufang_defects.  Read-only intp.
+    Entry [:, z, x] lists the words whose xor is word [z, x] of
+    _moufang_defects.  Read-only intp.
     """
     w = np.arange(n)
     z, x = w[:, None], w[None, :]
+    spread, row = _word_positions(n)
+    # phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y)
     zx = z ^ x
-    spread, tr, tc = _word_positions(n, columns=True)
-    return _index_table(
-        n,
-        # z(x(zy)) = ((zx)z)y:
-        # phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y)
-        tr(0, z), tr(z, x), tr(zx, z), tr(0, x), spread(z, x), spread(zx, z),
-        # x(z(yz)) = ((xz)y)z:
-        # phi(y, z) + phi(z, y+z) + phi(x, y) = phi(x, z) + phi(x+z, y) + phi(x+y+z, z)
-        tc(0, z), tr(z, z), tr(0, x), tr(0, zx), tc(zx, z), spread(x, z),
-        # (zx)(yz) = (z(xy))z:
-        # phi(z, x) + phi(y, z) + phi(z+x, y+z) = phi(x, y) + phi(z, x+y) + phi(x+y+z, z)
-        tc(0, z), tr(z, zx), tr(0, x), tr(x, z), tc(zx, z), spread(z, x),
-    ).reshape(3, 6, n, n)
+    return _index_table(n, row(0, z), row(z, x), row(zx, z), row(0, x), spread(z, x), spread(zx, z))
 
 
-def _moufang_defects(phi: np.ndarray) -> np.ndarray:
-    """Per identity, the words over y of the xor of its two sides' phi terms: (3, 2^k, 2^k).
+def _moufang_defects(phi) -> np.ndarray:
+    """Over y, the xor of the phi terms of both sides of z(x(zy)) = ((zx)z)y: (2^k, 2^k) words.
 
-    Bit y of word [i, z, x] is 1 when identity i fails on (z, x, y).  Over
-    y, phi(u, y) is row u, phi(y, u) is column u, phi(u, y + a) and phi(y +
-    a, u) are their translates by a, and a term without y is spread over
-    all bits.  The 6 terms of all 3 identities are one gather from the
-    word table, and one xor over the terms of each identity.
+    Bit y of word [z, x] is 1 when the identity fails on (z, x, y).  Over
+    y, phi(u, y) is row u, phi(u, y + a) its translate by a, and a term
+    without y is spread over all bits: one gather from the word table and
+    one xor over the 6 terms.
     """
-    words = word_table(phi, columns=True)[_moufang_index(len(phi))]
-    return np.bitwise_xor.reduce(words, axis=1)
+    words = word_table(phi)[_moufang_index(len(phi))]
+    return np.bitwise_xor.reduce(words, axis=0)
 
 
 def build_loop(code: BinaryCode) -> CodeLoop:
@@ -386,14 +374,15 @@ def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
     span = np.zeros(1 << rank, dtype=np.intp)
     for i, w in enumerate(words):
         span[1 << i : 2 << i] = span[: 1 << i] ^ w
-    anf = _anf(loop.factor_set.array.diagonal()[span])
-    if not anf[_BASIS_CUBIC]:
+    anf = _mobius(_packed(loop.factor_set.array.diagonal()[span]), len(span))
+    cubic, higher = _degree_masks(len(span))
+    if not anf >> _BASIS_CUBIC & 1:
         raise InvalidCodeError("first three basis words associate; not an admissible basis")
-    if anf[[m for m in range(1 << rank) if m.bit_count() == 3]].sum() > 1:
+    if (anf & cubic).bit_count() > 1:
         raise InvalidCodeError("fourth basis word is not nuclear")
-    if anf[[m for m in range(1 << rank) if m.bit_count() > 3]].any():
+    if anf & higher:
         raise InvalidCodeError("squaring form has a term above degree 3; the loop lies in no class")
-    return CharVector.from_bits(rank, anf[_monomials(rank)])
+    return CharVector.from_bits(rank, [anf >> m & 1 for m in _monomials(rank)])
 
 
 _BASIS_CUBIC = 0b111  # the monomial y_0 y_1 y_2, as the mask of its variables

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codeloops
-from codeloops import BinaryCode, Codeword, build_loop
+from codeloops import BinaryCode, Codeword, InvalidCodeError, build_loop
 from codeloops.catalog import all_loop_ids, catalog_entry
 from codeloops.factorset import (
     FactorSet,
@@ -51,14 +51,54 @@ def _pack(bits):
 def _assert_kernels_match_oracles(table):
     phi = np.array(table, dtype=np.uint8)
     defects = _moufang_defects(phi)
-    assert defects.shape == (3, len(phi), len(phi)) and defects.dtype == np.uint64
-    for identity, (words, oracle) in enumerate(
-        zip(defects, _broadcast_moufang_sides(phi), strict=True)
-    ):
-        assert (words == _pack(oracle)).all(), identity
+    assert defects.shape == (len(phi), len(phi)) and defects.dtype == np.uint64
+    # the kernel checks the first identity, z(x(zy)) = ((zx)z)y, alone
+    assert (defects == _pack(_broadcast_moufang_sides(phi)[0])).all()
     assert is_moufang(table) == is_moufang(phi) == _broadcast_is_moufang(phi)
     assert (associator_bits(phi) == _pack(_broadcast_associator_bits(phi))).all()
     return is_moufang(phi)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_the_first_identity_decides_all_three_on_every_table_up_to_k_2(k):
+    # a quasigroup with one Moufang identity has them all (Kunen 1996);
+    # the oracle broadcasts over trailing axes, so one call reads every
+    # table of the size, stacked along the last axis
+    n = 1 << k
+    count = 1 << n * n
+    entries = np.arange(count) >> np.arange(n * n)[:, None] & 1
+    stack = entries.reshape(n, n, count).astype(np.uint8)
+    clean = [~side.any(axis=(0, 1, 2)) for side in _broadcast_moufang_sides(stack)]
+    assert (clean[0] == (clean[0] & clean[1] & clean[2])).all()
+    assert int(clean[0].sum()) == (2, 4, 32)[k]
+    tables = np.ascontiguousarray(stack.transpose(2, 0, 1))
+    assert [is_moufang(table) for table in tables] == clean[0].tolist()
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.zeros((3, 3), np.uint8), "factor set table must be 2^k x 2^k"),
+        (np.zeros((6, 6), np.uint8), "factor set table must be 2^k x 2^k"),
+        (np.zeros((0, 0), np.uint8), "factor set table must be 2^k x 2^k"),
+        (np.zeros((4, 2), np.uint8), "factor set table must be 2^k x 2^k"),
+        (np.zeros((2, 2, 2), np.uint8), "factor set table must be 2^k x 2^k"),
+        ([[0, 1], [1]], "factor set table must be 2^k x 2^k"),
+        (np.zeros((128, 128), np.uint8), "a 128-entry row does not fit in 64 bits"),
+        ([[0, 2], [0, 0]], "factor set entries must be 0 or 1"),
+        ([[0, 256], [0, 0]], "factor set entries must be 0 or 1"),
+        ([[0, -1], [0, 0]], "factor set entries must be 0 or 1"),
+        ([[0, 0.5], [0, 0]], "factor set entries must be 0 or 1"),
+    ],
+    ids=["3x3", "6x6", "0x0", "4x2", "2x2x2", "ragged", "128x128", "2", "256", "-1", "0.5"],
+)
+def test_kernels_refuse_a_table_that_is_not_a_square_of_bits(table, message):
+    # a 3x3 table once read the uninitialised words of a 2^k buffer, and
+    # an entry of 2 passed as a sign exponent
+    for kernel in (is_moufang, associator_bits, word_table):
+        with pytest.raises(InvalidCodeError) as info:
+            kernel(table)
+        assert str(info.value) == message, kernel
 
 
 def _twist(table, f):
@@ -219,14 +259,11 @@ def test_word_table_lays_out_spread_entries_then_the_translates_by_each_offset()
     n = 8
     phi = np.random.default_rng(8).integers(0, 2, (n, n), dtype=np.uint8)
     spread = phi.astype(np.uint64) * np.uint64(0xFF)
-    rows, cols = translates(bit_rows(phi)), translates(bit_rows(phi.T))
-    words = word_table(phi, columns=True)
-    assert words.shape == (3 * n * n,) and words.dtype == np.uint64
+    words = word_table(phi)
+    assert words.shape == (2 * n * n,) and words.dtype == np.uint64
     assert (words[: n * n] == spread.ravel()).all()
-    # per offset a, the translates of the n rows, then of the n columns
-    assert (words[n * n :].reshape(n, 2, n) == np.stack((rows, cols), axis=1)).all()
-    words = word_table(phi, columns=False)
-    assert (words == np.concatenate((spread.ravel(), rows.ravel()))).all()
+    # per offset a, the translates of the n rows
+    assert (words[n * n :].reshape(n, n) == translates(bit_rows(phi))).all()
 
 
 def test_index_tables_are_built_on_first_use_read_only_and_intp():
@@ -244,10 +281,10 @@ def test_index_tables_are_built_on_first_use_read_only_and_intp():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout == "0 0\n", proc.stderr
-    tables = ((_associator_index(64), (4, 64, 64)), (_moufang_index(64), (3, 6, 64, 64)))
+    tables = ((_associator_index(64), (4, 64, 64)), (_moufang_index(64), (6, 64, 64)))
     for index, shape in tables:
         assert index.shape == shape and index.dtype == np.intp
-        assert int(index.max()) < 3 * 64 * 64
+        assert int(index.max()) < 2 * 64 * 64
         with pytest.raises(ValueError):
             index[0, 0, 0] = 0
 

@@ -123,15 +123,29 @@ def test_codeword_is_immutable():
         (5, [0], "coordinate 0 outside 1..5"),
         (5, [-1], "coordinate -1 outside 1..5"),
         (128, [129], "coordinate 129 outside 1..128"),
-        (5, ["a"], "coordinate 'a' outside 1..5"),
-        (5, [2.0], "coordinate 2.0 outside 1..5"),
-        (5, [None], "coordinate None outside 1..5"),
+        (5, ["a"], "coordinate 'a' is not an integer"),
+        (5, [2.0], "coordinate 2.0 is not an integer"),
+        (5, [None], "coordinate None is not an integer"),
     ],
 )
 def test_codeword_rejection_messages(degree, support, message):
     with pytest.raises(InvalidCodeError) as info:
         Codeword(degree, support)
     assert str(info.value) == message
+
+
+def test_coordinates_follow_operator_index():
+    # the rule of degrees, ranks and catalog indices: a numpy integer was
+    # refused as "outside 1..8", and True was kept in the support
+    assert Codeword(8, [np.int64(1)]) == word(8, 1)
+    for support in ([np.int64(1), np.uint8(2)], [True, 2]):
+        w = Codeword(8, support)
+        assert w == word(8, 1, 2) and {type(i) for i in w.support} == {int}
+    # a string is a sequence of one-character strings, in no fixed order
+    with pytest.raises(InvalidCodeError, match=r"^coordinate '[12]' is not an integer$"):
+        Codeword(8, "12")
+    with pytest.raises(InvalidCodeError, match=r"^coordinate 9 outside 1\.\.8$"):
+        Codeword(8, [np.int64(9)])
 
 
 def test_from_mask_rejects_bad_degree():

@@ -218,6 +218,14 @@ def test_permute_word_and_code_refuse_a_non_permutation():
             permute_code(code, perm)
 
 
+def test_permute_word_takes_a_permutation_of_numpy_integers():
+    # coordinates follow operator.index; a numpy image was refused as
+    # "coordinate np.int64(1) outside 1..4"
+    perm = tuple(np.array([3, 1, 2, 4]))
+    image = permute_word(Codeword(4, [1, 2]), perm)
+    assert image == Codeword(4, [1, 3]) and {type(i) for i in image.support} == {int}
+
+
 def test_match_classes_leaves_no_reference_cycle():
     # the depth-first search is a closure that calls itself; it is freed on
     # return, so a search leaves nothing for the cyclic collector
