@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import all_loop_ids, parse_loop_id
 from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, parse_code
-from .equivalence import box_stabilizer, cycle_notation, code_isomorphism, distinguishing_invariant
+from .equivalence import cycle_notation, code_isomorphism, distinguishing_invariant, orbit_weights
 from .loops import _RANKS, CodeLoop, LoopClass, build_loop, classify, AssociativeLoopError
 from .search import (
     Box,
@@ -360,9 +360,10 @@ def _conjecture_groups(rank: int, max_degree: int):
     sizes of its box row, and no member's code is laid out here.  The
     members of a group are box points of one class, so a member is
     isomorphic to the first exactly when its row is an image of the
-    first's under box_stabilizer.  The packed images of a group's first
-    member are built when its second member arrives, and kept until a gap
-    is found or the loop ends.
+    first's under the stabilizer H_L (equivalence.box_stabilizer).  The
+    images of a group's first member are built packed, as one product with
+    the orbit weights of the class (_packed_images), when its second member
+    arrives, and kept until a gap is found or the loop ends.
     """
     groups: dict[tuple[int, int, tuple[int, ...]], _Group] = {}
     total = 0
@@ -372,7 +373,7 @@ def _conjecture_groups(rank: int, max_degree: int):
         for rep in enumerate_reduced(target, max_degree):
             total += 1
             row = rep.row
-            key = (target.index, rep.degree, tuple(sorted([size for size in row if size])))
+            key = (target.index, rep.degree, tuple(sorted(filter(None, row))))
             group = groups.get(key)
             if group is None:
                 groups[key] = _Group(rep, rep)
@@ -400,15 +401,16 @@ def _pack(row: tuple[int, ...]) -> int:
 
 
 def _packed_images(target: LoopClass, row: tuple[int, ...]) -> set[int]:
-    """The images of a box row under box_stabilizer, each packed as _pack packs it.
+    """The images of a box row under the stabilizer H_L, each packed as _pack packs it.
 
-    The members of a group share their sorted class sizes, so a size below
-    8 in the first member's row keeps every member's sizes in their 3 bits.
+    The images come packed from one product with the row, W @ row, W the
+    orbit weights of the class (equivalence.orbit_weights).  The members of
+    a group share their sorted class sizes, so a size below 8 in the first
+    member's row keeps every member's sizes in their 3 bits.
     """
     if max(row) >= 8:
         raise InternalInvariantError(f"class size {max(row)} of a box row does not fit in 3 bits")
-    images = np.array(row, dtype=np.int64)[box_stabilizer(target)]
-    return set((images @ np.array(_POWERS_OF_8[: len(row)], dtype=np.int64)).tolist())
+    return set((orbit_weights(target) @ row).tolist())
 
 
 def _cross_check(group: _Group) -> None:

@@ -69,7 +69,9 @@ class Codeword:
 
     def __init__(self, degree: int, support: Iterable[int]):
         _set(self, "degree", degree)
-        _set(self, "_support", support if isinstance(support, frozenset) else frozenset(support))
+        # checked in the caller's order, so a refusal names the first bad
+        # coordinate given, whatever the hash order of a set of them
+        _set(self, "_support", support if isinstance(support, frozenset) else tuple(support))
         _set(self, "_mask", None)
         self.__post_init__()
 
@@ -80,16 +82,20 @@ class Codeword:
             _check_in_range(degree, "degree", MAX_DEGREE)
         if self._mask is None:
             mask = 0
-            for i in self._support:
+            support = self._support
+            for i in support:
                 if type(i) is not int:  # no call for an int
                     if not hasattr(type(i), "__index__"):  # what operator.index refuses
                         raise InvalidCodeError(f"coordinate {i!r} is not an integer")
                     i = operator.index(i)
-                    _set(self, "_support", None)  # rebuilt from the mask, as ints
+                    support = None  # rebuilt from the mask, as ints
                 if not 1 <= i <= degree:
                     raise InvalidCodeError(f"coordinate {i} outside 1..{degree}")
                 mask |= 1 << (i - 1)
             _set(self, "_mask", mask)
+            if support is not None and not isinstance(support, frozenset):
+                support = frozenset(support)
+            _set(self, "_support", support)
         elif self._support is None:
             _set(self, "_mask", self._mask & ((1 << degree) - 1))
 
@@ -221,6 +227,7 @@ class BinaryCode:
         self._span: tuple[Codeword, ...] | None = None
         self._classes: ClassPartition | None = None
         self._weights: tuple[int, ...] | None = None
+        self._rep_type: RepType | None = None
         self._class_data = None  # equivalence._class_data of this code
 
     @property
@@ -322,19 +329,26 @@ class BinaryCode:
                         split[sig] = m & ~gm
                 parts = split
             residue = parts.pop(0, 0)
-            signatures = sorted(parts, key=lambda sig: parts[sig] & -parts[sig])  # lowest coordinate
+            # the classes are disjoint: each has its own lowest coordinate
+            by_lowest = {m & -m: (m, sig) for sig, m in parts.items()}
+            order = [by_lowest[low] for low in sorted(by_lowest)]
             self._classes = ClassPartition(
-                self.degree, tuple([parts[sig] for sig in signatures]), residue, tuple(signatures)
+                self.degree,
+                tuple([m for m, _ in order]),
+                residue,
+                tuple([sig for _, sig in order]),
             )
         return self._classes
 
     def rep_type(self) -> "RepType":
-        return RepType(tuple(sorted(self.coordinate_classes().sizes())))
+        if self._rep_type is None:
+            self._rep_type = RepType(tuple(sorted(self.coordinate_classes().sizes())))
+        return self._rep_type
 
     def weight_enumerator(self) -> tuple[int, ...]:
         """Sorted multiset of the 2^k span weights."""
         if self._weights is None:
-            self._weights = tuple(sorted(m.bit_count() for m in self.span_masks()))
+            self._weights = tuple(sorted(map(int.bit_count, self.span_masks())))
         return self._weights
 
 

@@ -14,7 +14,8 @@ codes exactly when one is the other composed with such a B.  Those B form
 the stabilizer H_L of L's squaring form (box_stabilizer), so the
 isomorphism class of a box point is its H_L-orbit, and a code is
 isomorphic to another iff its packed class sizes are among the packed
-images of the other's.
+images of the other's.  The packed images of a row x are one matrix
+product W @ x, W the orbit weights of the class (orbit_weights).
 
 code_isomorphism decides isomorphism of arbitrary codes: it is the engine
 of the iso command and the independent cross-check of the orbit key.
@@ -44,7 +45,8 @@ The per-code search data comes from the class masks and signatures of
 coordinate_classes, not from the span read coordinate by coordinate: the
 class order and the class profiles follow from the signatures and the span
 weights (see _class_data).  A profile is gathered from the span weights
-through one cached itemgetter per dimension and signature.  Classes stay
+through one cached itemgetter per dimension and signature, read with the
+signature's sort key from one tuple per dimension.  Classes stay
 int masks through the search, so no coordinate is touched until the
 witness is written out: the lowest set bits of each matched pair of masks
 are peeled together.  The data is computed once and kept on the
@@ -91,9 +93,6 @@ class _ClassData(NamedTuple):
     residue: int  # the coordinates outside every class, as a mask
 
 
-# byte v with its 8 bits in reverse order
-_REVERSED_BYTE = tuple(int(f"{v:08b}"[::-1], 2) for v in range(256))
-
 # the holders of every signature of dimension at most 8 fit in the cache
 # (502 tuples of at most 128 small ints), and so do their getters; above
 # that a class's holders are listed afresh, as a table of dimension k would
@@ -122,9 +121,16 @@ def _holder_weights(k: int, sig: int) -> Callable[[list[int]], tuple[int, ...]]:
     return _gather(_holders(k, sig))
 
 
-def _fresh_holder_weights(k: int, sig: int) -> Callable[[list[int]], tuple[int, ...]]:
-    """The getter of _holder_weights, listed afresh: nothing above dimension 8 is cached."""
-    return _gather(_holders.__wrapped__(k, sig))
+def _incidence_key(k: int, sig: int) -> int:
+    """The k bits of sig in reverse order: signatures sort by it as their incidence vectors do."""
+    return int(f"{sig:0{k}b}"[::-1], 2) if k else 0
+
+
+@functools.lru_cache(maxsize=_CACHED_DIMENSION + 1)
+def _signature_tables(k: int) -> tuple[tuple, tuple[int, ...]]:
+    """Per signature s < 2^k, k <= 8: its _holder_weights getter (None at 0) and incidence key."""
+    getters = (None, *[_holder_weights(k, sig) for sig in range(1, 1 << k)])
+    return getters, tuple([_incidence_key(k, sig) for sig in range(1 << k)])
 
 
 def _class_data(code: BinaryCode) -> _ClassData:
@@ -138,25 +144,31 @@ def _class_data(code: BinaryCode) -> _ClassData:
     coordinate_classes: span word x holds the class of signature s iff
     |s & x| is odd.  So the incidence vectors of two classes first differ
     at x = 2^j, j the lowest bit where their signatures differ, and they
-    sort as the signatures read with bit 0 most significant.  The words
-    that hold signature s depend on s and the dimension k alone, so a
-    profile is the span weights gathered at _holders(k, s), sorted, through
-    one itemgetter per (k, s) (_holder_weights).
+    sort as the signatures read with bit 0 most significant
+    (_incidence_key).  The words that hold signature s depend on s and the
+    dimension k alone, so a profile is the span weights gathered at
+    _holders(k, s), sorted, through one itemgetter per (k, s).  Up to
+    dimension 8 the getters and keys of every signature are read from one
+    tuple per dimension (_signature_tables); above it they are made afresh
+    for the code's signatures, and nothing is cached.
     """
     if code._class_data is None:
         part = code.coordinate_classes()
         k = code.dimension
         weights = list(map(int.bit_count, code.span_masks()))  # k <= MAX_SPAN_DIMENSION = 16
-        getter = _holder_weights if k <= _CACHED_DIMENSION else _fresh_holder_weights
-        shift = 16 - k
+        if k <= _CACHED_DIMENSION:
+            getters, keys = _signature_tables(k)
+        else:
+            getters = {s: _gather(_holders.__wrapped__(k, s)) for s in part.signatures}
+            keys = {s: _incidence_key(k, s) for s in part.signatures}
+        # size, then incidence, as one int: the keys of a code's classes are distinct
         order = sorted(
-            (m.bit_count(), (_REVERSED_BYTE[s & 255] << 8 | _REVERSED_BYTE[s >> 8]) >> shift, m, s)
-            for m, s in zip(part.masks, part.signatures)
+            [(m.bit_count() << k | keys[s], m, s) for m, s in zip(part.masks, part.signatures)]
         )
         code._class_data = _ClassData(
-            classes=tuple([m for _, _, m, _ in order]),
-            signatures=tuple([s for _, _, _, s in order]),
-            profiles=tuple([(size, *sorted(getter(k, s)(weights))) for size, _, _, s in order]),
+            classes=tuple([m for _, m, _ in order]),
+            signatures=tuple([s for _, _, s in order]),
+            profiles=tuple([(m.bit_count(), *sorted(getters[s](weights))) for _, m, s in order]),
             residue=part.residue_mask,
         )
     return code._class_data
@@ -228,7 +240,8 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
     class of b whose signature is the xor of their images' signatures.
     That class is unused, as a used one would give b a relation a lacks,
     and a dict finds it.  The relations of a are computed once, before the
-    search.
+    search: the relation of a dependent class is read off the set bits of
+    the combination of classes its reduction xored in.
     """
     if sorted(a.profiles) != sorted(b.profiles):
         return None
@@ -251,7 +264,13 @@ def _match_classes(a: _ClassData, b: _ClassData) -> list[int] | None:
             basis.append((sig, combination))
             relation.append(())
         else:
-            relation.append(tuple(c for c in range(ai) if combination >> c & 1))
+            combination ^= 1 << ai  # the earlier classes, peeled bit by bit
+            members = []
+            while combination:
+                low = combination & -combination
+                members.append(low.bit_length() - 1)
+                combination ^= low
+            relation.append(tuple(members))
     class_of = {sig: bi for bi, sig in enumerate(b.signatures)}
     images = []  # the signatures of the images of a's independent classes, reduced
     assigned: list[int] = []
@@ -397,3 +416,18 @@ def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
     maps = np.argsort(images, axis=1).astype(np.uint8)
     maps.setflags(write=False)
     return maps
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_weights(loop_class: LoopClass) -> np.ndarray:
+    """The H_L images of a box row, packed, as one matrix product: W @ x.
+
+    Pack a box row x whose class sizes lie below 8 as one int, size i in
+    bits 3i..3i+2.  Row h of box_stabilizer sends class j to the position
+    p where maps[h, p] = j, so the packed image x[h] is sum_j x[j] 8^p:
+    W[h, j] = 8^p, and (W @ x)[h] is that packed image.  W is int64
+    (8^14 < 2^63), read-only, and built on first use for each class.
+    """
+    weights = np.int64(8) ** np.argsort(box_stabilizer(loop_class), axis=1).astype(np.int64)
+    weights.setflags(write=False)
+    return weights

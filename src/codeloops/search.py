@@ -113,6 +113,7 @@ def _vector_class(name: str, base: type, prefix: str, labels, rank: int, doc: st
         "__doc__": doc,
         "__module__": __name__,
         "_values": attrgetter(*fields),
+        "_fields": tuple(fields),
         "_rank": rank,
     }
     return make_dataclass(
@@ -216,6 +217,13 @@ _new = object.__new__
 _set = object.__setattr__  # Representation refuses plain assignment
 
 
+def _vector(cls, values: tuple[int, ...]):
+    """The cls(*values) of a subset-vector class, its fields set in one step and not one by one."""
+    vector = _new(cls)
+    vector.__dict__.update(zip(cls._fields, values))
+    return vector
+
+
 def _fill(rep, target, degree, row, t, generators):
     _set(rep, "target", target)
     _set(rep, "degree", degree)
@@ -271,11 +279,11 @@ class Representation:
 
     @property
     def params(self) -> ParamVector3 | ParamVector4:
-        return _PARAMS[self.target.rank](*self._t)
+        return _vector(_PARAMS[self.target.rank], self._t)
 
     @property
     def solution(self) -> Solution3 | Solution4:
-        return _SOLUTIONS[self.target.rank](*self.row[1:])
+        return _vector(_SOLUTIONS[self.target.rank], self.row[1:])
 
     @property
     def classes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:

@@ -375,7 +375,7 @@ def test_conjecture_cross_checks_the_orbit_key(capsys, monkeypatch):
     # with only the identity, every box point is its own orbit, so a group
     # of isomorphic codes is reported split and code_isomorphism objects
     monkeypatch.setattr(
-        cli_mod, "box_stabilizer", lambda loop_class: np.arange(2**loop_class.rank - 1)[None]
+        cli_mod, "orbit_weights", lambda loop_class: 8 ** np.arange(2**loop_class.rank - 1)[None]
     )
     rc, out, err = run(capsys, "conjecture", "--rank", "4", "--max-degree", "21")
     assert rc == 2
@@ -480,6 +480,32 @@ def test_conjecture_lays_out_at_most_two_members_per_group(capsys, monkeypatch, 
     # a cross-check reads two members of each group of two or more, and a
     # counterexample record reads the members its cross-check laid out
     assert 0 < len(calls) <= 2 * shared
+
+
+@pytest.mark.parametrize(
+    "rank, cap, calls, isomorphic", [(4, 25, 252, 210), (3, 49, 32, 32)], ids=["rank4", "rank3"]
+)
+def test_conjecture_cross_checks_every_group_of_two_or_more(
+    capsys, monkeypatch, tmp_path, rank, cap, calls, isomorphic
+):
+    import codeloops.cli as cli_mod
+
+    # one code_isomorphism call per group of two or more: a witness for
+    # each group reported isomorphic, None for each counterexample pair
+    results = []
+    search = cli_mod.code_isomorphism
+
+    def counted(a, b):
+        results.append(search(a, b))
+        return results[-1]
+
+    monkeypatch.setattr(cli_mod, "code_isomorphism", counted)
+    out = tmp_path / "report.txt"
+    rc, stdout, _ = run(capsys, "conjecture", "--rank", rank, "--max-degree", cap, "--out", out)
+    assert rc == 0
+    assert f"counterexamples: {calls - isomorphic}" in stdout
+    assert len(results) == calls
+    assert sum(result is not None for result in results) == isomorphic
 
 
 def test_argparse_errors_map_to_exit_1(capsys):

@@ -1,13 +1,17 @@
 """Word arithmetic, span handling, parsing, and invariants of binary codes."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import codeloops
 from codeloops import (
     BinaryCode,
     Codeword,
@@ -141,11 +145,34 @@ def test_coordinates_follow_operator_index():
     for support in ([np.int64(1), np.uint8(2)], [True, 2]):
         w = Codeword(8, support)
         assert w == word(8, 1, 2) and {type(i) for i in w.support} == {int}
-    # a string is a sequence of one-character strings, in no fixed order
-    with pytest.raises(InvalidCodeError, match=r"^coordinate '[12]' is not an integer$"):
+    # a string is a sequence of one-character strings; the coordinates are
+    # checked in the order given, so the first is named whatever the hash
+    # order of a set of them (string hashes are salted per process, so two
+    # seeds run in fresh interpreters: 1 and 2 named different coordinates
+    # when the check read the support set)
+    with pytest.raises(InvalidCodeError, match=r"^coordinate '1' is not an integer$"):
         Codeword(8, "12")
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "from codeloops import Codeword, InvalidCodeError\n"
+        "try:\n"
+        "    Codeword(8, '12')\n"
+        "except InvalidCodeError as exc:\n"
+        "    print(exc)\n"
+    )
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )
+        assert proc.stdout == "coordinate '1' is not an integer\n", (seed, proc.stderr)
     with pytest.raises(InvalidCodeError, match=r"^coordinate 9 outside 1\.\.8$"):
         Codeword(8, [np.int64(9)])
+    with pytest.raises(InvalidCodeError, match=r"^coordinate 20 outside 1\.\.8$"):
+        Codeword(8, [20, 9])
 
 
 def test_from_mask_rejects_bad_degree():

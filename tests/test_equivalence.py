@@ -44,6 +44,7 @@ from codeloops.equivalence import (
     _class_data,
     _match_classes,
     box_stabilizer,
+    orbit_weights,
     permute_code,
     permute_word,
 )
@@ -868,14 +869,14 @@ def test_box_stabilizer_is_not_built_at_import():
         [
             sys.executable,
             "-c",
-            "import codeloops.cli as c; from codeloops import loops as l; print(*(f.cache_info()"
-            ".currsize for f in (c.box_stabilizer, l._class_keys)))",
+            "import codeloops.cli; from codeloops import equivalence as e, loops as l; print(*("
+            "f.cache_info().currsize for f in (e.box_stabilizer, e.orbit_weights, l._class_keys)))",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0 0\n", proc.stderr
+    assert proc.stdout == "0 0 0\n", proc.stderr
 
 
 def _box_rows(box):
@@ -911,6 +912,24 @@ def test_box_stabilizer_maps_rank4_rows_into_the_box(name, data):
     rows = _rank4_rows(name)
     x = data.draw(st.sampled_from(sorted(rows)))
     _assert_images_in_box(parse_loop_id(name), rows, x)
+
+
+@pytest.mark.parametrize("name, cap", [(name, 49) for name in all_loop_ids(3)]
+                         + [(name, 25) for name in all_loop_ids(4)])
+def test_orbit_weights_pack_the_gathered_images(name, cap):
+    # W @ x is the images x[h] of box_stabilizer, gathered and then packed
+    # with class size i in bits 3i..3i+2, on every leaf of the box to cap
+    loop_class = parse_loop_id(name)
+    weights = orbit_weights(loop_class)
+    maps = box_stabilizer(loop_class)
+    assert weights is orbit_weights(loop_class)
+    assert weights.dtype == np.int64 and not weights.flags.writeable
+    assert weights.shape == maps.shape
+    x = reduced_box(loop_class, cap).x.astype(np.int64)
+    assert len(x) > 0 and x.max() < 8
+    gathered = x[:, maps]  # [leaf, h, position]
+    packed = (gathered << 3 * np.arange(maps.shape[1], dtype=np.int64)).sum(axis=2)
+    assert (x @ weights.T == packed).all()
 
 
 # -- the pairwise grouping conjecture used before the orbit key -------------

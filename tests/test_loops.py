@@ -509,7 +509,8 @@ def test_classify_never_builds_the_general_linear_group(tmp_path):
     file.write_text(format_code(catalog_entry("C4_8").code()), encoding="utf-8")
     script = (
         "import sys\n"
-        "from codeloops.cli import box_stabilizer, main\n"
+        "from codeloops.cli import main\n"
+        "from codeloops.equivalence import box_stabilizer\n"
         "main(['classify', sys.argv[1]])\n"
         "print(box_stabilizer.cache_info().currsize)\n"
     )

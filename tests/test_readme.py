@@ -1,6 +1,7 @@
 """The README's library example runs, and its commented values are what it prints."""
 
 import ast
+import json
 import pathlib
 import re
 
@@ -31,3 +32,13 @@ def test_readme_library_example_prints_its_commented_values():
         assert repr(got) == comment, (code, got)
         checked.append(ast.literal_eval(comment))
     assert checked == ["C3_1", (7, "1111111")]
+
+
+def test_readme_cites_only_bench_files_that_exist_and_parse():
+    # a measurement the README cites must be in the tree as a JSON record
+    names = sorted(set(re.findall(r"BENCH_\w+\.json", README.read_text())))
+    assert names
+    for name in names:
+        path = README.parent / name
+        assert path.is_file(), name
+        json.loads(path.read_text())
