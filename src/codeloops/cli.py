@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
 
@@ -38,9 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_code(path: str) -> BinaryCode:
+    # bytes decoded whole: parse_code's splitlines ends lines at \r and \r\n,
+    # as text mode's newline translation would
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise InvalidCodeError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -49,10 +51,16 @@ def _read_code(path: str) -> BinaryCode:
 
 
 def _weight_enumerator_str(code: BinaryCode) -> str:
-    counts = Counter(code.weight_enumerator())
-    return " ".join(
-        f"{w}^{c}" if c > 1 else str(w) for w, c in sorted(counts.items())
-    )
+    # the weights are sorted, so each weight is one run, ended by bisect
+    weights = code.weight_enumerator()
+    terms = []
+    start = 0
+    while start < len(weights):
+        w = weights[start]
+        end = bisect_right(weights, w, start)
+        terms.append(f"{w}^{end - start}" if end - start > 1 else str(w))
+        start = end
+    return " ".join(terms)
 
 
 def _classification_lines(loop: CodeLoop) -> list[str]:
@@ -438,11 +446,12 @@ _CONJECTURE_CAPS = {3: 20, 4: 19}
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The command line parser, built on first use and kept for the process.
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The command line parser and its subcommand parsers by name, built on first use.
 
-    parse_args keeps no state between calls: each call fills a new
-    namespace, so one parser serves any number of main() calls.
+    They are kept for the process: parse_args keeps no state between
+    calls, as each call fills a new namespace, so one parser serves any
+    number of main() calls.
     """
     parser = _Parser(prog="codeloops", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -476,13 +485,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_conjecture)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        # a subcommand name first goes straight to its own parser, which
+        # the top-level parser would hand the rest of argv to; anything else
+        # (no command, -h, an unknown name) goes to the top-level parser
+        command = commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         status = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return status

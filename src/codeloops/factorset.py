@@ -50,7 +50,11 @@ names where each of its phi terms sits there: associator_bits gathers 4
 terms and xors them, and loops.is_moufang the 6 of z(x(zy)) = ((zx)z)y,
 all rows.  No column is needed: a quasigroup with one Moufang identity
 has them all (K. Kunen, "Moufang quasigroups", J. Algebra 183, 1996).
-Each word decides 2^k triples, so the 4^k words decide all 2^(3k).
+Each word decides 2^k triples, so the 4^k words decide all 2^(3k).  A
+FactorSet lays out its word table once, on first read, from the array
+it checked when it was made (FactorSet.word_table), and both kernels
+read that one table; any other table is checked and laid out again on
+every call.
 
 The tests keep the general routine as the oracle: they solve the
 axioms as one linear system over GF(2) by elimination, pin free entries to
@@ -83,6 +87,17 @@ class FactorSet:
         phi.flags.writeable = False
         self.code = code
         self.array = phi
+
+    @functools.cached_property
+    def word_table(self) -> np.ndarray:
+        """word_table of the array, built on first read and kept read-only with the factor set.
+
+        The array was checked when the factor set was made, so it is not
+        checked again; the kernels given a FactorSet read this table.
+        """
+        words = _words(self.array)
+        words.flags.writeable = False
+        return words
 
     @property
     def table(self) -> list[list[int]]:
@@ -213,10 +228,26 @@ def word_table(phi) -> np.ndarray:
     by a of the rows; row u itself is its translate by 0.  _word_positions
     says where each word sits.  Any other table is refused (InvalidCodeError).
     """
-    phi = _zero_one_table(phi)
+    return _words(_zero_one_table(phi))
+
+
+def _words(phi: np.ndarray) -> np.ndarray:
+    """word_table of a table already checked to be a 2^k x 2^k uint8 array of 0/1 entries."""
     rows = bit_rows(phi)
     spread = np.multiply(phi, np.uint64((1 << len(phi)) - 1), dtype=np.uint64)
     return np.concatenate((spread.ravel(), translates(rows).ravel()))
+
+
+def _kernel_words(phi) -> tuple[np.ndarray, int]:
+    """The word table a kernel reads for phi, and 2^k.
+
+    A FactorSet gives its own word table (FactorSet.word_table), built
+    once from its checked array; any other table goes through word_table,
+    which checks it.
+    """
+    if isinstance(phi, FactorSet):
+        return phi.word_table, phi.size
+    return word_table(phi), len(phi)
 
 
 def _word_positions(n: int):
@@ -256,7 +287,7 @@ def associator_bits(phi) -> np.ndarray:
     """The associator bits as rows: bit z of word [x, y] is asc[x, y, z].
 
     asc[x, y, z] = phi(x+y, z) + phi(x, y+z) + phi(x, y) + phi(y, z) mod 2.
-    phi is a 2^k x 2^k 0/1 table of sign exponents, k <= 6.  For any
+    phi is a FactorSet or a 2^k x 2^k 0/1 table of sign exponents, k <= 6.  For any
     such table this is the sign exponent of the associator of the positive
     lifts of x, y, z in the twisted loop: ((x y) z) takes phi(x, y) +
     phi(x+y, z) and (x (y z)) takes phi(y, z) + phi(x, y+z).  On a factor
@@ -264,8 +295,8 @@ def associator_bits(phi) -> np.ndarray:
     the four terms are the row of x+y, the translate of row x by y, the
     constant phi(x, y) and the row of y: one gather from the word table.
     """
-    words = word_table(phi)[_associator_index(len(phi))]
-    return np.bitwise_xor.reduce(words, axis=0)
+    words, n = _kernel_words(phi)
+    return np.bitwise_xor.reduce(words[_associator_index(n)], axis=0)
 
 
 def verify_factor_set(phi: FactorSet) -> list[Violation]:

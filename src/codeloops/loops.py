@@ -24,11 +24,14 @@ variable the same number of times on both sides, so the factors' signs
 cancel and the words agree: it holds on all signed triples exactly when
 the phi terms of its two sides agree on the positive lifts.  Over y its
 six terms are rows of phi, their translates or constants spread over
-2^k bits (see factorset): one gather from factorset.word_table, which
-associator_bits reads too, and one xor of 2^k-bit words for each of the
-4^k pairs (z, x) decide all 2^(3k) triples.  The tests keep the
-element-level checks of all three identities on the table, and the
-broadcast checks over all triples of words, as the oracles.
+2^k bits (see factorset): one gather from the factor set's word table,
+which associator_bits reads too, and one xor of 2^k-bit words for each
+of the 4^k pairs (z, x) decide all 2^(3k) triples.  CodeLoop.is_moufang
+and CodeLoop.is_associative hand both kernels the FactorSet itself, so a
+loop lays out one word table, kept and freed with its factor set.  The
+tests keep the element-level checks of all three identities on the
+table, and the broadcast checks over all triples of words, as the
+oracles.
 
 For a nonassociative loop of rank 3 or 4 the characteristic vector of an
 admissible basis (the first three words associate to -1 and, at rank 4,
@@ -74,10 +77,10 @@ from .factorset import (
     MAX_DIMENSION,
     FactorSet,
     _index_table,
+    _kernel_words,
     _word_positions,
     associator_bits,
     build_factor_set,
-    word_table,
 )
 
 
@@ -150,11 +153,11 @@ class CodeLoop:
         return _central_sign(self.mul(left, self.inverse(right)), "associator")
 
     def is_moufang(self) -> bool:
-        return is_moufang(self.factor_set.array)
+        return is_moufang(self.factor_set)
 
     def is_associative(self) -> bool:
         """True when every associator of span words is trivial (see the module docstring)."""
-        return not associator_bits(self.factor_set.array).any()
+        return not associator_bits(self.factor_set).any()
 
 
 def _central_sign(r: int, what: str) -> int:
@@ -175,12 +178,13 @@ def is_latin(table: np.ndarray) -> bool:
 
 
 def is_moufang(phi) -> bool:
-    """Check the Moufang identities on the loop twisted by a 2^k x 2^k 0/1 table phi, k <= 6.
+    """Check the Moufang identities on the loop twisted by phi, k <= 6.
 
-    One identity decides them all (see the module docstring): z(x(zy)) =
-    ((zx)z)y on all 2^(3k) triples of words, as phi(z, y) + phi(x, z+y) +
-    phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y), mod 2.  Any other
-    table is refused with InvalidCodeError.
+    phi is a FactorSet or a 2^k x 2^k 0/1 table.  One identity decides them
+    all (see the module docstring): z(x(zy)) = ((zx)z)y on all 2^(3k)
+    triples of words, as phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x)
+    + phi(z+x, z) + phi(x, y), mod 2.  Any other table is refused with
+    InvalidCodeError.
     """
     return not _moufang_defects(phi).any()
 
@@ -208,8 +212,8 @@ def _moufang_defects(phi) -> np.ndarray:
     without y is spread over all bits: one gather from the word table and
     one xor over the 6 terms.
     """
-    words = word_table(phi)[_moufang_index(len(phi))]
-    return np.bitwise_xor.reduce(words, axis=0)
+    words, n = _kernel_words(phi)
+    return np.bitwise_xor.reduce(words[_moufang_index(n)], axis=0)
 
 
 def build_loop(code: BinaryCode) -> CodeLoop:

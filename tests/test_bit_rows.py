@@ -301,3 +301,39 @@ def test_factor_set_array_is_built_once_and_read_only():
     assert phi.dtype == np.uint8 and phi.tolist() == fs.table
     with pytest.raises(ValueError):
         phi[1, 1] ^= 1
+
+
+@pytest.mark.parametrize(
+    "name,code", DIRECT_SUMS, ids=[f"{name}+{code.dimension}" for name, code in DIRECT_SUMS]
+)
+def test_a_factor_set_keeps_one_read_only_word_table_that_the_kernels_read(
+    name, code, monkeypatch
+):
+    # the kernels given a FactorSet read its word table, built once from the
+    # array it checked when it was made: no second check, no second table
+    from codeloops import factorset
+
+    rng = random.Random(f"words:{name}:{code.dimension}")
+    built = build_factor_set(code)
+    twisted = FactorSet(code, _twist(built.table, _nonlinear(rng, built.size)))
+    translates_of = factorset.translates
+    tables_built = []
+
+    def counted(rows):
+        tables_built.append(len(rows))
+        return translates_of(rows)
+
+    def refuse(*args):
+        raise AssertionError("a factor set's table was checked again")
+
+    for fs in (built, twisted):
+        expected = (word_table(fs.array), _moufang_defects(fs.array), associator_bits(fs.array))
+        with monkeypatch.context() as patch:
+            patch.setattr(factorset, "translates", counted)
+            patch.setattr(factorset, "_zero_one_table", refuse)
+            got = (fs.word_table, _moufang_defects(fs), associator_bits(fs))
+            assert is_moufang(fs) == _broadcast_is_moufang(fs.array)
+        assert fs.word_table is got[0] and not got[0].flags.writeable
+        for kernel, oracle in zip(got, expected):
+            assert kernel.dtype == oracle.dtype and (kernel == oracle).all()
+    assert tables_built == [built.size, built.size]

@@ -189,6 +189,34 @@ def test_malformed_code_file_exits_1_without_traceback(capsys, tmp_path, content
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"degree=8\r\n1-4\r\n5-8\r\n",
+        b"degree=8\r1-4\r5-8\r",
+        b"degree=8\n1,2,3\r4\r\n\n5-8",
+        b"\xef\xbb\xbfdegree=8\n1-8\n",  # a byte-order mark is not stripped
+        b"degree=8\n" + b"1-8\n" * 3000 + b"1-4,\xff\n",  # a bad byte past 8 KiB
+    ],
+    ids=["crlf", "cr", "mixed", "bom", "late-bad-byte"],
+)
+def test_code_file_reads_as_utf8_text_mode_reads_it(capsys, tmp_path, content):
+    # construct reads bytes and decodes them whole; a text-mode read (universal
+    # newlines) gives the same output, the same error and the same byte offset
+    f = tmp_path / "a.code"
+    f.write_bytes(content)
+    try:
+        with open(f, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        expected = (1, "", f"error: cannot read {f}: not UTF-8 text (byte {exc.start})\n")
+    else:
+        g = tmp_path / "read.code"
+        g.write_text(text, encoding="utf-8", newline="")
+        expected = run(capsys, "construct", g)
+    assert run(capsys, "construct", f) == expected
+
+
 @pytest.mark.parametrize("command", ["construct", "classify", "iso"])
 def test_long_numbers_in_a_code_literal_exit_without_traceback(capsys, tmp_path, command):
     # int() refuses more than 4300 digits: zero padding is dropped first, and
@@ -308,6 +336,53 @@ def test_classify_never_checks_the_moufang_law_and_construct_does(capsys, tmp_pa
         assert rc == 0 and "\nmoufang: yes\nlambda: " in stdout
         assert checked == [len(entry.generator_lines)], name
         checked.clear()
+
+
+# the CI codes of dimension 5 and 6: outside ranks 3 and 4, construct runs
+# the Moufang kernel and then the associator kernel on one factor set
+_WIDE_CODES = {
+    "assoc5": ("degree=20\n1-4\n5-8\n9-12\n13-16\n17-20\n", "class: associative"),
+    "dim6": (
+        "degree=27\n1-8\n1,4,9-14\n1,2,3,5,6,7,9-13,15-19\n2,3,15,16\n20-23\n24-27\n",
+        "class: unsupported rank 6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_WIDE_CODES))
+def test_construct_builds_one_word_table_per_factor_set(capsys, tmp_path, monkeypatch, name):
+    import codeloops.loops as loops_mod
+    from codeloops import factorset
+    from codeloops.loops import CodeLoop
+
+    text, class_line = _WIDE_CODES[name]
+    f = tmp_path / f"{name}.code"
+    f.write_text(text)
+    calls = Counter()
+    factor_sets = []
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            result = fn(*args)
+            if key == "build_factor_set":
+                factor_sets.append(weakref.ref(result))
+            return result
+        return wrapper
+
+    # the benchmark's hooks wrap the module-level is_moufang and
+    # CodeLoop.is_associative, so both still run once per construct
+    for owner, key in ((loops_mod, "build_factor_set"), (factorset, "translates"),
+                       (loops_mod, "is_moufang"), (CodeLoop, "is_associative")):
+        monkeypatch.setattr(owner, key, counted(key, getattr(owner, key)))
+    rc, out, err = run(capsys, "construct", f)
+    assert (rc, err) == (0, "")
+    assert out.endswith(f"\nmoufang: yes\n{class_line}\n")
+    assert calls == dict.fromkeys(["build_factor_set", "translates", "is_moufang",
+                                   "is_associative"], 1)
+    # the word table goes with its factor set: nothing is kept past the
+    # call, and no reference cycle waits for the collector
+    assert [ref() for ref in factor_sets] == [None]
 
 
 def test_closed_stdout_pipe_exits_1_without_traceback():
@@ -538,6 +613,128 @@ def test_main_calls_in_one_process_match_calls_on_their_own(capsys, tmp_path):
     assert shared[0][2].startswith("error: ")
     assert shared[1][1].endswith(f"written: {out}\n")
     assert shared[2][1] == report
+
+
+# argv at the edges of the command line, pinned as they exit and print at
+# the parser dispatch that sent every argv through the top-level parser.
+# Each of these exits 1, prints nothing to stdout and one line to stderr:
+_FILE = "a.code"
+_LOOP = ["--loop", "C3_1"]
+_ARGV_ERRORS = [
+    ([], "error: the following arguments are required: command"),
+    (["nonsense", _FILE], "error: argument command: invalid choice: 'nonsense' (choose from "
+     "'construct', 'classify', 'enumerate', 'minimal', 'iso', 'conjecture')"),
+    (["construct"], "error: the following arguments are required: file"),
+    (["construct", _FILE, _FILE], "error: unrecognized arguments: a.code"),
+    (["construct", "--bogus", _FILE], "error: unrecognized arguments: --bogus"),
+    (["classify"], "error: the following arguments are required: file"),
+    (["classify", _FILE, _FILE], "error: unrecognized arguments: a.code"),
+    (["classify", "--bogus", _FILE], "error: unrecognized arguments: --bogus"),
+    (["iso", _FILE], "error: the following arguments are required: file_b"),
+    (["iso", _FILE, _FILE, _FILE], "error: unrecognized arguments: a.code"),
+    (["iso", "--bogus", _FILE, _FILE], "error: unrecognized arguments: --bogus"),
+    (["enumerate", *_LOOP], "error: the following arguments are required: --max-degree"),
+    (["enumerate", *_LOOP, "--max-degree", "7", "x"], "error: unrecognized arguments: x"),
+    (["enumerate", *_LOOP, "--max-degree", "7", "--bogus"], "error: unrecognized arguments: --bogus"),
+    (["enumerate", *_LOOP, "--max-degree", "x"], "error: argument --max-degree: invalid int value: 'x'"),
+    (["enumerate", "--", *_LOOP, "--max-degree", "7"],
+     "error: the following arguments are required: --loop, --max-degree"),
+    (["minimal"], "error: the following arguments are required: --loop"),
+    (["minimal", *_LOOP, "x"], "error: unrecognized arguments: x"),
+    (["minimal", *_LOOP, "--bogus"], "error: unrecognized arguments: --bogus"),
+    (["minimal", "--", *_LOOP], "error: the following arguments are required: --loop"),
+    (["conjecture"], "error: the following arguments are required: --rank"),
+    (["conjecture", "--rank", "3", "x"], "error: unrecognized arguments: x"),
+    (["conjecture", "--rank", "3", "--bogus"], "error: unrecognized arguments: --bogus"),
+    (["conjecture", "--rank", "x"], "error: argument --rank: invalid int value: 'x'"),
+    (["conjecture", "--rank", "3", "--max-degree", "x"],
+     "error: argument --max-degree: invalid int value: 'x'"),
+    (["conjecture", "--rank", "5"], "error: argument --rank: invalid choice: 5 (choose from 3, 4)"),
+    (["conjecture", "--", "--rank", "3"], "error: the following arguments are required: --rank"),
+]
+# and each of these prints nothing to stderr, with its exit code (a
+# SystemExit code as "exit N"), the first line of stdout and the first 16
+# hex digits of the sha256 of all of it
+_ARGV_PRINTS = [
+    (["-h"], "exit 0", "usage: codeloops [-h]", "30a1f7bc54f3da0b"),
+    (["--help"], "exit 0", "usage: codeloops [-h]", "30a1f7bc54f3da0b"),
+    (["construct", "--", _FILE], 0, "degree: 8", "9d3a14505f2675cc"),
+    (["construct", "-h"], "exit 0", "usage: codeloops construct [-h] file", "2a573fa11d6a6b37"),
+    (["classify", "--", _FILE], 0, "class: associative", "ce8b4c340db1ba09"),
+    (["classify", "-h"], "exit 0", "usage: codeloops classify [-h] file", "b0334d35efb0748b"),
+    (["iso", "--", _FILE, _FILE], 0, "isomorphic", "ee43b4889aa27e37"),
+    (["iso", "-h"], "exit 0", "usage: codeloops iso [-h] file_a file_b", "0cceb705974d63e4"),
+    (["enumerate", *_LOOP, "--max-deg", "7"], 0, "target: C3_1", "2d2edcc00ea1b2c0"),
+    (["enumerate", "-h"], "exit 0",
+     "usage: codeloops enumerate [-h] --loop LOOP --max-degree MAX_DEGREE", "c791d78958570fe8"),
+    (["minimal", "-h"], "exit 0", "usage: codeloops minimal [-h] --loop LOOP", "8ef3a57760a32994"),
+    (["conjecture", "--rank", "3", "--max-deg", "7"], 0, "rank: 3", "d37f64832465755b"),
+    (["conjecture", "-h"], "exit 0",
+     "usage: codeloops conjecture [-h] --rank {3,4} [--max-degree MAX_DEGREE]", "adbeed8705bed532"),
+]
+_EDGE_ARGV = [argv for argv, _ in _ARGV_ERRORS] + [argv for argv, *_ in _ARGV_PRINTS]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"exit {exc.code}"
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _unquoted_choices(line):
+    # Python 3.12.8 and later list argparse choices without quotes
+    head, sep, choices = line.partition("(choose from ")
+    return head + sep + choices.replace("'", "")
+
+
+@pytest.fixture
+def edge_dir(tmp_path, monkeypatch):
+    # help text wraps at the terminal width, which argparse reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / _FILE).write_text("degree=8\n1-8\n")
+
+
+@pytest.mark.parametrize("argv, line", _ARGV_ERRORS, ids=[" ".join(a) for a, _ in _ARGV_ERRORS])
+def test_edge_case_argv_errors_as_pinned(capsys, edge_dir, argv, line):
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (1, "")
+    assert _unquoted_choices(err) == _unquoted_choices(line) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, first, digest", _ARGV_PRINTS, ids=[" ".join(a) for a, *_ in _ARGV_PRINTS]
+)
+def test_edge_case_argv_prints_as_pinned(capsys, edge_dir, argv, code, first, digest):
+    got, out, err = _outcome(capsys, argv)
+    assert (got, err, out.partition("\n")[0]) == (code, "", first)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("argv", _EDGE_ARGV, ids=[" ".join(a) for a in _EDGE_ARGV])
+def test_edge_case_argv_print_as_through_the_top_level_parser(capsys, edge_dir, monkeypatch, argv):
+    # main() hands an argv that starts with a subcommand name straight to
+    # that subcommand's parser; with no names to match, every argv goes
+    # through the top-level parser, which hands the rest to the same parser
+    import codeloops.cli as cli_mod
+
+    parser, commands = cli_mod._build_parser()
+    parse_args = cli_mod._Parser.parse_args
+    called = []
+
+    def counted(self, *args):
+        called.append(self.prog)
+        return parse_args(self, *args)
+
+    monkeypatch.setattr(cli_mod._Parser, "parse_args", counted)
+    direct = _outcome(capsys, argv)
+    assert called == [f"codeloops {argv[0]}" if argv and argv[0] in commands else "codeloops"]
+    monkeypatch.setattr(cli_mod, "_build_parser", lambda: (parser, {}))
+    assert _outcome(capsys, argv) == direct
+    assert called[1:] == ["codeloops"]
 
 
 def test_console_script_entry_point(sample_files):
