@@ -13,13 +13,13 @@ import os
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
 from .catalog import all_loop_ids, parse_loop_id
-from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, parse_code
-from .equivalence import cycle_notation, code_isomorphism, distinguishing_invariant, orbit_weights
+from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, RepType, parse_code
+from .equivalence import _pack, _packed_images, code_isomorphism, cycle_notation
+from .equivalence import distinguishing_invariant
 from .loops import _RANKS, CodeLoop, LoopClass, build_loop, classify, AssociativeLoopError
 from .search import (
     Box,
@@ -319,9 +319,8 @@ def cmd_conjecture(args) -> int:
         f"groups: {len(groups)}",
     ]
     failures = []
-    for (index, degree, sizes) in sorted(groups):
-        group = groups[(index, degree, sizes)]
-        rep_type = group.first.rep_type()
+    for (index, degree, sizes), group in sorted(groups.items()):  # by key: keys are distinct
+        rep_type = RepType(sizes)
         _cross_check(group)
         verdict = "yes" if group.gap is None else "no"
         lines.append(
@@ -350,13 +349,15 @@ class _Group:
     """What the conjecture report needs of one (loop, degree, type) group.
 
     gap is the first member and the first member that is not isomorphic to
-    it, or None while every member so far is.
+    it, or None while every member so far is.  orbit is the first member's
+    orbit key (equivalence._packed_images) while its class streams by.
     """
 
     first: Representation
     last: Representation
     count: int = 1
     gap: tuple[Representation, Representation] | None = None
+    orbit: set[int] | None = None
 
 
 def _conjecture_groups(rank: int, max_degree: int):
@@ -368,57 +369,36 @@ def _conjecture_groups(rank: int, max_degree: int):
     sizes of its box row, and no member's code is laid out here.  The
     members of a group are box points of one class, so a member is
     isomorphic to the first exactly when its row is an image of the
-    first's under the stabilizer H_L (equivalence.box_stabilizer).  The
-    images of a group's first member are built packed, as one product with
-    the orbit weights of the class (_packed_images), when its second member
-    arrives, and kept until a gap is found or the loop ends.
+    first's under the stabilizer H_L (equivalence.box_stabilizer), that
+    is when its _pack is in the first's orbit key (equivalence owns both).
+    A group builds its orbit key when its second member arrives and keeps
+    it until a gap is found or its class's members have all streamed by.
     """
     groups: dict[tuple[int, int, tuple[int, ...]], _Group] = {}
     total = 0
     for name in all_loop_ids(rank):
         target = parse_loop_id(name)
-        images: dict[tuple[int, int, tuple[int, ...]], set[int]] = {}
+        of_class: dict[tuple[int, tuple[int, ...]], _Group] = {}
         for rep in enumerate_reduced(target, max_degree):
             total += 1
             row = rep.row
-            key = (target.index, rep.degree, tuple(sorted(filter(None, row))))
-            group = groups.get(key)
+            key = (rep.degree, tuple(sorted(filter(None, row))))
+            group = of_class.get(key)
             if group is None:
-                groups[key] = _Group(rep, rep)
+                of_class[key] = _Group(rep, rep)
                 continue
             group.last = rep
             group.count += 1
             if group.gap is not None:
                 continue
-            orbit = images.get(key)
-            if orbit is None:
-                orbit = images[key] = _packed_images(target, group.first.row)
-            if _pack(row) not in orbit:
+            if group.orbit is None:
+                group.orbit = _packed_images(target, group.first.row)
+            if _pack(row) not in group.orbit:
                 group.gap = (group.first, rep)
-                del images[key]
+        for key, group in of_class.items():
+            group.orbit = None  # freed with the class
+            groups[(target.index, *key)] = group
     return groups, total
-
-
-# 8^i, the weight of class size i in a packed row of 2^k - 1 classes
-_POWERS_OF_8 = tuple(8**i for i in range((1 << max(_RANKS)) - 1))
-
-
-def _pack(row: tuple[int, ...]) -> int:
-    """A box row as one int: class size i in bits 3i..3i+2 (45 bits at rank 4)."""
-    return sum(map(mul, row, _POWERS_OF_8))
-
-
-def _packed_images(target: LoopClass, row: tuple[int, ...]) -> set[int]:
-    """The images of a box row under the stabilizer H_L, each packed as _pack packs it.
-
-    The images come packed from one product with the row, W @ row, W the
-    orbit weights of the class (equivalence.orbit_weights).  The members of
-    a group share their sorted class sizes, so a size below 8 in the first
-    member's row keeps every member's sizes in their 3 bits.
-    """
-    if max(row) >= 8:
-        raise InternalInvariantError(f"class size {max(row)} of a box row does not fit in 3 bits")
-    return set((orbit_weights(target) @ row).tolist())
 
 
 def _cross_check(group: _Group) -> None:

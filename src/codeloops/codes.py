@@ -47,12 +47,20 @@ _new = object.__new__
 _set = object.__setattr__  # Codeword refuses plain assignment
 
 
-def _check_in_range(value: int, name: str, top: int) -> None:
-    """Refuse a value that is not an integer in 1..top; name names it in the message."""
-    if not hasattr(type(value), "__index__"):  # what operator.index refuses
-        raise InvalidCodeError(f"{name} {value!r} is not an integer")
-    if not 1 <= value <= top:
+def _as_int(value, name: str) -> int:
+    """The plain int of an integer (a numpy integer, a bool), by operator.index, or refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidCodeError(f"{name} {value!r} is not an integer") from None
+
+
+def _check_in_range(value: int, name: str, top: int) -> int:
+    """The int of an integer in 1..top, anything else refused; name names it in the message."""
+    number = value if type(value) is int else _as_int(value, name)
+    if not 1 <= number <= top:
         raise InvalidCodeError(f"{name} {value} out of range 1..{top}")
+    return number
 
 
 class Codeword:
@@ -79,16 +87,14 @@ class Codeword:
         # runs on every construction, from __init__ and from from_mask
         degree = self.degree
         if type(degree) is not int or not 1 <= degree <= MAX_DEGREE:  # no call for a valid int
-            _check_in_range(degree, "degree", MAX_DEGREE)
+            degree = _check_in_range(degree, "degree", MAX_DEGREE)
+            _set(self, "degree", degree)
         if self._mask is None:
             mask = 0
             support = self._support
             for i in support:
                 if type(i) is not int:  # no call for an int
-                    if not hasattr(type(i), "__index__"):  # what operator.index refuses
-                        raise InvalidCodeError(f"coordinate {i!r} is not an integer")
-                    i = operator.index(i)
-                    support = None  # rebuilt from the mask, as ints
+                    i, support = _as_int(i, "coordinate"), None  # support rebuilt from the mask
                 if not 1 <= i <= degree:
                     raise InvalidCodeError(f"coordinate {i} outside 1..{degree}")
                 mask |= 1 << (i - 1)
@@ -213,7 +219,7 @@ class BinaryCode:
 
     def __init__(self, degree: int, generators: Iterable[Codeword]):
         gens = tuple(generators)
-        _check_in_range(degree, "degree", MAX_DEGREE)
+        degree = _check_in_range(degree, "degree", MAX_DEGREE)
         for g in gens:
             if g.degree != degree:
                 raise InvalidCodeError("generator degree differs from code degree")

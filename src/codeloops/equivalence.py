@@ -12,10 +12,10 @@ the new basis is the same code.  When the new basis is admissible with
 vector L it is again a point of L's box, and two box points are isomorphic
 codes exactly when one is the other composed with such a B.  Those B form
 the stabilizer H_L of L's squaring form (box_stabilizer), so the
-isomorphism class of a box point is its H_L-orbit, and a code is
-isomorphic to another iff its packed class sizes are among the packed
-images of the other's.  The packed images of a row x are one matrix
-product W @ x, W the orbit weights of the class (orbit_weights).
+isomorphism class of a box point is its H_L-orbit: a box point is
+isomorphic to another iff its packed class sizes (_pack) are among the
+other's orbit key, its packed images (_packed_images), one matrix product
+W @ x with W the orbit weights of the class (orbit_weights).
 
 code_isomorphism decides isomorphism of arbitrary codes: it is the engine
 of the iso command and the independent cross-check of the orbit key.
@@ -45,8 +45,8 @@ The per-code search data comes from the class masks and signatures of
 coordinate_classes, not from the span read coordinate by coordinate: the
 class order and the class profiles follow from the signatures and the span
 weights (see _class_data).  A profile is gathered from the span weights
-through one cached itemgetter per dimension and signature, read with the
-signature's sort key from one tuple per dimension.  Classes stay
+through one itemgetter per dimension and signature, read with the
+signature's sort key from one cached tuple per dimension.  Classes stay
 int masks through the search, so no coordinate is touched until the
 witness is written out: the lowest set bits of each matched pair of masks
 are peeled together.  The data is computed once and kept on the
@@ -58,13 +58,13 @@ mapped to its image bit: the images must lie in the other span.
 from __future__ import annotations
 
 import functools
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .codes import BinaryCode, Codeword, InternalInvariantError, InvalidCodeError, _coordinates
-from .loops import LoopClass, _class_form
+from .loops import _RANKS, LoopClass, _class_form
 from .search import _SUBSETS
 
 # invariant checks tried before any search, cheapest first; the name is the
@@ -93,15 +93,11 @@ class _ClassData(NamedTuple):
     residue: int  # the coordinates outside every class, as a mask
 
 
-# the holders of every signature of dimension at most 8 fit in the cache
-# (502 tuples of at most 128 small ints), and so do their getters; above
-# that a class's holders are listed afresh, as a table of dimension k would
-# hold 2^k x 2^(k-1) words
+# the getters of the 502 signatures of dimension at most 8 are tabulated; above
+# that a class's holders are listed afresh, as a table would hold 2^k x 2^(k-1) words
 _CACHED_DIMENSION = 8
-_CACHE_SIZE = sum((1 << k) - 1 for k in range(1, _CACHED_DIMENSION + 1))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _holders(k: int, sig: int) -> tuple[int, ...]:
     """The span words x < 2^k that hold the class of signature sig: |x & sig| odd."""
     return tuple([x for x in range(1 << k) if (x & sig).bit_count() & 1])
@@ -115,12 +111,6 @@ def _gather(holders: tuple[int, ...]) -> Callable[[list[int]], tuple[int, ...]]:
     return itemgetter(*holders)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _holder_weights(k: int, sig: int) -> Callable[[list[int]], tuple[int, ...]]:
-    """The getter of the span weights at _holders(k, sig), kept to dimension 8 as _holders."""
-    return _gather(_holders(k, sig))
-
-
 def _incidence_key(k: int, sig: int) -> int:
     """The k bits of sig in reverse order: signatures sort by it as their incidence vectors do."""
     return int(f"{sig:0{k}b}"[::-1], 2) if k else 0
@@ -128,8 +118,8 @@ def _incidence_key(k: int, sig: int) -> int:
 
 @functools.lru_cache(maxsize=_CACHED_DIMENSION + 1)
 def _signature_tables(k: int) -> tuple[tuple, tuple[int, ...]]:
-    """Per signature s < 2^k, k <= 8: its _holder_weights getter (None at 0) and incidence key."""
-    getters = (None, *[_holder_weights(k, sig) for sig in range(1, 1 << k)])
+    """Per signature s < 2^k, k <= 8: the getter at _holders(k, s) (None at 0), its incidence key."""
+    getters = (None, *[_gather(_holders(k, sig)) for sig in range(1, 1 << k)])
     return getters, tuple([_incidence_key(k, sig) for sig in range(1 << k)])
 
 
@@ -149,8 +139,8 @@ def _class_data(code: BinaryCode) -> _ClassData:
     dimension k alone, so a profile is the span weights gathered at
     _holders(k, s), sorted, through one itemgetter per (k, s).  Up to
     dimension 8 the getters and keys of every signature are read from one
-    tuple per dimension (_signature_tables); above it they are made afresh
-    for the code's signatures, and nothing is cached.
+    tuple per dimension (_signature_tables, the one cache of the profiles);
+    above it they are made afresh for the code's signatures.
     """
     if code._class_data is None:
         part = code.coordinate_classes()
@@ -159,7 +149,7 @@ def _class_data(code: BinaryCode) -> _ClassData:
         if k <= _CACHED_DIMENSION:
             getters, keys = _signature_tables(k)
         else:
-            getters = {s: _gather(_holders.__wrapped__(k, s)) for s in part.signatures}
+            getters = {s: _gather(_holders(k, s)) for s in part.signatures}
             keys = {s: _incidence_key(k, s) for s in part.signatures}
         # size, then incidence, as one int: the keys of a code's classes are distinct
         order = sorted(
@@ -422,12 +412,33 @@ def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
 def orbit_weights(loop_class: LoopClass) -> np.ndarray:
     """The H_L images of a box row, packed, as one matrix product: W @ x.
 
-    Pack a box row x whose class sizes lie below 8 as one int, size i in
-    bits 3i..3i+2.  Row h of box_stabilizer sends class j to the position
-    p where maps[h, p] = j, so the packed image x[h] is sum_j x[j] 8^p:
-    W[h, j] = 8^p, and (W @ x)[h] is that packed image.  W is int64
-    (8^14 < 2^63), read-only, and built on first use for each class.
+    _pack packs a box row x whose class sizes lie below 8 as one int, size
+    i in bits 3i..3i+2.  Row h of box_stabilizer sends class j to the
+    position p where maps[h, p] = j, so the packed image x[h] is sum_j
+    x[j] 8^p: W[h, j] = 8^p, and (W @ x)[h] is that packed image.  Row 0,
+    the identity, is 8^j, so (W @ x)[0] is _pack(x).  W is int64 (8^14 <
+    2^63), read-only, and built on first use for each class.
     """
     weights = np.int64(8) ** np.argsort(box_stabilizer(loop_class), axis=1).astype(np.int64)
     weights.setflags(write=False)
     return weights
+
+
+# 8^i, the weight of class size i in a packed row of 2^k - 1 classes
+_POWERS_OF_8 = tuple(8**i for i in range((1 << max(_RANKS)) - 1))
+
+
+def _pack(row: tuple[int, ...]) -> int:
+    """A box row as one int: class size i in bits 3i..3i+2 (45 bits at rank 4)."""
+    return sum(map(mul, row, _POWERS_OF_8))
+
+
+def _packed_images(loop_class: LoopClass, row: tuple[int, ...]) -> set[int]:
+    """The orbit key of a box row: its images under H_L, W @ row for W = orbit_weights.
+
+    A box row of the class is isomorphic to this one iff its _pack is in the
+    set.  Rows with this one's sorted sizes fit in 3 bits when its largest does.
+    """
+    if max(row) >= 8:
+        raise InternalInvariantError(f"class size {max(row)} of a box row does not fit in 3 bits")
+    return set((orbit_weights(loop_class) @ row).tolist())

@@ -72,7 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, _mask_rank
+from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, _as_int, _mask_rank
 from .factorset import (
     MAX_DIMENSION,
     FactorSet,
@@ -263,20 +263,14 @@ _CLASSES = {
 _RANKS = tuple(_CLASSES)
 
 
-def _rank_rows(rank: int) -> tuple:
-    """The class table's rows of a rank, which must be one of its keys."""
-    _check_rank(rank)
-    return _CLASSES[rank]
-
-
-def _check_rank(rank: int, needs: str | None = None) -> None:
-    """Refuse a rank that is not an integer or not a key of the class table; needs names the use."""
-    if not hasattr(type(rank), "__index__"):  # what operator.index refuses
-        raise InvalidCodeError(f"rank {rank!r} is not an integer")
-    if rank not in _RANKS:
+def _check_rank(rank: int, needs: str | None = None) -> int:
+    """The int of a rank, refused unless it is a key of the class table; needs names the use."""
+    number = rank if type(rank) is int else _as_int(rank, "rank")
+    if number not in _RANKS:
         if needs is None:
             raise InvalidCodeError(f"rank {rank} not in {_RANKS}")
         raise InvalidCodeError(f"{needs} rank {' or '.join(map(str, _RANKS))}, got {rank}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -294,7 +288,7 @@ class CharVector:
     commutators: tuple[int, ...]
 
     def __post_init__(self):
-        _rank_rows(self.rank)
+        object.__setattr__(self, "rank", _check_rank(self.rank))
         pairs = self.rank * (self.rank - 1) // 2
         if len(self.squares) != self.rank or len(self.commutators) != pairs:
             raise InvalidCodeError("wrong number of square or commutator bits")
@@ -324,11 +318,12 @@ class LoopClass:
     index: int  # 1-based position in the catalog
 
     def __post_init__(self):
-        count = len(_rank_rows(self.rank))
-        if not hasattr(type(self.index), "__index__"):  # what operator.index refuses
-            raise InvalidCodeError(f"catalog index {self.index!r} is not an integer")
-        if not 1 <= self.index <= count:
+        rank = _check_rank(self.rank)
+        index = self.index if type(self.index) is int else _as_int(self.index, "catalog index")
+        if not 1 <= index <= len(_CLASSES[rank]):
             raise InvalidCodeError(f"no catalog entry {self.index} at rank {self.rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def of_vector(cls, cv: CharVector) -> "LoopClass":
@@ -353,7 +348,7 @@ class LoopClass:
 @functools.lru_cache(maxsize=None, typed=True)  # typed: a cached rank 3 never answers for 3.0
 def canonical_catalog(rank: int) -> tuple[CharVector, ...]:
     """The canonical characteristic vectors, one per isomorphism class (built once per rank)."""
-    return tuple(CharVector.from_bits(rank, row[0]) for row in _rank_rows(rank))
+    return tuple(CharVector.from_bits(rank, row[0]) for row in _CLASSES[_check_rank(rank)])
 
 
 def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
@@ -468,7 +463,7 @@ def _xor_table(n: int) -> np.ndarray:
 def _class_keys(rank: int) -> dict[tuple[int, int], int]:
     """The catalog index of each class of a rank by the _form_key of q_L, built on first use."""
     keys = {_form_key(_class_form(cv)): i for i, cv in enumerate(canonical_catalog(rank), 1)}
-    if len(keys) < len(_rank_rows(rank)):
+    if len(keys) < len(_CLASSES[rank]):
         raise InternalInvariantError(f"two classes of rank {rank} share a squaring-form key")
     return keys
 

@@ -188,29 +188,21 @@ _LAYOUT4 = (
     "234", "23", "24", "2",
     "34", "3", "4",
 )
-# per rank, the layout as (label, position of its size in (t_top, *x),
-# generators containing the class)
-_BLOCKS = {
-    rank: tuple(
-        (label, _SUBSETS[rank].labels.index(label), tuple(int(ch) - 1 for ch in label))
-        for label in layout
-    )
-    for rank, layout in ((3, _LAYOUT3), (4, _LAYOUT4))
-}
 
 
-@cache
-def _layout_meets(rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """The layout's blocks: their positions in (t_top, *x), and the meets each counts toward."""
-    blocks = _BLOCKS[rank]
-    positions = np.array([position for _, position, _ in blocks])
-    contains = np.array(
-        [[set(s) <= set(members) for s in _SUBSETS[rank].sets] for _, _, members in blocks],
-        dtype=np.float32,  # as _Subsets.supersets
-    )
-    for table in (positions, contains):
-        table.setflags(write=False)
-    return positions, contains
+def _blocks(rank: int, layout: tuple[str, ...]) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+    """The layout as (label, position of its size in (t_top, *x), generators containing the class).
+
+    Each subset must be one block: then the meets of a row x laid out are
+    x @ _Subsets.supersets summed in another order, the meets of reduced_box.
+    """
+    labels = _SUBSETS[rank].labels
+    if sorted(layout) != sorted(labels):
+        raise InternalInvariantError(f"the rank {rank} class layout is not one block per subset")
+    return tuple((label, labels.index(label), tuple(int(c) - 1 for c in label)) for label in layout)
+
+
+_BLOCKS = {rank: _blocks(rank, layout) for rank, layout in ((3, _LAYOUT3), (4, _LAYOUT4))}
 
 
 _new = object.__new__
@@ -430,12 +422,12 @@ def reduced_box(target: LoopClass | CharVector | str, max_degree: int) -> Box:
     Rows whose generators are dependent are dropped; they include the
     leaves the branch and bound skips, those with a generator of weight 0
     (every weight is 0 mod 4, so that is weight below 4).  The meets are
-    checked against the coordinate layout, as assemble_generators checks
-    them per leaf.
+    those of the coordinate layout, since it holds each subset once
+    (_blocks).
     """
     loop_class = _as_loop_class(target)
     rank = loop_class.rank
-    _check_in_range(max_degree, "max degree", _max_degree(rank))
+    max_degree = _check_in_range(max_degree, "max degree", _max_degree(rank))
     cap = max_degree + 1
     subsets = _SUBSETS[rank]
     _, residues = _meet_residues(loop_class.vector)
@@ -456,10 +448,6 @@ def reduced_box(target: LoopClass | CharVector | str, max_degree: int) -> Box:
     keep = _independent(rank, x)
     x, total = x[keep], total[keep]
     t = (x @ subsets.supersets).astype(np.uint8)  # t_S <= 56
-    # t_S again, as the sum of the blocks whose generators include S
-    positions, contains = _layout_meets(rank)
-    if not np.array_equal(x[:, positions] @ contains, t):
-        raise InternalInvariantError("walked meets do not match the class layout")
     return Box(x, t, total.astype(np.uint8))
 
 

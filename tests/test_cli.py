@@ -445,12 +445,14 @@ def test_exit_code_2_on_internal_failure(capsys, sample_files, monkeypatch):
 
 def test_conjecture_cross_checks_the_orbit_key(capsys, monkeypatch):
     import numpy as np
-    import codeloops.cli as cli_mod
+    import codeloops.equivalence as equivalence_mod
 
     # with only the identity, every box point is its own orbit, so a group
     # of isomorphic codes is reported split and code_isomorphism objects
     monkeypatch.setattr(
-        cli_mod, "orbit_weights", lambda loop_class: 8 ** np.arange(2**loop_class.rank - 1)[None]
+        equivalence_mod,
+        "orbit_weights",
+        lambda loop_class: 8 ** np.arange(2**loop_class.rank - 1)[None],
     )
     rc, out, err = run(capsys, "conjecture", "--rank", "4", "--max-degree", "21")
     assert rc == 2

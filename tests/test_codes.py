@@ -194,6 +194,18 @@ def test_degree_must_be_an_integer():
     assert Codeword(np.int64(8), [1]).mask() == 1
 
 
+def test_a_numpy_degree_is_stored_as_an_int():
+    # an np.int64 degree of 64 or more was kept, so 1 << degree was numpy
+    # arithmetic and overflowed
+    word = Codeword.from_mask(np.int64(100), 1 << 90)
+    assert word == Codeword.from_mask(100, 1 << 90) and type(word.degree) is int
+    gens = [Codeword(100, range(1, 9)), Codeword(100, range(93, 101))]
+    code = BinaryCode(np.int64(100), gens)
+    assert type(code.degree) is int
+    assert code.coordinate_classes() == BinaryCode(100, gens).coordinate_classes()
+    assert type(Codeword(np.int64(8), [1]).degree) is int
+
+
 def test_meet_weight_pairs_and_triples():
     a = word(8, 1, 2, 3, 4)
     b = word(8, 3, 4, 5, 6)

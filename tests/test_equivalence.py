@@ -539,20 +539,25 @@ def _assert_class_data_equals_oracle(code):
 
 
 def test_holders_are_cached_to_dimension_8_and_listed_afresh_above():
-    # every signature of dimension <= 8 fits in the cache; a larger code's
-    # classes are listed afresh, so the cache never takes the 2^(k-1) words
-    # per signature of a large dimension
-    assert equivalence._holders.cache_info().maxsize == sum((1 << k) - 1 for k in range(1, 9))
+    # the getters of every signature of dimension <= 8 are tabulated, one
+    # table per dimension; a larger code's classes are listed afresh, so no
+    # table takes the 2^(k-1) words per signature of a large dimension
+    tables = equivalence._signature_tables
+    assert tables.cache_info().maxsize == 9
     rng = random.Random(9)
     for dim in (8, 9, 11):
         code = random_code(rng, 16, dim)
         assert code.dimension == dim
-        before = equivalence._holders.cache_info().currsize
+        before = tables.cache_info()
         _assert_class_data_equals_oracle(code)
-        after = equivalence._holders.cache_info().currsize
-        assert after >= before if dim <= 8 else after == before
+        after = tables.cache_info()
+        if dim <= 8:  # the dimension's table is kept: reading it again is a hit
+            tables(dim)
+            assert tables.cache_info().hits == after.hits + 1
+        else:
+            assert after == before
         for sig in code.coordinate_classes().signatures:
-            assert equivalence._holders.__wrapped__(dim, sig) == tuple(
+            assert equivalence._holders(dim, sig) == tuple(
                 x for x in range(1 << dim) if (x & sig).bit_count() % 2
             )
 
@@ -584,10 +589,9 @@ def test_class_data_equals_oracle_at_dimension_1():
 def test_class_data_equals_oracle_at_dimension_9_past_the_caches():
     code = parse_code("degree=14\n1-4\n3-6\n5-8\n7-10\n9-12\n11-14\n1,3,5,7\n2,4,6,8,10\n1,14\n")
     assert code.dimension == 9
-    caches = (equivalence._holders, equivalence._holder_weights)
-    before = [cache.cache_info().currsize for cache in caches]
+    before = equivalence._signature_tables.cache_info()
     _assert_class_data_equals_oracle(code)
-    assert [cache.cache_info().currsize for cache in caches] == before
+    assert equivalence._signature_tables.cache_info() == before
 
 
 @pytest.mark.parametrize("name", all_loop_ids())
@@ -930,6 +934,10 @@ def test_orbit_weights_pack_the_gathered_images(name, cap):
     gathered = x[:, maps]  # [leaf, h, position]
     packed = (gathered << 3 * np.arange(maps.shape[1], dtype=np.int64)).sum(axis=2)
     assert (x @ weights.T == packed).all()
+    # one packing format: the identity comes first, so row 0 packs a row as _pack does
+    assert weights[0].tolist() == [8**j for j in range(maps.shape[1])]
+    rows = x.tolist()
+    assert [equivalence._pack(row) for row in rows] == (x @ weights[0]).tolist()
 
 
 # -- the pairwise grouping conjecture used before the orbit key -------------

@@ -340,6 +340,15 @@ def test_loop_class_refuses_an_index_that_is_not_an_integer():
     assert LoopClass(3, np.int64(2)).name == "C3_2"
 
 
+def test_loop_class_stores_its_rank_and_index_as_ints():
+    # True passed as an index and was kept, so the class was named C3_True
+    assert LoopClass(3, True).name == "C3_1"
+    loop_class = LoopClass(np.int64(4), np.int64(2))
+    assert (type(loop_class.rank), type(loop_class.index)) == (int, int)
+    assert loop_class.name == "C4_2"
+    assert type(CharVector.from_bits(np.int64(3), "111111").rank) is int
+
+
 def test_a_rank_that_is_not_an_integer_is_refused():
     # 3.0 == 3, so a membership test alone would take it and name the class C3.0_1
     canonical_catalog(3)  # a cached rank-3 catalog must not answer for 3.0

@@ -532,13 +532,13 @@ def test_run_plans_and_pair_bits_are_not_built_at_import():
             "-c",
             "import codeloops.cli as c; from codeloops import search as s; print(*(f.cache_info()"
             ".currsize for f in (c._slot_leads, c._plan, c._number_words, c._run_words,"
-            " s._pair_bits, s._pair_tables, s._prefix_tree, s._layout_meets)))",
+            " s._pair_bits, s._pair_tables, s._prefix_tree)))",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0 0 0 0 0 0 0 0\n", proc.stderr
+    assert proc.stdout == "0 0 0 0 0 0 0\n", proc.stderr
 
 
 def test_minimal_in_a_fresh_interpreter_prints_the_pinned_certificate():
@@ -733,17 +733,19 @@ def test_least_completion_is_the_least_over_the_pair_bits(rank):
     assert np.array_equal(search._least_completion(base, least_singles), degrees.min(axis=1))
 
 
-def test_walk_rejects_meets_off_the_layout(monkeypatch):
-    import codeloops.search as search
-
-    # a layout whose top block (class 123) counted toward the meets of 12
-    # but not of 123 would miss x123 in t123
-    positions, contains = search._layout_meets(3)
-    wrong = contains.copy()
-    wrong[0, 0] = 0
-    monkeypatch.setattr(search, "_layout_meets", lambda rank: (positions, wrong))
-    with pytest.raises(InternalInvariantError, match="do not match the class layout"):
-        reduced_box("C3_1", 7)
+def test_layout_refuses_a_repeated_or_missing_subset():
+    # a layout without block 123 would lay out no coordinate of x123 and
+    # miss it in every meet; one with 12 twice would count x12 twice
+    assert search._blocks(3, search._LAYOUT3) == search._BLOCKS[3]
+    assert search._blocks(4, search._LAYOUT4) == search._BLOCKS[4]
+    for rank, layout in (
+        (3, search._LAYOUT3[1:]),
+        (3, ("12",) + search._LAYOUT3[1:]),
+        (3, search._LAYOUT3 + ("12",)),
+        (4, search._LAYOUT4[:-1]),
+    ):
+        with pytest.raises(InternalInvariantError, match="^the rank . class layout is not one"):
+            search._blocks(rank, layout)
 
 
 def test_reduced_box_refuses_a_non_integer_max_degree():
@@ -755,6 +757,13 @@ def test_reduced_box_refuses_a_non_integer_max_degree():
         with pytest.raises(InvalidCodeError, match=r"^max degree .* is not an integer$"):
             enumerate_reduced("C4_16", max_degree)
     assert len(reduced_box("C4_16", np.int64(20)).degree) == 8
+
+
+def test_reduced_box_takes_a_numpy_max_degree_as_its_int():
+    want, got = reduced_box("C3_1", 20), reduced_box("C3_1", np.int64(20))
+    assert len(want.degree) > 0
+    for a, b in zip(want, got):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _record_text(loop_class, box):
