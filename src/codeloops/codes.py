@@ -103,7 +103,8 @@ class Codeword:
                 support = frozenset(support)
             _set(self, "_support", support)
         elif self._support is None:
-            _set(self, "_mask", self._mask & ((1 << degree) - 1))
+            mask = self._mask if type(self._mask) is int else _as_int(self._mask, "mask")
+            _set(self, "_mask", mask & ((1 << degree) - 1))
 
     @classmethod
     def from_mask(cls, degree: int, mask: int) -> "Codeword":

@@ -39,22 +39,21 @@ which loops.characteristic_vector and loops.classify read their signs.
 associator_bits reads the associators, for CodeLoop.is_associative.
 
 Tables with k <= 6 are also handled as bit rows: row x of phi is one
-2^k-bit word, bit y = phi(x, y), so one uint64 holds it.  The translates
-t[a, x] of the rows (bit y of row x read from position y + a) are built for
-every a in k doubling steps, and a sum of phi terms over a free variable y
-becomes an xor of 2^k-bit words, one per pair of the other two variables.
-word_table lays out every such word a kernel can read in one flat array:
-phi spread to words (a term without y), then the translates of the rows.
-A kernel is a fixed intp index table per 2^k, built on first use, that
-names where each of its phi terms sits there: associator_bits gathers 4
-terms and xors them, and loops.is_moufang the 6 of z(x(zy)) = ((zx)z)y,
-all rows.  No column is needed: a quasigroup with one Moufang identity
-has them all (K. Kunen, "Moufang quasigroups", J. Algebra 183, 1996).
-Each word decides 2^k triples, so the 4^k words decide all 2^(3k).  A
-FactorSet lays out its word table once, on first read, from the array
-it checked when it was made (FactorSet.word_table), and both kernels
-read that one table; any other table is checked and laid out again on
-every call.
+2^k-bit word, bit y = phi(x, y), held in a uint64 (bit_rows, one product
+with the powers of 2).  The translates t[a, x] of the rows (bit y of row
+x read from position y + a) are built for every a in k doubling steps,
+and a sum of phi terms over a free variable y becomes an xor of 2^k-bit
+words, one per pair of the other two variables.  word_table lays out
+every word a kernel reads in one flat array, and this module owns both
+kernels: each is a fixed intp index table per 2^k, built on first use,
+that names where its phi terms sit.  associator_bits gathers 4 terms and
+xors them, and _moufang_defects (for loops.is_moufang) the 6 of
+z(x(zy)) = ((zx)z)y; no column is needed, since a quasigroup with one
+Moufang identity has them all (K. Kunen, "Moufang quasigroups", J.
+Algebra 183, 1996).  Each word decides 2^k triples, so the 4^k words
+decide all 2^(3k).  A FactorSet lays out its word table once, on first
+read, from the array it checked when it was made (FactorSet.word_table),
+and both kernels read it; any other table is checked and laid out anew.
 
 The tests keep the general routine as the oracle: they solve the
 axioms as one linear system over GF(2) by elimination, pin free entries to
@@ -184,10 +183,12 @@ def _parity_table(n: int) -> np.ndarray:
 # _CLEAR[b] marks the bit positions y < 64 with bit b of y clear
 _CLEAR = [np.uint64(sum(1 << y for y in range(64) if not y >> b & 1)) for b in range(6)]
 _SHIFTS = [np.uint64(1 << b) for b in range(6)]
+_POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # 2^y at y
+_POWERS.setflags(write=False)
 
 
 def bit_rows(phi: np.ndarray) -> np.ndarray:
-    """The last axis of a 0/1 array of at most 64 entries as uint64 words, bit y = entry y.
+    """The last axis of an array of at most 64 entries as uint64 words, bit y = (entry y != 0).
 
     Row x of a 2^k x 2^k table (k <= 6) becomes one word; leading axes are
     kept, so a stack of tables gives a stack of rows.
@@ -195,10 +196,7 @@ def bit_rows(phi: np.ndarray) -> np.ndarray:
     n = phi.shape[-1]
     if n > 64:
         raise InvalidCodeError(f"a {n}-entry row does not fit in 64 bits")
-    packed = np.packbits(phi, axis=-1, bitorder="little")
-    words = np.zeros(phi.shape[:-1] + (8,), dtype=np.uint8)
-    words[..., : packed.shape[-1]] = packed
-    return words.view("<u8")[..., 0].astype(np.uint64, copy=False)
+    return phi.astype(bool) @ _POWERS[:n]  # as bool, an entry of 2 cannot set bit y + 1
 
 
 def translates(rows: np.ndarray) -> np.ndarray:
@@ -224,9 +222,9 @@ def translates(rows: np.ndarray) -> np.ndarray:
 def word_table(phi) -> np.ndarray:
     """Every 2^k-bit word the kernels read off a 2^k x 2^k 0/1 table, k <= 6, as one flat array.
 
-    phi spread to words comes first, then for each offset a the translates
-    by a of the rows; row u itself is its translate by 0.  _word_positions
-    says where each word sits.  Any other table is refused (InvalidCodeError).
+    Word u * 2^k + v is phi(u, v) spread over all 2^k bits, and word
+    2^(2k) + a * 2^k + u is row u translated by a; row u itself is its
+    translate by 0.  Any other table is refused (InvalidCodeError).
     """
     return _words(_zero_one_table(phi))
 
@@ -250,17 +248,6 @@ def _kernel_words(phi) -> tuple[np.ndarray, int]:
     return word_table(phi), len(phi)
 
 
-def _word_positions(n: int):
-    """The positions in word_table(phi) of 2^k = n, as functions of word indices.
-
-    spread(u, v) is phi(u, v) over all n bits and row(a, u) the translate
-    by a of row u.  The indices may be broadcasting arrays.
-    """
-    spread = lambda u, v: u * n + v
-    row = lambda a, u: n * n + a * n + u
-    return spread, row
-
-
 def _index_table(n: int, *terms) -> np.ndarray:
     """Word-table positions, each term broadcast to (n, n), stacked as a read-only intp array.
 
@@ -279,8 +266,8 @@ def _associator_index(n: int) -> np.ndarray:
     """Where the 4 phi terms of associator word [x, y] sit in word_table(phi): (4, n, n)."""
     w = np.arange(n)
     x, y = w[:, None], w[None, :]
-    spread, row = _word_positions(n)
-    return _index_table(n, row(0, x ^ y), row(y, x), spread(x, y), row(0, y))
+    rows = n * n  # the translates start after the n * n spread words
+    return _index_table(n, rows + (x ^ y), rows + y * n + x, x * n + y, rows + y)
 
 
 def associator_bits(phi) -> np.ndarray:
@@ -297,6 +284,33 @@ def associator_bits(phi) -> np.ndarray:
     """
     words, n = _kernel_words(phi)
     return np.bitwise_xor.reduce(words[_associator_index(n)], axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _moufang_index(n: int) -> np.ndarray:
+    """Where the 6 phi terms of z(x(zy)) = ((zx)z)y sit in word_table(phi): (6, n, n).
+
+    Entry [:, z, x] lists the words whose xor is word [z, x] of
+    _moufang_defects.  Read-only intp.
+    """
+    w = np.arange(n)
+    z, x = w[:, None], w[None, :]
+    zx, rows = z ^ x, n * n
+    # phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y)
+    terms = rows + z, rows + z * n + x, rows + zx * n + z, rows + x, z * n + x, zx * n + z
+    return _index_table(n, *terms)
+
+
+def _moufang_defects(phi) -> np.ndarray:
+    """Over y, the xor of the phi terms of both sides of z(x(zy)) = ((zx)z)y: (2^k, 2^k) words.
+
+    Bit y of word [z, x] is 1 when the identity fails on (z, x, y).  Over
+    y, phi(u, y) is row u, phi(u, y + a) its translate by a, and a term
+    without y is spread over all bits: one gather from the word table and
+    one xor over the 6 terms.
+    """
+    words, n = _kernel_words(phi)
+    return np.bitwise_xor.reduce(words[_moufang_index(n)], axis=0)
 
 
 def verify_factor_set(phi: FactorSet) -> list[Violation]:

@@ -24,11 +24,12 @@ variable the same number of times on both sides, so the factors' signs
 cancel and the words agree: it holds on all signed triples exactly when
 the phi terms of its two sides agree on the positive lifts.  Over y its
 six terms are rows of phi, their translates or constants spread over
-2^k bits (see factorset): one gather from the factor set's word table,
-which associator_bits reads too, and one xor of 2^k-bit words for each
-of the 4^k pairs (z, x) decide all 2^(3k) triples.  CodeLoop.is_moufang
-and CodeLoop.is_associative hand both kernels the FactorSet itself, so a
-loop lays out one word table, kept and freed with its factor set.  The
+2^k bits, and factorset owns both kernels: _moufang_defects gathers them
+from the factor set's word table, which associator_bits reads too, and
+one xor of 2^k-bit words for each of the 4^k pairs (z, x) decides all
+2^(3k) triples.  CodeLoop.is_moufang and CodeLoop.is_associative hand
+both kernels the FactorSet itself, so a loop lays out one word table,
+kept and freed with its factor set.  The
 tests keep the element-level checks of all three identities on the
 table, and the broadcast checks over all triples of words, as the
 oracles.
@@ -76,10 +77,9 @@ from .codes import BinaryCode, InternalInvariantError, InvalidCodeError, _as_int
 from .factorset import (
     MAX_DIMENSION,
     FactorSet,
-    _index_table,
-    _kernel_words,
-    _word_positions,
+    _moufang_defects,
     associator_bits,
+    bit_rows,
     build_factor_set,
 )
 
@@ -183,37 +183,10 @@ def is_moufang(phi) -> bool:
     phi is a FactorSet or a 2^k x 2^k 0/1 table.  One identity decides them
     all (see the module docstring): z(x(zy)) = ((zx)z)y on all 2^(3k)
     triples of words, as phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x)
-    + phi(z+x, z) + phi(x, y), mod 2.  Any other table is refused with
-    InvalidCodeError.
+    + phi(z+x, z) + phi(x, y), mod 2, read by factorset._moufang_defects.
+    Any other table is refused with InvalidCodeError.
     """
     return not _moufang_defects(phi).any()
-
-
-@functools.lru_cache(maxsize=None)
-def _moufang_index(n: int) -> np.ndarray:
-    """Where the 6 phi terms of z(x(zy)) = ((zx)z)y sit in word_table(phi): (6, n, n).
-
-    Entry [:, z, x] lists the words whose xor is word [z, x] of
-    _moufang_defects.  Read-only intp.
-    """
-    w = np.arange(n)
-    z, x = w[:, None], w[None, :]
-    spread, row = _word_positions(n)
-    # phi(z, y) + phi(x, z+y) + phi(z, x+z+y) = phi(z, x) + phi(z+x, z) + phi(x, y)
-    zx = z ^ x
-    return _index_table(n, row(0, z), row(z, x), row(zx, z), row(0, x), spread(z, x), spread(zx, z))
-
-
-def _moufang_defects(phi) -> np.ndarray:
-    """Over y, the xor of the phi terms of both sides of z(x(zy)) = ((zx)z)y: (2^k, 2^k) words.
-
-    Bit y of word [z, x] is 1 when the identity fails on (z, x, y).  Over
-    y, phi(u, y) is row u, phi(u, y + a) its translate by a, and a term
-    without y is spread over all bits: one gather from the word table and
-    one xor over the 6 terms.
-    """
-    words, n = _kernel_words(phi)
-    return np.bitwise_xor.reduce(words[_moufang_index(n)], axis=0)
 
 
 def build_loop(code: BinaryCode) -> CodeLoop:
@@ -373,7 +346,7 @@ def characteristic_vector(loop: CodeLoop, basis: Sequence[int]) -> CharVector:
     span = np.zeros(1 << rank, dtype=np.intp)
     for i, w in enumerate(words):
         span[1 << i : 2 << i] = span[: 1 << i] ^ w
-    anf = _mobius(_packed(loop.factor_set.array.diagonal()[span]), len(span))
+    anf = _mobius(int(bit_rows(loop.factor_set.array.diagonal()[span])), len(span))
     cubic, higher = _degree_masks(len(span))
     if not anf >> _BASIS_CUBIC & 1:
         raise InvalidCodeError("first three basis words associate; not an admissible basis")
@@ -399,18 +372,13 @@ def _anf(values: np.ndarray) -> np.ndarray:
     Entry m is the xor of the entries at the words inside m (y & m == y),
     so it takes a truth table to its ANF, the coefficient of the monomial
     of the bits of m, and the ANF back: the transform is its own inverse.
-    The table is packed into one int, entry y at bit y (_packed), transformed
-    there by _mobius in k shift-xor steps, and unpacked.
+    The table is packed into one int, entry y at bit y (bit_rows: every
+    caller packs at most 64 entries, rank <= 6), transformed there by
+    _mobius in k shift-xor steps, and unpacked.
     """
     n = len(values)
-    anf = _mobius(_packed(values), n).to_bytes(-(-n // 8), "little")
+    anf = _mobius(int(bit_rows(values)), n).to_bytes(-(-n // 8), "little")
     return np.unpackbits(np.frombuffer(anf, dtype=np.uint8), count=n, bitorder="little")
-
-
-def _packed(values: np.ndarray) -> int:
-    """A 0/1 table as one int, entry y at bit y."""
-    packed = np.packbits(np.asarray(values, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 def _mobius(word: int, n: int) -> int:
@@ -485,7 +453,7 @@ def _form_class(q: np.ndarray) -> LoopClass:
     ANF is read as one int (_mobius), monomial m at bit m.
     """
     n = len(q)
-    anf = _mobius(_packed(q), n)
+    anf = _mobius(int(bit_rows(q)), n)
     cubic, higher = _degree_masks(n)
     if not anf & cubic:
         raise AssociativeLoopError("loop is associative; not a nonassociative code loop")

@@ -26,13 +26,15 @@ from codeloops.catalog import all_loop_ids, catalog_entry
 from codeloops.factorset import (
     FactorSet,
     _associator_index,
+    _moufang_defects,
+    _moufang_index,
     associator_bits,
     bit_rows,
     build_factor_set,
     translates,
     word_table,
 )
-from codeloops.loops import CodeLoop, _moufang_defects, _moufang_index, is_moufang
+from codeloops.loops import CodeLoop, is_moufang
 from oracles import (
     _broadcast_associator_bits,
     _broadcast_is_moufang,
@@ -273,8 +275,8 @@ def test_index_tables_are_built_on_first_use_read_only_and_intp():
         [
             sys.executable,
             "-c",
-            "import codeloops; from codeloops import factorset as f, loops as l;"
-            " print(*(g.cache_info().currsize for g in (f._associator_index, l._moufang_index)))",
+            "import codeloops; from codeloops import factorset as f;"
+            " print(*(g.cache_info().currsize for g in (f._associator_index, f._moufang_index)))",
         ],
         capture_output=True,
         text=True,
@@ -290,6 +292,16 @@ def test_index_tables_are_built_on_first_use_read_only_and_intp():
 
 
 def test_bit_rows_refuse_tables_wider_than_a_word():
+    # up to 64 entries, of any dtype, entry y != 0 sets bit y and no other
+    rng = np.random.default_rng(64)
+    for dtype in (bool, np.uint8, np.int64):
+        for shape in ((3, 0), (4, 5), (2, 64), (2, 3, 0), (3, 2, 5), (2, 2, 64)):
+            entries = rng.integers(0, 4, shape).astype(dtype)
+            rows = bit_rows(entries)
+            assert rows.dtype == np.uint64 and rows.shape == shape[:-1]
+            for lead in np.ndindex(shape[:-1]):
+                want = sum(1 << y for y, e in enumerate(entries[lead].tolist()) if e)
+                assert int(rows[lead]) == want, (dtype, shape, lead)
     with pytest.raises(ValueError):
         bit_rows(np.zeros((128, 128), dtype=np.uint8))
 

@@ -206,6 +206,19 @@ def test_a_numpy_degree_is_stored_as_an_int():
     assert type(Codeword(np.int64(8), [1]).degree) is int
 
 
+def test_a_mask_follows_the_integer_rule():
+    # an np.int64 mask was kept: at degree 100 the drop of high bits
+    # overflowed, at degree 8 the word's support and repr raised
+    # AttributeError, and a float mask raised a bare TypeError
+    for degree in (8, 100):
+        word = Codeword.from_mask(degree, np.int64(5))
+        assert type(word.mask()) is int and word == Codeword.from_mask(degree, 5)
+        assert word.support == {1, 3} and repr(word) == repr(Codeword.from_mask(degree, 5))
+        assert str(word) == str(Codeword(degree, [1, 3]))
+    with pytest.raises(InvalidCodeError, match=r"^mask 2\.5 is not an integer$"):
+        Codeword.from_mask(8, 2.5)
+
+
 def test_meet_weight_pairs_and_triples():
     a = word(8, 1, 2, 3, 4)
     b = word(8, 3, 4, 5, 6)
