@@ -13,7 +13,9 @@ gives x_S as t_S minus the class sizes of the strict supersets of S.
 Each t_S lies in a residue class read off the ANF a of the class form q_L,
 once per class (subsets._meet_residues): a weight is 4 a_S mod 8 (the
 squares), a pair meet 2 a_S mod 4 (the commutators), a triple meet a_S
-mod 2 (the associators), and the quadruple meet is free.  A
+mod 2 (the associators), and the quadruple meet is free.  What the walks
+read of a class below each prefix follows from those residues, and is
+built once per class on first use too (subsets._class_tables).  A
 representation is reduced when every class has fewer than 8 coordinates,
 so the reduced space is a finite box.  It is searched one class size at a
 time in subset order, which is lexicographic order in t: each size steps
@@ -66,8 +68,7 @@ from .codes import (
 from .loops import _RANKS, CharVector, LoopClass, build_loop, classify
 from .subsets import (
     _SUBSETS,
-    _least_completion,
-    _least_sizes,
+    _class_tables,
     _max_degree,
     _meet_residues,
     _open_residues,
@@ -411,13 +412,14 @@ def reduced_box(target: LoopClass | CharVector | str, max_degree: int) -> Box:
     one bit per pair class: pair p takes l_p or l_p + 4, with l_p its
     residue mod 4 minus its supersets, and single i is then forced to (r_i
     - w_i - sum of the pairs through i) mod 8, w_i being its prefix
-    supersets (_least_sizes).  So each prefix is completed
-    in one step over the 2^P pair bits, in binary order with the first
-    pair on top, which is the depth-first order of the branch and bound,
-    that is lexicographic order in t, and the completions of degree above
-    max_degree are dropped.  A prefix whose least completion
-    (_least_completion) exceeds max_degree has none within it and is
-    dropped whole.
+    supersets.  These least sizes and the least completion of every
+    prefix are the class's tables (subsets._class_tables), built on the
+    first call and read at every cap.  A prefix whose least completion
+    exceeds max_degree has none within it and is dropped whole.  Every
+    other prefix is completed in one step over the 2^P pair bits, in
+    binary order with the first pair on top, which is the depth-first
+    order of the branch and bound, that is lexicographic order in t, and
+    the completions of degree above max_degree are dropped.
 
     Rows whose generators are dependent are dropped; they include the
     leaves the branch and bound skips, those with a generator of weight 0
@@ -430,10 +432,9 @@ def reduced_box(target: LoopClass | CharVector | str, max_degree: int) -> Box:
     max_degree = _check_in_range(max_degree, "max degree", _max_degree(rank))
     cap = max_degree + 1
     subsets = _SUBSETS[rank]
-    _, residues = _meet_residues(loop_class.vector)
     pairs, singles = subsets.pairs, subsets.singles
-    base, least_pairs, least_singles = _least_sizes(rank, residues)
-    keep = _least_completion(base, least_singles) < cap
+    base, least_pairs, least_singles, completion, _ = _class_tables(loop_class.vector)
+    keep = completion < cap
     x = _prefix_tree(rank).sizes[keep]
     base, least_pairs, least_singles = base[keep], least_pairs[keep], least_singles[keep]
     raised, flips, gain, drops = _pair_bits(rank)
@@ -509,7 +510,7 @@ def generator_runs(rank: int, nonempty: int) -> tuple[tuple[tuple[int, int], ...
 
 
 @cache
-def _pair_tables(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_tables(rank: int) -> tuple[np.ndarray, np.ndarray]:
     """What the branch and bound meets below a prefix of partial degree S, by budget b = cap - S.
 
     Pair p tries its least size l_p and then l_p + 4, so a node of pair
@@ -524,11 +525,11 @@ def _pair_tables(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     b - L_p0 left to them, so the pairs are counted three at a time.
 
     Returns the tables of the first three pairs (none at rank 3) and of
-    the last three, and digits.  A table holds at [key, 3P + budget] the
-    visits and the prunes, for budgets from -3P up to the largest cap, with
-    key the l's of its pairs as a base-4 number, the first pair's on top,
-    and every completion pruned.  The l's of all P pairs times digits are
-    the two keys and the sum of the first three l's.
+    the last three.  A table holds at [:, key, 3P + budget] the visits and
+    the prunes, for budgets from -3P up to the largest cap, with key the
+    l's of its pairs as a base-4 number, the first pair's on top, and
+    every completion pruned.  The class tables (subsets._class_tables)
+    hold the two keys of each prefix and the sum of the first three l's.
     """
     subsets = _SUBSETS[rank]
     count = subsets.pairs.stop - subsets.pairs.start
@@ -552,14 +553,10 @@ def _pair_tables(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if count - 1 in pairs:
             visited += rank * reaching[count, room]
             pruned += reaching[count, room]
-        tables.append(np.stack([visited, pruned], axis=2).astype(np.int32))
-    digits = np.zeros((count, 3), dtype=np.float32)  # as _Subsets.supersets
-    digits[:count - 3, 0] = 4 ** np.arange(count - 4, -1, -1)
-    digits[count - 3:, 1] = 4 ** np.arange(2, -1, -1)
-    digits[:count - 3, 2] = 1
-    for table in (*tables, digits):
+        tables.append(np.stack([visited, pruned]).astype(np.int32))
+    for table in tables:
         table.setflags(write=False)
-    return *tables, digits
+    return tuple(tables)
 
 
 def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Representation | None:
@@ -583,16 +580,17 @@ def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Re
     meets the cap left by the walks before its first leaf.  Sizes rise
     along siblings and the cap never rises, so a node is reached below
     its cap exactly when its partial degree is, and a level makes those
-    tries and one prune when some child of a reached node is not.  The
-    pair levels below the other prefixes reached are read from
-    _pair_tables by their budget.
+    tries and one prune when the last child of a reached node is not.  So
+    all nodes of the rank's tree are counted at once, from their first
+    leaves, partial degrees and last children.  The pair levels below the
+    other prefixes reached are read from _pair_tables by their budget.
+    The least sizes, least completions and table keys of the prefixes
+    are the class's tables (subsets._class_tables), built on the first
+    call, so a call makes only the numpy steps that depend on the cap.
     """
     rank = loop_class.rank
     tree = _prefix_tree(rank)
-    _, residues = _meet_residues(loop_class.vector)
-    partial = tree.sums[:, -1]
-    base, least_pairs, least_singles = _least_sizes(rank, residues)
-    completion = _least_completion(base, least_singles)
+    _, least_pairs, least_singles, completion, keys = _class_tables(loop_class.vector)
     walked, caps, best = [], [cap], None
     start = 0
     while len(hits := np.flatnonzero(completion[start:] < cap)):
@@ -608,22 +606,25 @@ def _branch_and_bound(loop_class: LoopClass, cap: int, stats: SearchStats) -> Re
         start += 1
     # the cap each node of the prefix tree meets, and whether it is reached below it
     walked, caps = np.array(walked, dtype=np.intp), np.array(caps)
-    visited = pruned = 0
-    reached = np.ones(1, dtype=bool)  # the root
-    for level, stride in enumerate(tree.strides):
-        in_force = caps[np.searchsorted(walked, np.arange(0, len(partial), stride))]
-        below = tree.sums[::stride, level] < in_force
-        cut = np.count_nonzero(reached & ~below.reshape(len(reached), -1)[:, -1])
-        visited += np.count_nonzero(below) + cut
-        pruned += cut
-        reached = below
+    in_force = caps[np.searchsorted(walked, tree.first)]
+    below = tree.partial < in_force
+    # a reached node whose last child is not reached makes one prune on its children's level
+    cut = np.count_nonzero(below[:len(tree.last)] & ~below[tree.last])
+    visited = np.count_nonzero(below[1:]) + cut  # the root is no try
+    leaves = slice(len(tree.last), None)
+    reached = below[leaves]
     reached[walked] = False  # their pair levels are counted by the walk
-    first, final, digits = _pair_tables(rank)
-    budget = (in_force - partial)[reached] + 3 * len(digits)
-    keys = (least_pairs.astype(np.float32) @ digits).astype(np.intp)[reached]
-    tabled = (first[keys[:, 0], budget] + final[keys[:, 1], budget - keys[:, 2]]).sum(axis=0)
+    rows = np.flatnonzero(reached)
+    budget = (in_force[leaves] - tree.partial[leaves]).take(rows) + 3 * least_pairs.shape[1]
+    lead_key, last_key, lead = keys.take(rows, axis=1).astype(np.intp)
+    first, final = _pair_tables(rank)
+    width = first.shape[2]  # read flat: [:, key, budget] is [:, key * width + budget]
+    tabled = (
+        first.reshape(2, -1).take(lead_key * width + budget, axis=1)
+        + final.reshape(2, -1).take(last_key * width + budget - lead, axis=1)
+    ).sum(axis=1)
     stats.visited += int(visited + tabled[0])
-    stats.pruned += int(pruned + tabled[1])
+    stats.pruned += int(cut + tabled[1])
     stats.walked += len(walked)
     return best
 

@@ -8,7 +8,9 @@ here: the subsets and their incidence matrices, the prefixes and the 2^P
 ways to raise the P pair classes (both built on first use), and the least
 sizes and least completion of a prefix.  So are the residues a class puts
 on the meets t_S, read off the ANF of its squaring form q_L
-(_meet_residues), once per class.
+(_meet_residues), and the least sizes, least completion and pair-table
+keys of every prefix that follow from them (_class_tables), each built
+once per class on first use.
 """
 
 from functools import cache
@@ -122,11 +124,13 @@ class _PrefixTree(NamedTuple):
     """The prefixes of a rank, the classes of three or more generators, in depth-first order."""
 
     sizes: np.ndarray  # row r: leaf r's class sizes in subset order, pairs and singles 0, uint8
-    sums: np.ndarray  # row r, column j: the sum of leaf r's sizes on levels 0..j
     # row r: the meets of leaf r's sizes; column-major, so that a sum over
     # a row's few columns is a sum of whole columns
     above: np.ndarray
-    strides: tuple[int, ...]  # per level, the leaves below one of its nodes
+    # the nodes, the root and then level by level, the leaves last
+    first: np.ndarray  # the first leaf below each node, intp
+    partial: np.ndarray  # each node's partial degree, the sum of its sizes, int16
+    last: np.ndarray  # the node of the last child of each node above the leaves, intp
 
 
 @cache
@@ -138,8 +142,8 @@ def _prefix_tree(rank: int) -> _PrefixTree:
     quadruple meet is free.  So every class has the same prefixes: 8 x 4^4
     = 2048 at rank 4 and 4 at rank 3, in the depth-first order of the
     branch and bound, a level's sizes rising from least by its modulus m,
-    so a node has 8 / m children on that level.  The nodes of level j are
-    the leaves at steps of strides[j], each standing for its first leaf.
+    so a node has 8 / m children on that level.  A node stands for its
+    first leaf, and its children are consecutive on the next level.
     """
     subsets = _SUBSETS[rank]
     moduli, residues = _open_residues(rank)
@@ -150,13 +154,23 @@ def _prefix_tree(rank: int) -> _PrefixTree:
         sizes = least[:, None] + np.arange(0, 8, moduli[j], dtype=np.int16)
         x = x.repeat(sizes.shape[1], axis=0)
         x[:, j] = sizes.ravel()
+    sums = x[:, :top].cumsum(axis=1, dtype=np.int16)
+    first, partial, last = [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.int16)], []
+    nodes, stride = 1, len(x)  # the root
+    for j in range(top):
+        children = 8 // moduli[j]
+        stride //= children
+        level = np.arange(0, len(x), stride)
+        last.append(nodes + np.arange(children - 1, len(level), children))
+        first.append(level)
+        partial.append(sums[level, j])
+        nodes += len(level)
     tree = _PrefixTree(
         x.astype(np.uint8),
-        x[:, :top].cumsum(axis=1, dtype=np.int16),
         np.asfortranarray(x.astype(np.float32) @ subsets.supersets, dtype=np.int16),
-        tuple(int(np.prod([8 // m for m in moduli[j + 1:top]])) for j in range(top)),
+        *map(np.concatenate, (first, partial, last)),
     )
-    for table in tree[:3]:
+    for table in tree:
         table.setflags(write=False)
     return tree
 
@@ -180,7 +194,7 @@ def _least_sizes(
     through = least_pairs.astype(np.float32) @ subsets.supersets[pairs, singles]
     least_singles = np.array(residues[singles], dtype=np.int16) - tree.above[:, singles]
     least_singles = (least_singles - through.astype(np.int16, order="F")) & 7
-    base = tree.sums[:, -1] + least_pairs.sum(axis=1, dtype=np.int16)
+    base = tree.partial[len(tree.last):] + least_pairs.sum(axis=1, dtype=np.int16)
     return base, least_pairs, least_singles
 
 
@@ -198,3 +212,39 @@ def _least_completion(base: np.ndarray, least_singles: np.ndarray) -> np.ndarray
     """
     high = (least_singles >> 2).sum(axis=1, dtype=np.int16)
     return base + (least_singles & 3).sum(axis=1, dtype=np.int16) + 4 * ((high + 1) // 2)
+
+
+class _ClassTables(NamedTuple):
+    """What the walks of search read below each prefix of one class, in the tree's order."""
+
+    base: np.ndarray  # the prefix's partial degree plus its pairs' least sizes, int16
+    least_pairs: np.ndarray  # column-major int16, as _least_sizes
+    least_singles: np.ndarray
+    completion: np.ndarray  # the least completion, int16
+    # the keys of search._pair_tables, one row each, uint8: the l's of the
+    # pairs before the last three and of the last three as base-4 numbers,
+    # the first pair's on top, and the sum of the l's before the last three
+    keys: np.ndarray
+
+
+@cache
+def _class_tables(cv: CharVector) -> _ClassTables:
+    """The least sizes, least completion and pair-table keys of every prefix of a class.
+
+    Built on first use, once per characteristic vector, and read-only:
+    reduced_box and the branch and bound of search read them at every cap.
+    """
+    _, residues = _meet_residues(cv)
+    base, least_pairs, least_singles = _least_sizes(cv.rank, residues)
+    count = least_pairs.shape[1]
+    digits = np.zeros((3, count), dtype=np.int16)
+    digits[0, :count - 3] = 4 ** np.arange(count - 4, -1, -1)
+    digits[1, count - 3:] = 4 ** np.arange(2, -1, -1)
+    digits[2, :count - 3] = 1
+    tables = _ClassTables(
+        base, least_pairs, least_singles, _least_completion(base, least_singles),
+        (digits @ least_pairs.T).astype(np.uint8),  # at most 63
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables

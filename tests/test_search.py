@@ -8,6 +8,7 @@ x = (1,0,2,0,1,3,0,5,0,2,1,1,3,0) at degree 19, type 111122335.
 import copy
 import hashlib
 import itertools
+import json
 import os
 import pickle
 import subprocess
@@ -58,7 +59,7 @@ from codeloops.search import (
     assemble_generators,
     reduced_box,
 )
-from codeloops.subsets import _meet_residues
+from codeloops.subsets import _class_tables, _least_completion, _least_sizes, _meet_residues
 from oracles import (
     _general_linear,
     _ladder_screen,
@@ -512,7 +513,7 @@ def test_reduced_box_equals_the_level_walk(name):
 def test_reduced_box_peaks_within_a_small_multiple_of_the_box():
     # the walk's arrays stay small integers or float32 over the whole box:
     # a float64 product or a copy per completion would cross this bound
-    reduced_box("C4_16", 16)  # the rank's tables and the class residues, cached
+    reduced_box("C4_16", 16)  # the rank's tables and the class's tables, cached
     tracemalloc.start()
     try:
         box = reduced_box("C4_16", 105)
@@ -532,13 +533,13 @@ def test_run_plans_and_pair_bits_are_not_built_at_import():
             "-c",
             "import codeloops.cli as c; from codeloops import search as s; print(*(f.cache_info()"
             ".currsize for f in (c._slot_leads, c._plan, c._number_words, c._run_words,"
-            " s._pair_bits, s._pair_tables, s._prefix_tree)))",
+            " s._pair_bits, s._pair_tables, s._prefix_tree, s._class_tables)))",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0 0 0 0 0 0 0\n", proc.stderr
+    assert proc.stdout == "0 0 0 0 0 0 0 0\n", proc.stderr
 
 
 def test_minimal_in_a_fresh_interpreter_prints_the_pinned_certificate():
@@ -554,6 +555,95 @@ def test_minimal_in_a_fresh_interpreter_prints_the_pinned_certificate():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("loop: C4_8\ndegree: 17\ntype: 11111122223\n")
     assert proc.stdout.endswith("visited: 16814\npruned: 6178\n")
+
+
+# the calls whose outputs must not depend on the class tables being built
+# already: every minimal call, then two --out runs with the sha256 of the file
+_WARM_RUNS = [["minimal", "--loop", name] for name in all_loop_ids()] + [
+    ["enumerate", "--loop", "C4_16", "--max-degree", "37", "--out"],
+    ["conjecture", "--rank", "3", "--max-degree", "49", "--out"],
+]
+_WARM_DIGESTS = [
+    "e0462669894f9751653f3f8fdfafe3c13209e7583d4966f8444a01d7bcd0f362",
+    "fbfb672816b19b45445c69ad21f7c3551cbb7a12b5add21098878ad86cb6ebc8",
+]
+
+
+def test_warm_class_tables_print_the_cold_bytes(tmp_path):
+    # one fresh interpreter runs every call twice: the first run builds the
+    # rank and class tables, the second reads them
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = str(tmp_path / "report.txt")
+    script = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "from codeloops.cli import main\n"
+        "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+        "for _ in range(2):\n"
+        "    for argv in runs:\n"
+        "        text, written = io.StringIO(), argv[-1] == '--out'\n"
+        "        with contextlib.redirect_stdout(text):\n"
+        "            status = main(argv + [out] if written else argv)\n"
+        "        digest = written and hashlib.sha256(open(out, 'rb').read()).hexdigest()\n"
+        "        print(json.dumps([status, text.getvalue(), digest]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(_WARM_RUNS), out],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    cold, warm = results[:len(_WARM_RUNS)], results[len(_WARM_RUNS):]
+    assert warm == cold
+    minimal, written = cold[:-2], cold[-2:]
+    for name, (status, text, _) in zip(all_loop_ids(), minimal):
+        degree, rep_type, visited, pruned = MINIMAL_CERTIFICATES[name]
+        assert status == 0
+        assert text.startswith(f"loop: {name}\ndegree: {degree}\ntype: {rep_type}\n"), name
+        assert text.endswith(f"visited: {visited}\npruned: {pruned}\n"), name
+    assert [status for status, _, _ in written] == [0, 0]
+    assert [digest for _, _, digest in written] == _WARM_DIGESTS
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_class_tables_equal_a_fresh_computation_and_are_read_only(name):
+    cv = parse_loop_id(name).vector
+    tables = _class_tables(cv)
+    assert _class_tables(cv) is tables
+    base, least_pairs, least_singles = _least_sizes(cv.rank, _meet_residues(cv)[1])
+    split = least_pairs.shape[1] - 3  # the pairs before the last three
+    rows = least_pairs.tolist()
+    keys = np.array(
+        [
+            [sum(size * 4 ** i for i, size in enumerate(reversed(row[:split]))) for row in rows],
+            [sum(size * 4 ** i for i, size in enumerate(reversed(row[split:]))) for row in rows],
+            [sum(row[:split]) for row in rows],
+        ],
+        dtype=np.uint8,
+    )
+    fresh = (base, least_pairs, least_singles, _least_completion(base, least_singles), keys)
+    for field_name, got, want in zip(tables._fields, tables, fresh):
+        assert got.dtype == want.dtype, field_name
+        assert np.array_equal(got, want), field_name
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_minimal_shares_one_class_table_entry_across_target_forms(name):
+    loop_class = parse_loop_id(name)
+    _class_tables.cache_clear()
+    reps = [minimal_representation(t) for t in (loop_class, loop_class.vector, name)]
+    assert _class_tables.cache_info().currsize == 1
+    assert reps[0] == reps[1] == reps[2]
+
+
+def test_class_tables_of_every_class_take_at_most_one_megabyte():
+    tables = [_class_tables(parse_loop_id(name).vector) for name in all_loop_ids()]
+    assert sum(a.nbytes for t in tables for a in t) <= 1_000_000
 
 
 def _laid_out(branch_and_bound, loop_class, cap):
@@ -662,7 +752,7 @@ def test_pair_tables_count_every_prefix_as_its_pair_levels_walked(name):
     # budgets at which the counts of the first three pairs stop changing
     loop_class = parse_loop_id(name)
     rank = loop_class.rank
-    first, final, _ = search._pair_tables(rank)
+    first, final = search._pair_tables(rank)
     split = {3: 0, 4: 3}[rank]  # the pairs counted first
     with_completion_below = 0
     for cap in {3: (14, 20, 50), 4: (20, 34)}[rank]:
@@ -677,11 +767,11 @@ def test_pair_tables_count_every_prefix_as_its_pair_levels_walked(name):
             # budgets are offset by 3 per pair, so that a negative budget reads its own column
             budget = cap - partial + 3 * len(least_pairs)
             first_sum = sum(least_pairs[:split])
-            tabled = first[first_key, budget] + final[final_key, budget - first_sum]
+            tabled = first[:, first_key, budget] + final[:, final_key, budget - first_sum]
             # the tables count every completion as pruned
             assert tabled.tolist() == [visited, pruned + len(degrees)], (cap, partial, least_pairs)
             base = np.array([partial + sum(least_pairs)], dtype=np.int16)
-            least = search._least_completion(base, np.array([least_singles], dtype=np.int16))
+            least = _least_completion(base, np.array([least_singles], dtype=np.int16))
             below = least[0] < cap
             assert below == any(degree < cap for degree in degrees), (cap, partial, least_singles)
             with_completion_below += below
@@ -730,7 +820,7 @@ def test_least_completion_is_the_least_over_the_pair_bits(rank):
     start = base + least_singles.sum(axis=1, dtype=np.int16)
     high = (least_singles >> 2).astype(np.float32)
     degrees = start[:, None] + gain - (high @ drops).astype(np.int16)
-    assert np.array_equal(search._least_completion(base, least_singles), degrees.min(axis=1))
+    assert np.array_equal(_least_completion(base, least_singles), degrees.min(axis=1))
 
 
 def test_layout_refuses_a_repeated_or_missing_subset():
