@@ -11,11 +11,11 @@ basis B moves the class of S to the class of B.S, and the box point of
 the new basis is the same code.  When the new basis is admissible with
 vector L it is again a point of L's box, and two box points are isomorphic
 codes exactly when one is the other composed with such a B.  Those B form
-the stabilizer H_L of L's squaring form (box_stabilizer), so the
-isomorphism class of a box point is its H_L-orbit: a box point is
-isomorphic to another iff its packed class sizes (_pack) are among the
-other's orbit key, its packed images (_packed_images), one matrix product
-W @ x with W the orbit weights of the class (orbit_weights).
+the stabilizer H_L of L's squaring form, held in one read-only record per
+class (_class_stabilizer) whose maps and weights box_stabilizer and
+orbit_weights return.  So a box point is isomorphic to another iff its
+packed class sizes (_pack) are among the other's orbit key, its packed
+H_L images (_packed_images), one matrix product W @ x with W the weights.
 
 code_isomorphism decides isomorphism of arbitrary codes: it is the engine
 of the iso command and the independent cross-check of the orbit key.
@@ -36,10 +36,7 @@ to some classes c, are the image of x under the linear map
 x -> (|x & s_c| mod 2)_c.  Every image is hit by the 2^(k-r) words of a
 coset of its kernel (r the rank of the map), so two such projections agree
 as multisets exactly when their images are one subspace, and that is when
-the signatures satisfy the same linear relations over GF(2).  The
-projection screen this replaced compared those multisets at every node;
-the relation screen makes the same decision with one xor-basis reduction
-or one dict lookup, so the search tree and the witness are unchanged.
+the signatures satisfy the same linear relations over GF(2).
 
 The per-code search data comes from the class masks and signatures of
 coordinate_classes, not from the span read coordinate by coordinate: the
@@ -378,50 +375,52 @@ def _form_stabilizer(q: np.ndarray) -> np.ndarray:
     return images[:, 1 << np.arange(k)]  # row i is the span word 2^i
 
 
+class _Stabilizer(NamedTuple):
+    """H_L of one class as maps on its box, one row per element, the identity first."""
+
+    maps: np.ndarray  # uint8 [h, p]: x[maps[h]] holds the class sizes of x read in basis h
+    weights: np.ndarray  # int64 [h, j]: 8^p, p the position h sends class j to
+
+
 @functools.lru_cache(maxsize=None)
-def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
-    """H_L: the changes of basis that keep a class's vector, as maps on its box.
+def _class_stabilizer(loop_class: LoopClass) -> _Stabilizer:
+    """The one record of H_L for a class: read-only, built on first use.
 
     The rows v_1..v_k of a B in GL(k, 2), read as span words of a box point
     of class L, form an admissible basis with vector L exactly when they
     read its squaring form q_L as q_L again (|u & v & w| is trilinear, so a
     nuclear v_4 kills every cubic term holding it).  So H_L is the
-    stabilizer of q_L, grown row by row by _form_stabilizer: in ascending
-    order of the rows, the identity first.
+    stabilizer of q_L, grown row by row by _form_stabilizer, identity first.
 
-    Row h of the result is B as a map on the subset positions of
-    search._SUBSETS: if x holds the class sizes of a box point, x[h] holds
-    those of the same code in basis B, which is again a box point of L.
-    The x[h] over all rows h are the box points isomorphic to x.  The array
-    is uint8, read-only, and built on first use for each class.
+    B sends class j (the set S of old generators at position j of
+    search._SUBSETS) to the position p of the new generators that meet S
+    oddly.  If x holds the class sizes of a box point, x[maps[h]] holds
+    those of the same code in basis B, the box points isomorphic to x, and
+    (weights @ x)[h] packs it as _pack does (size i in bits 3i..3i+2).
     """
     subsets = _SUBSETS[loop_class.rank]
     bases = _form_stabilizer(_class_form(loop_class.vector))
     position = np.zeros(1 << subsets.rank, dtype=np.uint8)
     position[list(subsets.masks)] = np.arange(len(subsets.masks))
-    # class S of the old basis lies in new generator j iff v_j meets S oddly
     odd = subsets.odd[:, bases - 1].astype(np.uint8)  # [S, basis, j]
     images = position[(odd << np.arange(subsets.rank, dtype=np.uint8)).sum(axis=2).T]
-    # h[images[i]] = i: the inverse permutation
-    maps = np.argsort(images, axis=1).astype(np.uint8)
-    maps.setflags(write=False)
-    return maps
+    record = _Stabilizer(
+        maps=np.argsort(images, axis=1).astype(np.uint8),  # maps[h, images[h, j]] = j
+        weights=np.int64(8) ** images.astype(np.int64),  # 8^14 < 2^63
+    )
+    for array in record:
+        array.setflags(write=False)
+    return record
 
 
-@functools.lru_cache(maxsize=None)
+def box_stabilizer(loop_class: LoopClass) -> np.ndarray:
+    """H_L as maps on the box of a class: the maps of _class_stabilizer."""
+    return _class_stabilizer(loop_class).maps
+
+
 def orbit_weights(loop_class: LoopClass) -> np.ndarray:
-    """The H_L images of a box row, packed, as one matrix product: W @ x.
-
-    _pack packs a box row x whose class sizes lie below 8 as one int, size
-    i in bits 3i..3i+2.  Row h of box_stabilizer sends class j to the
-    position p where maps[h, p] = j, so the packed image x[h] is sum_j
-    x[j] 8^p: W[h, j] = 8^p, and (W @ x)[h] is that packed image.  Row 0,
-    the identity, is 8^j, so (W @ x)[0] is _pack(x).  W is int64 (8^14 <
-    2^63), read-only, and built on first use for each class.
-    """
-    weights = np.int64(8) ** np.argsort(box_stabilizer(loop_class), axis=1).astype(np.int64)
-    weights.setflags(write=False)
-    return weights
+    """W, whose W @ x packs the H_L images of a box row: the weights of _class_stabilizer."""
+    return _class_stabilizer(loop_class).weights
 
 
 # 8^i, the weight of class size i in a packed row of 2^k - 1 classes

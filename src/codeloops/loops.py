@@ -46,14 +46,15 @@ and the associators as cubic terms, and it fixes the loop up to
 isomorphism (Griess, "Code loops", 1986).  A basis is admissible with
 vector L exactly when it reads q as q_L (_class_form), so the classes are
 the GL(k, 2)-orbits of the forms with a cubic term (O'Brien and
-Vojtechovsky, 2017), and equivalence.box_stabilizer is the stabilizer of
-q_L.  classify needs no orbit: it reads q off the factor-set diagonal,
-refuses it as associative without a cubic term and as in no class with a
-term above degree 3, and otherwise looks up two isomorphism invariants,
-the number of words whose lifts square to -1 and the number of ordered
-pairs of words whose lifts fail to commute.  These two counts tell the 5
-classes of rank 3 and the 16 of rank 4 apart, and the tests check the
-rule against the orbit table of every truth table of both ranks.
+Vojtechovsky, 2017), and the stabilizer of q_L is the one record per
+class of equivalence._class_stabilizer.  classify needs no orbit: it
+reads q off the factor-set diagonal, refuses it as associative without a
+cubic term and as in no class with a term above degree 3, and otherwise
+looks up two isomorphism invariants, the number of words whose lifts
+square to -1 and the number of ordered pairs of words whose lifts fail to
+commute.  These two counts tell the 5 classes of rank 3 and the 16 of
+rank 4 apart, and the tests check the rule against the orbit table of
+every truth table of both ranks.
 characteristic_vector reads the ANF of q in a basis as _form_class does,
 the GF(2) Moebius transform of the table packed into one int (_mobius),
 monomial m at bit m, and _class_form runs the same transform, its own

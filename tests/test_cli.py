@@ -6,6 +6,8 @@ import gc
 import hashlib
 import io
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import weakref
@@ -383,6 +385,49 @@ def test_construct_builds_one_word_table_per_factor_set(capsys, tmp_path, monkey
     # the word table goes with its factor set: nothing is kept past the
     # call, and no reference cycle waits for the collector
     assert [ref() for ref in factor_sets] == [None]
+
+
+# construct's stdout on the two CI codes whose sha256 the workflow checks:
+# the README's C4_16 code plus the block 20-23 (nonassociative, dimension
+# 5), and C3_1 on the last coordinates of a degree-128 dimension-6 code
+_CONSTRUCT_DIGESTS = {
+    "dim5": (
+        "degree=23\n1-8\n1,4,9-14\n1,2,3,5,6,7,9-13,15-19\n2,3,15,16\n20-23\n",
+        "874a2cc4ad55acf83ce20979a2cdc36ac71b4d8468cf825275296dddcc3e8697",
+    ),
+    "dim6_128": (
+        "degree=128\n122-125\n122,123,126,127\n122,124,126,128\n1-64,122-125\n33-96\n"
+        "1-16,49-64,97-112\n",
+        "62d46b5baf607b215832760ae5445909369c992f4222429ff58d31ef5d0dee02",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCT_DIGESTS))
+def test_construct_stdout_has_the_ci_digest(capsys, tmp_path, name):
+    text, digest = _CONSTRUCT_DIGESTS[name]
+    f = tmp_path / f"{name}.code"
+    f.write_text(text)
+    rc, out, err = run(capsys, "construct", f)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the one digest CI checks that tier-1 does not: the full rank-4 conjecture
+# box, which takes about 30 s
+_CI_ONLY_DIGESTS = {"af1ee5b06c2ca57d048671020e8afcece4b3da035123daecbf606c4ca6717a5e"}
+
+
+def test_every_ci_digest_is_pinned_by_a_tier1_test():
+    from test_search import _WARM_DIGESTS, PINNED_RUNS
+
+    workflow = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    text = workflow.read_text(encoding="utf-8")
+    checked = re.findall(r'echo "([0-9a-f]{64})  [^"]*" \| sha256sum -c -', text)
+    assert len(checked) == text.count("sha256sum -c") > 0
+    pinned = {digest for _, digest, _ in PINNED_RUNS}
+    pinned |= set(_WARM_DIGESTS) | {digest for _, digest in _CONSTRUCT_DIGESTS.values()}
+    assert set(checked) - pinned == _CI_ONLY_DIGESTS
 
 
 def test_closed_stdout_pipe_exits_1_without_traceback():

@@ -874,13 +874,37 @@ def test_box_stabilizer_is_not_built_at_import():
             sys.executable,
             "-c",
             "import codeloops.cli; from codeloops import equivalence as e, loops as l; print(*("
-            "f.cache_info().currsize for f in (e.box_stabilizer, e.orbit_weights, l._class_keys)))",
+            "f.cache_info().currsize for f in (e._class_stabilizer, l._class_keys)))",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0 0 0\n", proc.stderr
+    assert proc.stdout == "0 0\n", proc.stderr
+
+
+def test_form_stabilizer_runs_once_per_class():
+    # one fresh interpreter reads both views and the orbit key of every
+    # class twice: H_L is grown once per class, into one cache entry
+    src = os.path.dirname(os.path.dirname(codeloops.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "from codeloops import equivalence as e\n"
+        "from codeloops.catalog import all_loop_ids, parse_loop_id\n"
+        "grow, calls = e._form_stabilizer, []\n"
+        "e._form_stabilizer = lambda q: calls.append(q) or grow(q)\n"
+        "for _ in range(2):\n"
+        "    for c in map(parse_loop_id, all_loop_ids()):\n"
+        "        e.box_stabilizer(c), e.orbit_weights(c), e._packed_images(c, (1,) * (2**c.rank - 1))\n"
+        "print(len(calls), e._class_stabilizer.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "21 21\n", proc.stderr
 
 
 def _box_rows(box):
@@ -918,6 +942,52 @@ def test_box_stabilizer_maps_rank4_rows_into_the_box(name, data):
     _assert_images_in_box(parse_loop_id(name), rows, x)
 
 
+def _generated(generators):
+    """The group the maps generate, as a set of tuples: every product of them.
+
+    Map h acts on a row x as x[h], so following a by g is a[g]; the group
+    is finite, so the products from the identity close it.
+    """
+    group = {tuple(range(len(generators[0])))}
+    frontier = np.array(sorted(group))
+    while len(frontier):
+        products = np.concatenate([frontier[:, g] for g in generators])
+        fresh = set(map(tuple, products.tolist())) - group
+        group |= fresh
+        frontier = np.array(sorted(fresh), dtype=frontier.dtype).reshape(-1, frontier.shape[1])
+    return group
+
+
+@pytest.mark.parametrize("name", all_loop_ids())
+def test_stabilizer_generators_keep_every_full_box(name):
+    # a generating set taken greedily from the rows (each row outside the
+    # group of those before it) generates all of H_L, and each generator
+    # sends every row of the full box to a row of the box of the same
+    # degree; a bijection of the box, so all of H_L keeps the box
+    loop_class = parse_loop_id(name)
+    maps = box_stabilizer(loop_class)
+    generators, group = [], {tuple(range(maps.shape[1]))}
+    for row in maps.tolist():
+        if tuple(row) not in group:
+            generators.append(np.array(row))
+            group = _generated(generators)
+    assert group == set(map(tuple, maps.tolist()))
+    assert len(group) == STABILIZER_ORDERS[name]
+    box = reduced_box(loop_class, 49 if loop_class.rank == 3 else 105)
+    x = box.x.astype(np.int64)
+    assert x.max() < 8
+    powers = np.int64(8) ** np.arange(x.shape[1], dtype=np.int64)
+    keys = x @ powers
+    order = np.argsort(keys)
+    ranked = keys[order]
+    assert (np.diff(ranked) > 0).all()  # one row per parameter vector
+    for g in generators:
+        images = x[:, g] @ powers
+        at = np.minimum(np.searchsorted(ranked, images), len(ranked) - 1)
+        assert (ranked[at] == images).all(), (name, g)
+        assert (box.degree[order[at]] == box.degree).all(), (name, g)
+
+
 @pytest.mark.parametrize("name, cap", [(name, 49) for name in all_loop_ids(3)]
                          + [(name, 25) for name in all_loop_ids(4)])
 def test_orbit_weights_pack_the_gathered_images(name, cap):
@@ -929,6 +999,11 @@ def test_orbit_weights_pack_the_gathered_images(name, cap):
     assert weights is orbit_weights(loop_class)
     assert weights.dtype == np.int64 and not weights.flags.writeable
     assert weights.shape == maps.shape
+    # both views read one record; W is 8^p for the positions p that the
+    # maps invert, which is 8 to the argsort of the maps
+    record = equivalence._class_stabilizer(loop_class)
+    assert record.maps is maps and record.weights is weights
+    assert (weights == np.int64(8) ** np.argsort(maps, axis=1)).all()
     x = reduced_box(loop_class, cap).x.astype(np.int64)
     assert len(x) > 0 and x.max() < 8
     gathered = x[:, maps]  # [leaf, h, position]

@@ -503,7 +503,7 @@ def test_characteristic_vector_refuses_a_diagonal_with_a_degree_four_term():
 
 
 def test_classify_never_builds_the_general_linear_group(tmp_path):
-    # no module of the package lists the bases of GL(k, 2): box_stabilizer
+    # no module of the package lists the bases of GL(k, 2): _class_stabilizer
     # grows only the admissible ones, and the full list is a test oracle;
     # a rank-4 classification reads two counts off the diagonal and builds
     # no stabilizer
@@ -519,9 +519,9 @@ def test_classify_never_builds_the_general_linear_group(tmp_path):
     script = (
         "import sys\n"
         "from codeloops.cli import main\n"
-        "from codeloops.equivalence import box_stabilizer\n"
+        "from codeloops.equivalence import _class_stabilizer\n"
         "main(['classify', sys.argv[1]])\n"
-        "print(box_stabilizer.cache_info().currsize)\n"
+        "print(_class_stabilizer.cache_info().currsize)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(file)],

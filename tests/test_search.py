@@ -557,21 +557,25 @@ def test_minimal_in_a_fresh_interpreter_prints_the_pinned_certificate():
     assert proc.stdout.endswith("visited: 16814\npruned: 6178\n")
 
 
-# the calls whose outputs must not depend on the class tables being built
-# already: every minimal call, then two --out runs with the sha256 of the file
+# the calls whose outputs must not depend on the class tables and the
+# stabilizer records being built already: every minimal call, then the --out
+# runs with the sha256 of the file; the conjecture runs read the records of
+# all 21 classes
 _WARM_RUNS = [["minimal", "--loop", name] for name in all_loop_ids()] + [
     ["enumerate", "--loop", "C4_16", "--max-degree", "37", "--out"],
     ["conjecture", "--rank", "3", "--max-degree", "49", "--out"],
+    ["conjecture", "--rank", "4", "--max-degree", "25", "--out"],
 ]
 _WARM_DIGESTS = [
     "e0462669894f9751653f3f8fdfafe3c13209e7583d4966f8444a01d7bcd0f362",
     "fbfb672816b19b45445c69ad21f7c3551cbb7a12b5add21098878ad86cb6ebc8",
+    "596a02647e66719675d0a85f6aae2ea6f2a4ec09582b8fc8800c32a58855e47b",
 ]
 
 
 def test_warm_class_tables_print_the_cold_bytes(tmp_path):
     # one fresh interpreter runs every call twice: the first run builds the
-    # rank and class tables, the second reads them
+    # rank and class tables and the stabilizer records, the second reads them
     src = os.path.dirname(os.path.dirname(codeloops.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = str(tmp_path / "report.txt")
@@ -598,13 +602,13 @@ def test_warm_class_tables_print_the_cold_bytes(tmp_path):
     results = [json.loads(line) for line in proc.stdout.splitlines()]
     cold, warm = results[:len(_WARM_RUNS)], results[len(_WARM_RUNS):]
     assert warm == cold
-    minimal, written = cold[:-2], cold[-2:]
+    minimal, written = cold[:-len(_WARM_DIGESTS)], cold[-len(_WARM_DIGESTS):]
     for name, (status, text, _) in zip(all_loop_ids(), minimal):
         degree, rep_type, visited, pruned = MINIMAL_CERTIFICATES[name]
         assert status == 0
         assert text.startswith(f"loop: {name}\ndegree: {degree}\ntype: {rep_type}\n"), name
         assert text.endswith(f"visited: {visited}\npruned: {pruned}\n"), name
-    assert [status for status, _, _ in written] == [0, 0]
+    assert [status for status, _, _ in written] == [0] * len(_WARM_DIGESTS)
     assert [digest for _, _, digest in written] == _WARM_DIGESTS
 
 
